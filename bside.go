@@ -304,8 +304,8 @@ type CacheStats struct {
 	// memory tier, without a file read or an envelope decode.
 	MemoryHits uint64 `json:"memory_hits"`
 	// PackHits is the subset of Hits served from a memory-mapped cache
-	// pack — a binary-search probe into the shared mapping, with no
-	// per-entry open() and (for binary-codec entries) no JSON at all.
+	// pack — a binary-search probe into the shared mapping plus one JSON
+	// payload decode, with no per-entry open() and no envelope decode.
 	PackHits uint64 `json:"pack_hits"`
 	// Packs, PackEntries and PackBytesMapped gauge the open pack set:
 	// file count, total indexed entries, and the bytes currently

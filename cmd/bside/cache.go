@@ -5,27 +5,27 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
 
 	"bside/internal/cache"
-
-	// The pack codecs are registered from the packages that own the
-	// payload types; linking them in makes `bside cache pack` emit
-	// binary-codec entries for "program" and "funcsum" kinds. The
-	// analyzer import below pulls in both, but be explicit about the
-	// dependency the compaction quality rides on.
-	_ "bside/internal/ident"
-	_ "bside/internal/shared"
 )
+
+const cacheUsage = "usage: bside cache pack|gc -dir <cachedir>"
 
 // runCache administers a cache directory: compaction into the mmapped
 // pack tier, and garbage collection of loose entries a pack already
-// covers.
+// covers. Both act on an existing cache, so a missing -dir is an error
+// rather than a directory to create.
 func runCache(args []string, stdout, stderr io.Writer) error {
 	if len(args) < 1 {
-		fmt.Fprintln(stderr, "usage: bside cache pack|gc -dir <cachedir>")
+		fmt.Fprintln(stderr, cacheUsage)
 		return usageError{errors.New("cache: missing subcommand")}
 	}
 	sub := args[0]
+	if sub != "pack" && sub != "gc" {
+		fmt.Fprintln(stderr, cacheUsage)
+		return usageError{fmt.Errorf("cache: unknown subcommand %q", sub)}
+	}
 	fs := flag.NewFlagSet("cache "+sub, flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dir := fs.String("dir", "", "cache directory (as given to -cache / CacheDir)")
@@ -43,25 +43,16 @@ func runCache(args []string, stdout, stderr io.Writer) error {
 		fs.Usage()
 		return usageError{errors.New("cache: -dir is required")}
 	}
+	if info, err := os.Stat(*dir); err != nil {
+		return fmt.Errorf("cache %s: %w", sub, err)
+	} else if !info.IsDir() {
+		return fmt.Errorf("cache %s: %s is not a directory", sub, *dir)
+	}
 	st, err := cache.Open(*dir)
 	if err != nil {
 		return err
 	}
-	switch sub {
-	case "pack":
-		cs, err := st.Compact()
-		if err != nil {
-			return err
-		}
-		if cs.Packed == 0 {
-			fmt.Fprintf(stdout, "bside cache pack: nothing to pack in %s (%d files skipped)\n", *dir, cs.SkippedLoose)
-			return nil
-		}
-		fmt.Fprintf(stdout, "bside cache pack: %s: %d entries (%d loose + %d carried, %d binary-encoded) -> %s (%d bytes); pruned %d loose / %d packs, skipped %d\n",
-			*dir, cs.Packed, cs.FromLoose, cs.FromPacks, cs.BinaryEncoded,
-			cs.PackPath, cs.PackBytes, cs.PrunedLoose, cs.PrunedPacks, cs.SkippedLoose)
-		return nil
-	case "gc":
+	if sub == "gc" {
 		gs, err := st.GC()
 		if err != nil {
 			return err
@@ -69,8 +60,17 @@ func runCache(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "bside cache gc: %s: pruned %d loose entries already packed, kept %d\n",
 			*dir, gs.PrunedLoose, gs.KeptLoose)
 		return nil
-	default:
-		fmt.Fprintln(stderr, "usage: bside cache pack|gc -dir <cachedir>")
-		return usageError{fmt.Errorf("cache: unknown subcommand %q", sub)}
 	}
+	cs, err := st.Compact()
+	if err != nil {
+		return err
+	}
+	if cs.Packed == 0 {
+		fmt.Fprintf(stdout, "bside cache pack: nothing to pack in %s (%d files skipped)\n", *dir, cs.SkippedLoose)
+		return nil
+	}
+	fmt.Fprintf(stdout, "bside cache pack: %s: %d entries (%d loose + %d carried) -> %s (%d bytes); pruned %d loose / %d packs, skipped %d\n",
+		*dir, cs.Packed, cs.FromLoose, cs.FromPacks,
+		cs.PackPath, cs.PackBytes, cs.PrunedLoose, cs.PrunedPacks, cs.SkippedLoose)
+	return nil
 }

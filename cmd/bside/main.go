@@ -41,9 +41,10 @@
 // into one immutable, memory-mapped, binary-searchable pack file under
 // <dir>/packs/ and prunes what it absorbed; `bside cache gc` removes
 // loose entries an existing pack already serves. Warm lookups through
-// a pack skip the per-entry open() and both JSON decodes — the
-// difference between "parse per request" and "hash probe into a
-// shared mapping" for a resident service or a warm fleet sweep.
+// a pack skip the per-entry open() and the envelope decode — a hash
+// probe into a shared mapping plus one payload decode per key, after
+// which the memory tier answers. Both act on an existing directory: a
+// missing -dir fails instead of being created.
 //
 // The serve form runs the resident analysis service (internal/serve):
 // one warm analyzer behind POST /analyze (upload or ?hash= cache

@@ -18,14 +18,14 @@
 //
 //	{"version":2,"sha256":"<key>","conf":"<fingerprint>","payload":{...}}
 //
-// Version 1 envelopes — the pretty-printed format of earlier releases
-// — are still readable; only the writer moved to the compact codec, so
-// an upgraded fleet keeps its warm cache. The envelope makes the store
-// self-validating: an unknown version, a sha256 field that disagrees
-// with the file's name (a moved or hand-edited entry), a configuration
-// fingerprint mismatch (different analysis settings, or a dependency
-// whose image hash changed), or any decode error is treated as a miss
-// and the entry is re-computed — corruption is never fatal. Writes go
+// The payload is the encoding/json form of the caller's value in every
+// tier; version 2 is the only envelope version read. The envelope
+// makes the store self-validating: any other version, a sha256 field
+// that disagrees with the file's name (a moved or hand-edited entry),
+// a configuration fingerprint mismatch (different analysis settings,
+// or a dependency whose image hash changed), or any decode error is
+// treated as a miss and the entry is re-computed — corruption is never
+// fatal. Writes go
 // through a temp file plus rename so concurrent writers of the same
 // entry cannot tear each other's files.
 //
@@ -33,13 +33,14 @@
 // tier (see pack.go): Compact folds the loose entries into one
 // immutable, content-addressed pack file under <dir>/packs/ that later
 // processes memory-map read-only and probe by binary search — a warm
-// hit costs a hash probe into a shared mapping instead of an open()
-// plus two JSON decodes. Packs are discovered automatically by Open,
-// validated end-to-end by checksum (a truncated or bit-flipped pack is
-// ignored, never served), and consulted after the memory tier and
-// before the loose files; writes always land loose, so a pack is a
-// snapshot that never goes stale incorrectly — at worst a probe falls
-// through to a fresher loose entry.
+// hit costs a hash probe into a shared mapping and one payload decode
+// instead of an open() plus two JSON decodes. Packs are discovered
+// automatically by Open, validated end-to-end by checksum (a truncated
+// or bit-flipped pack is ignored, never served), and consulted after
+// the memory tier and before the loose files. Writes always land loose;
+// a pack answering first is still correct because the same (kind, key,
+// conf) names content-identical payloads in every tier, and a probe
+// under a new conf misses the pack and falls through to the loose entry.
 //
 // In front of both durable tiers sits a process-wide memory tier
 // holding *decoded* values: a payload validated and decoded once is
@@ -87,13 +88,11 @@ import (
 	"bside/internal/faults"
 )
 
-// formatVersion is the envelope version the writer produces. Version
-// legacyVersion is still accepted by Load so existing caches survive
-// the compact-codec migration; anything else is a miss.
-const (
-	formatVersion = 2
-	legacyVersion = 1
-)
+// formatVersion is the envelope version the writer produces and the
+// only one Load accepts; anything else (including the pretty-printed
+// version 1 of earlier releases) is a miss the caller recomputes and
+// overwrites.
+const formatVersion = 2
 
 // Default memory-tier bounds. Entries are content-addressed, so
 // evicting one never changes results — only the speed of the next
@@ -380,8 +379,8 @@ type Stats struct {
 	// memory tier without touching the disk.
 	MemoryHits uint64
 	// PackHits counts the subset of Hits served from a memory-mapped
-	// pack file — a binary-search probe into the shared mapping instead
-	// of an open() plus envelope decode.
+	// pack file — a binary-search probe into the shared mapping plus one
+	// payload decode, instead of an open() plus envelope decode.
 	PackHits uint64
 	// Packs, PackEntries and PackBytesMapped are point-in-time gauges
 	// of the open pack set: file count, total index entries, and the
@@ -395,7 +394,7 @@ type Stats struct {
 	// Stores counts entries written.
 	Stores uint64
 	// StoredBytes counts the envelope bytes written to disk — the
-	// footprint knob the compact codec shrinks.
+	// footprint knob the compact envelope shrinks.
 	StoredBytes uint64
 	// MemoryEvictions counts entries pushed out of the memory tier by
 	// its LRU bounds. Process-wide (the tier is shared by every Store in
@@ -553,32 +552,9 @@ func (s *Store) load(kind, key, conf string, anyConf bool, out any) (string, boo
 			// may hold a fresher entry stored under the new conf.
 		}
 	}
-	if ps := s.packs.Load(); ps != nil {
-		for _, p := range *ps {
-			gotConf, codec, payload, ok := p.probe(kind, key, conf, anyConf)
-			if !ok {
-				continue
-			}
-			// The same ghost rule as the memory tier: the pack file must
-			// still exist on disk. A pack deleted under a live mapping
-			// (cache wipe, gc from another process) stops serving and is
-			// dropped from the set.
-			if _, err := os.Stat(p.path); err != nil {
-				s.dropPack(p)
-				continue
-			}
-			if !decodePackPayload(kind, codec, payload, out) {
-				// Codec/type mismatch or malformed payload: treat this
-				// pack as silent and let the loose tier answer.
-				continue
-			}
-			s.packHits.Add(1)
-			s.hits.Add(1)
-			if useMem {
-				s.promote(mk, gotConf, p.path, len(payload), out)
-			}
-			return gotConf, true
-		}
+	ps := s.packs.Load()
+	if gotConf, ok := s.loadPacked(ps, kind, key, conf, anyConf, mk, out); ok {
+		return gotConf, true
 	}
 	path := s.path(kind, key)
 	data, err := os.ReadFile(path)
@@ -588,6 +564,14 @@ func (s *Store) load(kind, key, conf string, anyConf bool, out any) (string, boo
 		// misbehaving and feeds the degraded-health signal.
 		if !errors.Is(err, fs.ErrNotExist) {
 			s.ioErrors.Add(1)
+		} else if cur := s.packs.Load(); cur != ps {
+			// A Compact installed a new pack and pruned the loose file
+			// (and maybe the snapshot's pack) after the snapshot above
+			// was taken. It swaps before it prunes, so the entry is in
+			// the current set.
+			if gotConf, ok := s.loadPacked(cur, kind, key, conf, anyConf, mk, out); ok {
+				return gotConf, true
+			}
 		}
 		s.misses.Add(1)
 		return "", false
@@ -606,7 +590,7 @@ func (s *Store) load(kind, key, conf string, anyConf bool, out any) (string, boo
 		s.misses.Add(1)
 		return "", false
 	}
-	if (env.Version != formatVersion && env.Version != legacyVersion) || !(anyConf || env.Conf == conf) {
+	if env.Version != formatVersion || !(anyConf || env.Conf == conf) {
 		s.misses.Add(1)
 		return "", false
 	}
@@ -621,18 +605,39 @@ func (s *Store) load(kind, key, conf string, anyConf bool, out any) (string, boo
 	return env.Conf, true
 }
 
-// decodePackPayload decodes one pack payload into out: raw JSON for
-// codec 0, the kind's registered PackCodec for codec 1. False means
-// "pretend the pack had no entry" — the probe falls through.
-func decodePackPayload(kind string, codec byte, payload []byte, out any) bool {
-	switch codec {
-	case packCodecJSON:
-		return json.Unmarshal(payload, out) == nil
-	case packCodecBinary:
-		c := packCodecFor(kind)
-		return c != nil && c.Decode(payload, out)
+// loadPacked probes one snapshot of the pack set (nil is empty) and, on
+// a hit, decodes the payload straight out of the mapping and promotes
+// it into the memory tier when mk is set.
+func (s *Store) loadPacked(ps *[]*pack, kind, key, conf string, anyConf bool, mk string, out any) (string, bool) {
+	if ps == nil {
+		return "", false
 	}
-	return false
+	for _, p := range *ps {
+		gotConf, payload, ok := p.probe(kind, key, conf, anyConf)
+		if !ok {
+			continue
+		}
+		// The same ghost rule as the memory tier: the pack file must
+		// still exist on disk. A pack deleted under a live mapping
+		// (cache wipe, gc from another process) stops serving and is
+		// dropped from the set.
+		if _, err := os.Stat(p.path); err != nil {
+			s.dropPack(p)
+			continue
+		}
+		if json.Unmarshal(payload, out) != nil {
+			// Type mismatch or malformed payload: treat this pack as
+			// silent and let the loose tier answer.
+			continue
+		}
+		s.packHits.Add(1)
+		s.hits.Add(1)
+		if mk != "" {
+			s.promote(mk, gotConf, p.path, len(payload), out)
+		}
+		return gotConf, true
+	}
+	return "", false
 }
 
 // assignDecoded copies a resident decoded value into the caller's out

@@ -276,7 +276,7 @@ func TestStaleTempFilesSwept(t *testing.T) {
 	}
 }
 
-// --- two-tier store: compact codec, legacy reads, memory tier ----------
+// --- two-tier store: compact envelope, legacy misses, memory tier ------
 
 func TestCompactEnvelopeOnDisk(t *testing.T) {
 	dir := t.TempDir()
@@ -303,7 +303,11 @@ func TestCompactEnvelopeOnDisk(t *testing.T) {
 	}
 }
 
-func TestLegacyEnvelopeStillReadable(t *testing.T) {
+// TestLegacyEnvelopeIsMissAndRewritten: a version-1 envelope (the
+// pretty-printed format of earlier releases) is a miss, Compact leaves
+// it loose instead of packing it, and the caller's recompute-and-Store
+// overwrites it as version 2.
+func TestLegacyEnvelopeIsMissAndRewritten(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
@@ -312,7 +316,7 @@ func TestLegacyEnvelopeStillReadable(t *testing.T) {
 	key := testKey(t, "image-legacy")
 	want := payload{Name: "old-format", Syscalls: []uint64{0, 60}}
 	raw, _ := json.Marshal(want)
-	env, _ := json.MarshalIndent(envelope{Version: legacyVersion, SHA256: key, Conf: "conf", Payload: raw}, "", "  ")
+	env, _ := json.MarshalIndent(envelope{Version: 1, SHA256: key, Conf: "conf", Payload: raw}, "", "  ")
 	path := filepath.Join(dir, "interface", key[:2], key+".json")
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
@@ -321,11 +325,31 @@ func TestLegacyEnvelopeStillReadable(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out payload
-	if !s.Load("interface", key, "conf", &out) {
-		t.Fatal("legacy pretty-printed v1 envelope must stay readable")
+	if s.Load("interface", key, "conf", &out) {
+		t.Fatal("v1 envelope was served")
 	}
-	if !reflect.DeepEqual(out, want) {
-		t.Fatalf("legacy round trip: %+v vs %+v", out, want)
+	if st := s.Stats(); st.Misses != 1 || st.IOErrors != 0 {
+		t.Fatalf("v1 envelope must be a plain miss: %+v", st)
+	}
+	cs, err := s.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.Packed != 0 || cs.SkippedLoose != 1 {
+		t.Fatalf("v1 envelope must be skipped, not packed: %+v", cs)
+	}
+	if err := s.Store("interface", key, "conf", want); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"version":2`) {
+		t.Fatalf("Store did not rewrite the entry as v2: %q", data)
+	}
+	if !s.Load("interface", key, "conf", &out) || !reflect.DeepEqual(out, want) {
+		t.Fatalf("rewritten entry: %+v vs %+v", out, want)
 	}
 }
 

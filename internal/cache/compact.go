@@ -18,12 +18,10 @@ type CompactStats struct {
 	// packs.
 	FromLoose int `json:"from_loose"`
 	FromPacks int `json:"from_packs"`
-	// BinaryEncoded counts packed entries whose payload a registered
-	// PackCodec re-encoded into its binary form; the rest are raw JSON.
-	BinaryEncoded int `json:"binary_encoded"`
 	// SkippedLoose counts loose files left in place: unreadable,
-	// failing envelope validation, or keyed by something that is not a
-	// hex SHA-256 (packs index raw 32-byte keys).
+	// failing envelope validation (including a version other than the
+	// current one), or keyed by something that is not a hex SHA-256
+	// (packs index raw 32-byte keys).
 	SkippedLoose int `json:"skipped_loose"`
 	// PrunedLoose and PrunedPacks count files deleted after the new
 	// pack was installed.
@@ -157,7 +155,6 @@ func (s *Store) collectLoose() (loose []looseEntry, skipped int, err error) {
 			continue
 		}
 		kind := kd.Name()
-		codec := packCodecFor(kind)
 		shards, err := os.ReadDir(filepath.Join(s.dir, kind))
 		if err != nil {
 			continue
@@ -190,20 +187,12 @@ func (s *Store) collectLoose() (loose []looseEntry, skipped int, err error) {
 				}
 				var env envelope
 				if err := json.Unmarshal(data, &env); err != nil ||
-					env.SHA256 != key ||
-					(env.Version != formatVersion && env.Version != legacyVersion) {
+					env.SHA256 != key || env.Version != formatVersion {
 					skipped++
 					continue
 				}
 				e.conf = env.Conf
-				e.codec = packCodecJSON
 				e.payload = env.Payload
-				if codec != nil {
-					if bin, ok := codec.EncodeJSON(env.Payload); ok {
-						e.codec = packCodecBinary
-						e.payload = bin
-					}
-				}
 				loose = append(loose, looseEntry{ent: e, path: path})
 			}
 		}
@@ -238,22 +227,18 @@ func (s *Store) Compact() (CompactStats, error) {
 	for _, le := range loose {
 		entries = append(entries, le.ent)
 		seen[le.ent.kind+"\x00"+string(le.ent.key[:])+"\x00"+le.ent.conf] = true
-		if le.ent.codec == packCodecBinary {
-			st.BinaryEncoded++
-		}
 	}
 	st.FromLoose = len(loose)
 
 	// Carry over entries from the packs being superseded, loose copies
 	// winning (they are content-identical; the loose one is at worst
-	// fresher). JSON-codec entries get another shot at binary encoding
-	// in case a codec was registered since the old pack was built.
+	// fresher).
 	var oldPacks []*pack
 	if ps := s.packs.Load(); ps != nil {
 		oldPacks = *ps
 	}
 	for _, p := range oldPacks {
-		p.entries(func(kind, key, conf string, codec byte, payload []byte) {
+		p.entries(func(kind, key, conf string, payload []byte) {
 			var e packEntry
 			if !decodeHexKey(key, &e.key) {
 				return
@@ -261,18 +246,7 @@ func (s *Store) Compact() (CompactStats, error) {
 			if seen[kind+"\x00"+string(e.key[:])+"\x00"+conf] {
 				return
 			}
-			e.kind, e.conf, e.codec = kind, conf, codec
-			e.payload = payload
-			if codec == packCodecJSON {
-				if c := packCodecFor(kind); c != nil {
-					if bin, ok := c.EncodeJSON(payload); ok {
-						e.codec, e.payload = packCodecBinary, bin
-					}
-				}
-			}
-			if e.codec == packCodecBinary {
-				st.BinaryEncoded++
-			}
+			e.kind, e.conf, e.payload = kind, conf, payload
 			entries = append(entries, e)
 			st.FromPacks++
 		})
@@ -359,7 +333,7 @@ func (s *Store) GC() (GCStats, error) {
 		key := fmt.Sprintf("%x", le.ent.key)
 		packed := false
 		for _, p := range packs {
-			if _, _, _, ok := p.probe(le.ent.kind, key, le.ent.conf, false); ok {
+			if _, _, ok := p.probe(le.ent.kind, key, le.ent.conf, false); ok {
 				packed = true
 				break
 			}

@@ -14,8 +14,9 @@ import (
 
 // The pack tier: loose JSON envelopes compacted into one immutable,
 // content-addressed file that warm processes memory-map read-only and
-// probe by binary search — no per-entry open(), no envelope decode,
-// and (for kinds with a registered PackCodec) no payload JSON either.
+// probe by binary search — no per-entry open() and no envelope decode;
+// the payload is the same JSON the loose envelope carried, decoded once
+// per key and process before the memory tier takes over.
 //
 // File layout (all integers little-endian):
 //
@@ -35,26 +36,25 @@ import (
 //	  [32:36] u32 conf offset (absolute)
 //	  [36:38] u16 conf length
 //	  [38]    u8 kind id (index into the kind table)
-//	  [39]    u8 codec (0 = raw JSON payload, 1 = registered PackCodec)
+//	  [39]    reserved, must be zero
 //	  [40:48] u64 payload offset (absolute, points at the length prefix)
 //	strings: u16 kind count, then per kind u16 length + bytes,
 //	  then the deduplicated conf-fingerprint blob
-//	payloads: per entry u32 length + bytes
+//	payloads: per entry u32 length + JSON bytes
 //
 // The whole-file checksum makes corruption detection O(size) at open
 // rather than per-probe: a truncated or bit-flipped pack fails to open
 // and the store silently runs without it — the loose tier or a
-// recompute answers instead, never a ghost. Record sortedness and every
-// offset are validated at open too, so the probe path can binary-search
-// and slice without re-checking bounds.
+// recompute answers instead, never a ghost. Record sortedness, every
+// offset and the reserved byte are validated at open too, so the probe
+// path can binary-search and slice without re-checking bounds. A pack
+// whose records set byte 39 (the binary payload codecs of earlier
+// releases did) is refused whole, exactly like a corrupt one.
 const (
 	packMagic      = "BSPK"
 	packFormat     = 1
 	packHeaderSize = 96
 	packRecordSize = 48
-
-	packCodecJSON   = 0
-	packCodecBinary = 1
 
 	// packDirName is the subdirectory of a store where pack files live,
 	// excluded from the loose-tier directory walk.
@@ -150,13 +150,17 @@ func parsePack(path string, img *elff.Image) (*pack, error) {
 		mapped: img.Mapped(),
 	}
 	// Validate every record once so the probe path never has to: conf
-	// and payload slices in bounds, kind ids resolvable, and strict
-	// (kind, key, conf) ordering so binary search is sound.
+	// and payload slices in bounds, kind ids resolvable, the reserved
+	// byte zero, and strict (kind, key, conf) ordering so binary search
+	// is sound.
 	var prev []byte
 	for i := 0; i < count; i++ {
 		r := p.rec(i)
 		if int(r[38]) >= len(kinds) {
 			return nil, fmt.Errorf("record %d: bad kind id %d", i, r[38])
+		}
+		if r[39] != 0 {
+			return nil, fmt.Errorf("record %d: reserved byte set (%d)", i, r[39])
 		}
 		cOff, cLen := uint64(le32(r[32:36])), uint64(binary.LittleEndian.Uint16(r[36:38]))
 		if cOff < stringsOff || cOff+cLen > payloadOff {
@@ -255,14 +259,14 @@ func hexNibble(c byte) int {
 // anyConf is false, or whatever is stored (LoadAny) when true. The
 // returned payload aliases the mapping and must be decoded, not
 // retained. Allocation-free on the Load path.
-func (p *pack) probe(kind, key, conf string, anyConf bool) (gotConf string, codec byte, payload []byte, ok bool) {
+func (p *pack) probe(kind, key, conf string, anyConf bool) (gotConf string, payload []byte, ok bool) {
 	kid := p.kindID(kind)
 	if kid < 0 {
-		return "", 0, nil, false
+		return "", nil, false
 	}
 	var kb [32]byte
 	if !decodeHexKey(key, &kb) {
-		return "", 0, nil, false
+		return "", nil, false
 	}
 	lo := sort.Search(p.count, func(i int) bool {
 		r := p.rec(i)
@@ -283,19 +287,19 @@ func (p *pack) probe(kind, key, conf string, anyConf bool) (gotConf string, code
 			} else {
 				gotConf = conf
 			}
-			return gotConf, r[39], p.recPayload(r), true
+			return gotConf, p.recPayload(r), true
 		}
 	}
-	return "", 0, nil, false
+	return "", nil, false
 }
 
 // entries iterates every record in the pack, handing the callback views
-// into the mapping (kind, hex key, conf, codec, payload). Used by
-// compaction to carry an old pack's entries into its successor.
-func (p *pack) entries(fn func(kind, key, conf string, codec byte, payload []byte)) {
+// into the mapping (kind, hex key, conf, payload). Used by compaction
+// to carry an old pack's entries into its successor.
+func (p *pack) entries(fn func(kind, key, conf string, payload []byte)) {
 	for i := 0; i < p.count; i++ {
 		r := p.rec(i)
-		fn(p.kinds[r[38]], hex.EncodeToString(r[0:32]), string(p.recConf(r)), r[39], p.recPayload(r))
+		fn(p.kinds[r[38]], hex.EncodeToString(r[0:32]), string(p.recConf(r)), p.recPayload(r))
 	}
 }
 
@@ -304,7 +308,6 @@ type packEntry struct {
 	kind    string
 	key     [32]byte
 	conf    string
-	codec   byte
 	payload []byte
 }
 
@@ -402,7 +405,6 @@ func buildPack(entries []packEntry) ([]byte, error) {
 		binary.LittleEndian.PutUint32(r[32:36], uint32(confOff[e.conf]))
 		binary.LittleEndian.PutUint16(r[36:38], uint16(len(e.conf)))
 		r[38] = kindID[e.kind]
-		r[39] = e.codec
 		binary.LittleEndian.PutUint64(r[40:48], pOff)
 		buf = append(buf, r[:]...)
 		pOff += 4 + uint64(len(e.payload))

@@ -300,7 +300,7 @@ func TestConcurrentReadersDuringCompaction(t *testing.T) {
 	wg.Wait()
 }
 
-func TestCompactCarriesOldPackAndLegacyEnvelopes(t *testing.T) {
+func TestCompactCarriesOldPack(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
@@ -310,27 +310,17 @@ func TestCompactCarriesOldPackAndLegacyEnvelopes(t *testing.T) {
 	if _, err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	// New loose entries after the first pack: one modern, one rewritten
-	// as a pretty-printed v1 envelope (the pre-compaction format a
-	// long-lived fleet cache still holds).
+	// A new loose entry after the first pack: the second compaction must
+	// fold it together with the old pack's entries into one new pack.
 	secondKey := testKey(t, "post-pack-image")
 	if err := s.Store("interface", secondKey, "conf", payload{Name: "second"}); err != nil {
-		t.Fatal(err)
-	}
-	legacyKey := testKey(t, "legacy-image")
-	if err := s.Store("interface", legacyKey, "conf", payload{Name: "legacy"}); err != nil {
-		t.Fatal(err)
-	}
-	legacyPath := s.path("interface", legacyKey)
-	legacy := fmt.Sprintf("{\n  \"version\": 1,\n  \"sha256\": %q,\n  \"conf\": \"conf\",\n  \"payload\": {\"name\": \"legacy\"}\n}\n", legacyKey)
-	if err := os.WriteFile(legacyPath, []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cs, err := s.Compact()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.FromPacks != 2 || cs.FromLoose != 2 || cs.Packed != 4 || cs.PrunedPacks != 1 {
+	if cs.FromPacks != 2 || cs.FromLoose != 1 || cs.Packed != 3 || cs.PrunedPacks != 1 {
 		t.Fatalf("second compact stats: %+v", cs)
 	}
 	s2, err := Open(dir)
@@ -338,13 +328,66 @@ func TestCompactCarriesOldPackAndLegacyEnvelopes(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2.DisableMemoryTier()
-	for _, key := range []string{first[0], first[1], secondKey, legacyKey} {
+	for _, key := range []string{first[0], first[1], secondKey} {
 		var out payload
 		if !s2.Load("interface", key, "conf", &out) {
 			t.Fatalf("entry %s lost across re-compaction", key[:8])
 		}
 	}
-	if st := s2.Stats(); st.Packs != 1 || st.PackHits != 4 {
+	if st := s2.Stats(); st.Packs != 1 || st.PackHits != 3 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestPackReservedByteRejected: index byte 39 is reserved and must be
+// zero. A pack with it set (what the binary payload codecs of earlier
+// releases wrote) is refused whole even when its checksum is valid,
+// and loads fall through to the loose tier.
+func TestPackReservedByteRejected(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := populate(t, s, "interface", 2, constConf(""))
+	if _, err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	path := s.Packs()[0]
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[packHeaderSize+packRecordSize+39] = 1 // second record
+	sum := sha256.Sum256(data[packHeaderSize:])
+	copy(data[48:80], sum[:])
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openPack(path); err == nil || !strings.Contains(err.Error(), "reserved byte") {
+		t.Fatalf("openPack accepted a set reserved byte: %v", err)
+	}
+	// Compaction pruned the loose tier; put one entry back so the
+	// fall-through has something to find.
+	if err := s.Store("interface", keys[0], "conf", payload{Name: "loose"}); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.DisableMemoryTier()
+	if got := s2.Packs(); len(got) != 0 {
+		t.Fatalf("pack with a set reserved byte was opened: %v", got)
+	}
+	var out payload
+	if !s2.Load("interface", keys[0], "conf", &out) || out.Name != "loose" {
+		t.Fatalf("load did not fall through to loose: %+v", out)
+	}
+	if s2.Load("interface", keys[1], "conf", &out) {
+		t.Fatal("entry served from the refused pack")
+	}
+	if st := s2.Stats(); st.PackHits != 0 || st.Hits != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
@@ -456,13 +499,13 @@ func TestBuildPackDeterministicAndDeduped(t *testing.T) {
 	if p.count != 3 {
 		t.Fatalf("dedup: %d entries, want 3", p.count)
 	}
-	if _, _, payload, ok := p.probe("program", testKeyRaw("i1"), "c2", false); !ok || string(payload) != `{"name":"a2"}` {
+	if _, payload, ok := p.probe("program", testKeyRaw("i1"), "c2", false); !ok || string(payload) != `{"name":"a2"}` {
 		t.Fatalf("probe c2: ok=%v payload=%q", ok, payload)
 	}
-	if _, _, _, ok := p.probe("program", testKeyRaw("i1"), "c3", false); ok {
+	if _, _, ok := p.probe("program", testKeyRaw("i1"), "c3", false); ok {
 		t.Fatal("probe served a conf never stored")
 	}
-	if conf, _, _, ok := p.probe("interface", testKeyRaw("i2"), "ignored", true); !ok || conf != "" {
+	if conf, _, ok := p.probe("interface", testKeyRaw("i2"), "ignored", true); !ok || conf != "" {
 		t.Fatalf("anyConf probe: ok=%v conf=%q", ok, conf)
 	}
 }

@@ -7,13 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"bside"
 	"bside/internal/baseline"
@@ -282,11 +280,8 @@ func (o *Oracle) Check(c Case) *Verdict {
 			return res, err
 		}},
 		// Frontend-invariance axis, cache side: the in-process memory
-		// tier and the envelope codec must be invisible in results. The
-		// nomem leg re-reads the warm entries from disk with the memory
-		// tier off; the legacy leg first rewrites every envelope into
-		// the pretty-printed version-1 format of earlier releases and
-		// requires the compact-codec reader to serve them identically.
+		// tier must be invisible in results. The nomem leg re-reads the
+		// warm entries from disk with the memory tier off.
 		leg{"cache-nomem", func() (*bside.Analysis, error) {
 			res, err := bside.NewAnalyzer(bside.Options{
 				LibraryDir:        o.opts.Universe.Dir,
@@ -299,26 +294,10 @@ func (o *Oracle) Check(c Case) *Verdict {
 			}
 			return res, err
 		}},
-		leg{"cache-legacy", func() (*bside.Analysis, error) {
-			if err := downgradeCacheEnvelopes(cacheDir); err != nil {
-				return nil, err
-			}
-			res, err := bside.NewAnalyzer(bside.Options{
-				LibraryDir:        o.opts.Universe.Dir,
-				IntraWorkers:      1,
-				CacheDir:          cacheDir,
-				DisableMemoryTier: true,
-			}).AnalyzeFile(binPath)
-			if err == nil && !res.Cached {
-				return nil, errors.New("legacy-envelope warm run not served from the cache")
-			}
-			return res, err
-		}},
-		// Pack-tier axis: compacting the loose entries (by now all in
-		// the legacy envelope format, so this leg also covers legacy
-		// absorption) into a memory-mapped pack must be invisible in
-		// results — a warm run over the pack is byte-identical to every
-		// other leg, and the hit provably came from the pack tier.
+		// Pack-tier axis: compacting the loose entries into a
+		// memory-mapped pack must be invisible in results — a warm run
+		// over the pack is byte-identical to every other leg, and the
+		// hit provably came from the pack tier.
 		leg{"cache-pack", func() (*bside.Analysis, error) {
 			st, err := cache.Open(cacheDir)
 			if err != nil {
@@ -737,41 +716,6 @@ func (o *Oracle) fingerprintOf(legName string, res *bside.Analysis) *fingerprint
 		Wrappers: res.Wrappers,
 		Imports:  res.Imports,
 	}
-}
-
-// legacyEnvelope mirrors the cache store's on-disk schema so the
-// legacy leg can rewrite entries without importing store internals;
-// the payload stays raw so the rewrite is byte-faithful.
-type legacyEnvelope struct {
-	Version int             `json:"version"`
-	SHA256  string          `json:"sha256"`
-	Conf    string          `json:"conf,omitempty"`
-	Payload json.RawMessage `json:"payload"`
-}
-
-// downgradeCacheEnvelopes rewrites every cache entry under dir into
-// the pretty-printed version-1 envelope format of earlier releases —
-// the shape a fleet upgrading in place still has on disk.
-func downgradeCacheEnvelopes(dir string) error {
-	return filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".json") {
-			return err
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		var env legacyEnvelope
-		if err := json.Unmarshal(data, &env); err != nil {
-			return fmt.Errorf("downgrade %s: %w", path, err)
-		}
-		env.Version = 1
-		out, err := json.MarshalIndent(env, "", "  ")
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(path, out, 0o644)
-	})
 }
 
 func kindString(p corpus.Profile) string {

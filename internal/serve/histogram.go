@@ -5,11 +5,6 @@ import (
 	"bside/internal/metrics"
 )
 
-// HistogramSnapshot is one stage's latency distribution as served by
-// /metrics — the shared metrics snapshot (same JSON wire shape as
-// before the histogram moved to internal/metrics).
-type HistogramSnapshot = metrics.Snapshot
-
 // stageHistograms tracks one histogram per pipeline stage plus the
 // end-to-end total — the service's live rendering of the paper's
 // per-stage cost table.
@@ -29,8 +24,8 @@ func (sh *stageHistograms) observe(t *bside.Timings) {
 	sh.total.Observe(t.Total)
 }
 
-func (sh *stageHistograms) snapshot() map[string]HistogramSnapshot {
-	return map[string]HistogramSnapshot{
+func (sh *stageHistograms) snapshot() map[string]metrics.Snapshot {
+	return map[string]metrics.Snapshot{
 		"decode":   sh.decode.Snapshot(),
 		"wrappers": sh.wrappers.Snapshot(),
 		"identify": sh.identify.Snapshot(),

@@ -45,6 +45,7 @@ import (
 
 	"bside"
 	"bside/internal/elff"
+	"bside/internal/metrics"
 	"bside/internal/shared"
 )
 
@@ -408,7 +409,7 @@ type Metrics struct {
 	Serve ServeMetrics `json:"serve"`
 	// StagesMs holds one latency histogram per analysis stage, in
 	// milliseconds, over the analyses this process ran.
-	StagesMs map[string]HistogramSnapshot `json:"stages_ms"`
+	StagesMs map[string]metrics.Snapshot `json:"stages_ms"`
 }
 
 // ServeMetrics is the admission/dedup counter block of Metrics.

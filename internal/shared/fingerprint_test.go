@@ -93,3 +93,67 @@ func TestResolverConfigBustsProgramCache(t *testing.T) {
 		t.Fatal("CachedSummaryByHash must hit within the same resolver config")
 	}
 }
+
+// TestResolverConfigBustsPackTier extends the cross-config poisoning
+// guarantee to the pack tier: a program summary compacted into a pack
+// under one resolver configuration must never be served to an analyzer
+// running another, while the same configuration keeps hitting the pack.
+func TestResolverConfigBustsPackTier(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	store, err := cache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	main := writeImporter(t, 23)
+
+	a1 := NewAnalyzer(loader(t), ident.Config{})
+	a1.Cache = store
+	sum1, _, err := a1.ProgramSummary(main)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum1.Cached {
+		t.Fatal("first run must compute")
+	}
+	cs, err := store.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.Packed == 0 {
+		t.Fatalf("nothing packed: %+v", cs)
+	}
+
+	// Fresh handle with the memory tier off: the pack is the only tier
+	// that can answer (the loose entry was pruned by compaction).
+	packed, err := cache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed.DisableMemoryTier()
+
+	aSame := NewAnalyzer(loader(t), ident.Config{ResolverLayers: 2})
+	aSame.Cache = packed
+	sumSame, rep, err := aSame.ProgramSummary(main)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sumSame.Cached || rep != nil {
+		t.Fatal("same-config analyzer must be served from the pack")
+	}
+	if !reflect.DeepEqual(sumSame.Syscalls, sum1.Syscalls) {
+		t.Fatalf("pack-served summary drifted: %v vs %v", sumSame.Syscalls, sum1.Syscalls)
+	}
+	if st := packed.Stats(); st.PackHits == 0 {
+		t.Fatalf("hit did not come from the pack: %+v", st)
+	}
+
+	aOff := NewAnalyzer(loader(t), ident.Config{ResolverLayers: -1})
+	aOff.Cache = packed
+	sumOff, repOff, err := aOff.ProgramSummary(main)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sumOff.Cached || repOff == nil {
+		t.Fatal("resolver-off analyzer was served a packed resolver-on entry")
+	}
+}

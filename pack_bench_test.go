@@ -4,9 +4,10 @@ package bside_test
 // the same question — "analysis for this image hash?" — a resident
 // service or warm fleet sweep asks per binary. Loose opens and
 // JSON-decodes an envelope per probe; Pack binary-searches a shared
-// memory-mapped index and decodes a handful of varints; Memory returns
-// the already-decoded value. ns/op and allocs/op across the three are
-// the whole point of the pack tier, and allocs/op is gated by
+// memory-mapped index and JSON-decodes only the payload; Memory returns
+// the already-decoded value. Pack and Loose run with the memory tier
+// off, so they price the once-per-key first touch a process pays
+// before the memory tier answers. allocs/op is gated by
 // `make bench-check`.
 
 import (
