@@ -28,12 +28,13 @@ test:
 
 # Race-detector pass over the concurrent paths: the shared-interface
 # analyzer, the on-disk cache (with its striped memory tier), the
-# staged pipeline with its intra-binary worker pool, the public batch
+# staged pipeline with its intra-binary worker pool and the atomic
+# symbolic-execution budget it shares, the public batch
 # API, the sweep harness's producer/consumer pipeline, and the fuzzing
 # harness (whose invariance legs fan analyses across worker pools).
 race:
 	$(GO) test -race ./internal/cache/... ./internal/shared/... \
-		./internal/pipeline/... ./internal/ident/... ./internal/cfg/... \
+		./internal/pipeline/... ./internal/ident/... ./internal/symex/... ./internal/cfg/... \
 		./internal/fuzzer/... ./internal/serve/... ./internal/sweep/... \
 		./internal/elff/... ./internal/guard/... ./internal/faults/... .
 
@@ -45,13 +46,16 @@ bench:
 # batch, the intra-binary large-binary benchmarks, and the frontend
 # (CFG recovery) benchmark rendered (with -benchmem, so the allocation
 # trajectory is captured too) as BENCH_<sha>.json — the per-PR
-# performance trajectory CI uploads. The bench run lands in a temp
-# file first: a pipe would mask bench failures (sh reports the last
-# pipe element), and the in-bench worker-count drift guard must be
-# able to fail this target.
+# performance trajectory CI uploads. SweepTree covers its Cold, Warm
+# and WarmUndecided (stored budget verdicts) sub-benchmarks. Twenty
+# iterations amortize the first-iteration warm-up and a stray GC's pool
+# refills, so allocs/op repeats run to run; at three, RecoverLargeBinary
+# alone read 43 or 67. The bench run lands in a temp file first: a pipe
+# would mask bench failures (sh reports the last pipe element), and the
+# in-bench worker-count drift guard must be able to fail this target.
 bench-compare:
 	$(GO) test -run='^$$' -bench='AnalyzeAllColdCache|AnalyzeAllWarmCache|AnalyzeAllSerial|AnalyzeAllParallel|AnalyzeLargeBinary|RecoverLargeBinary|ServeWarmHash|SweepTree|PrecisionCorpus|WarmLookup' \
-		-benchtime=3x -benchmem -count=1 . > bench-compare.tmp
+		-benchtime=20x -benchmem -count=1 . > bench-compare.tmp
 	$(GO) run ./cmd/benchjson -commit $(SHA) < bench-compare.tmp > BENCH_$(SHA).json
 	@rm -f bench-compare.tmp
 	@echo "wrote BENCH_$(SHA).json"

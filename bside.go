@@ -113,7 +113,8 @@ type Options struct {
 	// Timeout, when positive, bounds each analysis unit's wall clock —
 	// the paper's per-binary analysis timeout. An analysis that runs
 	// past it fails with a budget-exhausted error rather than running
-	// unbounded.
+	// unbounded. Such a wall-clock verdict is never cached: the next
+	// run analyzes again. Timeout is not part of the cache fingerprint.
 	Timeout time.Duration
 	// Modules lists shared objects the target loads at runtime via
 	// dlopen-style mechanisms. Identifying them is the user's
@@ -126,10 +127,14 @@ type Options struct {
 	// the ELF image (plus a configuration and dependency fingerprint)
 	// and reused on later runs. Analyses served from the cache have
 	// Cached set and do not support Phases or Disassembly (those need
-	// the recovered CFG, which is not persisted). Program-level caching
-	// is skipped when Modules are configured; interface caching still
-	// applies. Corrupt or stale entries are ignored and re-computed,
-	// never fatal.
+	// the recovered CFG, which is not persisted). A program whose
+	// analysis exhausted the symbolic-execution step or fork budget is
+	// cached too: later runs return the same budget-exhausted error
+	// without re-running the search. Verdicts reached through Timeout,
+	// a context deadline or a cancellation, and every other failure, are
+	// never cached. Program-level caching is skipped when Modules are
+	// configured; interface caching still applies. Corrupt or stale
+	// entries are ignored and re-computed, never fatal.
 	CacheDir string
 	// PackPath, when set, additionally attaches one compacted cache
 	// pack file (see `bside cache pack`) to the analyzer's store: an

@@ -11,10 +11,10 @@
 //	<dir>/<kind>/<key[:2]>/<key>.json
 //
 // where kind partitions entry types ("interface", "program",
-// "funcsum") and key is the lowercase hex SHA-256 of the source image
-// (the store treats keys as opaque path-safe strings; elff.Read is the
-// one place the hash is computed). Every file is a compact JSON
-// envelope:
+// "undecided", "funcsum") and key is the lowercase hex SHA-256 of the
+// source image (the store treats keys as opaque path-safe strings;
+// elff.Read is the one place the hash is computed). Every file is a
+// compact JSON envelope:
 //
 //	{"version":2,"sha256":"<key>","conf":"<fingerprint>","payload":{...}}
 //

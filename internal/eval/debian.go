@@ -71,10 +71,11 @@ func EvalDebian(set *corpus.Set) (*DebianEval, error) {
 }
 
 func classifyFailure(err error) FailPhase {
+	var be *ident.BudgetError
 	switch {
 	case errors.Is(err, cfg.ErrBudget):
 		return FailPhaseCFG
-	case errors.Is(err, ident.ErrTimeout) && strings.Contains(err.Error(), "wrapper"):
+	case errors.As(err, &be) && be.Stage == ident.StageWrappers:
 		return FailPhaseWrapper
 	case errors.Is(err, ident.ErrTimeout):
 		return FailPhaseIdent

@@ -21,6 +21,7 @@ import (
 	"bside/internal/emu"
 	"bside/internal/eval"
 	"bside/internal/faults"
+	"bside/internal/ident"
 	"bside/internal/serve"
 	"bside/internal/sweep"
 )
@@ -113,6 +114,29 @@ type Options struct {
 // cases; per-case scratch state is cleaned up after each Check.
 type Oracle struct {
 	opts Options
+
+	// undecidedPath holds a budget-exhausted binary, the first FailIdent
+	// profile of the Debian-shaped corpus, which the cache legs carry
+	// next to every case.
+	undecidedPath, undecidedHash string
+}
+
+// replayUndecided re-analyzes the budget-exhausted binary through a warm
+// cache with every pipeline stage of it armed to panic, so only the
+// stored verdict can answer: the error text must be want, the answer a
+// store hit — a pack hit when pack is set.
+func (o *Oracle) replayUndecided(a *bside.Analyzer, want string, pack bool) error {
+	defer faults.Activate(faults.Rule{Point: faults.Stage, Match: o.undecidedHash, Panic: true})()
+	before := a.CacheStats()
+	_, err := a.AnalyzeFile(o.undecidedPath)
+	if err == nil || err.Error() != want {
+		return fmt.Errorf("undecided replay answered %v, want %q", err, want)
+	}
+	after := a.CacheStats()
+	if after.Hits == before.Hits || (pack && after.PackHits == before.PackHits) {
+		return fmt.Errorf("undecided replay was not a store hit (pack=%v)", pack)
+	}
+	return nil
 }
 
 // New builds an Oracle.
@@ -132,7 +156,22 @@ func New(opts Options) (*Oracle, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Oracle{opts: opts}, nil
+	o := &Oracle{opts: opts}
+	for _, p := range corpus.DebianProfiles(1) {
+		if p.Class != corpus.FailIdent {
+			continue
+		}
+		bin, err := corpus.BuildProgram(p)
+		if err != nil {
+			return nil, fmt.Errorf("fuzzer: build %s: %w", p.Name, err)
+		}
+		o.undecidedPath, o.undecidedHash = filepath.Join(opts.Dir, "undecided"), bin.Hash
+		if err := bin.WriteFile(o.undecidedPath); err != nil {
+			return nil, err
+		}
+		break
+	}
+	return o, nil
 }
 
 // fingerprint is the byte-compared essence of one analysis result.
@@ -238,6 +277,10 @@ func (o *Oracle) Check(c Case) *Verdict {
 	// fingerprint; the first leg doubles as the soundness subject.
 	cacheDir := filepath.Join(o.opts.Dir, fmt.Sprintf("cache-%d", c.Seed))
 	defer os.RemoveAll(cacheDir)
+	// The cache legs carry the budget-exhausted binary too: its count-
+	// limited verdict is stored cold and must replay warm, from every
+	// tier, with the cold text.
+	var undecidedText string
 
 	type leg struct {
 		name string
@@ -270,10 +313,20 @@ func (o *Oracle) Check(c Case) *Verdict {
 			}).AnalyzeFile(binPath)
 		}},
 		leg{"cache-cold", func() (*bside.Analysis, error) {
-			return analyzer(1, cacheDir).AnalyzeFile(binPath)
+			a := analyzer(1, cacheDir)
+			_, uerr := a.AnalyzeFile(o.undecidedPath)
+			if !errors.Is(uerr, ident.ErrTimeout) {
+				return nil, fmt.Errorf("budget-exhausted binary answered %v", uerr)
+			}
+			undecidedText = uerr.Error()
+			return a.AnalyzeFile(binPath)
 		}},
 		leg{"cache-warm", func() (*bside.Analysis, error) {
-			res, err := analyzer(1, cacheDir).AnalyzeFile(binPath)
+			a := analyzer(1, cacheDir)
+			if err := o.replayUndecided(a, undecidedText, false); err != nil {
+				return nil, err
+			}
+			res, err := a.AnalyzeFile(binPath)
 			if err == nil && !res.Cached {
 				return nil, errors.New("warm run not served from the cache")
 			}
@@ -283,12 +336,16 @@ func (o *Oracle) Check(c Case) *Verdict {
 		// tier must be invisible in results. The nomem leg re-reads the
 		// warm entries from disk with the memory tier off.
 		leg{"cache-nomem", func() (*bside.Analysis, error) {
-			res, err := bside.NewAnalyzer(bside.Options{
+			a := bside.NewAnalyzer(bside.Options{
 				LibraryDir:        o.opts.Universe.Dir,
 				IntraWorkers:      1,
 				CacheDir:          cacheDir,
 				DisableMemoryTier: true,
-			}).AnalyzeFile(binPath)
+			})
+			if err := o.replayUndecided(a, undecidedText, false); err != nil {
+				return nil, err
+			}
+			res, err := a.AnalyzeFile(binPath)
 			if err == nil && !res.Cached {
 				return nil, errors.New("memory-tier-off warm run not served from the cache")
 			}
@@ -315,6 +372,9 @@ func (o *Oracle) Check(c Case) *Verdict {
 				DisableMemoryTier: true,
 			})
 			if err != nil {
+				return nil, err
+			}
+			if err := o.replayUndecided(a, undecidedText, true); err != nil {
 				return nil, err
 			}
 			res, err := a.AnalyzeFile(binPath)

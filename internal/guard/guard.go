@@ -14,8 +14,10 @@
 // stage, the image hash, and the panicking goroutine's stack.
 //
 // Results derived from a PanicError are never memoized and never enter
-// the cache tiers: every store in the codebase is gated on a nil
-// error, and the singleflight memo skips failed computations.
+// the cache tiers: every store in the codebase is gated on a nil error
+// (or, for stored budget verdicts, on an unwrapped count-limited
+// ident.BudgetError), and the singleflight memo skips failed
+// computations.
 package guard
 
 import (

@@ -17,7 +17,6 @@ package ident
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"strconv"
 	"sync"
@@ -36,8 +35,30 @@ import (
 // ErrTimeout is returned when the shared symbolic-execution budget is
 // exhausted — by step count, fork count, or its wall-clock deadline —
 // before the analysis completes: the in-process analog of the paper's
-// analysis timeouts.
+// analysis timeouts. The stages report it wrapped in a *BudgetError.
 var ErrTimeout = errors.New("ident: analysis budget exhausted")
+
+// Stages a BudgetError names, as they prefix its message.
+const (
+	StageWrappers = "wrapper detection"
+	StageIdentify = "identification"
+)
+
+// BudgetError is the budget-exhausted verdict of one analysis: the
+// stage whose search ran out (StageWrappers or StageIdentify) and the
+// limit that tripped first. It matches errors.Is(err, ErrTimeout).
+type BudgetError struct {
+	Stage string
+	Cause symex.Cause
+}
+
+func (e *BudgetError) Error() string { return e.Stage + ": " + ErrTimeout.Error() }
+
+func (e *BudgetError) Unwrap() error { return ErrTimeout }
+
+// errStopped is forEachUnit's verdict when it stopped handing out units
+// because the budget was exhausted.
+var errStopped = errors.New("ident: units stopped on an exhausted budget")
 
 // Config tunes the identification pass.
 type Config struct {
@@ -315,6 +336,11 @@ func (p *Pass) funcHash(fn *cfg.Func) string {
 	return h
 }
 
+// budgetError is stage's verdict on the pass's exhausted budget.
+func (p *Pass) budgetError(stage string) error {
+	return &BudgetError{Stage: stage, Cause: p.conf.Budget.Cause()}
+}
+
 // SiteCount returns how many reachable syscall sites the pass covers.
 func (p *Pass) SiteCount() int { return len(p.sites) }
 
@@ -337,8 +363,14 @@ func (p *Pass) Wrappers() []WrapperInfo { return p.wrapperInfos }
 // what the spawner deferred) and surfaces as that unit's error, so one
 // hostile function costs one unit, and the stage above reports it like
 // any other failure.
-func forEachUnit(n, workers int, fn func(i int) error) error {
+//
+// When stop is non-nil, no unit starts once stop is exhausted: the unit
+// that would have started yields errStopped instead.
+func forEachUnit(n, workers int, stop *symex.Budget, fn func(i int) error) error {
 	call := func(i int) error {
+		if stop != nil && stop.Exhausted() {
+			return errStopped
+		}
 		return guard.Capture("unit", "", func() error {
 			if err := faults.Fire(faults.IdentUnit, strconv.Itoa(i)); err != nil {
 				return err
@@ -369,7 +401,9 @@ func forEachUnit(n, workers int, fn func(i int) error) error {
 				if i >= n {
 					return
 				}
-				errs[i] = call(i)
+				if errs[i] = call(i); errs[i] == errStopped {
+					return
+				}
 			}
 		}()
 	}
@@ -408,11 +442,15 @@ func (p *Pass) DetectWrappers() error {
 		units = append(units, unit{fn: fn, site: site})
 	}
 
+	// Units keep running after the budget trips. A later unit answered
+	// by the use-define scan or the memo still succeeds, so stopping
+	// early would move some verdicts from identification to wrapper
+	// detection.
 	results := make([]*WrapperInfo, len(units))
-	err := forEachUnit(len(units), p.conf.Workers, func(i int) error {
+	err := forEachUnit(len(units), p.conf.Workers, nil, func(i int) error {
 		info, isWrapper, err := p.detectWrapper(units[i].fn, units[i].site)
 		if err != nil {
-			return fmt.Errorf("wrapper detection: %w", err)
+			return err
 		}
 		if isWrapper {
 			results[i] = info
@@ -459,8 +497,11 @@ func (p *Pass) Identify() (*Report, error) {
 	}
 	sort.Strings(importUnits)
 
+	// The stage fails once the budget is exhausted, so a unit starting
+	// after that point would only spend memo and store probes on a
+	// result that is thrown away.
 	results := make([][]SiteResult, len(siteUnits)+len(importUnits))
-	err := forEachUnit(len(results), p.conf.Workers, func(i int) error {
+	err := forEachUnit(len(results), p.conf.Workers, p.conf.Budget, func(i int) error {
 		if i < len(siteUnits) {
 			results[i] = p.identifySiteUnit(siteUnits[i])
 		} else {
@@ -468,6 +509,9 @@ func (p *Pass) Identify() (*Report, error) {
 		}
 		return nil
 	})
+	if err == errStopped {
+		return nil, p.budgetError(StageIdentify)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -498,7 +542,7 @@ func (p *Pass) Identify() (*Report, error) {
 
 	rep.Stats.Identify = time.Since(identStart)
 	if p.conf.Budget.Exhausted() {
-		return nil, fmt.Errorf("identification: %w", ErrTimeout)
+		return nil, p.budgetError(StageIdentify)
 	}
 
 	rep.Syscalls = values.Append(make([]uint64, 0, values.Len()))

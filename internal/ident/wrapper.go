@@ -88,7 +88,7 @@ func (p *Pass) detectWrapperUncached(fn *cfg.Func, site *cfg.Block) (*WrapperInf
 	res := p.machine.RunToSite(entryBlk, p.machine.NewEntryState(p.conf.StackParams), allowed, site)
 	defer p.machine.Release(&res)
 	if res.HitBudget {
-		return nil, false, res.Steps, res.Forks, ErrTimeout
+		return nil, false, res.Steps, res.Forks, p.budgetError(StageWrappers)
 	}
 	for _, st := range res.SiteStates {
 		rax := st.Reg(x86.RAX)

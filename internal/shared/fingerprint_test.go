@@ -94,6 +94,41 @@ func TestResolverConfigBustsProgramCache(t *testing.T) {
 	}
 }
 
+// TestUndecidedEntryFingerprint: an undecided entry carries the program
+// fingerprint, so another budget, resolver setting or dependency image
+// misses it and recomputes — and a budget large enough decides the
+// binary — while the original configuration keeps replaying it.
+func TestUndecidedEntryFingerprint(t *testing.T) {
+	store := openStore(t)
+	bin := hungryImporter(t)
+	_, _, cold := cachedAnalyzer(t, store, ident.Config{Budget: tightBudget()}).ComputeSummary(bin)
+	if _, ok := cold.(*ident.BudgetError); !ok {
+		t.Fatalf("cold verdict %v, want a BudgetError", cold)
+	}
+
+	otherBudget := tightBudget()
+	otherBudget.MaxSteps++
+	upgraded := NewAnalyzer(upgradedLibcLoader(t), ident.Config{Budget: tightBudget()})
+	upgraded.Cache = store
+	for name, a := range map[string]*Analyzer{
+		"budget":   cachedAnalyzer(t, store, ident.Config{Budget: otherBudget}),
+		"resolver": cachedAnalyzer(t, store, ident.Config{Budget: tightBudget(), ResolverLayers: -1}),
+		"library":  upgraded,
+	} {
+		if got := replay(a, bin); got != errRecomputed {
+			t.Errorf("%s: served a foreign undecided entry: %v", name, got)
+		}
+	}
+
+	sum, rep, err := cachedAnalyzer(t, store, ident.Config{}).ComputeSummary(bin)
+	if err != nil || sum.Cached || rep == nil || len(sum.Syscalls) == 0 {
+		t.Fatalf("the default budget must decide the binary afresh: sum=%+v err=%v", sum, err)
+	}
+	if got := replay(cachedAnalyzer(t, store, ident.Config{Budget: tightBudget()}), bin); got == nil || got.Error() != cold.Error() {
+		t.Fatalf("the tight budget no longer replays its verdict: %v", got)
+	}
+}
+
 // TestResolverConfigBustsPackTier extends the cross-config poisoning
 // guarantee to the pack tier: a program summary compacted into a pack
 // under one resolver configuration must never be served to an analyzer

@@ -7,14 +7,19 @@ import (
 	"strings"
 
 	"bside/internal/elff"
+	"bside/internal/ident"
 )
 
 // Cache entry kinds: the two artifact classes of the decoupled design —
 // per-library shared interfaces (Figure 3's L) and whole-program
-// identification summaries.
+// identification summaries — plus the budget verdicts of programs the
+// analysis could not decide. Undecided entries share the program
+// fingerprint but live in their own partition, so no summary lookup
+// (CachedSummary, CachedSummaryByHash) can ever answer with one.
 const (
 	kindInterface = "interface"
 	kindProgram   = "program"
+	kindUndecided = "undecided"
 )
 
 // Summary is the serializable reduced form of a ProgramReport: the
@@ -237,13 +242,36 @@ func (a *Analyzer) ComputeSummary(bin *elff.Binary) (*Summary, *ProgramReport, e
 
 // ComputeSummaryCtx is ComputeSummary bounded by a context (see
 // ProgramCtx for the cancellation semantics).
+//
+// A budget verdict reached under a count limit (symex steps or forks)
+// is as deterministic as a summary: the same image, configuration and
+// dependency closure exhaust the same budget on every run. Such a
+// verdict is stored as an "undecided" entry under the program
+// fingerprint and replayed, with identical error text, before any
+// analysis starts. Verdicts that depend on the wall clock or the caller
+// (a deadline, a cancellation, any error under a done context) and
+// every other failure are never stored.
 func (a *Analyzer) ComputeSummaryCtx(ctx context.Context, bin *elff.Binary) (*Summary, *ProgramReport, error) {
+	conf, confOK := a.entryConf(kindProgram, bin.Hash, bin.Needed)
+	if confOK {
+		var be ident.BudgetError
+		if a.Cache.Load(kindUndecided, bin.Hash, conf, &be) && (be.Stage == ident.StageWrappers || be.Stage == ident.StageIdentify) {
+			return nil, nil, &be
+		}
+	}
 	rep, err := a.ProgramCtx(ctx, bin)
 	if err != nil {
+		// Only an unwrapped verdict on the program itself is stored: the
+		// replay must carry the same text, and a library's exhaustion
+		// arrives wrapped in that library's name.
+		be, ok := err.(*ident.BudgetError)
+		if confOK && ok && be.Cause.Counted() && ctx.Err() == nil {
+			_ = a.Cache.Store(kindUndecided, bin.Hash, conf, be)
+		}
 		return nil, nil, err
 	}
 	sum := Summarize(rep)
-	if conf, confOK := a.entryConf(kindProgram, bin.Hash, bin.Needed); confOK {
+	if confOK {
 		// Best-effort: a failed store only costs a future re-analysis.
 		_ = a.Cache.Store(kindProgram, bin.Hash, conf, sum)
 	}

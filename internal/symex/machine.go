@@ -38,7 +38,31 @@ type Budget struct {
 
 	steps atomic.Int64
 	forks atomic.Int64
+	cause atomic.Uint32 // first Cause that tripped; CauseNone until then
 }
+
+// Cause names the limit that exhausted a budget.
+type Cause uint32
+
+// Budget exhaustion causes.
+const (
+	// CauseNone: the budget has not tripped.
+	CauseNone Cause = iota
+	// CauseSteps: MaxSteps executed instructions.
+	CauseSteps
+	// CauseForks: MaxForks path splits.
+	CauseForks
+	// CauseDeadline: the wall-clock Deadline passed.
+	CauseDeadline
+	// CauseCancel: the Cancel channel was closed.
+	CauseCancel
+)
+
+// Counted reports whether the cause is a count limit (steps or forks).
+// Count consumption is a pure function of the analyzed image and the
+// configuration, so a count-limited verdict recurs on every rerun; a
+// deadline or a cancellation depends on the wall clock and the caller.
+func (c Cause) Counted() bool { return c == CauseSteps || c == CauseForks }
 
 // NewBudget returns a budget with defaults suitable for whole-binary
 // analysis.
@@ -75,20 +99,37 @@ func (b *Budget) Steps() int { return int(b.steps.Load()) }
 func (b *Budget) Forks() int { return int(b.forks.Load()) }
 
 // Exhausted reports whether any limit was hit: steps, forks, the
-// wall-clock deadline, or an external cancellation.
+// wall-clock deadline, or an external cancellation. The first limit
+// seen tripping is recorded for Cause.
 func (b *Budget) Exhausted() bool {
-	if int(b.steps.Load()) >= b.MaxSteps || int(b.forks.Load()) >= b.MaxForks {
-		return true
+	if int(b.steps.Load()) >= b.MaxSteps {
+		return b.trip(CauseSteps)
+	}
+	if int(b.forks.Load()) >= b.MaxForks {
+		return b.trip(CauseForks)
 	}
 	if b.Cancel != nil {
 		select {
 		case <-b.Cancel:
-			return true
+			return b.trip(CauseCancel)
 		default:
 		}
 	}
-	return !b.Deadline.IsZero() && time.Now().After(b.Deadline)
+	if !b.Deadline.IsZero() && time.Now().After(b.Deadline) {
+		return b.trip(CauseDeadline)
+	}
+	return false
 }
+
+// trip records c unless an earlier cause already is, and reports true.
+func (b *Budget) trip(c Cause) bool {
+	b.cause.CompareAndSwap(uint32(CauseNone), uint32(c))
+	return true
+}
+
+// Cause returns the first limit Exhausted saw tripping, or CauseNone
+// while the budget holds.
+func (b *Budget) Cause() Cause { return Cause(b.cause.Load()) }
 
 // Result is the outcome of a directed run.
 type Result struct {
