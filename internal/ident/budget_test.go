@@ -3,13 +3,13 @@ package ident
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"testing"
 
 	"bside/internal/asm"
-	"bside/internal/cache"
 	"bside/internal/cfg"
 	"bside/internal/elff"
+	"bside/internal/faults"
+	"bside/internal/guard"
 	"bside/internal/symex"
 	"bside/internal/testbin"
 	"bside/internal/x86"
@@ -85,35 +85,21 @@ func TestIdentifyVerdictAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestIdentifyTakesNoUnitsAfterExhaustion: once the shared budget has
-// tripped, the identification stage starts no unit — so no memo key is
-// computed and no funcsum entry is probed — and reports the verdict.
-func TestIdentifyTakesNoUnitsAfterExhaustion(t *testing.T) {
+// TestIdentifyUnitPanicAcrossWorkers: every identification unit runs
+// even after the shared budget trips, so a panic in the last unit is
+// the verdict at every worker count — never a budget verdict that a
+// scheduling accident let win.
+func TestIdentifyUnitPanicAcrossWorkers(t *testing.T) {
 	g := forkingSites(t, 24)
-	store, err := cache.Open(filepath.Join(t.TempDir(), "cache"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{1, 4, 8} {
-		memo := &Memo{}
-		budget := symex.NewBudget()
-		p := Prepare(g, Config{Budget: budget, Workers: w, Memo: memo, MemoStore: store})
-		if err := p.DetectWrappers(); err != nil {
-			t.Fatal(err)
+	defer faults.Activate(faults.Rule{Point: faults.IdentUnit, Match: "23", Panic: true})()
+	for _, w := range []int{1, 8} {
+		budget := &symex.Budget{MaxSteps: 40, MaxForks: 1 << 20, MaxVisits: 3}
+		_, err := Analyze(g, Config{Budget: budget, Workers: w})
+		if _, ok := guard.AsPanic(err); !ok {
+			t.Fatalf("workers=%d: want the unit's panic, got %v", w, err)
 		}
-		budget.AddForks(budget.MaxForks)
-		memoBefore, storeBefore := memo.Stats(), store.Stats()
-		_, err := p.Identify()
-		var be *BudgetError
-		if !errors.As(err, &be) || be.Stage != StageIdentify || be.Cause != symex.CauseForks {
-			t.Fatalf("workers=%d: verdict %v, want identification/forks", w, err)
-		}
-		memoAfter, storeAfter := memo.Stats(), store.Stats()
-		if probes := memoAfter.Hits + memoAfter.Misses - memoBefore.Hits - memoBefore.Misses; probes != 0 {
-			t.Fatalf("workers=%d: %d memo probes after the trip", w, probes)
-		}
-		if probes := storeAfter.Hits + storeAfter.Misses - storeBefore.Hits - storeBefore.Misses; probes != 0 {
-			t.Fatalf("workers=%d: %d funcsum store probes after the trip", w, probes)
+		if !budget.Exhausted() {
+			t.Fatalf("workers=%d: the budget never tripped, so the test proves nothing", w)
 		}
 	}
 }

@@ -56,10 +56,6 @@ func (e *BudgetError) Error() string { return e.Stage + ": " + ErrTimeout.Error(
 
 func (e *BudgetError) Unwrap() error { return ErrTimeout }
 
-// errStopped is forEachUnit's verdict when it stopped handing out units
-// because the budget was exhausted.
-var errStopped = errors.New("ident: units stopped on an exhausted budget")
-
 // Config tunes the identification pass.
 type Config struct {
 	// Budget is shared by every symbolic search in this analysis; nil
@@ -363,14 +359,8 @@ func (p *Pass) Wrappers() []WrapperInfo { return p.wrapperInfos }
 // what the spawner deferred) and surfaces as that unit's error, so one
 // hostile function costs one unit, and the stage above reports it like
 // any other failure.
-//
-// When stop is non-nil, no unit starts once stop is exhausted: the unit
-// that would have started yields errStopped instead.
-func forEachUnit(n, workers int, stop *symex.Budget, fn func(i int) error) error {
+func forEachUnit(n, workers int, fn func(i int) error) error {
 	call := func(i int) error {
-		if stop != nil && stop.Exhausted() {
-			return errStopped
-		}
 		return guard.Capture("unit", "", func() error {
 			if err := faults.Fire(faults.IdentUnit, strconv.Itoa(i)); err != nil {
 				return err
@@ -401,9 +391,7 @@ func forEachUnit(n, workers int, stop *symex.Budget, fn func(i int) error) error
 				if i >= n {
 					return
 				}
-				if errs[i] = call(i); errs[i] == errStopped {
-					return
-				}
+				errs[i] = call(i)
 			}
 		}()
 	}
@@ -442,12 +430,8 @@ func (p *Pass) DetectWrappers() error {
 		units = append(units, unit{fn: fn, site: site})
 	}
 
-	// Units keep running after the budget trips. A later unit answered
-	// by the use-define scan or the memo still succeeds, so stopping
-	// early would move some verdicts from identification to wrapper
-	// detection.
 	results := make([]*WrapperInfo, len(units))
-	err := forEachUnit(len(units), p.conf.Workers, nil, func(i int) error {
+	err := forEachUnit(len(units), p.conf.Workers, func(i int) error {
 		info, isWrapper, err := p.detectWrapper(units[i].fn, units[i].site)
 		if err != nil {
 			return err
@@ -497,11 +481,8 @@ func (p *Pass) Identify() (*Report, error) {
 	}
 	sort.Strings(importUnits)
 
-	// The stage fails once the budget is exhausted, so a unit starting
-	// after that point would only spend memo and store probes on a
-	// result that is thrown away.
 	results := make([][]SiteResult, len(siteUnits)+len(importUnits))
-	err := forEachUnit(len(results), p.conf.Workers, p.conf.Budget, func(i int) error {
+	err := forEachUnit(len(results), p.conf.Workers, func(i int) error {
 		if i < len(siteUnits) {
 			results[i] = p.identifySiteUnit(siteUnits[i])
 		} else {
@@ -509,9 +490,6 @@ func (p *Pass) Identify() (*Report, error) {
 		}
 		return nil
 	})
-	if err == errStopped {
-		return nil, p.budgetError(StageIdentify)
-	}
 	if err != nil {
 		return nil, err
 	}

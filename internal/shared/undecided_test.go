@@ -180,6 +180,11 @@ func TestUndecidedNeverStored(t *testing.T) {
 		{"fault-panic", func(_ *Analyzer, bin *elff.Binary) (context.Context, func()) {
 			return context.Background(), faults.Activate(faults.Rule{Point: faults.Stage, Match: "identify:" + bin.Hash, Panic: true})
 		}, func(err error) bool { _, ok := guard.AsPanic(err); return ok }},
+		// The last identification unit panics after the budget tripped.
+		{"unit-panic", func(a *Analyzer, _ *elff.Binary) (context.Context, func()) {
+			a.Config.Workers = 8
+			return context.Background(), faults.Activate(faults.Rule{Point: faults.IdentUnit, Match: "23", Panic: true})
+		}, func(err error) bool { _, ok := guard.AsPanic(err); return ok }},
 	}
 	bin := hungryImporter(t)
 	for _, tc := range cases {
