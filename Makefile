@@ -4,7 +4,7 @@
 GO ?= go
 SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo nosha)
 
-.PHONY: all build vet fmt-check test race bench bench-compare bench-check profile fuzz fuzz-nightly fuzz-malformed serve-smoke sweep-smoke pack-smoke
+.PHONY: all build vet fmt-check test race bench bench-compare bench-check profile fuzz fuzz-nightly fuzz-malformed
 
 all: build vet fmt-check test
 
@@ -84,36 +84,6 @@ profile:
 	@echo "  $(GO) tool pprof -top -nodecount=20 bside.test cpu.prof"
 	@echo "  $(GO) tool pprof -top -nodecount=20 -sample_index=alloc_objects bside.test mem.prof"
 	@echo "  $(GO) tool pprof -http=:8080 bside.test cpu.prof   # flame graph"
-
-# End-to-end smoke test of the resident service: boots the real
-# `bside serve` daemon over TCP, uploads a binary, replays it by
-# content hash, checks the metrics surface, and verifies graceful
-# SIGTERM drain. Builds the binary first so the test exercises exactly
-# what ships.
-serve-smoke:
-	$(GO) build -o bside.smoke ./cmd/bside
-	$(GO) run ./cmd/servesmoke -bside ./bside.smoke
-	@rm -f bside.smoke
-
-# End-to-end smoke test of the fleet sweep: generates a distro-shaped
-# tree with the real corpus generator, runs `bside sweep -diff` over it
-# cold (asserting zero failures and zero scanner disagreements), then
-# warm (asserting the persistent cache carried the second pass).
-sweep-smoke:
-	$(GO) build -o bside.smoke ./cmd/bside
-	$(GO) build -o bsidegen.smoke ./cmd/bsidegen
-	$(GO) run ./cmd/sweepsmoke -bside ./bside.smoke -gen ./bsidegen.smoke
-	@rm -f bside.smoke bsidegen.smoke
-
-# End-to-end smoke test of cache compaction: cold batch populates a
-# cache, a warm loose replay fixes the oracle output, `bside cache
-# pack` compacts, and a second warm replay out of the mmapped pack must
-# be byte-identical with pack hits reported in the summary.
-pack-smoke:
-	$(GO) build -o bside.smoke ./cmd/bside
-	$(GO) build -o bsidegen.smoke ./cmd/bsidegen
-	$(GO) run ./cmd/packsmoke -bside ./bside.smoke -gen ./bsidegen.smoke
-	@rm -f bside.smoke bsidegen.smoke
 
 # Randomized corpus fuzzing: soundness + invariance + baseline-sanity
 # oracle over a seed range, JSON verdict lines on stdout, non-zero exit

@@ -4,11 +4,11 @@
 //
 // Usage:
 //
-//	bside [-libs dir] [-json] [-phases] [-policy] [-workers n] [-timings] <binary>
-//	bside batch [-libs dir] [-cache dir] [-jobs n] [-workers n] [-max-insns n] <binary>...
-//	bside fuzz [-seeds n] [-start s] [-repro dir]
-//	bside serve [-addr host:port] [-libs dir] [-cache dir] [-pack file] [-inflight n] [-timeout d]
-//	bside sweep [-libs dir] [-cache dir] [-pack file] [-jobs n] [-queue n] [-diff] [-nommap] [-summary file] <root>
+//	bside [-libs dir] [-json] [-phases] [-policy] [-disasm] [-max-insns n] [-workers n] [-timings] <binary>
+//	bside batch [-libs dir] [-cache dir] [-pack file] [-jobs n] [-workers n] [-max-insns n] <binary>...
+//	bside fuzz [-seeds n] [-start s] [-repro dir] [-precision file]
+//	bside serve [-addr host:port] [-libs dir] [-cache dir] [-pack file] [-workers n] [-max-insns n] [-inflight n] [-timeout d] [-max-upload-mb n] [-mem-cache-mb n]
+//	bside sweep [-libs dir] [-cache dir] [-pack file] [-jobs n] [-workers n] [-max-insns n] [-queue n] [-diff] [-nommap] [-progress n] [-summary file] <root>
 //	bside cache pack|gc -dir <cachedir>
 //
 // The batch form analyzes many binaries concurrently over a shared
@@ -120,7 +120,7 @@ func main() {
 	flag.Parse()
 
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: bside [-libs dir] [-json] [-phases] [-policy] [-disasm] [-workers n] [-timings] <binary>")
+		fmt.Fprintln(os.Stderr, "usage: bside [-libs dir] [-json] [-phases] [-policy] [-disasm] [-max-insns n] [-workers n] [-timings] <binary>")
 		os.Exit(2)
 	}
 	if err := run(flag.Arg(0), *libs, *asJSON, *withPhases, *asPolicy, *disasm, *maxInsns, *workers, *timings); err != nil {

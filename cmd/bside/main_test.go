@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -166,5 +168,45 @@ func TestUsageErrorUnwraps(t *testing.T) {
 	inner := errors.New("inner")
 	if !errors.Is(usageError{inner}, inner) {
 		t.Fatal("usageError must unwrap")
+	}
+}
+
+// TestUsageSynopsisListsEveryFlag: every flag a subcommand's -h help
+// lists also appears as -name in its synopsis line.
+func TestUsageSynopsisListsEveryFlag(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func([]string, io.Writer, io.Writer) error
+		args []string
+	}{
+		{"batch", runBatch, []string{"-h"}},
+		{"fuzz", runFuzz, []string{"-h"}},
+		{"serve", runServe, []string{"-h"}},
+		{"sweep", runSweep, []string{"-h"}},
+		{"cache pack", runCache, []string{"pack", "-h"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if err := tc.run(tc.args, &stdout, &stderr); err != nil {
+				t.Fatalf("-h: %v", err)
+			}
+			synopsis, defaults, _ := strings.Cut(stderr.String(), "\n")
+			words := strings.Fields(strings.NewReplacer("[", " ", "]", " ").Replace(synopsis))
+			flags := 0
+			for _, line := range strings.Split(defaults, "\n") {
+				// PrintDefaults starts each flag's entry with "  -name".
+				rest, ok := strings.CutPrefix(line, "  -")
+				if !ok {
+					continue
+				}
+				flags++
+				if name := "-" + strings.Fields(rest)[0]; !slices.Contains(words, name) {
+					t.Errorf("synopsis %q omits %s", synopsis, name)
+				}
+			}
+			if flags == 0 {
+				t.Fatalf("-h listed no flags:\n%s", stderr.String())
+			}
+		})
 	}
 }

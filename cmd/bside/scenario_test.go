@@ -1,0 +1,271 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
+	"syscall"
+	"testing"
+	"time"
+
+	"bside/internal/corpus"
+	"bside/internal/elff"
+	"bside/internal/serve"
+	"bside/internal/sweep"
+)
+
+// runMainEnv, set in a child's environment, makes TestMain run the
+// shipped main() instead of the tests: the scenario table re-executes
+// this test binary as bside.
+const runMainEnv = "BSIDE_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// scenarioInputs is what every row shares, built once in-process.
+type scenarioInputs struct {
+	apps  []string // the application corpus, in generator order
+	libs  string   // its shared-library directory
+	tree  string   // sweep root: the apps, nested static tools, noise
+	tool  string   // a self-contained static binary in the tree
+	noise string   // a non-ELF file in the tree
+}
+
+// TestMainScenarios runs the shipped main() in child processes, with
+// real flag parsing, exit codes and signal handling. Each row keeps only
+// what no in-process test checks.
+func TestMainScenarios(t *testing.T) {
+	in := buildScenarioInputs(t)
+	for _, row := range []struct {
+		name string
+		run  func(*testing.T, *scenarioInputs)
+	}{
+		{"serve", serveScenario},
+		{"sweep", sweepScenario},
+		{"pack", packScenario},
+		{"exit-codes", exitCodeScenario},
+	} {
+		t.Run(row.name, func(t *testing.T) { row.run(t, in) })
+	}
+}
+
+// buildScenarioInputs writes the application corpus and its libraries
+// (corpus.GenerateApps, the call `bsidegen -apps-only` makes) and shapes
+// a sweep tree around the apps.
+func buildScenarioInputs(t *testing.T) *scenarioInputs {
+	set, err := corpus.GenerateApps()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	in := &scenarioInputs{libs: filepath.Join(dir, "libs"), tree: filepath.Join(dir, "tree")}
+	bins := make(map[string]*elff.Binary)
+	for _, b := range set.Apps {
+		path := filepath.Join(in.tree, "usr", "bin", b.Profile.Name)
+		bins[path] = b.Bin
+		in.apps = append(in.apps, path)
+	}
+	for name, lib := range set.Libs {
+		bins[filepath.Join(in.libs, name)] = lib
+	}
+	for i := 0; i < 4; i++ {
+		name := fmt.Sprintf("tool%d", i)
+		in.tool = filepath.Join(in.tree, "opt", fmt.Sprintf("pkg%d", i%2), "bin", name)
+		if bins[in.tool], err = corpus.BuildProgram(corpus.Profile{
+			Name: name, Kind: elff.KindStatic, HotDirect: 6, HotWrapper: 2, HotStack: 1,
+			ColdDirect: 3, Filler: 12, Seed: int64(7000 + i),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in.noise = filepath.Join(in.tree, "etc", "os-release")
+	files := map[string][]byte{
+		in.noise:                       []byte("ID=scenario\n"),
+		filepath.Join(in.tree, "tiny"): {0x7f, 'E', 'L'},
+	}
+	for path, b := range bins {
+		if files[path], err = elff.Write(b.Spec()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for path, data := range files {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return in
+}
+
+// mainCmd is a child process that runs main() with args.
+func mainCmd(args ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	return cmd
+}
+
+// runMain runs main() with args to completion; it must exit with want.
+func runMain(t *testing.T, want int, args ...string) (stdout, stderr []byte) {
+	t.Helper()
+	var out, errOut bytes.Buffer
+	cmd := mainCmd(args...)
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	var exit *exec.ExitError
+	if err := cmd.Run(); err != nil && !errors.As(err, &exit) {
+		t.Fatalf("bside %v: %v", args, err)
+	}
+	if code := cmd.ProcessState.ExitCode(); code != want {
+		t.Fatalf("bside %v exited %d, want %d:\n%s", args, code, want, errOut.Bytes())
+	}
+	return out.Bytes(), errOut.Bytes()
+}
+
+func serveScenario(t *testing.T, in *scenarioInputs) {
+	img, err := os.ReadFile(in.tool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(img)
+	cmd := mainCmd("serve", "-addr", "127.0.0.1:0", "-cache", t.TempDir())
+	pipe, err := cmd.StderrPipe()
+	if err == nil {
+		err = cmd.Start()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The reader owns log and waitErr until exited closes. The daemon
+	// listens on :0, so only its log knows the port.
+	addr, exited := make(chan string, 1), make(chan struct{})
+	var log []string
+	var waitErr error
+	go func() {
+		defer close(exited)
+		sc := bufio.NewScanner(pipe)
+		for sc.Scan() {
+			if a, ok := strings.CutPrefix(sc.Text(), "bside serve: listening on "); ok {
+				addr <- "http://" + a
+			}
+			log = append(log, sc.Text())
+		}
+		waitErr = cmd.Wait()
+	}()
+	t.Cleanup(func() {
+		_ = cmd.Process.Kill() // fails harmlessly once the daemon exited
+		<-exited
+	})
+	var base string
+	select {
+	case base = <-addr:
+	case <-exited:
+		t.Fatalf("daemon exited before listening: %v\n%s", waitErr, strings.Join(log, "\n"))
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon did not announce its address within 10s")
+	}
+
+	read := func(resp *http.Response, err error) (http.Header, []byte) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, %v: %s", resp.Request.URL, resp.StatusCode, err, data)
+		}
+		return resp.Header, data
+	}
+	up, cold := read(http.Post(base+"/analyze", "application/octet-stream", bytes.NewReader(img)))
+	if got := up.Get("X-Bside-Cached"); got != "false" {
+		t.Fatalf("upload: X-Bside-Cached = %q, want false", got)
+	}
+	warm, warmBody := read(http.Post(base+"/analyze?hash="+hex.EncodeToString(sum[:]), "", nil))
+	if got := warm.Get("X-Bside-Cached"); got != "true" || !bytes.Equal(warmBody, cold) {
+		t.Fatalf("hash lookup: X-Bside-Cached = %q, body %s, want true and the upload's %s", got, warmBody, cold)
+	}
+	var m serve.Metrics
+	if _, data := read(http.Get(base + "/metrics")); json.Unmarshal(data, &m) != nil ||
+		m.Serve.Analyses != 1 || m.Serve.LookupHits != 1 || m.Cache.Stores == 0 || m.Cache.Hits == 0 {
+		t.Fatalf("metrics: %s, want analyses 1, lookup_hits 1, cache stores and hits > 0", data)
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-exited:
+	case <-time.After(15 * time.Second):
+		t.Fatal("daemon did not exit within 15s of SIGTERM")
+	}
+	draining := slices.Index(log, "bside serve: draining")
+	if waitErr != nil || draining < 0 || slices.Index(log, "bside serve: drained") < draining {
+		t.Fatalf("after SIGTERM: exit %v, want 0 with draining then drained logged:\n%s", waitErr, strings.Join(log, "\n"))
+	}
+}
+
+func sweepScenario(t *testing.T, in *scenarioInputs) {
+	cache := t.TempDir()
+	// Exit 0 is the soundness gate: no failures and no scan
+	// disagreements on the dynamic binaries.
+	pass := func() (lines int, sum sweep.Summary) {
+		sumFile := filepath.Join(t.TempDir(), "summary.json")
+		out, _ := runMain(t, 0, "sweep", "-libs", in.libs, "-cache", cache, "-diff", "-summary", sumFile, in.tree)
+		data, err := os.ReadFile(sumFile)
+		if err == nil {
+			err = json.Unmarshal(data, &sum)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Count(out, []byte("\n")), sum
+	}
+	lines, cold := pass()
+	if int64(lines) != cold.Analyzed || cold.Analyzed < 10 || cold.Files <= cold.ELFs {
+		t.Fatalf("cold sweep: %d NDJSON lines, summary %+v", lines, cold)
+	}
+	if _, warm := pass(); warm.WarmHitRatio <= 0 {
+		t.Fatalf("warm sweep: summary %+v", warm)
+	}
+}
+
+func packScenario(t *testing.T, in *scenarioInputs) {
+	cache := t.TempDir()
+	batch := func() (stdout, stderr []byte) {
+		return runMain(t, 0, append([]string{"batch", "-libs", in.libs, "-cache", cache, "-jobs", "1"}, in.apps...)...)
+	}
+	if _, stderr := batch(); bytes.Contains(stderr, []byte("; pack ")) {
+		t.Fatalf("cold batch reports a pack before any exists:\n%s", stderr)
+	}
+	loose, stderr := batch()
+	if !bytes.Contains(stderr, []byte(" 0 analyzed (cold)")) {
+		t.Fatalf("warm batch was not fully cache-served:\n%s", stderr)
+	}
+	runMain(t, 0, "cache", "pack", "-dir", cache)
+	packed, stderr := batch()
+	if !bytes.Equal(packed, loose) || !regexp.MustCompile(`; pack [1-9][0-9]* hits`).Match(stderr) {
+		t.Fatalf("packed batch: stdout equal to the loose replay %v, summary:\n%s", bytes.Equal(packed, loose), stderr)
+	}
+}
+
+func exitCodeScenario(t *testing.T, in *scenarioInputs) {
+	runMain(t, 2, "batch")           // usage mistake: no binaries
+	runMain(t, 1, "batch", in.noise) // run failure: not an ELF
+}

@@ -35,7 +35,7 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 	maxUploadMB := fs.Int64("max-upload-mb", 512, "largest accepted upload, in MiB")
 	memCacheMB := fs.Int64("mem-cache-mb", 0, "memory-tier byte bound, in MiB (0 = default); bounds the warm cache's RSS")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: bside serve [-addr host:port] [-libs dir] [-cache dir] [-workers n] [-max-insns n] [-inflight n] [-timeout d] [-max-upload-mb n] [-mem-cache-mb n]")
+		fmt.Fprintln(stderr, "usage: bside serve [-addr host:port] [-libs dir] [-cache dir] [-pack file] [-workers n] [-max-insns n] [-inflight n] [-timeout d] [-max-upload-mb n] [-mem-cache-mb n]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {

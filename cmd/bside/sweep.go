@@ -34,7 +34,7 @@ func runSweep(args []string, stdout, stderr io.Writer) error {
 	progress := fs.Int("progress", 64, "rolling summary cadence in binaries (0 = default)")
 	sumFile := fs.String("summary", "", "write the final fleet summary as JSON to this file")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: bside sweep [-libs dir] [-cache dir] [-jobs n] [-workers n] [-max-insns n] [-queue n] [-diff] [-nommap] [-summary file] <root>")
+		fmt.Fprintln(stderr, "usage: bside sweep [-libs dir] [-cache dir] [-pack file] [-jobs n] [-workers n] [-max-insns n] [-queue n] [-diff] [-nommap] [-progress n] [-summary file] <root>")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {

@@ -47,7 +47,7 @@
 // kept as the typed Go value (keyed by directory, kind and key), so
 // repeated loads of the same entry — a fleet re-probing a warm cache,
 // analyzers recreated per batch — skip the file read and both decodes;
-// a memory hit is a pointer-copy assignment, not an Unmarshal. One
+// a memory hit is a type assertion, not an Unmarshal. One
 // stat per hit confirms the durable backing (loose file or pack) still
 // exists, so deleting a cache directory makes the process recompute
 // and repopulate rather than serve ghosts. The tier is read-through:
@@ -79,7 +79,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -109,11 +108,11 @@ const (
 // from serializing on one mutex.
 var memTier = newStripedTier(defaultMemEntries, defaultMemBytes)
 
-// memEntry is one resident memory-tier entry: the decoded value (a
-// boxed copy of what the loading caller received — immutable by
-// contract), the conf fingerprint it was stored under, the durable
-// path backing it (statted on every hit so a deleted cache never
-// ghost-serves), and the durable payload size the byte budget charges.
+// memEntry is one resident memory-tier entry: the decoded value (the T
+// a typed Load decoded — immutable by contract), the conf fingerprint
+// it was stored under, the durable path backing it (statted on every
+// hit so a deleted cache never ghost-serves), and the durable payload
+// size the byte budget charges.
 type memEntry struct {
 	key  string
 	conf string
@@ -487,25 +486,27 @@ func (s *Store) memKey(kind, key string) string {
 	return s.memPrefix + kind + "\x00" + key
 }
 
-// Load decodes the entry for (kind, key) into out and reports whether a
-// usable entry existed. conf must match the fingerprint the entry was
-// stored under; any mismatch, decode failure, or version skew is a miss.
-// A memory-tier hit assigns the already-decoded value — no file read,
-// no envelope validation, no Unmarshal; the caller must treat the
-// result (and any slices it holds) as immutable.
-func (s *Store) Load(kind, key, conf string, out any) bool {
-	_, ok := s.load(kind, key, conf, false, out)
-	return ok
+// Load returns the entry for (kind, key) decoded as a T and reports
+// whether a usable entry existed. conf must match the fingerprint the
+// entry was stored under; any mismatch, decode failure, or version skew
+// is a miss. A memory-tier hit is a type assertion on the already
+// decoded value — no file read, no envelope validation, no Unmarshal;
+// the caller must treat the result (and any slices it holds) as
+// immutable.
+func Load[T any](s *Store, kind, key, conf string) (T, bool) {
+	v, _, ok := load[T](s, kind, key, conf, false)
+	return v, ok
 }
 
-// LoadAny decodes the entry for (kind, key) whatever fingerprint it was
-// stored under and returns that fingerprint. This is the probe behind
-// hash-only lookups (a resident service's `?hash=` path), where the
-// caller holds no DT_NEEDED list to derive the fingerprint from; the
-// caller owns validating the returned fingerprint — serving an entry
-// without checking it would silently cross analyzer configurations.
-func (s *Store) LoadAny(kind, key string, out any) (string, bool) {
-	return s.load(kind, key, "", true, out)
+// LoadAny returns the entry for (kind, key) whatever fingerprint it was
+// stored under, together with that fingerprint. This is the probe
+// behind hash-only lookups (a resident service's `?hash=` path), where
+// the caller holds no DT_NEEDED list to derive the fingerprint from;
+// the caller owns validating the returned fingerprint — serving an
+// entry without checking it would silently cross analyzer
+// configurations.
+func LoadAny[T any](s *Store, kind, key string) (T, string, bool) {
+	return load[T](s, kind, key, "", true)
 }
 
 // load is the shared probe, in tier order: the memory tier (a decoded
@@ -514,18 +515,20 @@ func (s *Store) LoadAny(kind, key string, out any) (string, bool) {
 // out of the mapping), then the loose JSON envelope — promoting into
 // the memory tier on any durable hit. anyConf accepts whatever
 // fingerprint is stored (the LoadAny path); otherwise conf must match
-// exactly.
-func (s *Store) load(kind, key, conf string, anyConf bool, out any) (string, bool) {
+// exactly. A resident value of another type than T falls through to
+// the durable tiers, whose decode then replaces it.
+func load[T any](s *Store, kind, key, conf string, anyConf bool) (T, string, bool) {
+	var zero T
 	if len(key) < 2 {
 		s.misses.Add(1)
-		return "", false
+		return zero, "", false
 	}
 	if err := faults.Fire(faults.CacheRead, kind+"/"+key); err != nil {
 		// Injected disk failure: counted and served as a miss, exactly
 		// like the real unreadable-file path below.
 		s.ioErrors.Add(1)
 		s.misses.Add(1)
-		return "", false
+		return zero, "", false
 	}
 	useMem := !s.noMem.Load()
 	mk := ""
@@ -539,10 +542,10 @@ func (s *Store) load(kind, key, conf string, anyConf bool, out any) (string, boo
 				// process recompute and repopulate the disk, not serve
 				// ghosts — while skipping the read and both decodes.
 				if _, err := os.Stat(ent.src); err == nil {
-					if assignDecoded(out, ent.val) {
+					if v, ok := ent.val.(T); ok {
 						s.memoryHits.Add(1)
 						s.hits.Add(1)
-						return ent.conf, true
+						return v, ent.conf, true
 					}
 				} else {
 					memTier.del(mk)
@@ -553,8 +556,8 @@ func (s *Store) load(kind, key, conf string, anyConf bool, out any) (string, boo
 		}
 	}
 	ps := s.packs.Load()
-	if gotConf, ok := s.loadPacked(ps, kind, key, conf, anyConf, mk, out); ok {
-		return gotConf, true
+	if v, gotConf, ok := loadPacked[T](s, ps, kind, key, conf, anyConf, mk); ok {
+		return v, gotConf, true
 	}
 	path := s.path(kind, key)
 	data, err := os.ReadFile(path)
@@ -569,18 +572,18 @@ func (s *Store) load(kind, key, conf string, anyConf bool, out any) (string, boo
 			// (and maybe the snapshot's pack) after the snapshot above
 			// was taken. It swaps before it prunes, so the entry is in
 			// the current set.
-			if gotConf, ok := s.loadPacked(cur, kind, key, conf, anyConf, mk, out); ok {
-				return gotConf, true
+			if v, gotConf, ok := loadPacked[T](s, cur, kind, key, conf, anyConf, mk); ok {
+				return v, gotConf, true
 			}
 		}
 		s.misses.Add(1)
-		return "", false
+		return zero, "", false
 	}
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		// Corrupt or truncated: ignore, the caller re-analyzes.
 		s.misses.Add(1)
-		return "", false
+		return zero, "", false
 	}
 	if env.SHA256 != key {
 		// The file does not describe the image it is filed under:
@@ -588,29 +591,31 @@ func (s *Store) load(kind, key, conf string, anyConf bool, out any) (string, boo
 		// concurrent Store's rename and delete a freshly written valid
 		// entry; the caller's re-analysis overwrites it instead.
 		s.misses.Add(1)
-		return "", false
+		return zero, "", false
 	}
 	if env.Version != formatVersion || !(anyConf || env.Conf == conf) {
 		s.misses.Add(1)
-		return "", false
+		return zero, "", false
 	}
-	if err := json.Unmarshal(env.Payload, out); err != nil {
+	var v T
+	if err := json.Unmarshal(env.Payload, &v); err != nil {
 		s.misses.Add(1)
-		return "", false
+		return zero, "", false
 	}
 	if useMem {
-		s.promote(mk, env.Conf, path, len(env.Payload), out)
+		memTier.put(memEntry{key: mk, conf: env.Conf, src: path, size: len(env.Payload), val: v})
 	}
 	s.hits.Add(1)
-	return env.Conf, true
+	return v, env.Conf, true
 }
 
 // loadPacked probes one snapshot of the pack set (nil is empty) and, on
 // a hit, decodes the payload straight out of the mapping and promotes
 // it into the memory tier when mk is set.
-func (s *Store) loadPacked(ps *[]*pack, kind, key, conf string, anyConf bool, mk string, out any) (string, bool) {
+func loadPacked[T any](s *Store, ps *[]*pack, kind, key, conf string, anyConf bool, mk string) (T, string, bool) {
+	var zero T
 	if ps == nil {
-		return "", false
+		return zero, "", false
 	}
 	for _, p := range *ps {
 		gotConf, payload, ok := p.probe(kind, key, conf, anyConf)
@@ -625,7 +630,8 @@ func (s *Store) loadPacked(ps *[]*pack, kind, key, conf string, anyConf bool, mk
 			s.dropPack(p)
 			continue
 		}
-		if json.Unmarshal(payload, out) != nil {
+		var v T
+		if json.Unmarshal(payload, &v) != nil {
 			// Type mismatch or malformed payload: treat this pack as
 			// silent and let the loose tier answer.
 			continue
@@ -633,39 +639,11 @@ func (s *Store) loadPacked(ps *[]*pack, kind, key, conf string, anyConf bool, mk
 		s.packHits.Add(1)
 		s.hits.Add(1)
 		if mk != "" {
-			s.promote(mk, gotConf, p.path, len(payload), out)
+			memTier.put(memEntry{key: mk, conf: gotConf, src: p.path, size: len(payload), val: v})
 		}
-		return gotConf, true
+		return v, gotConf, true
 	}
-	return "", false
-}
-
-// assignDecoded copies a resident decoded value into the caller's out
-// pointer. False (a type mismatch — out is not the pointer type the
-// value was decoded into) falls through to the durable tiers.
-func assignDecoded(out, val any) bool {
-	rv := reflect.ValueOf(out)
-	if rv.Kind() != reflect.Pointer || rv.IsNil() {
-		return false
-	}
-	ev := rv.Elem()
-	vv := reflect.ValueOf(val)
-	if !vv.IsValid() || vv.Type() != ev.Type() {
-		return false
-	}
-	ev.Set(vv)
-	return true
-}
-
-// promote installs a durable-tier-validated decoded value into the
-// memory tier: a boxed copy of *out, the path whose existence future
-// hits re-confirm, and the durable payload size for byte accounting.
-func (s *Store) promote(mk, conf, src string, size int, out any) {
-	rv := reflect.ValueOf(out)
-	if rv.Kind() != reflect.Pointer || rv.IsNil() {
-		return
-	}
-	memTier.put(memEntry{key: mk, conf: conf, src: src, size: size, val: rv.Elem().Interface()})
+	return zero, "", false
 }
 
 // Store writes the entry for (kind, key), replacing any previous one.

@@ -19,6 +19,16 @@ type payload struct {
 	Syscalls []uint64 `json:"syscalls,omitempty"`
 }
 
+// loadPayload is Load[payload] in the shape these tests check: a hit
+// overwrites *out, a miss leaves it alone.
+func loadPayload(s *Store, kind, key, conf string, out *payload) bool {
+	v, ok := Load[payload](s, kind, key, conf)
+	if ok {
+		*out = v
+	}
+	return ok
+}
+
 // testKey derives a content address the way elff.Read does: lowercase
 // hex SHA-256 of the image bytes.
 func testKey(t *testing.T, s string) string {
@@ -38,7 +48,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out payload
-	if !s.Load("interface", key, "conf-a", &out) {
+	if !loadPayload(s, "interface", key, "conf-a", &out) {
 		t.Fatal("stored entry not loadable")
 	}
 	if !reflect.DeepEqual(in, out) {
@@ -57,18 +67,18 @@ func TestMissOnAbsentConfAndKind(t *testing.T) {
 	}
 	key := testKey(t, "image-2")
 	var out payload
-	if s.Load("interface", key, "conf", &out) {
+	if loadPayload(s, "interface", key, "conf", &out) {
 		t.Fatal("hit on empty store")
 	}
 	if err := s.Store("interface", key, "conf", payload{Name: "x"}); err != nil {
 		t.Fatal(err)
 	}
 	// A different configuration fingerprint must not be served.
-	if s.Load("interface", key, "other-conf", &out) {
+	if loadPayload(s, "interface", key, "other-conf", &out) {
 		t.Fatal("hit across configurations")
 	}
 	// Kinds partition the namespace.
-	if s.Load("program", key, "conf", &out) {
+	if loadPayload(s, "program", key, "conf", &out) {
 		t.Fatal("hit across kinds")
 	}
 	if st := s.Stats(); st.Misses != 3 {
@@ -97,7 +107,7 @@ func TestCorruptAndTruncatedEntriesIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out payload
-	if s.Load("interface", key, "conf", &out) {
+	if loadPayload(s, "interface", key, "conf", &out) {
 		t.Fatal("truncated entry served")
 	}
 
@@ -105,7 +115,7 @@ func TestCorruptAndTruncatedEntriesIgnored(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not json at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if s.Load("interface", key, "conf", &out) {
+	if loadPayload(s, "interface", key, "conf", &out) {
 		t.Fatal("corrupt entry served")
 	}
 
@@ -113,7 +123,7 @@ func TestCorruptAndTruncatedEntriesIgnored(t *testing.T) {
 	if err := s.Store("interface", key, "conf", payload{Name: "libm.so"}); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Load("interface", key, "conf", &out) || out.Name != "libm.so" {
+	if !loadPayload(s, "interface", key, "conf", &out) || out.Name != "libm.so" {
 		t.Fatalf("re-store failed: %+v", out)
 	}
 }
@@ -143,17 +153,17 @@ func TestHashMismatchBustsEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out payload
-	if s.Load("interface", key, "conf", &out) {
+	if loadPayload(s, "interface", key, "conf", &out) {
 		t.Fatal("hash-mismatched entry served")
 	}
 	// The bust is permanent until a re-store overwrites the entry.
-	if s.Load("interface", key, "conf", &out) {
+	if loadPayload(s, "interface", key, "conf", &out) {
 		t.Fatal("hash-mismatched entry served on retry")
 	}
 	if err := s.Store("interface", key, "conf", payload{Name: "libz.so"}); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Load("interface", key, "conf", &out) || out.Name != "libz.so" {
+	if !loadPayload(s, "interface", key, "conf", &out) || out.Name != "libz.so" {
 		t.Fatalf("re-store did not repair the busted entry: %+v", out)
 	}
 }
@@ -175,7 +185,7 @@ func TestVersionSkewIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out payload
-	if s.Load("interface", key, "conf", &out) {
+	if loadPayload(s, "interface", key, "conf", &out) {
 		t.Fatal("future-version entry served")
 	}
 }
@@ -196,14 +206,14 @@ func TestConcurrentStoreLoad(t *testing.T) {
 				t.Error(err)
 			}
 			var out payload
-			if s.Load("interface", key, "conf", &out) && !reflect.DeepEqual(out, want) {
+			if loadPayload(s, "interface", key, "conf", &out) && !reflect.DeepEqual(out, want) {
 				t.Errorf("torn read: %+v", out)
 			}
 		}()
 	}
 	wg.Wait()
 	var out payload
-	if !s.Load("interface", key, "conf", &out) || !reflect.DeepEqual(out, want) {
+	if !loadPayload(s, "interface", key, "conf", &out) || !reflect.DeepEqual(out, want) {
 		t.Fatalf("final state: %+v", out)
 	}
 }
@@ -230,7 +240,7 @@ func TestShortKeyRejected(t *testing.T) {
 		t.Fatal("empty key accepted")
 	}
 	var out payload
-	if s.Load("interface", "x", "conf", &out) {
+	if loadPayload(s, "interface", "x", "conf", &out) {
 		t.Fatal("short key hit")
 	}
 }
@@ -271,7 +281,7 @@ func TestStaleTempFilesSwept(t *testing.T) {
 		t.Fatal("fresh temp file must survive the sweep")
 	}
 	var out payload
-	if !s.Load("interface", key, "conf", &out) {
+	if !loadPayload(s, "interface", key, "conf", &out) {
 		t.Fatal("entry unusable after sweep")
 	}
 }
@@ -325,7 +335,7 @@ func TestLegacyEnvelopeIsMissAndRewritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out payload
-	if s.Load("interface", key, "conf", &out) {
+	if loadPayload(s, "interface", key, "conf", &out) {
 		t.Fatal("v1 envelope was served")
 	}
 	if st := s.Stats(); st.Misses != 1 || st.IOErrors != 0 {
@@ -348,7 +358,7 @@ func TestLegacyEnvelopeIsMissAndRewritten(t *testing.T) {
 	if !strings.Contains(string(data), `"version":2`) {
 		t.Fatalf("Store did not rewrite the entry as v2: %q", data)
 	}
-	if !s.Load("interface", key, "conf", &out) || !reflect.DeepEqual(out, want) {
+	if !loadPayload(s, "interface", key, "conf", &out) || !reflect.DeepEqual(out, want) {
 		t.Fatalf("rewritten entry: %+v vs %+v", out, want)
 	}
 }
@@ -365,7 +375,7 @@ func TestMemoryTierServesPromotedEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out payload
-	if !s.Load("interface", key, "conf", &out) {
+	if !loadPayload(s, "interface", key, "conf", &out) {
 		t.Fatal("first load must hit disk")
 	}
 	// The first load promoted the payload: the second is a memory hit
@@ -376,7 +386,7 @@ func TestMemoryTierServesPromotedEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	out = payload{}
-	if !s.Load("interface", key, "conf", &out) || !reflect.DeepEqual(out, want) {
+	if !loadPayload(s, "interface", key, "conf", &out) || !reflect.DeepEqual(out, want) {
 		t.Fatalf("memory tier did not serve: %+v", out)
 	}
 	st := s.Stats()
@@ -384,7 +394,7 @@ func TestMemoryTierServesPromotedEntries(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 	// A different fingerprint must not be served from memory.
-	if s.Load("interface", key, "other-conf", &out) {
+	if loadPayload(s, "interface", key, "other-conf", &out) {
 		t.Fatal("memory tier served across configurations")
 	}
 
@@ -395,7 +405,7 @@ func TestMemoryTierServesPromotedEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	out = payload{}
-	if !s2.Load("interface", key, "conf", &out) || !reflect.DeepEqual(out, want) {
+	if !loadPayload(s2, "interface", key, "conf", &out) || !reflect.DeepEqual(out, want) {
 		t.Fatalf("fresh handle missed the shared memory tier: %+v", out)
 	}
 
@@ -405,7 +415,7 @@ func TestMemoryTierServesPromotedEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	s3.DisableMemoryTier()
-	if s3.Load("interface", key, "conf", &out) {
+	if loadPayload(s3, "interface", key, "conf", &out) {
 		t.Fatal("DisableMemoryTier handle must not see memory entries")
 	}
 }
@@ -424,20 +434,20 @@ func TestMemoryTierDroppedWithDurableEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out payload
-	if !s.Load("interface", key, "conf", &out) {
+	if !loadPayload(s, "interface", key, "conf", &out) {
 		t.Fatal("load failed")
 	}
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	if s.Load("interface", key, "conf", &out) {
+	if loadPayload(s, "interface", key, "conf", &out) {
 		t.Fatal("memory tier served an entry whose directory is gone")
 	}
 	// The miss dropped the memory copy; a re-store round-trips again.
 	if err := s.Store("interface", key, "conf", payload{Name: "hot2"}); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Load("interface", key, "conf", &out) || out.Name != "hot2" {
+	if !loadPayload(s, "interface", key, "conf", &out) || out.Name != "hot2" {
 		t.Fatalf("repopulated entry not served: %+v", out)
 	}
 }
@@ -483,7 +493,7 @@ func TestMemoryTierLRUEvictionBounds(t *testing.T) {
 	load := func(i int) {
 		t.Helper()
 		var out payload
-		if !s.Load("interface", keys[i], "conf", &out) {
+		if !loadPayload(s, "interface", keys[i], "conf", &out) {
 			t.Fatalf("load %d failed", i)
 		}
 	}
@@ -535,7 +545,7 @@ func TestMemoryTierByteBound(t *testing.T) {
 	}
 	before := s.Stats()
 	var out payload
-	if !s.Load("interface", key, "conf", &out) {
+	if !loadPayload(s, "interface", key, "conf", &out) {
 		t.Fatal("load failed")
 	}
 	after := s.Stats()
@@ -572,8 +582,7 @@ func TestLoadAnyReturnsStoredFingerprint(t *testing.T) {
 	if err := s.Store("program", key, "conf-opaque|deps:libc.so=abc", want); err != nil {
 		t.Fatal(err)
 	}
-	var out payload
-	conf, ok := s.LoadAny("program", key, &out)
+	out, conf, ok := LoadAny[payload](s, "program", key)
 	if !ok || conf != "conf-opaque|deps:libc.so=abc" {
 		t.Fatalf("LoadAny: ok=%v conf=%q", ok, conf)
 	}
@@ -583,8 +592,7 @@ func TestLoadAnyReturnsStoredFingerprint(t *testing.T) {
 	// The first LoadAny promoted the entry; the second is a memory hit
 	// and must return the same fingerprint.
 	h := s.Stats().MemoryHits
-	out = payload{}
-	conf, ok = s.LoadAny("program", key, &out)
+	out, conf, ok = LoadAny[payload](s, "program", key)
 	if !ok || conf != "conf-opaque|deps:libc.so=abc" || !reflect.DeepEqual(out, want) {
 		t.Fatalf("warm LoadAny: ok=%v conf=%q %+v", ok, conf, out)
 	}
@@ -592,7 +600,7 @@ func TestLoadAnyReturnsStoredFingerprint(t *testing.T) {
 		t.Fatal("warm LoadAny did not hit the memory tier")
 	}
 	// Absent keys miss.
-	if _, ok := s.LoadAny("program", testKey(t, "absent"), &out); ok {
+	if _, _, ok := LoadAny[payload](s, "program", testKey(t, "absent")); ok {
 		t.Fatal("LoadAny hit on absent key")
 	}
 }
@@ -608,17 +616,56 @@ func TestStoreInvalidatesMemoryTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out payload
-	if !s.Load("interface", key, "conf", &out) {
+	if !loadPayload(s, "interface", key, "conf", &out) {
 		t.Fatal("load failed")
 	}
 	// Re-store (new conf): the promoted copy must not shadow it.
 	if err := s.Store("interface", key, "conf-b", payload{Name: "v2"}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Load("interface", key, "conf", &out) {
+	if loadPayload(s, "interface", key, "conf", &out) {
 		t.Fatal("stale conf served after re-store")
 	}
-	if !s.Load("interface", key, "conf-b", &out) || out.Name != "v2" {
+	if !loadPayload(s, "interface", key, "conf-b", &out) || out.Name != "v2" {
 		t.Fatalf("fresh entry not served: %+v", out)
+	}
+}
+
+// TestMemoryTierTypeMismatchFallsThrough: a resident value is served
+// only to a Load of its own type; a Load of another type under the same
+// key decodes from disk instead, and its value then owns the slot.
+func TestMemoryTierTypeMismatchFallsThrough(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey(t, "image-types")
+	if err := s.Store("interface", key, "conf", payload{Name: "typed", Syscalls: []uint64{3}}); err != nil {
+		t.Fatal(err)
+	}
+	type nameOnly struct {
+		Name string `json:"name"`
+	}
+	asPayload := func() bool { v, ok := Load[payload](s, "interface", key, "conf"); return ok && len(v.Syscalls) == 1 }
+	asName := func() bool { v, ok := Load[nameOnly](s, "interface", key, "conf"); return ok && v.Name == "typed" }
+	for i, step := range []struct {
+		load    func() bool
+		fromMem bool
+	}{
+		{asPayload, false}, // read from disk and promoted
+		{asPayload, true},
+		{asName, false}, // the resident payload is the wrong type
+		{asName, true},
+		{asPayload, false},
+	} {
+		before := s.Stats()
+		if !step.load() {
+			t.Fatalf("step %d: load missed or decoded wrongly", i)
+		}
+		after := s.Stats()
+		memHits := after.MemoryHits - before.MemoryHits
+		if after.Hits != before.Hits+1 || memHits > 1 || (memHits == 1) != step.fromMem {
+			t.Fatalf("step %d: %d hits, %d memory hits; want 1 hit from memory=%v", i, after.Hits-before.Hits, memHits, step.fromMem)
+		}
 	}
 }

@@ -77,7 +77,7 @@ func TestPackRoundTripAcrossReopen(t *testing.T) {
 	s2.DisableMemoryTier()
 	for i, key := range ifaceKeys {
 		var out payload
-		if !s2.Load("interface", key, "conf", &out) {
+		if !loadPayload(s2, "interface", key, "conf", &out) {
 			t.Fatalf("interface %d not served from pack", i)
 		}
 		want := payload{Name: fmt.Sprintf("interface-%d", i), Syscalls: []uint64{uint64(i), uint64(i) + 7}}
@@ -86,8 +86,7 @@ func TestPackRoundTripAcrossReopen(t *testing.T) {
 		}
 	}
 	for i, key := range progKeys {
-		var out payload
-		conf, ok := s2.LoadAny("program", key, &out)
+		_, conf, ok := LoadAny[payload](s2, "program", key)
 		if !ok || conf != fmt.Sprintf("conf-%d", i%2) {
 			t.Fatalf("program %d: ok=%v conf=%q", i, ok, conf)
 		}
@@ -117,7 +116,7 @@ func TestPackHitPromotesToMemoryTier(t *testing.T) {
 	}
 	var out payload
 	for i := 0; i < 2; i++ {
-		if !s2.Load("interface", keys[0], "conf", &out) {
+		if !loadPayload(s2, "interface", keys[0], "conf", &out) {
 			t.Fatalf("load %d missed", i)
 		}
 	}
@@ -148,7 +147,7 @@ func TestPackConfMismatchFallsThroughToLoose(t *testing.T) {
 	var out payload
 	// The packed entry was stored under conf-old: a retuned analyzer
 	// must not be served by it.
-	if s2.Load("program", key, "conf-new", &out) {
+	if loadPayload(s2, "program", key, "conf-new", &out) {
 		t.Fatal("pack entry served across conf fingerprints")
 	}
 	// The retuned analyzer recomputes and stores loose; the loose entry
@@ -156,12 +155,12 @@ func TestPackConfMismatchFallsThroughToLoose(t *testing.T) {
 	if err := s2.Store("program", key, "conf-new", payload{Name: "new"}); err != nil {
 		t.Fatal(err)
 	}
-	if !s2.Load("program", key, "conf-new", &out) || out.Name != "new" {
+	if !loadPayload(s2, "program", key, "conf-new", &out) || out.Name != "new" {
 		t.Fatalf("fresh loose entry not served: %+v", out)
 	}
 	// The old conf still resolves from the pack (a mixed-config fleet
 	// sharing one cache keeps both).
-	if !s2.Load("program", key, "conf-old", &out) || out.Name != "old" {
+	if !loadPayload(s2, "program", key, "conf-old", &out) || out.Name != "old" {
 		t.Fatalf("packed old-conf entry lost: %+v", out)
 	}
 	if st := s2.Stats(); st.PackHits != 1 {
@@ -210,7 +209,7 @@ func TestCorruptPackRejectedAtOpen(t *testing.T) {
 				t.Fatalf("corrupt pack was opened: %v", got)
 			}
 			var out payload
-			if s2.Load("interface", keys[0], "conf", &out) {
+			if loadPayload(s2, "interface", keys[0], "conf", &out) {
 				t.Fatal("load served from a corrupt pack")
 			}
 			// Recompute-and-store repopulates loose; the next Compact
@@ -218,7 +217,7 @@ func TestCorruptPackRejectedAtOpen(t *testing.T) {
 			if err := s2.Store("interface", keys[0], "conf", payload{Name: "recomputed"}); err != nil {
 				t.Fatal(err)
 			}
-			if !s2.Load("interface", keys[0], "conf", &out) || out.Name != "recomputed" {
+			if !loadPayload(s2, "interface", keys[0], "conf", &out) || out.Name != "recomputed" {
 				t.Fatalf("recomputed entry not served: %+v", out)
 			}
 		})
@@ -236,7 +235,7 @@ func TestPackGhostServeProtection(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out payload
-	if !s.Load("interface", keys[0], "conf", &out) {
+	if !loadPayload(s, "interface", keys[0], "conf", &out) {
 		t.Fatal("packed entry not served")
 	}
 	// Wipe the cache directory under the live handle: both the memory
@@ -245,7 +244,7 @@ func TestPackGhostServeProtection(t *testing.T) {
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	if s.Load("interface", keys[0], "conf", &out) {
+	if loadPayload(s, "interface", keys[0], "conf", &out) {
 		t.Fatal("ghost-served after the cache directory was deleted")
 	}
 	if got := s.Packs(); len(got) != 0 {
@@ -275,7 +274,7 @@ func TestConcurrentReadersDuringCompaction(t *testing.T) {
 				}
 				key := keys[(w+i)%len(keys)]
 				var out payload
-				if !s.Load("interface", key, "conf", &out) {
+				if !loadPayload(s, "interface", key, "conf", &out) {
 					t.Errorf("reader %d: load %s missed mid-compaction", w, key[:8])
 					return
 				}
@@ -330,7 +329,7 @@ func TestCompactCarriesOldPack(t *testing.T) {
 	s2.DisableMemoryTier()
 	for _, key := range []string{first[0], first[1], secondKey} {
 		var out payload
-		if !s2.Load("interface", key, "conf", &out) {
+		if !loadPayload(s2, "interface", key, "conf", &out) {
 			t.Fatalf("entry %s lost across re-compaction", key[:8])
 		}
 	}
@@ -381,10 +380,10 @@ func TestPackReservedByteRejected(t *testing.T) {
 		t.Fatalf("pack with a set reserved byte was opened: %v", got)
 	}
 	var out payload
-	if !s2.Load("interface", keys[0], "conf", &out) || out.Name != "loose" {
+	if !loadPayload(s2, "interface", keys[0], "conf", &out) || out.Name != "loose" {
 		t.Fatalf("load did not fall through to loose: %+v", out)
 	}
-	if s2.Load("interface", keys[1], "conf", &out) {
+	if loadPayload(s2, "interface", keys[1], "conf", &out) {
 		t.Fatal("entry served from the refused pack")
 	}
 	if st := s2.Stats(); st.PackHits != 0 || st.Hits != 1 {
@@ -420,10 +419,10 @@ func TestGCPrunesOnlyPackedLoose(t *testing.T) {
 		t.Fatalf("gc stats: %+v", gs)
 	}
 	var out payload
-	if !s.Load("interface", fresh, "conf", &out) || out.Name != "fresh" {
+	if !loadPayload(s, "interface", fresh, "conf", &out) || out.Name != "fresh" {
 		t.Fatal("gc pruned an unpacked entry")
 	}
-	if !s.Load("interface", packed[0], "conf", &out) {
+	if !loadPayload(s, "interface", packed[0], "conf", &out) {
 		t.Fatal("gc broke a packed entry")
 	}
 }
@@ -453,10 +452,10 @@ func TestCollectLooseSkipsForeignKeys(t *testing.T) {
 	}
 	s2.DisableMemoryTier()
 	var out payload
-	if !s2.Load("interface", "not-a-hash-key", "conf", &out) || out.Name != "odd" {
+	if !loadPayload(s2, "interface", "not-a-hash-key", "conf", &out) || out.Name != "odd" {
 		t.Fatal("foreign-key entry lost by compaction")
 	}
-	if !s2.Load("interface", keys[0], "conf", &out) {
+	if !loadPayload(s2, "interface", keys[0], "conf", &out) {
 		t.Fatal("packed entry not served")
 	}
 }
@@ -543,12 +542,12 @@ func TestMemoryHitIsAllocationFree(t *testing.T) {
 	}
 	measure := func(key string) float64 {
 		var out payload
-		if !s.Load("interface", key, "conf", &out) { // promote
+		if !loadPayload(s, "interface", key, "conf", &out) { // promote
 			t.Fatalf("seed load for %s missed", key[:8])
 		}
 		return testing.AllocsPerRun(100, func() {
 			var out payload
-			if !s.Load("interface", key, "conf", &out) {
+			if !loadPayload(s, "interface", key, "conf", &out) {
 				t.Fatal("memory hit missed")
 			}
 		})

@@ -146,7 +146,7 @@ func TestStripedTierRaceHammer(t *testing.T) {
 					fallthrough
 				default: // load (promotes on a disk hit)
 					var out payload
-					if !s.Load("interface", k, "conf", &out) {
+					if !loadPayload(s, "interface", k, "conf", &out) {
 						t.Errorf("load %q missed", k)
 						return
 					}

@@ -14,8 +14,8 @@
 //     identified set (or the analysis honestly failed open);
 //   - invariance: analysis results are byte-identical across
 //     intra-binary worker counts, per-function memoization on vs. off,
-//     cache cold vs. warm runs, the cache's in-process memory tier on
-//     vs. off, loose vs. packed cache reads, and the direct vs. batch
+//     cache cold vs. warm runs, warm reads from the loose files vs. the
+//     in-process memory tier vs. a pack, and the direct vs. batch
 //     public API paths;
 //   - baseline sanity: the Chestnut and SysFilter reimplementations
 //     fail only in their documented modes (static images, missing

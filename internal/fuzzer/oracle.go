@@ -124,19 +124,30 @@ type Oracle struct {
 // replayUndecided re-analyzes the budget-exhausted binary through a warm
 // cache with every pipeline stage of it armed to panic, so only the
 // stored verdict can answer: the error text must be want, the answer a
-// store hit — a pack hit when pack is set.
-func (o *Oracle) replayUndecided(a *bside.Analyzer, want string, pack bool) error {
+// hit on the named tier (see tierHits).
+func (o *Oracle) replayUndecided(a *bside.Analyzer, want, tier string) error {
 	defer faults.Activate(faults.Rule{Point: faults.Stage, Match: o.undecidedHash, Panic: true})()
-	before := a.CacheStats()
+	before := tierHits(a.CacheStats(), tier)
 	_, err := a.AnalyzeFile(o.undecidedPath)
 	if err == nil || err.Error() != want {
 		return fmt.Errorf("undecided replay answered %v, want %q", err, want)
 	}
-	after := a.CacheStats()
-	if after.Hits == before.Hits || (pack && after.PackHits == before.PackHits) {
-		return fmt.Errorf("undecided replay was not a store hit (pack=%v)", pack)
+	if tierHits(a.CacheStats(), tier) == before {
+		return fmt.Errorf("undecided replay was not a %s hit", tier)
 	}
 	return nil
+}
+
+// tierHits reads the hit counter of one cache tier: "memory", "pack",
+// or "store" for a hit on any tier.
+func tierHits(st bside.CacheStats, tier string) uint64 {
+	switch tier {
+	case "memory":
+		return st.MemoryHits
+	case "pack":
+		return st.PackHits
+	}
+	return st.Hits
 }
 
 // New builds an Oracle.
@@ -323,7 +334,7 @@ func (o *Oracle) Check(c Case) *Verdict {
 		}},
 		leg{"cache-warm", func() (*bside.Analysis, error) {
 			a := analyzer(1, cacheDir)
-			if err := o.replayUndecided(a, undecidedText, false); err != nil {
+			if err := o.replayUndecided(a, undecidedText, "store"); err != nil {
 				return nil, err
 			}
 			res, err := a.AnalyzeFile(binPath)
@@ -333,21 +344,19 @@ func (o *Oracle) Check(c Case) *Verdict {
 			return res, err
 		}},
 		// Frontend-invariance axis, cache side: the in-process memory
-		// tier must be invisible in results. The nomem leg re-reads the
-		// warm entries from disk with the memory tier off.
-		leg{"cache-nomem", func() (*bside.Analysis, error) {
-			a := bside.NewAnalyzer(bside.Options{
-				LibraryDir:        o.opts.Universe.Dir,
-				IntraWorkers:      1,
-				CacheDir:          cacheDir,
-				DisableMemoryTier: true,
-			})
-			if err := o.replayUndecided(a, undecidedText, false); err != nil {
+		// tier must be invisible in results. Every store drops its
+		// memory copy, so the warm leg read the loose files; it also
+		// promoted what it read, so a fresh analyzer on the same
+		// directory is answered from the memory tier.
+		leg{"cache-mem", func() (*bside.Analysis, error) {
+			a := analyzer(1, cacheDir)
+			if err := o.replayUndecided(a, undecidedText, "memory"); err != nil {
 				return nil, err
 			}
+			before := a.CacheStats().MemoryHits
 			res, err := a.AnalyzeFile(binPath)
-			if err == nil && !res.Cached {
-				return nil, errors.New("memory-tier-off warm run not served from the cache")
+			if err == nil && (!res.Cached || a.CacheStats().MemoryHits == before) {
+				return nil, errors.New("warm run not served from the memory tier")
 			}
 			return res, err
 		}},
@@ -374,7 +383,7 @@ func (o *Oracle) Check(c Case) *Verdict {
 			if err != nil {
 				return nil, err
 			}
-			if err := o.replayUndecided(a, undecidedText, true); err != nil {
+			if err := o.replayUndecided(a, undecidedText, "pack"); err != nil {
 				return nil, err
 			}
 			res, err := a.AnalyzeFile(binPath)

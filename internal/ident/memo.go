@@ -128,42 +128,27 @@ func storeKey(key string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// load fetches the entry for key into out (a *wrapperRec or *siteRec),
-// first from memory, then from st when one is configured.
-func (m *Memo) load(key string, st *cache.Store, out any) bool {
+// loadRec fetches the entry for key, first from m's memory, then from
+// st when one is configured.
+func loadRec[R wrapperRec | siteRec](m *Memo, key string, st *cache.Store) (R, bool) {
+	var zero R
 	if m == nil {
-		return false
+		return zero, false
 	}
 	if v, ok := m.entries.Load(key); ok {
 		m.hits.Add(1)
-		switch rec := v.(type) {
-		case wrapperRec:
-			*out.(*wrapperRec) = rec
-		case siteRec:
-			*out.(*siteRec) = rec
-		}
-		return true
+		return v.(R), true
 	}
 	if st != nil {
-		if st.Load(memoKind, storeKey(key), "", out) {
+		if rec, ok := cache.Load[R](st, memoKind, storeKey(key), ""); ok {
 			m.hits.Add(1)
 			// Promote to memory so the disk round trip is paid once.
-			m.remember(key, recValue(out))
-			return true
+			m.remember(key, rec)
+			return rec, true
 		}
 	}
 	m.misses.Add(1)
-	return false
-}
-
-func recValue(out any) any {
-	switch rec := out.(type) {
-	case *wrapperRec:
-		return *rec
-	case *siteRec:
-		return *rec
-	}
-	return nil
+	return zero, false
 }
 
 // save records a freshly computed entry in memory and, when a store is
@@ -180,7 +165,7 @@ func (m *Memo) save(key string, st *cache.Store, rec any) {
 }
 
 func (m *Memo) remember(key string, rec any) {
-	if rec == nil || m.size.Load() >= maxMemoEntries {
+	if m.size.Load() >= maxMemoEntries {
 		return
 	}
 	if _, loaded := m.entries.LoadOrStore(key, rec); !loaded {

@@ -62,8 +62,7 @@ func (p *Pass) identify(target *cfg.Block, param *symex.ParamRef) SiteResult {
 	var memoKey string
 	if p.conf.Memo != nil && fnOK {
 		memoKey = p.siteMemoKey(fn, target, param)
-		var rec siteRec
-		if p.conf.Memo.load(memoKey, p.conf.MemoStore, &rec) {
+		if rec, ok := loadRec[siteRec](p.conf.Memo, memoKey, p.conf.MemoStore); ok {
 			if rec.Syscalls == nil {
 				rec.Syscalls = []uint64{}
 			}

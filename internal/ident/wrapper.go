@@ -29,8 +29,7 @@ func (p *Pass) detectWrapper(fn *cfg.Func, site *cfg.Block) (*WrapperInfo, bool,
 	var memoKey string
 	if p.conf.Memo != nil {
 		memoKey = "w\x00" + p.memoConf + "\x00" + p.funcHash(fn) + "\x00" + hexU64(site.Addr-fn.Entry)
-		var rec wrapperRec
-		if p.conf.Memo.load(memoKey, p.conf.MemoStore, &rec) {
+		if rec, ok := loadRec[wrapperRec](p.conf.Memo, memoKey, p.conf.MemoStore); ok {
 			// Replay the recorded budget consumption: a tight budget
 			// must exhaust at the same point with and without the memo.
 			p.conf.Budget.AddSteps(rec.Steps)

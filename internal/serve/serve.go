@@ -434,8 +434,8 @@ type ServeMetrics struct {
 	Draining       bool   `json:"draining"`
 }
 
-// MetricsSnapshot assembles the /metrics document (exported for the
-// smoke tool and tests; the handler serves exactly this).
+// MetricsSnapshot assembles the /metrics document (exported for tests;
+// the handler serves exactly this).
 func (s *Server) MetricsSnapshot() Metrics {
 	return Metrics{
 		Cache: s.backend.CacheStats(),

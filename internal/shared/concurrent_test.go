@@ -213,7 +213,7 @@ func TestProgramSummaryCacheHitAndDependencyBust(t *testing.T) {
 }
 
 // TestInterfaceContentCache: the once-per-library artifact is reusable
-// across analyzers through the store, without InterfaceDir.
+// across analyzers through the store.
 func TestInterfaceContentCache(t *testing.T) {
 	store, err := cache.Open(filepath.Join(t.TempDir(), "c"))
 	if err != nil {
@@ -294,75 +294,6 @@ func TestInterfaceContentCache(t *testing.T) {
 	// the interface-kind entry count is unchanged.
 	if n := countInterfaces(); n != interfacesAfterFirst {
 		t.Fatalf("interface entries grew: %d (first run ended at %d)", n, interfacesAfterFirst)
-	}
-}
-
-// TestLegacyInterfaceDirCannotServeStaleUpgrades: with both stores
-// configured, a changed library image must re-analyze — the name-keyed
-// InterfaceDir must not shadow the content-addressed miss.
-func TestLegacyInterfaceDirCannotServeStaleUpgrades(t *testing.T) {
-	legacyDir := t.TempDir()
-	store, err := cache.Open(filepath.Join(t.TempDir(), "c"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	libc1 := miniLibc(t)
-	mkLoader := func(libc *elff.Binary) func(string) (*elff.Binary, error) {
-		return func(name string) (*elff.Binary, error) {
-			if name == "libc.so" {
-				return libc, nil
-			}
-			return nil, &elffNotFound{name}
-		}
-	}
-	main, _ := testbin.Build(t, elff.KindDynamic, func(b *asm.Builder) {
-		b.Func("_start")
-		b.CallLabel("stub_write")
-		b.MovRegImm32(x86.RAX, 60)
-		b.Syscall()
-		b.Ret()
-		b.Func("stub_write")
-		b.JmpMemRIP("got_write")
-		b.Label("__code_end")
-		b.Align(8)
-		b.Label("got_write")
-		b.Quad(0)
-	}, func(spec *elff.Spec, syms map[string]uint64) {
-		spec.Imports = []elff.Import{{Name: "write", SlotAddr: syms["got_write"]}}
-		spec.Needed = []string{"libc.so"}
-	})
-
-	a1 := NewAnalyzer(mkLoader(libc1), ident.Config{})
-	a1.InterfaceDir = legacyDir
-	a1.Cache = store
-	if _, err := a1.Program(main); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadInterface(filepath.Join(legacyDir, "libc.so.interface.json")); err != nil {
-		t.Fatalf("legacy interface not persisted: %v", err)
-	}
-
-	// Upgraded libc: write now also does fsync(74). The content cache
-	// misses; the stale legacy file must not satisfy the lookup.
-	libc2, _ := testbin.BuildAt(t, elff.KindShared, 0x7F0000000000, func(b *asm.Builder) {
-		b.Func("write")
-		b.MovRegImm32(x86.RAX, 1)
-		b.Syscall()
-		b.MovRegImm32(x86.RAX, 74)
-		b.Syscall()
-		b.Ret()
-	}, func(spec *elff.Spec, syms map[string]uint64) {
-		spec.Exports = []elff.Export{{Name: "write", Addr: syms["write"]}}
-	})
-	a2 := NewAnalyzer(mkLoader(libc2), ident.Config{})
-	a2.InterfaceDir = legacyDir
-	a2.Cache = store
-	rep, err := a2.Program(main)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rep.Syscalls, []uint64{1, 60, 74}) {
-		t.Fatalf("stale legacy interface served: %v", rep.Syscalls)
 	}
 }
 

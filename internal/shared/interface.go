@@ -1,14 +1,13 @@
 // Package shared implements step 3 of B-Side's pipeline (§4.5):
 // decoupled analysis of shared libraries into reusable *shared
-// interface* files, dependency ordering through a priority queue, and
+// interfaces* (persisted as content-addressed cache entries),
+// dependency ordering through a priority queue, and
 // resolution of a dynamically compiled executable's foreign calls
 // against the interfaces of its (transitive) library dependencies.
 package shared
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 
 	"bside/internal/elff"
@@ -78,28 +77,6 @@ func (ifc *Interface) ExportNamed(name string) (*Export, bool) {
 		}
 	}
 	return nil, false
-}
-
-// Save writes the interface as JSON.
-func (ifc *Interface) Save(path string) error {
-	data, err := json.MarshalIndent(ifc, "", "  ")
-	if err != nil {
-		return fmt.Errorf("shared: marshal %s: %w", ifc.Library, err)
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// LoadInterface reads a JSON interface file.
-func LoadInterface(path string) (*Interface, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("shared: %w", err)
-	}
-	var ifc Interface
-	if err := json.Unmarshal(data, &ifc); err != nil {
-		return nil, fmt.Errorf("shared: parse %s: %w", path, err)
-	}
-	return &ifc, nil
 }
 
 // AnalyzeLibrary performs the expensive once-per-library phase — the

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -54,12 +53,6 @@ type Analyzer struct {
 	// wall-clock deadline (the paper's per-binary timeout); an analysis
 	// past it fails with ident.ErrTimeout.
 	Timeout time.Duration
-	// InterfaceDir, when set, persists each library's shared interface
-	// as a JSON file (<name>.interface.json) and reuses it on later
-	// runs — the once-per-library artifact of the paper's Figure 3 (L).
-	// Entries are keyed by library name only; prefer Cache, which is
-	// content-addressed and validates dependency hashes.
-	InterfaceDir string
 	// Cache, when set, is the content-addressed store consulted before
 	// any expensive work: shared interfaces, whole-program summaries
 	// and per-function summaries are keyed by the SHA-256 of the
@@ -321,9 +314,8 @@ func (a *Analyzer) trimBin(name string) {
 }
 
 // computeInterface produces one library's interface: from the
-// content-addressed cache, from the legacy name-keyed InterfaceDir, or
-// by running the expensive per-library analysis (and then persisting
-// the result).
+// content-addressed cache, or by running the expensive per-library
+// analysis (and then persisting the result).
 func (a *Analyzer) computeInterface(name string) (*Interface, error) {
 	bin, err := a.loadLib(name)
 	if err != nil {
@@ -331,16 +323,9 @@ func (a *Analyzer) computeInterface(name string) (*Interface, error) {
 	}
 	conf, confOK := a.entryConf(kindInterface, bin.Hash, bin.Needed)
 	if confOK {
-		var ifc Interface
-		if a.Cache.Load(kindInterface, bin.Hash, conf, &ifc) {
+		if ifc, ok := cache.Load[Interface](a.Cache, kindInterface, bin.Hash, conf); ok {
 			return &ifc, nil
 		}
-	} else if ifc, ok := a.loadLegacyInterface(name); ok {
-		// The name-keyed legacy store cannot detect a changed library
-		// image, so it is only consulted when content addressing is
-		// unavailable — a content-cache miss must re-analyze, not fall
-		// back to a possibly stale name match.
-		return ifc, nil
 	}
 	wrappers, err := a.importWrappersFor(bin)
 	if err != nil {
@@ -350,35 +335,12 @@ func (a *Analyzer) computeInterface(name string) (*Interface, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.storeLegacyInterface(ifc)
 	if confOK {
 		// Caching is best-effort; analysis correctness never depends
 		// on it.
 		_ = a.Cache.Store(kindInterface, bin.Hash, conf, ifc)
 	}
 	return ifc, nil
-}
-
-func (a *Analyzer) interfacePath(name string) string {
-	return filepath.Join(a.InterfaceDir, name+".interface.json")
-}
-
-func (a *Analyzer) loadLegacyInterface(name string) (*Interface, bool) {
-	if a.InterfaceDir == "" {
-		return nil, false
-	}
-	ifc, err := LoadInterface(a.interfacePath(name))
-	if err != nil {
-		return nil, false
-	}
-	return ifc, true
-}
-
-func (a *Analyzer) storeLegacyInterface(ifc *Interface) {
-	if a.InterfaceDir == "" {
-		return
-	}
-	_ = ifc.Save(a.interfacePath(ifc.Library))
 }
 
 // importWrappersFor inspects the interfaces of bin's dependencies and

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"bside/internal/cache"
 	"bside/internal/elff"
 	"bside/internal/ident"
 )
@@ -180,8 +181,8 @@ func (a *Analyzer) CachedSummary(hash string, needed []string) (*Summary, bool) 
 	if !confOK {
 		return nil, false
 	}
-	var sum Summary
-	if !a.Cache.Load(kindProgram, hash, conf, &sum) {
+	sum, ok := cache.Load[Summary](a.Cache, kindProgram, hash, conf)
+	if !ok {
 		return nil, false
 	}
 	sum.Cached = true
@@ -202,8 +203,7 @@ func (a *Analyzer) CachedSummaryByHash(hash string) (*Summary, bool) {
 	if a.Cache == nil || hash == "" {
 		return nil, false
 	}
-	var sum Summary
-	conf, ok := a.Cache.LoadAny(kindProgram, hash, &sum)
+	sum, conf, ok := cache.LoadAny[Summary](a.Cache, kindProgram, hash)
 	if !ok {
 		return nil, false
 	}
@@ -254,8 +254,8 @@ func (a *Analyzer) ComputeSummary(bin *elff.Binary) (*Summary, *ProgramReport, e
 func (a *Analyzer) ComputeSummaryCtx(ctx context.Context, bin *elff.Binary) (*Summary, *ProgramReport, error) {
 	conf, confOK := a.entryConf(kindProgram, bin.Hash, bin.Needed)
 	if confOK {
-		var be ident.BudgetError
-		if a.Cache.Load(kindUndecided, bin.Hash, conf, &be) && (be.Stage == ident.StageWrappers || be.Stage == ident.StageIdentify) {
+		be, ok := cache.Load[ident.BudgetError](a.Cache, kindUndecided, bin.Hash, conf)
+		if ok && (be.Stage == ident.StageWrappers || be.Stage == ident.StageIdentify) {
 			return nil, nil, &be
 		}
 	}
