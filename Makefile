@@ -4,7 +4,7 @@
 GO ?= go
 SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo nosha)
 
-.PHONY: all build vet fmt-check test race bench bench-compare bench-check profile fuzz fuzz-nightly fuzz-malformed
+.PHONY: all build vet fmt-check test race bench bench-module bench-compare bench-check profile fuzz fuzz-nightly fuzz-malformed
 
 all: build vet fmt-check test
 
@@ -41,6 +41,12 @@ race:
 # One-iteration benchmark smoke run.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
+
+# The end-to-end benchmark harness under bench/ is its own Go module, so
+# the root `go test ./...` never compiles it, yet it calls the shared,
+# ident and pipeline internals directly. Vet and test it on its own.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Benchmark comparison artifact: the cold/warm cache, serial/parallel
 # batch, the intra-binary large-binary benchmarks, and the frontend

@@ -150,8 +150,8 @@ type Options struct {
 	// DisableFuncMemo turns off the process-wide per-function summary
 	// memoization. By default identical functions — shared stubs across
 	// a corpus family, duplicated bodies across a batch, the same
-	// binary re-analyzed — are identified once per process (and once
-	// per machine when CacheDir is set, via "funcsum" cache entries).
+	// binary re-analyzed — are identified once per process. The memo
+	// lives in memory only; CacheDir never stores per-function entries.
 	// Results are byte-identical in both modes; the fuzzer's
 	// memoization-invariance axis enforces that. The switch exists for
 	// benchmarking the un-memoized substrate and for the oracle itself.
@@ -337,8 +337,8 @@ type CacheStats struct {
 	// process-wide memory tier's population and payload footprint.
 	MemoryEntries int   `json:"memory_entries"`
 	MemoryBytes   int64 `json:"memory_bytes"`
-	// FuncMemoHits counts per-function summaries served without
-	// re-analysis (from memory or the funcsum store partition).
+	// FuncMemoHits counts per-function summaries served from the
+	// in-memory memo without re-analysis.
 	FuncMemoHits uint64 `json:"func_memo_hits"`
 	// FuncMemoMisses counts function units that ran the real analysis.
 	FuncMemoMisses uint64 `json:"func_memo_misses"`
@@ -527,13 +527,19 @@ func (a *Analyzer) Lookup(hash string) (*Analysis, bool) {
 	if !ok {
 		return nil, false
 	}
+	return cachedAnalysis(sum), true
+}
+
+// cachedAnalysis is the result of a store hit: the persisted summary,
+// with no report behind it.
+func cachedAnalysis(sum *shared.Summary) *Analysis {
 	return &Analysis{
 		Syscalls: sum.Syscalls,
 		FailOpen: sum.FailOpen,
 		Wrappers: sum.Wrappers,
 		Imports:  sum.Imports,
 		Cached:   true,
-	}, true
+	}
 }
 
 // analyzeData is the shared front of the byte-level entry points. With
@@ -569,13 +575,7 @@ func (a *Analyzer) analyzeDataInner(ctx context.Context, data []byte, path strin
 			probed = true
 			hash = id.Hash
 			if sum, ok := a.inner.CachedSummary(id.Hash, id.Needed); ok {
-				return &Analysis{
-					Syscalls: sum.Syscalls,
-					FailOpen: sum.FailOpen,
-					Wrappers: sum.Wrappers,
-					Imports:  sum.Imports,
-					Cached:   true,
-				}, nil
+				return cachedAnalysis(sum), nil
 			}
 		}
 	}
@@ -712,14 +712,8 @@ func (a *Analyzer) analyze(ctx context.Context, bin *elff.Binary, probed bool) (
 		// Cache-aware path: a hit skips all decoding; a miss computes,
 		// persists the summary, and keeps the full report.
 		if !probed {
-			if cached, ok := a.inner.CachedSummary(bin.Hash, bin.Needed); ok {
-				return &Analysis{
-					Syscalls: cached.Syscalls,
-					FailOpen: cached.FailOpen,
-					Wrappers: cached.Wrappers,
-					Imports:  cached.Imports,
-					Cached:   true,
-				}, nil
+			if sum, ok := a.inner.CachedSummary(bin.Hash, bin.Needed); ok {
+				return cachedAnalysis(sum), nil
 			}
 		}
 		sum, rep, err := a.inner.ComputeSummaryCtx(ctx, bin)
@@ -731,7 +725,6 @@ func (a *Analyzer) analyze(ctx context.Context, bin *elff.Binary, probed bool) (
 			FailOpen: sum.FailOpen,
 			Wrappers: sum.Wrappers,
 			Imports:  sum.Imports,
-			Cached:   sum.Cached,
 			report:   rep,
 		}
 		if rep != nil {

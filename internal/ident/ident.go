@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bside/internal/cache"
 	"bside/internal/cfg"
 	"bside/internal/faults"
 	"bside/internal/guard"
@@ -93,11 +92,6 @@ type Config struct {
 	// are byte-identical with and without it; only the work changes.
 	// Production paths share ProcessMemo(); nil disables memoization.
 	Memo *Memo
-	// MemoStore, when set alongside Memo, persists memo entries through
-	// the content-addressed cache store ("funcsum" entries), so
-	// identical functions are analyzed once per machine, not just once
-	// per process.
-	MemoStore *cache.Store
 	// ResolverLayers selects the depth of the layered indirect-call
 	// resolver (see resolver.go), which refines the per-site fan-out of
 	// indirect calls and jumps before reachability and the backward

@@ -1,8 +1,9 @@
 // Per-function summary memoization: the content-addressed fast path of
 // the identification pass. Two analyses of byte-identical functions do
-// byte-identical work, so the work is done once per process — and, when
-// a persistent store is attached, once per machine — with the results
-// keyed by a fingerprint of everything the analysis can observe.
+// byte-identical work, so the work is done once per process, with the
+// results keyed by a fingerprint of everything the analysis can observe.
+// The memo lives in memory only: the persistent store holds per-binary
+// verdicts (internal/shared), never per-function ones.
 //
 // Soundness model. A memo entry may be reused only when the recorded
 // computation was a pure function of the fingerprinted content:
@@ -40,15 +41,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"bside/internal/cache"
 	"bside/internal/cfg"
 	"bside/internal/symex"
 	"bside/internal/x86"
 )
-
-// memoKind is the cache-store partition for persisted function
-// summaries, living alongside the "interface" and "program" envelopes.
-const memoKind = "funcsum"
 
 // maxMemoEntries bounds the process-wide in-memory memo. The cap is a
 // backstop against unbounded growth in fleet-sized runs; entries are
@@ -56,21 +52,10 @@ const memoKind = "funcsum"
 // only the speed of the next identical function.
 const maxMemoEntries = 1 << 18
 
-// persistMinBlocks gates which site records reach the on-disk store: a
-// search that executed fewer blocks than this is cheaper to redo than a
-// file write plus rename, so only the expensive searches — deep
-// backward walks, wide wrapper fan-outs — pay the I/O. The gate is a
-// deterministic function of the (deterministic) block count, so the
-// disk tier stays content-consistent. In-memory memoization is not
-// gated; it is cheap at any size.
-const persistMinBlocks = 16
-
 // Memo is a concurrency-safe, content-addressed store of per-function
 // analysis results. The zero value is ready to use. One process-wide
 // instance (ProcessMemo) is shared by every analyzer so identical
-// functions are analyzed once per process; a cache.Store passed per
-// lookup (Config.MemoStore) additionally persists entries across
-// processes, alongside the shared-interface envelopes.
+// functions are analyzed once per process.
 type Memo struct {
 	entries sync.Map // memo key -> wrapperRec | siteRec
 	size    atomic.Int64
@@ -85,7 +70,7 @@ func ProcessMemo() *Memo { return &processMemo }
 
 // MemoStats is a snapshot of memo traffic.
 type MemoStats struct {
-	// Hits counts lookups served from memory or the persistent store.
+	// Hits counts lookups served from the memo.
 	Hits uint64
 	// Misses counts lookups that had to run the real analysis.
 	Misses uint64
@@ -98,39 +83,30 @@ func (m *Memo) Stats() MemoStats {
 	return MemoStats{Hits: m.hits.Load(), Misses: m.misses.Load(), Entries: m.size.Load()}
 }
 
-// wrapperRec is the persisted form of one wrapper-detection verdict.
+// wrapperRec is the memoized form of one wrapper-detection verdict.
 // Steps/Forks are the original computation's budget consumption,
 // replayed into the shared budget on every hit so memoized and
 // unmemoized analyses drain it identically (a tight budget must
 // exhaust at the same point in both modes).
 type wrapperRec struct {
-	Wrapper bool           `json:"wrapper,omitempty"`
-	Param   symex.ParamRef `json:"param,omitempty"`
-	Steps   int            `json:"steps,omitempty"`
-	Forks   int            `json:"forks,omitempty"`
+	Wrapper bool
+	Param   symex.ParamRef
+	Steps   int
+	Forks   int
 }
 
-// siteRec is the persisted form of one self-contained site
+// siteRec is the memoized form of one self-contained site
 // identification. Steps/Forks replay like wrapperRec's.
 type siteRec struct {
-	Syscalls []uint64 `json:"syscalls,omitempty"`
-	FailOpen bool     `json:"fail_open,omitempty"`
-	Blocks   int      `json:"blocks,omitempty"` // symbolically executed blocks
-	Steps    int      `json:"steps,omitempty"`
-	Forks    int      `json:"forks,omitempty"`
+	Syscalls []uint64
+	FailOpen bool
+	Blocks   int // symbolically executed blocks
+	Steps    int
+	Forks    int
 }
 
-// storeKey renders a memo key as a cache-store key: the store wants a
-// path-safe content hash, and the memo key already is content — so its
-// digest is the address.
-func storeKey(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:])
-}
-
-// loadRec fetches the entry for key, first from m's memory, then from
-// st when one is configured.
-func loadRec[R wrapperRec | siteRec](m *Memo, key string, st *cache.Store) (R, bool) {
+// loadRec fetches the entry for key.
+func loadRec[R wrapperRec | siteRec](m *Memo, key string) (R, bool) {
 	var zero R
 	if m == nil {
 		return zero, false
@@ -139,33 +115,13 @@ func loadRec[R wrapperRec | siteRec](m *Memo, key string, st *cache.Store) (R, b
 		m.hits.Add(1)
 		return v.(R), true
 	}
-	if st != nil {
-		if rec, ok := cache.Load[R](st, memoKind, storeKey(key), ""); ok {
-			m.hits.Add(1)
-			// Promote to memory so the disk round trip is paid once.
-			m.remember(key, rec)
-			return rec, true
-		}
-	}
 	m.misses.Add(1)
 	return zero, false
 }
 
-// save records a freshly computed entry in memory and, when a store is
-// configured, on disk.
-func (m *Memo) save(key string, st *cache.Store, rec any) {
-	if m == nil {
-		return
-	}
-	m.remember(key, rec)
-	if st != nil {
-		// Best-effort, like every other cache write.
-		_ = st.Store(memoKind, storeKey(key), "", rec)
-	}
-}
-
-func (m *Memo) remember(key string, rec any) {
-	if m.size.Load() >= maxMemoEntries {
+// save records a freshly computed entry.
+func (m *Memo) save(key string, rec any) {
+	if m == nil || m.size.Load() >= maxMemoEntries {
 		return
 	}
 	if _, loaded := m.entries.LoadOrStore(key, rec); !loaded {

@@ -1,12 +1,10 @@
 package ident
 
 import (
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"bside/internal/asm"
-	"bside/internal/cache"
 	"bside/internal/cfg"
 	"bside/internal/corpus"
 	"bside/internal/elff"
@@ -110,55 +108,6 @@ func TestMemoizedReportIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestMemoPersistsThroughCacheStore: a fresh Memo (a new "process")
-// sharing only the funcsum store partition serves expensive site
-// summaries from disk.
-func TestMemoPersistsThroughCacheStore(t *testing.T) {
-	store, err := cache.Open(filepath.Join(t.TempDir(), "c"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A deep fork-free block chain: every jmp ends a block, so the
-	// backward search explores enough blocks to clear the
-	// persistMinBlocks gate and the record reaches the disk tier.
-	bin, _ := testbin.Build(t, elff.KindStatic, func(b *asm.Builder) {
-		b.Func("_start")
-		b.MovRegImm32(x86.RAX, 1)
-		for i := 0; i < 24; i++ {
-			b.JmpLabel("n" + string(rune('a'+i)))
-			b.Label("n" + string(rune('a'+i)))
-		}
-		b.Syscall()
-		b.Ret()
-	}, nil)
-	g, err := cfg.Recover(bin, cfg.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	m1 := &Memo{}
-	rep1, err := Analyze(g, Config{Memo: m1, MemoStore: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if store.Stats().Stores == 0 {
-		t.Fatal("nothing persisted to the funcsum store")
-	}
-
-	m2 := &Memo{}
-	rep2, err := Analyze(g, Config{Memo: m2, MemoStore: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Stats().Hits == 0 {
-		t.Fatalf("fresh memo did not hit the store: %+v (store %+v)", m2.Stats(), store.Stats())
-	}
-	if !reflect.DeepEqual(stripStats(rep1).Syscalls, stripStats(rep2).Syscalls) ||
-		rep1.Stats.BlocksExplored != rep2.Stats.BlocksExplored {
-		t.Fatalf("store-served run drifted: %+v vs %+v", rep2, rep1)
-	}
-}
-
 // TestMemoConfKeyCarriesResolverConfig: the resolver knob is part of
 // every memo key, so per-function summaries recorded under one
 // resolver configuration are unreadable under another. The zero value
@@ -181,17 +130,13 @@ func TestMemoConfKeyCarriesResolverConfig(t *testing.T) {
 	}
 }
 
-// TestFuncsumStoreNotSharedAcrossResolverConfigs: a persisted funcsum
-// recorded with the resolver off must never be replayed into a
-// resolver-on analysis (or vice versa) — the recorded search could
-// have walked edges the other configuration prunes.
-func TestFuncsumStoreNotSharedAcrossResolverConfigs(t *testing.T) {
-	store, err := cache.Open(filepath.Join(t.TempDir(), "c"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same deep fork-free chain as the persistence test: big enough to
-	// clear the persistMinBlocks gate and reach the disk tier.
+// TestMemoNotSharedAcrossResolverConfigs: a memo entry recorded with
+// the resolver off must never be replayed into a resolver-on analysis
+// (or vice versa) — the recorded search could have walked edges the
+// other configuration prunes.
+func TestMemoNotSharedAcrossResolverConfigs(t *testing.T) {
+	// A deep fork-free block chain: every jmp ends a block, so the
+	// backward search crosses many blocks inside one function.
 	bin, _ := testbin.Build(t, elff.KindStatic, func(b *asm.Builder) {
 		b.Func("_start")
 		b.MovRegImm32(x86.RAX, 1)
@@ -207,23 +152,23 @@ func TestFuncsumStoreNotSharedAcrossResolverConfigs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m1 := &Memo{}
-	if _, err := Analyze(g, Config{Memo: m1, MemoStore: store, ResolverLayers: -1}); err != nil {
+	memo := &Memo{}
+	if _, err := Analyze(g, Config{Memo: memo, ResolverLayers: -1}); err != nil {
 		t.Fatal(err)
 	}
-	if store.Stats().Stores == 0 {
-		t.Fatal("resolver-off run persisted nothing")
+	if memo.Stats().Entries == 0 {
+		t.Fatal("resolver-off run memoized nothing")
 	}
 
-	// A fresh memo under the default resolver config: the stored
-	// entries carry the resolver-off conf key, so nothing may hit.
-	m2 := &Memo{}
-	rep, err := Analyze(g, Config{Memo: m2, MemoStore: store})
+	// The same memo under the default resolver config: its entries carry
+	// the resolver-off conf key, so nothing may hit.
+	before := memo.Stats().Hits
+	rep, err := Analyze(g, Config{Memo: memo})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits := m2.Stats().Hits; hits != 0 {
-		t.Fatalf("resolver-on analysis replayed %d resolver-off funcsum entries", hits)
+	if hits := memo.Stats().Hits - before; hits != 0 {
+		t.Fatalf("resolver-on analysis replayed %d resolver-off memo entries", hits)
 	}
 	if !reflect.DeepEqual(rep.Syscalls, []uint64{1}) {
 		t.Fatalf("recomputed result wrong: %v", rep.Syscalls)

@@ -62,7 +62,7 @@ func (p *Pass) identify(target *cfg.Block, param *symex.ParamRef) SiteResult {
 	var memoKey string
 	if p.conf.Memo != nil && fnOK {
 		memoKey = p.siteMemoKey(fn, target, param)
-		if rec, ok := loadRec[siteRec](p.conf.Memo, memoKey, p.conf.MemoStore); ok {
+		if rec, ok := loadRec[siteRec](p.conf.Memo, memoKey); ok {
 			if rec.Syscalls == nil {
 				rec.Syscalls = []uint64{}
 			}
@@ -201,11 +201,7 @@ func (p *Pass) identify(target *cfg.Block, param *symex.ParamRef) SiteResult {
 		memoKey = ""
 	}
 	if memoKey != "" && contained && !budgetShaped {
-		store := p.conf.MemoStore
-		if res.BlocksExplored < persistMinBlocks {
-			store = nil // cheaper to recompute than to hit the disk
-		}
-		p.conf.Memo.save(memoKey, store, siteRec{
+		p.conf.Memo.save(memoKey, siteRec{
 			Syscalls: res.Syscalls,
 			FailOpen: res.FailOpen,
 			Blocks:   res.BlocksExplored,

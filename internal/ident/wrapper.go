@@ -29,7 +29,7 @@ func (p *Pass) detectWrapper(fn *cfg.Func, site *cfg.Block) (*WrapperInfo, bool,
 	var memoKey string
 	if p.conf.Memo != nil {
 		memoKey = "w\x00" + p.memoConf + "\x00" + p.funcHash(fn) + "\x00" + hexU64(site.Addr-fn.Entry)
-		if rec, ok := loadRec[wrapperRec](p.conf.Memo, memoKey, p.conf.MemoStore); ok {
+		if rec, ok := loadRec[wrapperRec](p.conf.Memo, memoKey); ok {
 			// Replay the recorded budget consumption: a tight budget
 			// must exhaust at the same point with and without the memo.
 			p.conf.Budget.AddSteps(rec.Steps)
@@ -55,7 +55,7 @@ func (p *Pass) detectWrapper(fn *cfg.Func, site *cfg.Block) (*WrapperInfo, bool,
 		if isWrapper {
 			rec.Param = info.Param
 		}
-		p.conf.Memo.save(memoKey, p.conf.MemoStore, rec)
+		p.conf.Memo.save(memoKey, rec)
 	}
 	return info, isWrapper, nil
 }

@@ -14,9 +14,9 @@
 // without mutation, which is what lets the two identification stages
 // fan their independent units — functions for wrapper detection,
 // identification targets for the backward search — across a bounded
-// worker pool (Config.Workers) sharing one atomic symbolic-execution
-// budget. Unit results merge in a fixed order, so a Result is
-// byte-identical at any worker count.
+// worker pool (Config.Ident.Workers) sharing one atomic
+// symbolic-execution budget. Unit results merge in a fixed order, so a
+// Result is byte-identical at any worker count.
 package pipeline
 
 import (
@@ -29,7 +29,6 @@ import (
 	"bside/internal/faults"
 	"bside/internal/guard"
 	"bside/internal/ident"
-	"bside/internal/symex"
 )
 
 // Stage names one step of the per-binary analysis pipeline.
@@ -105,22 +104,14 @@ func (t Timings) Total() time.Duration {
 // Config tunes one pipeline run.
 type Config struct {
 	// Ident is the identification configuration. Its Budget, if set, is
-	// used as-is (the caller owns per-unit budget cloning); nil gets a
-	// fresh default.
+	// used as-is (the caller owns per-unit budget cloning and deadline
+	// stamping); nil gets a fresh default. Its Workers sizes the
+	// intra-binary worker pool of the two identification stages: 0 or 1
+	// is serial, any negative value resolves to GOMAXPROCS. Results are
+	// identical at any value.
 	Ident ident.Config
 	// CFG configures StageDecode.
 	CFG cfg.Options
-	// Workers is the intra-binary worker-pool size for the two
-	// identification stages. 0 or 1 is serial; any negative value
-	// (canonically WorkersAuto) resolves to GOMAXPROCS. Results are
-	// identical at any value.
-	Workers int
-	// Timeout, when positive, stamps the run's budget with a wall-clock
-	// deadline before the first stage executes; a run past it fails
-	// with ident.ErrTimeout. The caller's Budget is cloned before
-	// stamping, never mutated. (internal/shared stamps deadlines in its
-	// own per-unit budget cloning instead and leaves this zero.)
-	Timeout time.Duration
 	// Ctx, when non-nil, is checked at every stage boundary: a canceled
 	// context fails the run with the context's error before the next
 	// stage starts. Mid-stage cancellation is the budget's job (its
@@ -129,9 +120,6 @@ type Config struct {
 	// boundary checks (batch CLI paths).
 	Ctx context.Context
 }
-
-// WorkersAuto asks for one worker per available CPU.
-const WorkersAuto = -1
 
 // resolveWorkers maps the Workers knob to a concrete pool size.
 func resolveWorkers(w int) int {
@@ -159,15 +147,7 @@ type Result struct {
 // timings. Stitching (for dynamic binaries) is the caller's stage; its
 // cost should be appended to the returned Timings.
 func Run(bin *elff.Binary, conf Config) (*Result, error) {
-	conf.Ident.Workers = resolveWorkers(conf.Workers)
-	if conf.Timeout > 0 {
-		if conf.Ident.Budget == nil {
-			conf.Ident.Budget = symex.NewBudget()
-		} else {
-			conf.Ident.Budget = conf.Ident.Budget.Clone()
-		}
-		conf.Ident.Budget.Deadline = time.Now().Add(conf.Timeout)
-	}
+	conf.Ident.Workers = resolveWorkers(conf.Ident.Workers)
 	canceled := func() error {
 		if conf.Ctx != nil {
 			return conf.Ctx.Err()

@@ -11,6 +11,7 @@ import (
 	"bside/internal/corpus"
 	"bside/internal/elff"
 	"bside/internal/ident"
+	"bside/internal/symex"
 )
 
 // testBinary synthesizes a mid-sized static binary with enough
@@ -110,12 +111,12 @@ func normalize(rep *ident.Report) []siteKey {
 // details, ordering — must be identical at 1, 4 and 8 workers.
 func TestWorkerCountInvariance(t *testing.T) {
 	bin := testBinary(t)
-	base, err := Run(bin, Config{Workers: 1})
+	base, err := Run(bin, Config{Ident: ident.Config{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{4, 8} {
-		res, err := Run(bin, Config{Workers: workers})
+		res, err := Run(bin, Config{Ident: ident.Config{Workers: workers}})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -141,7 +142,9 @@ func TestWorkerCountInvariance(t *testing.T) {
 // TestDeadlineTimesOut: a deadline already in the past must surface as
 // ident.ErrTimeout, the paper's wall-clock timeout semantics.
 func TestDeadlineTimesOut(t *testing.T) {
-	_, err := Run(testBinary(t), Config{Timeout: time.Nanosecond})
+	bud := symex.NewBudget()
+	bud.Deadline = time.Now().Add(-time.Second)
+	_, err := Run(testBinary(t), Config{Ident: ident.Config{Budget: bud}})
 	if !errors.Is(err, ident.ErrTimeout) {
 		t.Fatalf("want ErrTimeout, got %v", err)
 	}

@@ -135,7 +135,7 @@ func TestHealthzDegradedOnCacheIOErrors(t *testing.T) {
 	defer restore()
 
 	// Each analysis probes and stores several cache entries (program
-	// summary plus per-function summaries); two uploads comfortably
+	// probe, budget-verdict probe, summary store); two uploads comfortably
 	// clear the degradation threshold — and both must still succeed,
 	// because a broken cache degrades to recomputation, never to 500s.
 	for seed := byte(40); seed < 42; seed++ {

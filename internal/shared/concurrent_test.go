@@ -2,6 +2,7 @@ package shared
 
 import (
 	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -250,9 +251,9 @@ func TestInterfaceContentCache(t *testing.T) {
 		return main
 	}
 
-	// Per-function "funcsum" entries share the store, so the guard
-	// against re-analysis counts interface-kind entries on disk, not
-	// total stores.
+	// Per-binary kinds other than "interface" share the store, so the
+	// guard against re-analysis counts interface-kind entries on disk,
+	// not total stores.
 	countInterfaces := func() int {
 		n := 0
 		_ = filepath.WalkDir(filepath.Join(store.Dir(), "interface"), func(path string, d fs.DirEntry, err error) error {
@@ -294,6 +295,45 @@ func TestInterfaceContentCache(t *testing.T) {
 	// the interface-kind entry count is unchanged.
 	if n := countInterfaces(); n != interfacesAfterFirst {
 		t.Fatalf("interface entries grew: %d (first run ended at %d)", n, interfacesAfterFirst)
+	}
+}
+
+// TestColdCacheStoresOnlyPerBinaryKinds: the store holds per-binary
+// verdicts only. A cold cached analysis of a program with its own
+// syscall site and a library closure writes library interfaces and the
+// program summary; per-function memo entries never reach the disk.
+func TestColdCacheStoresOnlyPerBinaryKinds(t *testing.T) {
+	store, err := cache.Open(filepath.Join(t.TempDir(), "c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewAnalyzer(loader(t), ident.Config{})
+	a.Cache = store
+	sum, _, err := a.ComputeSummary(writeImporter(t, 4242))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sum.Syscalls, []uint64{1, 60}) {
+		t.Fatalf("syscalls: %v", sum.Syscalls)
+	}
+
+	ents, err := os.ReadDir(store.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]bool{}
+	for _, e := range ents {
+		if e.IsDir() {
+			kinds[e.Name()] = true
+		}
+	}
+	if !kinds[kindInterface] || !kinds[kindProgram] {
+		t.Fatalf("cold run did not persist its interfaces and summary: %v", kinds)
+	}
+	for k := range kinds {
+		if k != kindInterface && k != kindProgram && k != kindUndecided {
+			t.Fatalf("store holds a %q partition; only per-binary kinds belong there", k)
+		}
 	}
 }
 

@@ -87,7 +87,7 @@ func (ifc *Interface) ExportNamed(name string) (*Export, bool) {
 // the library's own identification units across the intra-binary pool.
 func AnalyzeLibrary(bin *elff.Binary, name string, conf ident.Config, importWrappers map[string]symex.ParamRef) (*Interface, error) {
 	conf.ImportWrappers = importWrappers
-	res, err := pipeline.Run(bin, pipeline.Config{Ident: conf, Workers: conf.Workers})
+	res, err := pipeline.Run(bin, pipeline.Config{Ident: conf})
 	if err != nil {
 		return nil, fmt.Errorf("shared: %s: %w", name, err)
 	}

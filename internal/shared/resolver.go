@@ -55,7 +55,7 @@ type Analyzer struct {
 	Timeout time.Duration
 	// Cache, when set, is the content-addressed store consulted before
 	// any expensive work: shared interfaces, whole-program summaries
-	// and per-function summaries are keyed by the SHA-256 of the
+	// and count-limited budget verdicts are keyed by the SHA-256 of the
 	// content they were derived from (plus a configuration and
 	// dependency-hash fingerprint where applicable), so results persist
 	// across processes and survive library upgrades without going
@@ -156,8 +156,7 @@ func (a *Analyzer) Interfaces() map[string]*Interface {
 
 // confFor derives the per-unit identification config: the template with
 // a private budget, so concurrent units cannot race on the counters,
-// and the process-wide function-summary memo (persisted through the
-// cache store when one is configured).
+// and the process-wide function-summary memo.
 //
 // ctx, when non-nil, rides the unit's budget: its cancellation channel
 // makes the budget exhausted mid-search, and its deadline tightens the
@@ -193,7 +192,6 @@ func (a *Analyzer) confFor(ctx context.Context) ident.Config {
 	}
 	if !a.DisableFuncMemo {
 		conf.Memo = ident.ProcessMemo()
-		conf.MemoStore = a.Cache
 	}
 	return conf
 }
@@ -597,10 +595,9 @@ func (a *Analyzer) ProgramCtx(ctx context.Context, bin *elff.Binary) (*ProgramRe
 	conf.ImportWrappers = wrappers
 
 	res, err := pipeline.Run(bin, pipeline.Config{
-		Ident:   conf,
-		CFG:     cfg.Options{MaxInsns: a.MaxCFGInsns},
-		Workers: conf.Workers,
-		Ctx:     ctx,
+		Ident: conf,
+		CFG:   cfg.Options{MaxInsns: a.MaxCFGInsns},
+		Ctx:   ctx,
 	})
 	if err != nil {
 		return nil, err
