@@ -32,8 +32,8 @@ func recoverProfile(t *testing.T) *elff.Binary {
 
 func TestRecoverAllocCeilingHotDeep(t *testing.T) {
 	bin := recoverProfile(t)
-	// Warm the builder pool once: the ceiling is the steady state every
-	// binary after the first pays in a batch.
+	// Warm the builder free list once: the ceiling is the steady state
+	// every binary after the first pays in a batch.
 	if _, err := cfg.Recover(bin, cfg.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +46,10 @@ func TestRecoverAllocCeilingHotDeep(t *testing.T) {
 			t.Fatal("empty graph")
 		}
 	})
-	// Steady state is ~45 allocations: the final instruction arena, the
-	// block/edge/function slabs, the two lookup maps, and the sorted
-	// address-taken copies. Everything decode- or round-shaped is pooled.
+	// Steady state is ~30 allocations: the final instruction arena, the
+	// block/edge/function slabs, and the sorted address-taken copies.
+	// The graph keeps no lookup maps, and everything decode- or
+	// round-shaped is reused from the builder free list.
 	const ceiling = 120
 	t.Logf("HotDeep recover: %.1f allocs/op (ceiling %d)", avg, ceiling)
 	if avg > ceiling {

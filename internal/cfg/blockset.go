@@ -57,8 +57,21 @@ func (s *BlockSet) Len() int {
 
 // Reset empties the set, keeping its capacity for reuse.
 func (s *BlockSet) Reset() {
-	for i := range s.words {
-		s.words[i] = 0
+	clear(s.words)
+	s.n = 0
+}
+
+// ResetFor empties the set and sizes it for a graph of numBlocks
+// blocks, reusing its capacity. A pooled set recycled from a larger
+// graph then clears, on every later Reset, only the words this graph
+// can use.
+func (s *BlockSet) ResetFor(numBlocks int) {
+	w := (numBlocks + 63) / 64
+	if cap(s.words) < w {
+		s.words = make([]uint64, w)
+	} else {
+		s.words = s.words[:w]
+		clear(s.words)
 	}
 	s.n = 0
 }
@@ -80,7 +93,7 @@ func (g *Graph) ReachableSetFiltered(allow func(Edge) bool, roots ...uint64) *Bl
 	seen := NewBlockSet(len(g.sortedBlocks))
 	var stack []*Block
 	for _, r := range roots {
-		if b, ok := g.Blocks[r]; ok && seen.Add(b) {
+		if b, ok := g.BlockAt(r); ok && seen.Add(b) {
 			stack = append(stack, b)
 		}
 	}

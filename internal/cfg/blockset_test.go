@@ -82,10 +82,7 @@ func TestBlockSetNilIsEmpty(t *testing.T) {
 // hand-wired diamond with an unreachable tail.
 func TestReachableSetMatchesReachable(t *testing.T) {
 	blocks := fakeBlocks(6)
-	g := &Graph{Blocks: make(map[uint64]*Block), sortedBlocks: blocks}
-	for _, b := range blocks {
-		g.Blocks[b.Addr] = b
-	}
+	g := &Graph{sortedBlocks: blocks}
 	link := func(kind EdgeKind, from, to *Block) {
 		e := Edge{Kind: kind, From: from, To: to}
 		from.Succs = append(from.Succs, e)

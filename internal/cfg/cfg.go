@@ -135,10 +135,16 @@ func (f *Func) End() uint64 {
 // from a worker pool. The contract is exercised by a concurrent-reader
 // test under the race detector; code needing a mutated variant must
 // re-Recover, never edit in place.
+//
+// The graph keeps no hash maps over its blocks or functions: both are
+// held in address order, and BlockAt and FuncByEntry binary-search
+// them. Nothing outside the graph refers back to it once its analysis
+// is done — the frontend's and the analysis passes' reusable scratch
+// holds no pointers into a graph between uses — so a dropped graph is
+// garbage at the next GC.
 type Graph struct {
-	Bin    *elff.Binary
-	Blocks map[uint64]*Block
-	Funcs  []*Func // sorted by entry address
+	Bin   *elff.Binary
+	Funcs []*Func // sorted by entry address
 
 	// AddrTaken is every code address used as a lea operand anywhere in
 	// the disassembled image; ActiveAddrTaken is the subset reachable
@@ -157,7 +163,6 @@ type Graph struct {
 	// enforcement).
 	Stats Stats
 
-	funcByEntry  map[uint64]*Func
 	sortedBlocks []*Block
 }
 
@@ -172,8 +177,13 @@ type Stats struct {
 
 // BlockAt returns the block starting at addr.
 func (g *Graph) BlockAt(addr uint64) (*Block, bool) {
-	b, ok := g.Blocks[addr]
-	return b, ok
+	idx := sort.Search(len(g.sortedBlocks), func(i int) bool {
+		return g.sortedBlocks[i].Addr >= addr
+	})
+	if idx < len(g.sortedBlocks) && g.sortedBlocks[idx].Addr == addr {
+		return g.sortedBlocks[idx], true
+	}
+	return nil, false
 }
 
 // BlockContaining returns the block whose address range contains addr.
@@ -206,8 +216,13 @@ func (g *Graph) FuncContaining(addr uint64) (*Func, bool) {
 
 // FuncByEntry returns the function with the given entry address.
 func (g *Graph) FuncByEntry(entry uint64) (*Func, bool) {
-	f, ok := g.funcByEntry[entry]
-	return f, ok
+	idx := sort.Search(len(g.Funcs), func(i int) bool {
+		return g.Funcs[i].Entry >= entry
+	})
+	if idx < len(g.Funcs) && g.Funcs[idx].Entry == entry {
+		return g.Funcs[idx], true
+	}
+	return nil, false
 }
 
 // SyscallBlocks returns every block ending in a syscall instruction, in
@@ -228,7 +243,7 @@ func (g *Graph) Reachable(roots ...uint64) map[*Block]bool {
 	seen := make(map[*Block]bool)
 	var stack []*Block
 	for _, r := range roots {
-		if b, ok := g.Blocks[r]; ok && !seen[b] {
+		if b, ok := g.BlockAt(r); ok && !seen[b] {
 			seen[b] = true
 			stack = append(stack, b)
 		}

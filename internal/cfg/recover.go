@@ -2,6 +2,7 @@ package cfg
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -97,7 +98,7 @@ func Recover(bin *elff.Binary, opts Options) (*Graph, error) {
 	}
 	decodeRoots = append(decodeRoots, dataPtrs...)
 
-	if err := b.traverse(decodeRoots); err != nil {
+	if err := b.traverse(decodeRoots...); err != nil {
 		return nil, err
 	}
 
@@ -122,8 +123,10 @@ func Recover(bin *elff.Binary, opts Options) (*Graph, error) {
 }
 
 // builder carries the decode arena and the fixpoint working set. Its
-// buffers are pooled across Recover calls (builderPool): a batch
-// analyzer pays the frontend's allocations once, not per binary.
+// buffers are reused across Recover calls through the builders free
+// list, so a batch analyzer pays the frontend's allocations once, not
+// per binary. A builder on the free list holds no pointer into the
+// image or the graph it last built.
 type builder struct {
 	bin  *elff.Binary
 	base uint64
@@ -150,12 +153,20 @@ type builder struct {
 	activeList []uint64
 	stack      []fixEnt
 
+	// work is traverse's stack of addresses still to decode.
+	work []uint64
+
 	// slotImport maps GOT slot addresses to import names, built once.
 	slotImport map[uint64]string
 
 	// Finalization scratch, reused across calls: per-block start
-	// indices and per-block edge degree counters.
+	// indices, the block index (blockOf: block ID + 1 at the
+	// address-ordered arena index of each block's first instruction, 0
+	// elsewhere) and per-block edge degree counters. blocks is the slab
+	// being materialized, held only until Recover returns.
 	blockStarts []int32
+	blockOf     []int32
+	blocks      []Block
 	succDeg     []int32
 	predDeg     []int32
 	entries     []funcEntry
@@ -173,10 +184,31 @@ type fixEnt struct {
 	wave int32
 }
 
-var builderPool = sync.Pool{New: func() any { return new(builder) }}
+// builders is the free list of decode scratch. A sync.Pool would not
+// do: once no analysis pins its graph, a process's live heap is a few
+// MB, the GC runs often, and a pool it empties makes nearly every
+// Recover regrow its arena from scratch. The list keeps at most
+// GOMAXPROCS builders, each sized for the largest image it has
+// decoded, so the retained scratch is bounded by GOMAXPROCS × the
+// largest image decoded so far: about 100 bytes per instruction plus 4
+// bytes per byte of code.
+var builders struct {
+	sync.Mutex
+	free []*builder
+}
 
 func getBuilder(bin *elff.Binary, budget int) *builder {
-	b := builderPool.Get().(*builder)
+	var b *builder
+	builders.Lock()
+	if n := len(builders.free); n > 0 {
+		b = builders.free[n-1]
+		builders.free[n-1] = nil
+		builders.free = builders.free[:n-1]
+	}
+	builders.Unlock()
+	if b == nil {
+		b = new(builder)
+	}
 	b.bin = bin
 	b.base = bin.Base
 	b.code = int(bin.CodeSize)
@@ -187,12 +219,7 @@ func getBuilder(bin *elff.Binary, budget int) *builder {
 	b.leaEA = b.leaEA[:0]
 	b.activeList = b.activeList[:0]
 	b.stack = b.stack[:0]
-	if cap(b.off2idx) < b.code {
-		b.off2idx = make([]int32, b.code)
-	} else {
-		b.off2idx = b.off2idx[:b.code]
-		clear(b.off2idx)
-	}
+	b.off2idx = resize(b.off2idx, b.code)
 	b.leader.clearTo(b.code)
 	b.active.clearTo(b.code)
 	b.visited.clearTo(0)
@@ -210,7 +237,13 @@ func getBuilder(bin *elff.Binary, budget int) *builder {
 func putBuilder(b *builder) {
 	b.bin = nil
 	b.slotImport = nil
-	builderPool.Put(b)
+	b.blocks = nil
+	clear(b.entries[:cap(b.entries)]) // names point into the image
+	builders.Lock()
+	if len(builders.free) < runtime.GOMAXPROCS(0) {
+		builders.free = append(builders.free, b)
+	}
+	builders.Unlock()
 }
 
 // insnAt returns the arena index of the instruction starting at addr,
@@ -229,8 +262,8 @@ func (b *builder) insnAt(addr uint64) int32 {
 // traverse decodes instructions reachable from the given addresses via
 // direct control flow, recording block leaders and harvesting
 // lea-carried code pointers into the candidate arena.
-func (b *builder) traverse(starts []uint64) error {
-	work := make([]uint64, 0, len(starts))
+func (b *builder) traverse(starts ...uint64) error {
+	work := b.work[:0]
 	for _, s := range starts {
 		if b.bin.CodeContains(s) {
 			b.leader.set(int(s - b.base))
@@ -248,6 +281,7 @@ func (b *builder) traverse(starts []uint64) error {
 				break
 			}
 			if b.decoded >= b.budget {
+				b.work = work[:0]
 				return ErrBudget
 			}
 			buf, _ := b.bin.BytesAt(addr)
@@ -288,6 +322,7 @@ func (b *builder) traverse(starts []uint64) error {
 			break
 		}
 	}
+	b.work = work[:0]
 	return nil
 }
 
@@ -347,7 +382,7 @@ func (b *builder) fixpoint(roots, dataPtrs []uint64, maxRounds int) (int, error)
 		if v := b.leaEA[ent.idx]; v != 0 && b.active.set(int(v-1)) {
 			ea := b.base + v - 1
 			b.activeList = append(b.activeList, ea)
-			if err := b.traverse([]uint64{ea}); err != nil {
+			if err := b.traverse(ea); err != nil {
 				return 0, err
 			}
 			b.visited.growTo(len(b.arena))
@@ -411,11 +446,13 @@ func (b *builder) fixpoint(roots, dataPtrs []uint64, maxRounds int) (int, error)
 // materialize builds the final immutable graph in one pass over the
 // address-ordered arena: blocks and edges are pre-counted and carved
 // from slabs, so the build cost is a handful of allocations however
-// large the binary.
+// large the binary. Edge targets resolve through two flat arrays
+// (code offset → arena index → block), never through a hash map.
 func (b *builder) materialize(g *Graph) {
 	// Address-ordered arena: the only copy of the decoded
 	// instructions the graph keeps. off2idx is rewritten to point into
-	// it so edge wiring can look targets up in O(1).
+	// it, and blockOf indexes it, so edge wiring looks targets up in
+	// O(1).
 	final := make([]x86.Inst, len(b.arena))
 	n := 0
 	for off := 0; off < b.code; off++ {
@@ -446,7 +483,8 @@ func (b *builder) materialize(g *Graph) {
 	numBlocks := len(b.blockStarts)
 	blocks := make([]Block, numBlocks)
 	sorted := make([]*Block, numBlocks)
-	byAddr := make(map[uint64]*Block, numBlocks)
+	b.blocks = blocks
+	b.blockOf = resize(b.blockOf, len(final))
 	g.ImportStubs = make(map[uint64]string)
 	for k := range blocks {
 		start := int(b.blockStarts[k])
@@ -459,9 +497,8 @@ func (b *builder) materialize(g *Graph) {
 		blk.Insns = final[start:end:end]
 		blk.ID = k
 		sorted[k] = blk
-		byAddr[blk.Addr] = blk
+		b.blockOf[start] = int32(k + 1)
 	}
-	g.Blocks = byAddr
 	g.sortedBlocks = sorted
 
 	// Active address-taken blocks, in address order: the indirect-edge
@@ -471,28 +508,14 @@ func (b *builder) materialize(g *Graph) {
 	g.ActiveAddrTaken = activeAddrs
 	activeBlocks := make([]*Block, 0, len(activeAddrs))
 	for _, ea := range activeAddrs {
-		if blk, ok := byAddr[ea]; ok {
+		if blk := b.blockAt(ea); blk != nil {
 			activeBlocks = append(activeBlocks, blk)
 		}
 	}
 
 	// Pass 2: count edge degrees, resolve import labels.
-	if cap(b.succDeg) < numBlocks {
-		b.succDeg = make([]int32, numBlocks)
-		b.predDeg = make([]int32, numBlocks)
-	} else {
-		b.succDeg = b.succDeg[:numBlocks]
-		b.predDeg = b.predDeg[:numBlocks]
-		clear(b.succDeg)
-		clear(b.predDeg)
-	}
-	blockAt := func(addr uint64) *Block {
-		blk, ok := byAddr[addr]
-		if !ok {
-			return nil
-		}
-		return blk
-	}
+	b.succDeg = resize(b.succDeg, numBlocks)
+	b.predDeg = resize(b.predDeg, numBlocks)
 	totalEdges := 0
 	countEdge := func(from *Block, to *Block) {
 		if to == nil {
@@ -506,13 +529,13 @@ func (b *builder) materialize(g *Graph) {
 		last := blk.Last()
 		switch last.Op {
 		case x86.OpJmp:
-			countEdge(blk, blockAt(uint64(last.Dst.Imm)))
+			countEdge(blk, b.blockAt(uint64(last.Dst.Imm)))
 		case x86.OpJcc:
-			countEdge(blk, blockAt(uint64(last.Dst.Imm)))
-			countEdge(blk, blockAt(last.Next()))
+			countEdge(blk, b.blockAt(uint64(last.Dst.Imm)))
+			countEdge(blk, b.blockAt(last.Next()))
 		case x86.OpCall:
-			countEdge(blk, blockAt(uint64(last.Dst.Imm)))
-			countEdge(blk, blockAt(last.Next()))
+			countEdge(blk, b.blockAt(uint64(last.Dst.Imm)))
+			countEdge(blk, b.blockAt(last.Next()))
 		case x86.OpCallInd:
 			if name, ok := b.importTarget(last); ok {
 				blk.ImportCall = name
@@ -521,7 +544,7 @@ func (b *builder) materialize(g *Graph) {
 					countEdge(blk, t)
 				}
 			}
-			countEdge(blk, blockAt(last.Next()))
+			countEdge(blk, b.blockAt(last.Next()))
 		case x86.OpJmpInd:
 			if name, ok := b.importTarget(last); ok {
 				blk.ImportCall = name
@@ -535,7 +558,7 @@ func (b *builder) materialize(g *Graph) {
 			// No successors; returns are modeled by EdgeCallFall.
 		default:
 			// Fall-through block boundary (syscall or leader split).
-			countEdge(blk, blockAt(last.Next()))
+			countEdge(blk, b.blockAt(last.Next()))
 		}
 	}
 
@@ -563,13 +586,13 @@ func (b *builder) materialize(g *Graph) {
 		last := blk.Last()
 		switch last.Op {
 		case x86.OpJmp:
-			addEdge(EdgeJump, blk, blockAt(uint64(last.Dst.Imm)))
+			addEdge(EdgeJump, blk, b.blockAt(uint64(last.Dst.Imm)))
 		case x86.OpJcc:
-			addEdge(EdgeJump, blk, blockAt(uint64(last.Dst.Imm)))
-			addEdge(EdgeFall, blk, blockAt(last.Next()))
+			addEdge(EdgeJump, blk, b.blockAt(uint64(last.Dst.Imm)))
+			addEdge(EdgeFall, blk, b.blockAt(last.Next()))
 		case x86.OpCall:
-			addEdge(EdgeCall, blk, blockAt(uint64(last.Dst.Imm)))
-			addEdge(EdgeCallFall, blk, blockAt(last.Next()))
+			addEdge(EdgeCall, blk, b.blockAt(uint64(last.Dst.Imm)))
+			addEdge(EdgeCallFall, blk, b.blockAt(last.Next()))
 		case x86.OpCallInd:
 			// Same predicate as the count pass: importTarget, not the
 			// ImportCall label (a dynsym legally named "" would make
@@ -579,7 +602,7 @@ func (b *builder) materialize(g *Graph) {
 					addEdge(EdgeIndirectCall, blk, t)
 				}
 			}
-			addEdge(EdgeCallFall, blk, blockAt(last.Next()))
+			addEdge(EdgeCallFall, blk, b.blockAt(last.Next()))
 		case x86.OpJmpInd:
 			if _, ok := b.importTarget(last); !ok {
 				for _, t := range activeBlocks {
@@ -588,7 +611,7 @@ func (b *builder) materialize(g *Graph) {
 			}
 		case x86.OpRet, x86.OpUd2, x86.OpHlt, x86.OpInt3:
 		default:
-			addEdge(EdgeFall, blk, blockAt(last.Next()))
+			addEdge(EdgeFall, blk, b.blockAt(last.Next()))
 		}
 	}
 	g.Stats.NumEdges = totalEdges
@@ -596,6 +619,31 @@ func (b *builder) materialize(g *Graph) {
 	// The full address-taken set (SysFilter's original, non-active
 	// notion): every harvested lea candidate, reachable or not.
 	g.AddrTaken = dedupSorted(b.leaEACopy())
+}
+
+// blockAt returns the materialized block starting at addr, or nil.
+// Valid from materialize on, once off2idx points into the
+// address-ordered arena.
+func (b *builder) blockAt(addr uint64) *Block {
+	idx := b.insnAt(addr)
+	if idx < 0 {
+		return nil
+	}
+	if id := b.blockOf[idx]; id != 0 {
+		return &b.blocks[id-1]
+	}
+	return nil
+}
+
+// resize returns s with length n and every element zero, reusing its
+// capacity.
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // leaEACopy collects the harvested lea targets as virtual addresses.
@@ -625,7 +673,7 @@ type funcEntry struct {
 func (b *builder) inferFunctions(g *Graph) {
 	ents := b.entries[:0]
 	add := func(addr uint64, name string, rank uint8) {
-		if _, ok := g.Blocks[addr]; !ok {
+		if b.blockAt(addr) == nil {
 			return
 		}
 		ents = append(ents, funcEntry{addr: addr, name: name, rank: rank})
@@ -657,7 +705,7 @@ func (b *builder) inferFunctions(g *Graph) {
 		}
 		return a.name < c.name
 	})
-	b.entries = ents // keep the grown buffer for the pool
+	b.entries = ents // keep the grown buffer for the next Recover
 
 	// Collapse duplicates: one function per address, named by the
 	// first non-empty candidate in phase order.
@@ -678,13 +726,11 @@ func (b *builder) inferFunctions(g *Graph) {
 
 	funcs := make([]Func, len(ents))
 	g.Funcs = make([]*Func, len(ents))
-	g.funcByEntry = make(map[uint64]*Func, len(ents))
 	for i, e := range ents {
 		f := &funcs[i]
 		f.Entry = e.addr
 		f.Name = e.name
 		g.Funcs[i] = f
-		g.funcByEntry[e.addr] = f
 	}
 	if len(funcs) == 0 {
 		return

@@ -235,7 +235,9 @@ func Analyze(g *cfg.Graph, conf Config) (*Report, error) {
 // built once per binary by Prepare; DetectWrappers and Identify then
 // run as distinct, separately timed pipeline stages. The Pass reads
 // the Graph but never mutates it, so its units can share the graph
-// with concurrent readers.
+// with concurrent readers. Everything a Pass owns dies with it: its
+// search scratch comes from package-level pools (scratchPool,
+// setPool), never from pools of its own.
 type Pass struct {
 	g       *cfg.Graph
 	conf    Config
@@ -261,13 +263,20 @@ type Pass struct {
 	// fnHash caches funcFingerprint per function for this pass.
 	fnHashMu sync.Mutex
 	fnHash   map[*cfg.Func]string
-
-	// scratchPool holds per-search scratch bundles; setPool holds bare
-	// block sets for the smaller dedup jobs. Both are sized for g, so
-	// buffers recycle across the pass's units and goroutines.
-	scratchPool sync.Pool
-	setPool     sync.Pool
 }
+
+// scratchPool holds per-search scratch bundles; setPool holds bare
+// block sets for the smaller dedup jobs. They recycle buffers across
+// units, goroutines and binaries, and are package-level on purpose:
+// the runtime keeps a pool it has used reachable until the second GC
+// after its last use, so a pool inside a Pass would keep the Pass and
+// its graph alive for two GC cycles after the analysis ends. Items
+// are sized for the current graph when taken and hold no block
+// pointers once returned.
+var (
+	scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
+	setPool     = sync.Pool{New: func() any { return new(cfg.BlockSet) }}
+)
 
 // Prepare resolves the cheap shared facts of a binary's identification:
 // reachability, the reachable syscall sites, and the reachable imports.
@@ -278,9 +287,6 @@ func Prepare(g *cfg.Graph, conf Config) *Pass {
 		p.memoConf = memoConfKey(conf)
 		p.fnHash = make(map[*cfg.Func]string)
 	}
-	numBlocks := g.NumBlocks()
-	p.scratchPool.New = func() any { return newSearchScratch(numBlocks) }
-	p.setPool.New = func() any { return cfg.NewBlockSet(numBlocks) }
 	if conf.ResolverLayers > 0 && g.Bin != nil {
 		p.siteTargets = resolveIndirectSites(g, conf.ResolverLayers)
 	}
@@ -304,12 +310,12 @@ func Prepare(g *cfg.Graph, conf Config) *Pass {
 
 // getSet returns an empty pooled BlockSet sized for the graph.
 func (p *Pass) getSet() *cfg.BlockSet {
-	s := p.setPool.Get().(*cfg.BlockSet)
-	s.Reset()
+	s := setPool.Get().(*cfg.BlockSet)
+	s.ResetFor(p.g.NumBlocks())
 	return s
 }
 
-func (p *Pass) putSet(s *cfg.BlockSet) { p.setPool.Put(s) }
+func putSet(s *cfg.BlockSet) { setPool.Put(s) }
 
 // funcHash returns (and caches) the content fingerprint of fn.
 func (p *Pass) funcHash(fn *cfg.Func) string {
@@ -601,7 +607,7 @@ func (p *Pass) callSitesOf(entry uint64) []*cfg.Block {
 		}
 		out = append(out, e.From)
 	}
-	p.putSet(seen)
+	putSet(seen)
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
@@ -611,7 +617,7 @@ func (p *Pass) callSitesOf(entry uint64) []*cfg.Block {
 func (p *Pass) importCallSites(name string) []*cfg.Block {
 	var out []*cfg.Block
 	seen := p.getSet()
-	defer p.putSet(seen)
+	defer putSet(seen)
 	add := func(b *cfg.Block) {
 		if b != nil && p.reach.Has(b) && seen.Add(b) {
 			out = append(out, b)

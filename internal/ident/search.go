@@ -12,32 +12,38 @@ import (
 // searchScratch is the reusable working set of one backward search:
 // the directed set handed to the symbolic executor, the BFS visited
 // set, a dedup set for predecessor enumeration, the frontier slices,
-// and the value accumulator. Bundles are pooled per Pass, so the
+// and the value accumulator. Bundles come from scratchPool, so the
 // per-site cost is a handful of Resets instead of a handful of maps.
 type searchScratch struct {
-	directed *cfg.BlockSet
-	visited  *cfg.BlockSet
-	predSeen *cfg.BlockSet
+	directed cfg.BlockSet
+	visited  cfg.BlockSet
+	predSeen cfg.BlockSet
 	pending  []*cfg.Block
 	next     []*cfg.Block
 	preds    []*cfg.Block
 	values   linux.ValueSet
 }
 
-func newSearchScratch(numBlocks int) *searchScratch {
-	return &searchScratch{
-		directed: cfg.NewBlockSet(numBlocks),
-		visited:  cfg.NewBlockSet(numBlocks),
-		predSeen: cfg.NewBlockSet(numBlocks),
-	}
+// getScratch returns an empty search bundle sized for a graph of
+// numBlocks blocks.
+func getScratch(numBlocks int) *searchScratch {
+	s := scratchPool.Get().(*searchScratch)
+	s.directed.ResetFor(numBlocks)
+	s.visited.ResetFor(numBlocks)
+	s.predSeen.ResetFor(numBlocks)
+	s.values.Reset()
+	return s
 }
 
-func (s *searchScratch) reset() {
-	s.directed.Reset()
-	s.visited.Reset()
-	s.pending = s.pending[:0]
-	s.next = s.next[:0]
-	s.values.Reset()
+// putScratch returns s to the pool, first clearing every block pointer
+// it holds (to capacity: stale entries past the length would pin the
+// graph just the same).
+func putScratch(s *searchScratch) {
+	clear(s.pending[:cap(s.pending)])
+	clear(s.next[:cap(s.next)])
+	clear(s.preds[:cap(s.preds)])
+	s.pending, s.next, s.preds = s.pending[:0], s.next[:0], s.preds[:0]
+	scratchPool.Put(s)
 }
 
 // identify implements the search of Figure 5: starting from the target
@@ -79,8 +85,7 @@ func (p *Pass) identify(target *cfg.Block, param *symex.ParamRef) SiteResult {
 		}
 	}
 
-	sc := p.scratchPool.Get().(*searchScratch)
-	sc.reset()
+	sc := getScratch(p.g.NumBlocks())
 
 	// contained tracks whether every block the search touched — the
 	// frontier it visited and every predecessor it enumerated — lies in
@@ -102,7 +107,7 @@ func (p *Pass) identify(target *cfg.Block, param *symex.ParamRef) SiteResult {
 	// evaluate runs forward from `from` and folds the observed values.
 	// It returns (allConcrete, reachedSite).
 	evaluate := func(from *cfg.Block) (bool, bool) {
-		run := p.machine.RunToSite(from, p.machine.NewState(), sc.directed, target)
+		run := p.machine.RunToSite(from, p.machine.NewState(), &sc.directed, target)
 		res.BlocksExplored += run.BlocksExecuted
 		steps += run.Steps
 		forks += run.Forks
@@ -133,7 +138,7 @@ func (p *Pass) identify(target *cfg.Block, param *symex.ParamRef) SiteResult {
 	if !selfConcrete && !res.FailOpen {
 		sc.visited.Add(target)
 		var sawInd bool
-		sc.pending, sawInd = p.predBlocksInto(target, sc.predSeen, sc.pending)
+		sc.pending, sawInd = p.predBlocksInto(target, &sc.predSeen, sc.pending)
 		resolverSensitive = resolverSensitive || sawInd
 		if len(sc.pending) == 0 {
 			// Nothing above the target can define the value.
@@ -164,7 +169,7 @@ func (p *Pass) identify(target *cfg.Block, param *symex.ParamRef) SiteResult {
 					// Immediate-defining: prune this path.
 					continue
 				}
-				sc.preds, sawInd = p.predBlocksInto(blk, sc.predSeen, sc.preds[:0])
+				sc.preds, sawInd = p.predBlocksInto(blk, &sc.predSeen, sc.preds[:0])
 				resolverSensitive = resolverSensitive || sawInd
 				if len(sc.preds) == 0 {
 					// The search ran off the top of the program (or an
@@ -188,7 +193,7 @@ func (p *Pass) identify(target *cfg.Block, param *symex.ParamRef) SiteResult {
 	}
 
 	res.Syscalls = sc.values.Append(make([]uint64, 0, sc.values.Len()))
-	p.scratchPool.Put(sc)
+	putScratch(sc)
 
 	// With the resolver active, a search that saw indirect predecessor
 	// edges is a function of the image-wide candidate index, not of the

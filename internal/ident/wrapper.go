@@ -80,7 +80,7 @@ func (p *Pass) detectWrapperUncached(fn *cfg.Func, site *cfg.Block) (*WrapperInf
 		return nil, false, 0, 0, nil
 	}
 	allowed := p.getSet()
-	defer p.putSet(allowed)
+	defer putSet(allowed)
 	for _, b := range fn.Blocks {
 		allowed.Add(b)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -147,5 +148,35 @@ func TestDeadlineTimesOut(t *testing.T) {
 	_, err := Run(testBinary(t), Config{Ident: ident.Config{Budget: bud}})
 	if !errors.Is(err, ident.ErrTimeout) {
 		t.Fatalf("want ErrTimeout, got %v", err)
+	}
+}
+
+// TestGraphReleasedAfterAnalysis: once a run's result is dropped, one
+// GC must be able to collect its graph. A sync.Pool stays registered
+// with the runtime until the second GC after its last use, so a pool
+// embedded in a per-binary struct that points at the graph would keep
+// every analyzed graph alive for up to two GC cycles.
+func TestGraphReleasedAfterAnalysis(t *testing.T) {
+	bin, err := corpus.BuildProgram(corpus.LargeBinaryProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			released := make(chan struct{})
+			func() {
+				res, err := Run(bin, Config{Ident: ident.Config{Workers: workers}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				runtime.SetFinalizer(res.Graph, func(*cfg.Graph) { close(released) })
+			}()
+			runtime.GC()
+			select {
+			case <-released:
+			case <-time.After(2 * time.Second):
+				t.Fatal("graph still reachable after one GC")
+			}
+		})
 	}
 }

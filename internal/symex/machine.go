@@ -150,27 +150,64 @@ type Result struct {
 	Forks int
 }
 
-// Machine executes symbolic paths over a recovered CFG. Its scratch
-// pools (path states, per-path visit counters) are sync.Pools, so one
-// machine may run searches from many goroutines concurrently.
+// Machine executes symbolic paths over a recovered CFG. One machine
+// may run searches from many goroutines concurrently. Its scratch
+// (path states, per-run stacks and visit counters) comes from the
+// package-level statePool and runPool, not from pools of its own: the
+// runtime keeps a used pool reachable until the second GC after its
+// last use, and a pool inside the Machine would keep the Machine and
+// its graph alive with it. Pooled items hold no graph pointers, so
+// they recycle across binaries too.
 type Machine struct {
 	g           *cfg.Graph
 	budget      *Budget
 	importSlots map[uint64]bool
-
-	statePool  sync.Pool
-	visitsPool sync.Pool
-	runPool    sync.Pool
 }
 
+var (
+	statePool sync.Pool // *State, scrubbed
+	runPool   sync.Pool // *runScratch, holding no block or state pointers
+)
+
 // runScratch is the per-RunToSite working set: the task stack, its
-// parallel visit-buffer stack, and the per-block successor staging
-// slice. Pooled so a directed run allocates nothing but its results.
+// parallel visit-buffer stack, the per-block successor staging slice,
+// and the free visit buffers. Pooled so a directed run allocates
+// nothing but its results.
 type runScratch struct {
 	stack  []task
 	visits [][]uint16
 	succs  []task
+	free   [][]uint16
 }
+
+// visitBuf pops a free per-path visit buffer resliced to n blocks, or
+// allocates one. Its contents are stale.
+func (sc *runScratch) visitBuf(n int) []uint16 {
+	if k := len(sc.free); k > 0 {
+		v := sc.free[k-1]
+		sc.free[k-1] = nil
+		sc.free = sc.free[:k-1]
+		if cap(v) >= n {
+			return v[:n]
+		}
+	}
+	return make([]uint16, n)
+}
+
+// newVisits returns a zeroed visit buffer (indexed by block ID).
+func (sc *runScratch) newVisits(n int) []uint16 {
+	v := sc.visitBuf(n)
+	clear(v)
+	return v
+}
+
+func (sc *runScratch) cloneVisits(v []uint16) []uint16 {
+	c := sc.visitBuf(len(v))
+	copy(c, v)
+	return c
+}
+
+func (sc *runScratch) freeVisits(v []uint16) { sc.free = append(sc.free, v) }
 
 // NewMachine builds a machine over g sharing the given budget.
 func NewMachine(g *cfg.Graph, budget *Budget) *Machine {
@@ -187,10 +224,10 @@ func NewMachine(g *cfg.Graph, budget *Budget) *Machine {
 // Budget exposes the machine's budget.
 func (m *Machine) Budget() *Budget { return m.budget }
 
-// NewState returns an empty path state drawn from the machine's pool;
+// NewState returns an empty path state drawn from the state pool;
 // pair with Release (directly, or via the Result that carried it).
 func (m *Machine) NewState() *State {
-	if s, ok := m.statePool.Get().(*State); ok {
+	if s, ok := statePool.Get().(*State); ok {
 		return s
 	}
 	return NewState()
@@ -207,7 +244,7 @@ func (m *Machine) NewEntryState(stackParams int) *State {
 // freeState scrubs s and returns it to the pool.
 func (m *Machine) freeState(s *State) {
 	s.reset()
-	m.statePool.Put(s)
+	statePool.Put(s)
 }
 
 // cloneState is State.Clone through the pool.
@@ -235,26 +272,6 @@ func (m *Machine) Release(res *Result) {
 	res.SiteStates = res.SiteStates[:0]
 }
 
-// getVisits returns a zeroed per-path visit-count buffer (indexed by
-// block ID).
-func (m *Machine) getVisits() []uint16 {
-	if v, ok := m.visitsPool.Get().([]uint16); ok && len(v) >= m.g.NumBlocks() {
-		for i := range v {
-			v[i] = 0
-		}
-		return v
-	}
-	return make([]uint16, m.g.NumBlocks())
-}
-
-func (m *Machine) cloneVisits(v []uint16) []uint16 {
-	c := m.getVisits()
-	copy(c, v)
-	return c
-}
-
-func (m *Machine) freeVisits(v []uint16) { m.visitsPool.Put(v) }
-
 type task struct {
 	blk *cfg.Block
 	st  *State
@@ -277,18 +294,18 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 	}
 	maxVisits := uint16(m.budget.MaxVisits)
 
-	sc, _ := m.runPool.Get().(*runScratch)
+	sc, _ := runPool.Get().(*runScratch)
 	if sc == nil {
 		sc = &runScratch{}
 	}
 	stack := append(sc.stack[:0], task{blk: start, st: init})
-	visitStack := append(sc.visits[:0], m.getVisits())
+	visitStack := append(sc.visits[:0], sc.newVisits(m.g.NumBlocks()))
 	for len(stack) > 0 {
 		if m.budget.Exhausted() {
 			res.HitBudget = true
 			for i, t := range stack {
 				m.freeState(t.st)
-				m.freeVisits(visitStack[i])
+				sc.freeVisits(visitStack[i])
 			}
 			break
 		}
@@ -299,7 +316,7 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 
 		if visits[t.blk.ID] >= maxVisits {
 			m.freeState(t.st)
-			m.freeVisits(visits)
+			sc.freeVisits(visits)
 			continue
 		}
 		visits[t.blk.ID]++
@@ -319,7 +336,7 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 
 		if t.blk == site {
 			res.SiteStates = append(res.SiteStates, st)
-			m.freeVisits(visits)
+			sc.freeVisits(visits)
 			continue
 		}
 
@@ -455,7 +472,7 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 		sc.succs = succs[:0]
 		if len(succs) == 0 {
 			m.freeState(st)
-			m.freeVisits(visits)
+			sc.freeVisits(visits)
 			continue
 		}
 		stUsed := false
@@ -464,7 +481,7 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 			if i == 0 {
 				visitStack = append(visitStack, visits)
 			} else {
-				visitStack = append(visitStack, m.cloneVisits(visits))
+				visitStack = append(visitStack, sc.cloneVisits(visits))
 			}
 			if succs[i].st == st {
 				stUsed = true
@@ -474,9 +491,14 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 			m.freeState(st)
 		}
 	}
+	// Clear to capacity before pooling: stale tasks past the length
+	// would keep this run's blocks (and states) reachable.
+	clear(stack[:cap(stack)])
+	clear(visitStack[:cap(visitStack)])
+	clear(sc.succs[:cap(sc.succs)])
 	sc.stack = stack[:0]
 	sc.visits = visitStack[:0]
-	m.runPool.Put(sc)
+	runPool.Put(sc)
 	return res
 }
 
