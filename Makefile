@@ -4,7 +4,7 @@
 GO ?= go
 SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo nosha)
 
-.PHONY: all build vet fmt-check test race bench bench-module bench-compare bench-check profile fuzz fuzz-nightly fuzz-malformed
+.PHONY: all build vet fmt-check lines test race bench bench-module bench-compare bench-check profile fuzz fuzz-nightly fuzz-malformed
 
 all: build vet fmt-check test
 
@@ -22,6 +22,13 @@ fmt-check:
 		echo "$$out"; \
 		exit 1; \
 	fi
+
+# Go line counts of the tracked files outside bench/, split into
+# non-test and test code: the before/after figures every change reports.
+lines:
+	@files="$$(git ls-files -- '*.go' ':!:bench/**')"; \
+	printf 'non-test %s\n' "$$(echo "$$files" | grep -v '_test\.go$$' | xargs cat | wc -l)"; \
+	printf 'test %s\n' "$$(echo "$$files" | grep '_test\.go$$' | xargs cat | wc -l)"
 
 test:
 	$(GO) test ./...

@@ -342,11 +342,14 @@ func writeLargeBinary(b *testing.B) string {
 }
 
 // BenchmarkAnalyzeLargeBinary quantifies intra-binary parallelism on a
-// single large binary: the same analysis at 1 vs 4 workers. Results
-// are asserted identical across worker counts inside the loop — the
-// speedup must come for free, not from skipped work. (On a single-CPU
-// host the two sub-benchmarks necessarily tie; the parallel win needs
-// cores, which the CI runners have.)
+// single large binary: the same analysis at 1 vs 4 workers. Every
+// iteration analyses the binary from scratch (no cache, and nothing is
+// memoized between analyses), so each one pays decode, wrappers and
+// identify in full. Results are asserted identical across worker
+// counts inside the loop — the speedup must come for free, not from
+// skipped work. (On a single-CPU host the two sub-benchmarks
+// necessarily tie; the parallel win needs cores, which the CI runners
+// have.)
 func BenchmarkAnalyzeLargeBinary(b *testing.B) {
 	path := writeLargeBinary(b)
 	var baseline []uint64
@@ -374,9 +377,9 @@ func BenchmarkAnalyzeLargeBinary(b *testing.B) {
 // BenchmarkRecoverLargeBinary isolates the frontend on the
 // large-binary workload: disassembly into the decode arena plus the
 // incremental active-address-taken fixpoint and the slab-built graph.
-// This is the stage that dominates once identification is memoized, so
-// its allocs/op are gated by `make bench-check` alongside the
-// whole-analysis benchmarks.
+// Identification dominates the whole analysis, so a frontend
+// regression would hide in BenchmarkAnalyzeLargeBinary's numbers; this
+// benchmark's allocs/op are gated by `make bench-check` on their own.
 func BenchmarkRecoverLargeBinary(b *testing.B) {
 	bin, err := corpus.BuildProgram(corpus.LargeBinaryProfile())
 	if err != nil {

@@ -147,14 +147,13 @@ type Options struct {
 	// NewAnalyzerErr fails, NewAnalyzer defers the error to the first
 	// analysis.
 	PackPath string
-	// DisableFuncMemo turns off the process-wide per-function summary
-	// memoization. By default identical functions — shared stubs across
-	// a corpus family, duplicated bodies across a batch, the same
-	// binary re-analyzed — are identified once per process. The memo
-	// lives in memory only; CacheDir never stores per-function entries.
-	// Results are byte-identical in both modes; the fuzzer's
-	// memoization-invariance axis enforces that. The switch exists for
-	// benchmarking the un-memoized substrate and for the oracle itself.
+	// DisableFuncMemo has no effect.
+	//
+	// Deprecated: identification no longer memoizes per-function
+	// results (fewer than 1 in 100 lookups hit on any benchmark
+	// workload), so there is nothing to disable. Re-analysis of a
+	// byte-identical binary is served by CacheDir. The field stays
+	// because the benchmark harness under bench/ still sets it.
 	DisableFuncMemo bool
 	// DisableMemoryTier turns off the persistent cache's in-process
 	// memory tier, forcing every cache load to the disk envelopes. The
@@ -277,7 +276,6 @@ func NewAnalyzer(opts Options) *Analyzer {
 	inner.MaxCFGInsns = opts.MaxCFGInstructions
 	inner.Workers = opts.IntraWorkers
 	inner.Timeout = opts.Timeout
-	inner.DisableFuncMemo = opts.DisableFuncMemo
 	a.inner = inner
 	if opts.CacheDir != "" {
 		a.cache, a.cacheErr = cache.Open(opts.CacheDir)
@@ -297,10 +295,7 @@ func NewAnalyzer(opts Options) *Analyzer {
 }
 
 // CacheStats is a snapshot of the persistent cache's traffic (zero
-// when no CacheDir is configured) plus the function-summary memo's
-// hit-rate counters. The FuncMemo fields are process-wide — the memo
-// is shared by every Analyzer in the process — so they measure the
-// fleet's duplicate-function ratio, not one analyzer's.
+// when no CacheDir is configured) and of the image frontend.
 type CacheStats struct {
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
@@ -328,22 +323,23 @@ type CacheStats struct {
 	// degraded past a threshold.
 	CacheIOErrors uint64 `json:"cache_io_errors"`
 	// MemoryEvictions counts entries pushed out of the memory tier by
-	// its LRU size bounds. Like the FuncMemo fields it is process-wide:
-	// the tier is shared by every Analyzer in the process. A resident
-	// service whose eviction rate tracks its hit rate has a memory tier
-	// sized below its working set.
+	// its LRU size bounds. It is process-wide: the tier is shared by
+	// every Analyzer in the process. A resident service whose eviction
+	// rate tracks its hit rate has a memory tier sized below its
+	// working set.
 	MemoryEvictions uint64 `json:"memory_evictions"`
 	// MemoryEntries and MemoryBytes are point-in-time gauges of the
 	// process-wide memory tier's population and payload footprint.
 	MemoryEntries int   `json:"memory_entries"`
 	MemoryBytes   int64 `json:"memory_bytes"`
-	// FuncMemoHits counts per-function summaries served from the
-	// in-memory memo without re-analysis.
-	FuncMemoHits uint64 `json:"func_memo_hits"`
-	// FuncMemoMisses counts function units that ran the real analysis.
+	// FuncMemoHits and FuncMemoMisses are always zero.
+	//
+	// Deprecated: identification no longer memoizes per-function
+	// results. The fields stay because the benchmark harness under
+	// bench/ still reads them for its ident.funcmemo_hit_ratio layer,
+	// which now reports 0 over 0 lookups.
+	FuncMemoHits   uint64 `json:"func_memo_hits"`
 	FuncMemoMisses uint64 `json:"func_memo_misses"`
-	// FuncMemoEntries is the current in-memory memo population.
-	FuncMemoEntries int64 `json:"func_memo_entries"`
 	// ImageOpens counts ELF files opened through the zero-copy image
 	// frontend — programs, libraries and modules alike, each counted
 	// once (there is one image-read implementation).
@@ -369,8 +365,6 @@ func (a *Analyzer) CacheStats() CacheStats {
 		out.MemoryEntries, out.MemoryBytes = st.MemoryEntries, st.MemoryBytes
 		out.CacheIOErrors = st.IOErrors
 	}
-	ms := ident.ProcessMemo().Stats()
-	out.FuncMemoHits, out.FuncMemoMisses, out.FuncMemoEntries = ms.Hits, ms.Misses, ms.Entries
 	out.ImageOpens = a.imageOpens.Load()
 	out.ImageMapped = a.imageMapped.Load()
 	out.ImageBytes = a.imageBytes.Load()

@@ -34,7 +34,6 @@ type Builder struct {
 	labels map[string]int
 	fixups []fixup
 	funcs  []string
-	autoN  int
 	err    error
 }
 
@@ -52,9 +51,6 @@ func (b *Builder) fail(format string, args ...any) {
 // Err returns the first error recorded while building, if any.
 func (b *Builder) Err() error { return b.err }
 
-// Offset returns the current image offset.
-func (b *Builder) Offset() int { return len(b.buf) }
-
 // Label defines name at the current offset.
 func (b *Builder) Label(name string) {
 	if b.labels == nil {
@@ -65,15 +61,6 @@ func (b *Builder) Label(name string) {
 		return
 	}
 	b.labels[name] = len(b.buf)
-}
-
-// AutoLabel generates a unique label with the given prefix and defines it
-// at the current offset.
-func (b *Builder) AutoLabel(prefix string) string {
-	b.autoN++
-	name := fmt.Sprintf("%s$%d", prefix, b.autoN)
-	b.Label(name)
-	return name
 }
 
 // Func defines name at the current offset like Label and additionally
@@ -330,18 +317,10 @@ func (b *Builder) MovRegMemRIP(dst x86.Reg, label string) {
 	b.emitRMMem(0x8B, byte(dst), x86.Mem{}, true, label)
 }
 
-// MovMemRIPReg emits mov [rip+label], r64.
-func (b *Builder) MovMemRIPReg(label string, src x86.Reg) {
-	b.emitRMMem(0x89, byte(src), x86.Mem{}, true, label)
-}
-
 // Lea emits lea r64, [rip+label].
 func (b *Builder) Lea(dst x86.Reg, label string) {
 	b.emitRMMem(0x8D, byte(dst), x86.Mem{}, true, label)
 }
-
-// LeaMem emits lea r64, [mem].
-func (b *Builder) LeaMem(dst x86.Reg, m x86.Mem) { b.emitRMMem(0x8D, byte(dst), m, true, "") }
 
 // --- ALU -----------------------------------------------------------------
 

@@ -115,14 +115,6 @@ type Func struct {
 	Blocks []*Block // sorted by address
 }
 
-// End returns the address past the function's last block.
-func (f *Func) End() uint64 {
-	if len(f.Blocks) == 0 {
-		return f.Entry
-	}
-	return f.Blocks[len(f.Blocks)-1].End()
-}
-
 // Graph is a recovered control-flow graph.
 //
 // Immutability contract: a Graph — including every Block, Edge and

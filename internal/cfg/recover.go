@@ -16,13 +16,6 @@ type Options struct {
 	// all refinement rounds; 0 means a generous default. Exceeding it
 	// yields ErrBudget (the analysis-timeout analog).
 	MaxInsns int
-	// MaxRounds bounds the active-address-taken activation cascade: an
-	// address activated from code that itself only became reachable
-	// through an earlier activation sits one round deeper. The batch
-	// refinement loop of earlier versions re-built the graph once per
-	// round; the incremental fixpoint keeps the same bound as a
-	// runaway-cascade guard.
-	MaxRounds int
 	// ExtraRoots are additional traversal entry points (e.g. exported
 	// functions of a shared library).
 	ExtraRoots []uint64
@@ -32,11 +25,14 @@ func (o Options) withDefaults() Options {
 	if o.MaxInsns == 0 {
 		o.MaxInsns = 4_000_000
 	}
-	if o.MaxRounds == 0 {
-		o.MaxRounds = 32
-	}
 	return o
 }
+
+// maxRounds bounds the active-address-taken activation cascade, as a
+// guard against a runaway one: an address activated from code that
+// itself only became reachable through an earlier activation sits one
+// round deeper.
+const maxRounds = 32
 
 // Recover disassembles bin and builds its precise CFG, including
 // heuristic indirect edges via active addresses taken (§4.3). Roots are
@@ -107,7 +103,7 @@ func Recover(bin *elff.Binary, opts Options) (*Graph, error) {
 	// addresses on first visit, decodes newly activated regions in
 	// place, and resumes — no per-round rebuild, no rescan of already
 	// visited code.
-	iterations, err := b.fixpoint(roots, dataPtrs, opts.MaxRounds)
+	iterations, err := b.fixpoint(roots, dataPtrs)
 	if err != nil {
 		return nil, err
 	}
@@ -351,7 +347,7 @@ func (b *builder) importTarget(inst x86.Inst) (string, bool) {
 //
 // The returned iteration count is the activation cascade depth + 1:
 // the incremental equivalent of the old loop's round counter.
-func (b *builder) fixpoint(roots, dataPtrs []uint64, maxRounds int) (int, error) {
+func (b *builder) fixpoint(roots, dataPtrs []uint64) (int, error) {
 	// Data pointers are conservatively active from the start.
 	for _, p := range dataPtrs {
 		if b.active.set(int(p - b.base)) {

@@ -12,6 +12,7 @@ import (
 	"bside/internal/elff"
 	"bside/internal/ident"
 	"bside/internal/phases"
+	"bside/internal/pipeline"
 	"bside/internal/shared"
 )
 
@@ -213,15 +214,15 @@ func Table3(apps []*AppEval) string {
 			rows = append(rows, []string{a.Name, "-", "-", "-", "-", "-", "-"})
 			continue
 		}
-		st := a.Report.Main.Stats
+		tm := a.Report.Timings
 		rows = append(rows, []string{
 			a.Name,
-			a.Report.CFGTime.Round(time.Microsecond).String(),
-			st.WrapperDetect.Round(time.Microsecond).String(),
-			st.Identify.Round(time.Microsecond).String(),
+			tm.Get(pipeline.StageDecode).Round(time.Microsecond).String(),
+			tm.Get(pipeline.StageWrappers).Round(time.Microsecond).String(),
+			tm.Get(pipeline.StageIdentify).Round(time.Microsecond).String(),
 			a.TotalTime.Round(time.Microsecond).String(),
 			fmt.Sprintf("%.1f MB", float64(a.HeapBytes)/(1<<20)),
-			fmt.Sprint(st.BlocksExplored),
+			fmt.Sprint(a.Report.Main.Stats.BlocksExplored),
 		})
 	}
 	return "Table 3: B-Side analysis cost per application\n" + renderTable(header, rows)

@@ -13,10 +13,9 @@
 //   - soundness: the emulator-observed syscall set is a subset of the
 //     identified set (or the analysis honestly failed open);
 //   - invariance: analysis results are byte-identical across
-//     intra-binary worker counts, per-function memoization on vs. off,
-//     cache cold vs. warm runs, warm reads from the loose files vs. the
-//     in-process memory tier vs. a pack, and the direct vs. batch
-//     public API paths;
+//     intra-binary worker counts, cache cold vs. warm runs, warm reads
+//     from the loose files vs. the in-process memory tier vs. a pack,
+//     and the direct vs. batch public API paths;
 //   - baseline sanity: the Chestnut and SysFilter reimplementations
 //     fail only in their documented modes (static images, missing
 //     unwind metadata).

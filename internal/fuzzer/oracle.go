@@ -311,18 +311,6 @@ func (o *Oracle) Check(c Case) *Verdict {
 		}})
 	}
 	legs = append(legs,
-		// Memoization axis: the per-function summary memo is process-wide
-		// and already populated by the legs above, so this leg compares a
-		// memo-free recomputation against memo-served results — any
-		// divergence is an unsound memo key or an over-eager containment
-		// gate.
-		leg{"memo-off", func() (*bside.Analysis, error) {
-			return bside.NewAnalyzer(bside.Options{
-				LibraryDir:      o.opts.Universe.Dir,
-				IntraWorkers:    1,
-				DisableFuncMemo: true,
-			}).AnalyzeFile(binPath)
-		}},
 		leg{"cache-cold", func() (*bside.Analysis, error) {
 			a := analyzer(1, cacheDir)
 			_, uerr := a.AnalyzeFile(o.undecidedPath)

@@ -13,23 +13,25 @@ import (
 
 // Per-site allocation ceilings, enforced with testing.AllocsPerRun so
 // the dense-bitset rewrite cannot silently rot back into map-per-search
-// allocation patterns. The numbers are deliberately loose — roughly 3×
-// current reality — so they flag regressions of kind (a reintroduced
-// map, an unpooled state), not jitter.
+// allocation patterns. The simple and deep numbers are deliberately
+// loose, so they flag regressions of kind (a reintroduced map, an
+// unpooled state), not jitter.
 const (
 	// maxAllocsSimpleSite bounds the Figure 1-A case: the defining
 	// immediate next to its syscall, one symbolic run, no BFS.
-	// Currently ~3 allocs (the result slice and closure plumbing; all
-	// search scratch is pooled).
 	maxAllocsSimpleSite = 20
 	// maxAllocsDeepSite bounds a cross-block backward search over a
 	// multi-block chain: BFS frontier + one directed run per layer.
-	// Currently ~1 alloc in steady state.
 	maxAllocsDeepSite = 100
+	// maxAllocsJoinSite bounds a site with eight predecessors, each
+	// defining its own immediate: eight directed runs that each reach
+	// the site. Only the result slice is left to allocate, so the
+	// ceiling is tight: a site-state slice allocated per run costs one
+	// allocation per predecessor.
+	maxAllocsJoinSite = 4
 )
 
-// preparePass builds a Pass (memoization off, so the measured path is
-// the real search) over a synthesized static binary.
+// preparePass builds a Pass over a synthesized static binary.
 func preparePass(t *testing.T, fn func(b *asm.Builder)) *Pass {
 	t.Helper()
 	bin, _ := testbin.Build(t, elff.KindStatic, fn, nil)
@@ -47,6 +49,25 @@ func preparePass(t *testing.T, fn func(b *asm.Builder)) *Pass {
 	return p
 }
 
+// checkSiteAllocs fails when identifying p's first site allocates more
+// than ceiling objects per search, or fails open. One warm-up search
+// fills the pools first: the ceiling is the steady state, which is
+// what every site after the first few pays.
+func checkSiteAllocs(t *testing.T, p *Pass, ceiling int) {
+	t.Helper()
+	site := p.sites[0]
+	p.identify(site, nil)
+	avg := testing.AllocsPerRun(50, func() {
+		if res := p.identify(site, nil); res.FailOpen {
+			t.Fatal("site must stay bounded (budget drained?)")
+		}
+	})
+	t.Logf("%.1f allocs/op (ceiling %d)", avg, ceiling)
+	if avg > float64(ceiling) {
+		t.Fatalf("site search allocates %.1f/op, ceiling %d", avg, ceiling)
+	}
+}
+
 func TestBackwardSearchAllocCeilingSimple(t *testing.T) {
 	p := preparePass(t, func(b *asm.Builder) {
 		b.Func("_start")
@@ -54,17 +75,7 @@ func TestBackwardSearchAllocCeilingSimple(t *testing.T) {
 		b.Syscall()
 		b.Ret()
 	})
-	site := p.sites[0]
-	// Warm the pools once: the ceiling is the steady state, which is
-	// what every site after the first few pays.
-	p.identify(site, nil)
-	avg := testing.AllocsPerRun(50, func() {
-		p.identify(site, nil)
-	})
-	t.Logf("simple site: %.1f allocs/op (ceiling %d)", avg, maxAllocsSimpleSite)
-	if avg > maxAllocsSimpleSite {
-		t.Fatalf("simple site allocates %.1f/op, ceiling %d", avg, maxAllocsSimpleSite)
-	}
+	checkSiteAllocs(t, p, maxAllocsSimpleSite)
 }
 
 func TestBackwardSearchAllocCeilingDeep(t *testing.T) {
@@ -82,18 +93,33 @@ func TestBackwardSearchAllocCeilingDeep(t *testing.T) {
 		b.Syscall()
 		b.Ret()
 	})
-	site := p.sites[0]
-	p.identify(site, nil)
-	avg := testing.AllocsPerRun(50, func() {
-		res := p.identify(site, nil)
-		if res.FailOpen {
-			t.Fatal("deep site must stay bounded (budget drained?)")
-		}
-	})
-	t.Logf("deep site: %.1f allocs/op (ceiling %d)", avg, maxAllocsDeepSite)
-	if avg > maxAllocsDeepSite {
-		t.Fatalf("deep site allocates %.1f/op, ceiling %d", avg, maxAllocsDeepSite)
+	checkSiteAllocs(t, p, maxAllocsDeepSite)
+}
+
+func TestBackwardSearchAllocCeilingJoin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("ceiling too tight for the race detector's pool drops")
 	}
+	p := preparePass(t, func(b *asm.Builder) {
+		b.Func("_start")
+		for i := 0; i < 8; i++ {
+			b.CmpRegImm(x86.RDI, int32(i))
+			b.Jcc(x86.CondE, "case_"+string(rune('0'+i)))
+		}
+		b.Ret()
+		for i := 0; i < 8; i++ {
+			b.Label("case_" + string(rune('0'+i)))
+			b.MovRegImm32(x86.RAX, uint32(i))
+			b.JmpLabel("join")
+		}
+		b.Label("join")
+		b.Syscall()
+		b.Ret()
+	})
+	if res := p.identify(p.sites[0], nil); len(res.Syscalls) != 8 {
+		t.Fatalf("join site resolved %v, want 0..7", res.Syscalls)
+	}
+	checkSiteAllocs(t, p, maxAllocsJoinSite)
 }
 
 // TestWholeBinaryAllocCeiling pins the end-to-end identification pass

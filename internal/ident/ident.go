@@ -21,7 +21,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"bside/internal/cfg"
 	"bside/internal/faults"
@@ -68,30 +67,10 @@ type Config struct {
 	// Report — it only changes wall-clock time, never results, so it is
 	// excluded from cache fingerprints.
 	Workers int
-	// MaxBFSDepth bounds how many predecessor layers the backward
-	// search may explore per site.
-	MaxBFSDepth int
-	// MaxFrontier bounds the total frontier nodes per site.
-	MaxFrontier int
-	// StackParams is how many stack slots are tagged as parameters
-	// during wrapper detection.
-	StackParams int
 	// ImportWrappers names imported symbols known (from shared-library
 	// interfaces) to be syscall wrappers, with the parameter that
 	// carries the syscall number.
 	ImportWrappers map[string]symex.ParamRef
-	// SyscallUpper discards resolved values at or above this bound
-	// (they are addresses or artifacts, not syscall numbers). It is
-	// capped at linux.SyscallSetBits (512) — the fixed width of the
-	// syscall bitsets the report layer accumulates through, and far
-	// above the real table's maximum number.
-	SyscallUpper uint64
-	// Memo, when non-nil, memoizes per-function wrapper verdicts and
-	// self-contained site identifications, keyed by function content
-	// and configuration (see memo.go for the soundness model). Results
-	// are byte-identical with and without it; only the work changes.
-	// Production paths share ProcessMemo(); nil disables memoization.
-	Memo *Memo
 	// ResolverLayers selects the depth of the layered indirect-call
 	// resolver (see resolver.go), which refines the per-site fan-out of
 	// indirect calls and jumps before reachability and the backward
@@ -100,25 +79,25 @@ type Config struct {
 	// code-pointer provenance through immutable data, 2 — the default
 	// for the zero value — adds call-signature pruning on top. Every
 	// setting is sound; higher layers only shrink the identified set.
-	// The value participates in memo and summary-cache fingerprints.
+	// The value participates in summary-cache fingerprints.
 	ResolverLayers int
 }
+
+// Search limits, fixed for every analysis.
+const (
+	// maxBFSDepth bounds how many predecessor layers the backward
+	// search may explore per site.
+	maxBFSDepth = 256
+	// maxFrontier bounds the total frontier nodes per site.
+	maxFrontier = 4_096
+	// stackParams is how many stack slots are tagged as parameters
+	// during wrapper detection.
+	stackParams = 8
+)
 
 func (c Config) withDefaults() Config {
 	if c.Budget == nil {
 		c.Budget = symex.NewBudget()
-	}
-	if c.MaxBFSDepth == 0 {
-		c.MaxBFSDepth = 256
-	}
-	if c.MaxFrontier == 0 {
-		c.MaxFrontier = 4_096
-	}
-	if c.StackParams == 0 {
-		c.StackParams = 8
-	}
-	if c.SyscallUpper == 0 || c.SyscallUpper > linux.SyscallSetBits {
-		c.SyscallUpper = linux.SyscallSetBits
 	}
 	if c.ResolverLayers == 0 {
 		c.ResolverLayers = 2
@@ -188,10 +167,8 @@ type WrapperInfo struct {
 	Param    symex.ParamRef
 }
 
-// Stats reports analysis effort (Table 3's columns).
+// Stats counts analysis effort (Table 3's "BBs explored" column).
 type Stats struct {
-	WrapperDetect  time.Duration
-	Identify       time.Duration
 	BlocksExplored int
 	SyscallSites   int
 	Wrappers       int
@@ -200,7 +177,7 @@ type Stats struct {
 // Report is the identification result for one binary.
 type Report struct {
 	// Syscalls is the deduplicated, sorted union over all sites, with
-	// artifacts above SyscallUpper dropped.
+	// artifacts at or above linux.SyscallSetBits dropped.
 	Syscalls []uint64
 	// Sites holds per-target details, ordered by (Addr, Kind, Wrapper).
 	Sites []SiteResult
@@ -213,12 +190,6 @@ type Report struct {
 	FailOpen bool
 	// Stats describes the work performed.
 	Stats Stats
-}
-
-// HasSyscall reports whether n is in the identified set.
-func (r *Report) HasSyscall(n uint64) bool {
-	i := sort.Search(len(r.Syscalls), func(i int) bool { return r.Syscalls[i] >= n })
-	return i < len(r.Syscalls) && r.Syscalls[i] == n
 }
 
 // Analyze identifies the system calls of the binary behind g, running
@@ -255,14 +226,6 @@ type Pass struct {
 
 	wrappers     map[uint64]*WrapperInfo // function entry -> info
 	wrapperInfos []WrapperInfo
-	wrapTime     time.Duration
-
-	// memoConf is the configuration fragment of every memo key; empty
-	// when memoization is off.
-	memoConf string
-	// fnHash caches funcFingerprint per function for this pass.
-	fnHashMu sync.Mutex
-	fnHash   map[*cfg.Func]string
 }
 
 // scratchPool holds per-search scratch bundles; setPool holds bare
@@ -283,10 +246,6 @@ var (
 func Prepare(g *cfg.Graph, conf Config) *Pass {
 	conf = conf.withDefaults()
 	p := &Pass{g: g, conf: conf, machine: symex.NewMachine(g, conf.Budget)}
-	if conf.Memo != nil {
-		p.memoConf = memoConfKey(conf)
-		p.fnHash = make(map[*cfg.Func]string)
-	}
 	if conf.ResolverLayers > 0 && g.Bin != nil {
 		p.siteTargets = resolveIndirectSites(g, conf.ResolverLayers)
 	}
@@ -317,28 +276,10 @@ func (p *Pass) getSet() *cfg.BlockSet {
 
 func putSet(s *cfg.BlockSet) { setPool.Put(s) }
 
-// funcHash returns (and caches) the content fingerprint of fn.
-func (p *Pass) funcHash(fn *cfg.Func) string {
-	p.fnHashMu.Lock()
-	h, ok := p.fnHash[fn]
-	p.fnHashMu.Unlock()
-	if ok {
-		return h
-	}
-	h = funcFingerprint(fn)
-	p.fnHashMu.Lock()
-	p.fnHash[fn] = h
-	p.fnHashMu.Unlock()
-	return h
-}
-
 // budgetError is stage's verdict on the pass's exhausted budget.
 func (p *Pass) budgetError(stage string) error {
 	return &BudgetError{Stage: stage, Cause: p.conf.Budget.Cause()}
 }
-
-// SiteCount returns how many reachable syscall sites the pass covers.
-func (p *Pass) SiteCount() int { return len(p.sites) }
 
 // ReachableImports returns the imported symbols the binary can call.
 func (p *Pass) ReachableImports() []string { return p.imports }
@@ -411,8 +352,6 @@ func forEachUnit(n, workers int, fn func(i int) error) error {
 // positive and negative verdicts are kept, so a function with several
 // sites is only analyzed once.
 func (p *Pass) DetectWrappers() error {
-	start := time.Now()
-
 	// Unit list: distinct containing functions, in the address order of
 	// their first reachable site.
 	type unit struct {
@@ -432,14 +371,9 @@ func (p *Pass) DetectWrappers() error {
 
 	results := make([]*WrapperInfo, len(units))
 	err := forEachUnit(len(units), p.conf.Workers, func(i int) error {
-		info, isWrapper, err := p.detectWrapper(units[i].fn, units[i].site)
-		if err != nil {
-			return err
-		}
-		if isWrapper {
-			results[i] = info
-		}
-		return nil
+		info, err := p.detectWrapper(units[i].fn, units[i].site)
+		results[i] = info
+		return err
 	})
 	if err != nil {
 		return err
@@ -452,7 +386,6 @@ func (p *Pass) DetectWrappers() error {
 			p.wrapperInfos = append(p.wrapperInfos, *info)
 		}
 	}
-	p.wrapTime = time.Since(start)
 	return nil
 }
 
@@ -467,7 +400,6 @@ func (p *Pass) Identify() (*Report, error) {
 			return nil, err
 		}
 	}
-	identStart := time.Now()
 
 	// Unit lists: one per reachable syscall site (covering the wrapper
 	// redirection fan-out), then one per import wrapper, in sorted name
@@ -500,7 +432,6 @@ func (p *Pass) Identify() (*Report, error) {
 	}
 	rep.Stats.SyscallSites = len(p.sites)
 	rep.Stats.Wrappers = len(p.wrappers)
-	rep.Stats.WrapperDetect = p.wrapTime
 
 	var values linux.SyscallBitset
 	for _, unit := range results {
@@ -511,14 +442,13 @@ func (p *Pass) Identify() (*Report, error) {
 				rep.FailOpen = true
 			}
 			for _, v := range res.Syscalls {
-				if v < p.conf.SyscallUpper {
+				if v < linux.SyscallSetBits {
 					values.Add(v)
 				}
 			}
 		}
 	}
 
-	rep.Stats.Identify = time.Since(identStart)
 	if p.conf.Budget.Exhausted() {
 		return nil, p.budgetError(StageIdentify)
 	}

@@ -1,7 +1,8 @@
 package ident
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"bside/internal/cfg"
 	"bside/internal/linux"
@@ -57,45 +58,9 @@ func putScratch(s *searchScratch) {
 // If param is nil the queried value is %rax before the target's syscall
 // instruction; otherwise it is the given wrapper parameter before the
 // target's call instruction.
-//
-// A search that stays within the target's containing function is a pure
-// function of that function's content and is served from (and recorded
-// into) the configured Memo; see memo.go for the exact gating.
 func (p *Pass) identify(target *cfg.Block, param *symex.ParamRef) SiteResult {
 	res := SiteResult{Addr: target.Last().Addr, Block: target}
-
-	fn, fnOK := p.g.FuncContaining(target.Addr)
-	var memoKey string
-	if p.conf.Memo != nil && fnOK {
-		memoKey = p.siteMemoKey(fn, target, param)
-		if rec, ok := loadRec[siteRec](p.conf.Memo, memoKey); ok {
-			if rec.Syscalls == nil {
-				rec.Syscalls = []uint64{}
-			}
-			// The stored slice is shared between hits; every consumer
-			// treats site results as read-only. Replaying the recorded
-			// budget consumption keeps a tight budget exhausting at the
-			// same point as an unmemoized run.
-			p.conf.Budget.AddSteps(rec.Steps)
-			p.conf.Budget.AddForks(rec.Forks)
-			res.Syscalls = rec.Syscalls
-			res.FailOpen = rec.FailOpen
-			res.BlocksExplored = rec.Blocks
-			return res
-		}
-	}
-
 	sc := getScratch(p.g.NumBlocks())
-
-	// contained tracks whether every block the search touched — the
-	// frontier it visited and every predecessor it enumerated — lies in
-	// fn; budgetShaped tracks whether the shared budget cut the search.
-	// Only contained, budget-clean results are memoizable. steps/forks
-	// accumulate this search's own budget consumption for replay.
-	contained := fnOK
-	budgetShaped := false
-	resolverSensitive := false
-	steps, forks := 0, 0
 
 	query := func(st *symex.State) symex.Value {
 		if param == nil {
@@ -104,19 +69,15 @@ func (p *Pass) identify(target *cfg.Block, param *symex.ParamRef) SiteResult {
 		return symex.ParamValueAtCall(st, *param)
 	}
 
-	// evaluate runs forward from `from` and folds the observed values.
-	// It returns (allConcrete, reachedSite).
-	evaluate := func(from *cfg.Block) (bool, bool) {
+	// evaluate runs forward from `from`, folds the observed values, and
+	// reports whether every path reached the target with a concrete one.
+	evaluate := func(from *cfg.Block) bool {
 		run := p.machine.RunToSite(from, p.machine.NewState(), &sc.directed, target)
+		defer p.machine.Release(&run)
 		res.BlocksExplored += run.BlocksExecuted
-		steps += run.Steps
-		forks += run.Forks
 		if run.HitBudget {
 			res.FailOpen = true
-			budgetShaped = true
-			hit := len(run.SiteStates) > 0
-			p.machine.Release(&run)
-			return false, hit
+			return false
 		}
 		all := len(run.SiteStates) > 0
 		for _, st := range run.SiteStates {
@@ -126,42 +87,35 @@ func (p *Pass) identify(target *cfg.Block, param *symex.ParamRef) SiteResult {
 				all = false
 			}
 		}
-		hit := len(run.SiteStates) > 0
-		p.machine.Release(&run)
-		return all, hit
+		return all
 	}
 
 	// The target block itself first (Figure 1-A: the defining immediate
 	// shares the block with the syscall).
-	selfConcrete, _ := evaluate(target)
+	selfConcrete := evaluate(target)
 
 	if !selfConcrete && !res.FailOpen {
 		sc.visited.Add(target)
-		var sawInd bool
-		sc.pending, sawInd = p.predBlocksInto(target, &sc.predSeen, sc.pending)
-		resolverSensitive = resolverSensitive || sawInd
+		sc.pending = p.predBlocksInto(target, &sc.predSeen, sc.pending)
 		if len(sc.pending) == 0 {
 			// Nothing above the target can define the value.
 			res.FailOpen = true
 		}
-		if contained {
-			contained = p.allInFunc(fn, sc.pending)
-		}
 		frontier := 0
 
-		for depth := 1; len(sc.pending) > 0 && depth <= p.conf.MaxBFSDepth; depth++ {
+		for depth := 1; len(sc.pending) > 0 && depth <= maxBFSDepth; depth++ {
 			sc.next = sc.next[:0]
 			for _, blk := range sc.pending {
 				if !sc.visited.Add(blk) {
 					continue
 				}
 				frontier++
-				if frontier > p.conf.MaxFrontier {
+				if frontier > maxFrontier {
 					res.FailOpen = true
 					break
 				}
 				sc.directed.Add(blk)
-				allConcrete, _ := evaluate(blk)
+				allConcrete := evaluate(blk)
 				if res.FailOpen {
 					break
 				}
@@ -169,16 +123,12 @@ func (p *Pass) identify(target *cfg.Block, param *symex.ParamRef) SiteResult {
 					// Immediate-defining: prune this path.
 					continue
 				}
-				sc.preds, sawInd = p.predBlocksInto(blk, &sc.predSeen, sc.preds[:0])
-				resolverSensitive = resolverSensitive || sawInd
+				sc.preds = p.predBlocksInto(blk, &sc.predSeen, sc.preds[:0])
 				if len(sc.preds) == 0 {
 					// The search ran off the top of the program (or an
 					// unreferenced root) without bounding the value.
 					res.FailOpen = true
 					break
-				}
-				if contained {
-					contained = p.allInFunc(fn, sc.preds)
 				}
 				sc.next = append(sc.next, sc.preds...)
 			}
@@ -186,7 +136,7 @@ func (p *Pass) identify(target *cfg.Block, param *symex.ParamRef) SiteResult {
 				break
 			}
 			sc.pending, sc.next = sc.next, sc.pending
-			if len(sc.pending) > 0 && depth == p.conf.MaxBFSDepth {
+			if len(sc.pending) > 0 && depth == maxBFSDepth {
 				res.FailOpen = true
 			}
 		}
@@ -194,87 +144,23 @@ func (p *Pass) identify(target *cfg.Block, param *symex.ParamRef) SiteResult {
 
 	res.Syscalls = sc.values.Append(make([]uint64, 0, sc.values.Len()))
 	putScratch(sc)
-
-	// With the resolver active, a search that saw indirect predecessor
-	// edges is a function of the image-wide candidate index, not of the
-	// function's content alone: another image with identical function
-	// bytes can wire (or filter) those edges differently, so such
-	// results stay out of the memo. Resolver-off searches keep the
-	// legacy gating; the two never share entries because the resolver
-	// setting is part of memoConfKey.
-	if p.conf.ResolverLayers > 0 && resolverSensitive {
-		memoKey = ""
-	}
-	if memoKey != "" && contained && !budgetShaped {
-		p.conf.Memo.save(memoKey, siteRec{
-			Syscalls: res.Syscalls,
-			FailOpen: res.FailOpen,
-			Blocks:   res.BlocksExplored,
-			Steps:    steps,
-			Forks:    forks,
-		})
-	}
 	return res
-}
-
-// siteMemoKey names one (function content, site, queried parameter,
-// configuration) identification in the memo.
-func (p *Pass) siteMemoKey(fn *cfg.Func, target *cfg.Block, param *symex.ParamRef) string {
-	key := "i\x00" + p.memoConf + "\x00" + p.funcHash(fn) + "\x00" + hexU64(target.Addr-fn.Entry) + "\x00"
-	if param == nil {
-		return key + "-"
-	}
-	if param.Stack {
-		return key + "s" + hexU64(uint64(param.Off))
-	}
-	return key + "r" + hexU64(uint64(param.Reg))
-}
-
-func hexU64(v uint64) string {
-	const digits = "0123456789abcdef"
-	var buf [16]byte
-	for i := 15; i >= 0; i-- {
-		buf[i] = digits[v&0xF]
-		v >>= 4
-	}
-	return string(buf[:])
-}
-
-// allInFunc reports whether every block of blks belongs to fn.
-func (p *Pass) allInFunc(fn *cfg.Func, blks []*cfg.Block) bool {
-	for _, b := range blks {
-		if f, ok := p.g.FuncContaining(b.Addr); !ok || f != fn {
-			return false
-		}
-	}
-	return true
 }
 
 // predBlocksInto appends the deduplicated predecessor blocks of b
 // across every edge kind (fall, jump, call, call-fall, indirect) to
 // out, in ascending address order, skipping indirect predecessors the
 // resolver has excluded. seen is caller-owned scratch; it is reset
-// here. sawIndirect reports whether ANY indirect predecessor edge was
-// encountered (filtered or not): a search that touched one depends on
-// the image-wide candidate index rather than on function content
-// alone, so its result must not enter the content-keyed memo while
-// the resolver is active.
-func (p *Pass) predBlocksInto(b *cfg.Block, seen *cfg.BlockSet, out []*cfg.Block) (_ []*cfg.Block, sawIndirect bool) {
+// here.
+func (p *Pass) predBlocksInto(b *cfg.Block, seen *cfg.BlockSet, out []*cfg.Block) []*cfg.Block {
 	seen.Reset()
 	start := len(out)
 	for _, e := range b.Preds {
-		if e.Kind == cfg.EdgeIndirectCall || e.Kind == cfg.EdgeIndirectJump {
-			sawIndirect = true
-			if !p.allowEdge(e) {
-				continue
-			}
-		}
-		if e.From == b || !seen.Add(e.From) {
+		if e.From == b || !p.allowEdge(e) || !seen.Add(e.From) {
 			continue
 		}
 		out = append(out, e.From)
 	}
-	added := out[start:]
-	sort.Slice(added, func(i, j int) bool { return added[i].Addr < added[j].Addr })
-	return out, sawIndirect
+	slices.SortFunc(out[start:], func(x, y *cfg.Block) int { return cmp.Compare(x.Addr, y.Addr) })
+	return out
 }

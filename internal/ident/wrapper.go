@@ -20,47 +20,8 @@ import (
 // site qualifies the function as a wrapper and records which parameter
 // carries the syscall number.
 //
-// Both phases are confined to fn by construction — the use-define scan
-// only follows in-function predecessors, and the symbolic run may only
-// enter fn's own blocks (out-of-set calls are havocked identically
-// whatever their target) — so the verdict is a pure function of the
-// function's content and is memoized under its content fingerprint.
-func (p *Pass) detectWrapper(fn *cfg.Func, site *cfg.Block) (*WrapperInfo, bool, error) {
-	var memoKey string
-	if p.conf.Memo != nil {
-		memoKey = "w\x00" + p.memoConf + "\x00" + p.funcHash(fn) + "\x00" + hexU64(site.Addr-fn.Entry)
-		if rec, ok := loadRec[wrapperRec](p.conf.Memo, memoKey); ok {
-			// Replay the recorded budget consumption: a tight budget
-			// must exhaust at the same point with and without the memo.
-			p.conf.Budget.AddSteps(rec.Steps)
-			p.conf.Budget.AddForks(rec.Forks)
-			if !rec.Wrapper {
-				return nil, false, nil
-			}
-			return &WrapperInfo{
-				FnEntry:  fn.Entry,
-				FnName:   fn.Name,
-				SiteAddr: site.Last().Addr,
-				Param:    rec.Param,
-			}, true, nil
-		}
-	}
-
-	info, isWrapper, steps, forks, err := p.detectWrapperUncached(fn, site)
-	if err != nil {
-		return nil, false, err
-	}
-	if memoKey != "" {
-		rec := wrapperRec{Wrapper: isWrapper, Steps: steps, Forks: forks}
-		if isWrapper {
-			rec.Param = info.Param
-		}
-		p.conf.Memo.save(memoKey, rec)
-	}
-	return info, isWrapper, nil
-}
-
-func (p *Pass) detectWrapperUncached(fn *cfg.Func, site *cfg.Block) (*WrapperInfo, bool, int, int, error) {
+// The verdict is nil when fn is not a wrapper.
+func (p *Pass) detectWrapper(fn *cfg.Func, site *cfg.Block) (*WrapperInfo, error) {
 	siteIdx := len(site.Insns) - 1
 
 	// Phase 1: cheap use-define chains; memory operands or values
@@ -71,23 +32,23 @@ func (p *Pass) detectWrapperUncached(fn *cfg.Func, site *cfg.Block) (*WrapperInf
 		InsnIdx: siteIdx,
 		Reg:     x86.RAX,
 	}); ok {
-		return nil, false, 0, 0, nil
+		return nil, nil
 	}
 
 	// Phase 2: symbolic confirmation.
 	entryBlk, ok := p.g.BlockAt(fn.Entry)
 	if !ok {
-		return nil, false, 0, 0, nil
+		return nil, nil
 	}
 	allowed := p.getSet()
 	defer putSet(allowed)
 	for _, b := range fn.Blocks {
 		allowed.Add(b)
 	}
-	res := p.machine.RunToSite(entryBlk, p.machine.NewEntryState(p.conf.StackParams), allowed, site)
+	res := p.machine.RunToSite(entryBlk, p.machine.NewEntryState(stackParams), allowed, site)
 	defer p.machine.Release(&res)
 	if res.HitBudget {
-		return nil, false, res.Steps, res.Forks, p.budgetError(StageWrappers)
+		return nil, p.budgetError(StageWrappers)
 	}
 	for _, st := range res.SiteStates {
 		rax := st.Reg(x86.RAX)
@@ -97,7 +58,7 @@ func (p *Pass) detectWrapperUncached(fn *cfg.Func, site *cfg.Block) (*WrapperInf
 				FnName:   fn.Name,
 				SiteAddr: site.Last().Addr,
 				Param:    rax.P,
-			}, true, res.Steps, res.Forks, nil
+			}, nil
 		}
 		if taint := rax.AllTaint(); rax.Kind == symex.KUnknown && len(taint) > 0 {
 			// %rax derives from a parameter through arithmetic; the
@@ -107,8 +68,8 @@ func (p *Pass) detectWrapperUncached(fn *cfg.Func, site *cfg.Block) (*WrapperInf
 				FnName:   fn.Name,
 				SiteAddr: site.Last().Addr,
 				Param:    taint[0],
-			}, true, res.Steps, res.Forks, nil
+			}, nil
 		}
 	}
-	return nil, false, res.Steps, res.Forks, nil
+	return nil, nil
 }

@@ -91,11 +91,11 @@ func (s *SyscallBitset) Slice() []uint64 {
 
 // ValueSet is a set of resolved values: in-range syscall numbers live
 // in a SyscallBitset, while the rare out-of-range members — address
-// artifacts a backward search can surface before the SyscallUpper
-// filter applies — go to a small sorted side list. It exists for the
-// accumulation points whose inputs are *not* pre-filtered (per-site
-// value sets, export profiles, phase emissions); fully filtered paths
-// use SyscallBitset directly. The zero value is empty; Reset keeps the
+// artifacts a backward search can surface before the report drops
+// values at or above SyscallSetBits — go to a small sorted side list.
+// It exists for the accumulation points whose inputs are *not*
+// pre-filtered (per-site value sets, export profiles, phase
+// emissions); fully filtered paths use SyscallBitset directly. The zero value is empty; Reset keeps the
 // side list's capacity for pooled reuse.
 type ValueSet struct {
 	bits SyscallBitset

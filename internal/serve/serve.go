@@ -1,8 +1,8 @@
 // Package serve implements the resident analysis service behind
 // `bside serve`: an HTTP/JSON daemon holding one warm Analyzer — its
-// library interfaces computed, its memory tier populated, its
-// per-function memo primed — so the fleet pays analysis latency once
-// and every later request rides the caches.
+// library interfaces computed, its memory tier populated — so the
+// fleet pays analysis latency once and every later request rides the
+// caches.
 //
 // The API surface is small and operational:
 //

@@ -301,7 +301,7 @@ func TestInterfaceContentCache(t *testing.T) {
 // TestColdCacheStoresOnlyPerBinaryKinds: the store holds per-binary
 // verdicts only. A cold cached analysis of a program with its own
 // syscall site and a library closure writes library interfaces and the
-// program summary; per-function memo entries never reach the disk.
+// program summary, and nothing per function.
 func TestColdCacheStoresOnlyPerBinaryKinds(t *testing.T) {
 	store, err := cache.Open(filepath.Join(t.TempDir(), "c"))
 	if err != nil {

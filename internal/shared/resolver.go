@@ -61,11 +61,11 @@ type Analyzer struct {
 	// across processes and survive library upgrades without going
 	// stale.
 	Cache *cache.Store
-	// DisableFuncMemo turns off the process-wide per-function summary
-	// memoization (ident.ProcessMemo). Results are byte-identical
-	// either way — the fuzzer's memoization-invariance axis holds the
-	// two modes to that — so the switch exists for benchmarking and for
-	// the oracle itself, not for correctness.
+	// DisableFuncMemo has no effect.
+	//
+	// Deprecated: identification no longer memoizes per-function
+	// results, so there is nothing to disable. The field stays because
+	// the benchmark harness under bench/ still sets it.
 	DisableFuncMemo bool
 
 	mu          sync.Mutex
@@ -155,8 +155,7 @@ func (a *Analyzer) Interfaces() map[string]*Interface {
 }
 
 // confFor derives the per-unit identification config: the template with
-// a private budget, so concurrent units cannot race on the counters,
-// and the process-wide function-summary memo.
+// a private budget, so concurrent units cannot race on the counters.
 //
 // ctx, when non-nil, rides the unit's budget: its cancellation channel
 // makes the budget exhausted mid-search, and its deadline tightens the
@@ -189,9 +188,6 @@ func (a *Analyzer) confFor(ctx context.Context) ident.Config {
 		}
 		conf.Budget.Deadline = deadline
 		conf.Budget.Cancel = cancel
-	}
-	if !a.DisableFuncMemo {
-		conf.Memo = ident.ProcessMemo()
 	}
 	return conf
 }
@@ -516,9 +512,6 @@ type ProgramReport struct {
 	// Graph is the main executable's recovered CFG (phase detection and
 	// diagnostics build on it).
 	Graph *cfg.Graph
-	// CFGTime is the wall-clock cost of the main binary's CFG recovery
-	// (Table 3's dominant column). Equal to Timings.Get(StageDecode).
-	CFGTime time.Duration
 	// Timings is the per-stage cost record of the main binary's
 	// analysis: decode, wrappers, identify, and stitch.
 	Timings pipeline.Timings
@@ -614,7 +607,6 @@ func (a *Analyzer) ProgramCtx(ctx context.Context, bin *elff.Binary) (*ProgramRe
 		FailOpen:  rep.FailOpen,
 		PerImport: make(map[string][]uint64),
 		Graph:     g,
-		CFGTime:   res.Timings.Get(pipeline.StageDecode),
 		Timings:   res.Timings,
 	}
 	a.mu.Lock()

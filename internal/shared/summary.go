@@ -81,8 +81,7 @@ func (a *Analyzer) confFingerprint(kind string) string {
 	if rl == 0 {
 		rl = 2
 	}
-	fp := fmt.Sprintf("bfs=%d frontier=%d stack=%d upper=%d resolver=%d",
-		c.MaxBFSDepth, c.MaxFrontier, c.StackParams, c.SyscallUpper, rl)
+	fp := fmt.Sprintf("resolver=%d", rl)
 	if kind == kindProgram {
 		fp += fmt.Sprintf(" maxcfg=%d", a.MaxCFGInsns)
 	}

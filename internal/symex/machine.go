@@ -88,15 +88,8 @@ func (b *Budget) AddSteps(n int) { b.steps.Add(int64(n)) }
 // AddFork accrues one path split.
 func (b *Budget) AddFork() { b.forks.Add(1) }
 
-// AddForks accrues n path splits at once (memo hits replay the
-// recorded consumption of the original search).
+// AddForks accrues n path splits at once.
 func (b *Budget) AddForks(n int) { b.forks.Add(int64(n)) }
-
-// Steps returns the instructions executed so far across all paths.
-func (b *Budget) Steps() int { return int(b.steps.Load()) }
-
-// Forks returns the path splits so far.
-func (b *Budget) Forks() int { return int(b.forks.Load()) }
 
 // Exhausted reports whether any limit was hit: steps, forks, the
 // wall-clock deadline, or an external cancellation. The first limit
@@ -134,30 +127,28 @@ func (b *Budget) Cause() Cause { return Cause(b.cause.Load()) }
 // Result is the outcome of a directed run.
 type Result struct {
 	// SiteStates holds one state per path that reached the site,
-	// captured immediately before the site's final instruction. When the
-	// machine's pooled states were used (Machine.NewState), hand the
-	// result back via Machine.Release once the states have been read.
+	// captured immediately before the site's final instruction. Hand the
+	// result back via Machine.Release once the states have been read:
+	// it recycles the states and the slice itself.
 	SiteStates []*State
 	// HitBudget is set when the search stopped early.
 	HitBudget bool
 	// BlocksExecuted counts block executions (Table 3's "BBs explored").
 	BlocksExecuted int
-	// Steps and Forks are this run's own budget consumption (the shared
-	// budget accrues them too). Memoized results replay them on a hit,
-	// so a memo-served analysis drains the budget exactly like the
-	// original computation did.
-	Steps int
-	Forks int
+
+	// sites is the sitesPool item SiteStates was built in; nil until
+	// the first path reaches the site.
+	sites *[]*State
 }
 
 // Machine executes symbolic paths over a recovered CFG. One machine
 // may run searches from many goroutines concurrently. Its scratch
-// (path states, per-run stacks and visit counters) comes from the
-// package-level statePool and runPool, not from pools of its own: the
-// runtime keeps a used pool reachable until the second GC after its
-// last use, and a pool inside the Machine would keep the Machine and
-// its graph alive with it. Pooled items hold no graph pointers, so
-// they recycle across binaries too.
+// (path states, per-run stacks and visit counters, site-state slices)
+// comes from the package-level statePool, runPool and sitesPool, not
+// from pools of its own: the runtime keeps a used pool reachable until
+// the second GC after its last use, and a pool inside the Machine
+// would keep the Machine and its graph alive with it. Pooled items
+// hold no graph pointers, so they recycle across binaries too.
 type Machine struct {
 	g           *cfg.Graph
 	budget      *Budget
@@ -167,6 +158,7 @@ type Machine struct {
 var (
 	statePool sync.Pool // *State, scrubbed
 	runPool   sync.Pool // *runScratch, holding no block or state pointers
+	sitesPool sync.Pool // *[]*State, empty and cleared to capacity
 )
 
 // runScratch is the per-RunToSite working set: the task stack, its
@@ -260,16 +252,22 @@ func (m *Machine) cloneState(s *State) *State {
 	return c
 }
 
-// Release returns a run's surviving states to the pool. Call it once
-// the site states have been read; the Values read from them (register
-// contents, parameter taints) stay valid, only the states themselves
-// are recycled.
+// Release returns a run's surviving states, and the slice holding
+// them, to their pools. Call it once the site states have been read;
+// the Values read from them (register contents, parameter taints) stay
+// valid, only the states themselves are recycled. The slice is cleared
+// to capacity before it is pooled, so no pooled item points at a state.
 func (m *Machine) Release(res *Result) {
-	for i, st := range res.SiteStates {
+	for _, st := range res.SiteStates {
 		m.freeState(st)
-		res.SiteStates[i] = nil
 	}
-	res.SiteStates = res.SiteStates[:0]
+	if res.sites != nil {
+		clear(res.SiteStates[:cap(res.SiteStates)])
+		*res.sites = res.SiteStates[:0]
+		sitesPool.Put(res.sites)
+		res.sites = nil
+	}
+	res.SiteStates = nil
 }
 
 type task struct {
@@ -332,9 +330,15 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 			m.step(st, in)
 		}
 		m.budget.AddSteps(n)
-		res.Steps += n
 
 		if t.blk == site {
+			if res.sites == nil {
+				res.sites, _ = sitesPool.Get().(*[]*State)
+				if res.sites == nil {
+					res.sites = new([]*State)
+				}
+				res.SiteStates = *res.sites
+			}
 			res.SiteStates = append(res.SiteStates, st)
 			sc.freeVisits(visits)
 			continue
@@ -357,7 +361,6 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 			fall := succOf(t.blk, cfg.EdgeFall)
 			if inSet(to) && inSet(fall) {
 				m.budget.AddFork()
-				res.Forks++
 				push(fall, m.cloneState(st))
 				push(to, st)
 			} else if inSet(to) {
@@ -408,7 +411,6 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 				s2 := m.cloneState(st)
 				m.pushRet(s2, last.Next())
 				m.budget.AddFork()
-				res.Forks++
 				push(e.To, s2)
 			}
 			if inSet(fall) {
@@ -438,7 +440,6 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 					continue
 				}
 				m.budget.AddFork()
-				res.Forks++
 				push(e.To, m.cloneState(st))
 			}
 
