@@ -35,8 +35,8 @@ test:
 
 # Race-detector pass over the concurrent paths: the shared-interface
 # analyzer, the on-disk cache (with its striped memory tier), the
-# staged pipeline with its intra-binary worker pool and the atomic
-# symbolic-execution budget it shares, the public batch
+# staged pipeline with its intra-binary worker pool and the
+# symbolic-execution budget its runs add their steps to, the public batch
 # API, the sweep harness's producer/consumer pipeline, and the fuzzing
 # harness (whose invariance legs fan analyses across worker pools).
 race:
@@ -88,13 +88,19 @@ bench-check: bench-compare
 	$(GO) run ./cmd/benchjson -compare -metrics allocs/op,identified/op -require-baseline BENCH_seed.json BENCH_$(SHA).json
 
 # CPU+heap profiles of the dominant workload (the large-binary
-# identification pass) plus the pprof one-liners to read them.
+# identification pass) plus the pprof one-liners to read them. The
+# serial profile shows the per-block work; the 4-worker one is the
+# shape the one-shot CLI runs (IntraWorkers = nproc), where costs
+# shared between workers show up.
 profile:
 	$(GO) test -run='^$$' -bench='AnalyzeLargeBinary/workers=1' -benchtime=10x -benchmem \
 		-cpuprofile=cpu.prof -memprofile=mem.prof -o bside.test .
+	$(GO) test -run='^$$' -bench='AnalyzeLargeBinary/workers=4' -benchtime=10x \
+		-cpuprofile=cpu-w4.prof -o bside.test .
 	@echo ""
-	@echo "profiles written: cpu.prof mem.prof (binary: bside.test)"
+	@echo "profiles written: cpu.prof cpu-w4.prof mem.prof (binary: bside.test)"
 	@echo "  $(GO) tool pprof -top -nodecount=20 bside.test cpu.prof"
+	@echo "  $(GO) tool pprof -top -nodecount=20 bside.test cpu-w4.prof"
 	@echo "  $(GO) tool pprof -top -nodecount=20 -sample_index=alloc_objects bside.test mem.prof"
 	@echo "  $(GO) tool pprof -http=:8080 bside.test cpu.prof   # flame graph"
 

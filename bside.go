@@ -805,7 +805,8 @@ func (r *Analysis) Policy() *Policy {
 }
 
 // Seccomp compiles the policy into a classic-BPF seccomp filter
-// program; denied syscalls return the errno action.
+// program; denied syscalls, and every call that is not a native x86-64
+// one, fail with EPERM.
 func (p *Policy) Seccomp() (*filter.Program, error) {
 	return filter.Compile(p.Allowed, filter.ActionErrno)
 }

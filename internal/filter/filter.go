@@ -1,11 +1,12 @@
 // Package filter compiles syscall allow-lists — the end product of
 // B-Side's analysis — into classic-BPF seccomp filter programs, the
 // deployment vehicle the paper targets (§1, §4.7). The compiler emits
-// the cBPF subset seccomp accepts (LD of the syscall number, JEQ/JGE
-// conditional jumps, RET with an action) and builds a balanced decision
-// tree over number ranges, like libseccomp's binary-tree optimization,
-// so programs stay within the kernel's instruction limits even for
-// large allow-lists.
+// the cBPF subset seccomp accepts (LD of the architecture and the
+// syscall number, JEQ/JGE conditional jumps, RET with an action). It
+// denies every call that is not a native x86-64 one, then builds a
+// balanced decision tree over number ranges, like libseccomp's
+// binary-tree optimization, so programs stay within the kernel's
+// instruction limits even for large allow-lists.
 //
 // An interpreter with seccomp's exact execution rules (forward-only
 // jumps, bounded length, mandatory terminal return) runs the programs
@@ -23,9 +24,27 @@ type Action uint32
 
 // Actions (values mirror the kernel's SECCOMP_RET_* ordering).
 const (
-	ActionKill  Action = 0x00000000
-	ActionErrno Action = 0x00050000
+	ActionKill Action = 0x00000000
+	// ActionErrno fails the call with EPERM: SECCOMP_RET_ERRNO carries
+	// the errno in its low 16 bits, and with 0 there a denied call
+	// would return 0 and read as success.
+	ActionErrno Action = 0x00050001
 	ActionAllow Action = 0x7FFF0000
+)
+
+// AuditArchX86_64 is seccomp_data.arch for a native x86-64 system call
+// (AUDIT_ARCH_X86_64). Compiled programs deny every other architecture,
+// such as an i386 int 0x80 call, whose numbers mean other calls.
+const AuditArchX86_64 = 0xC000003E
+
+// x32Bit marks the numbers of x32-ABI system calls, which share the
+// x86-64 architecture value (__X32_SYSCALL_BIT).
+const x32Bit = 0x40000000
+
+// The seccomp_data words a program may load.
+const (
+	offNr   = 0 // the system call number
+	offArch = 4 // the AUDIT_ARCH_* value
 )
 
 // String names the action.
@@ -43,11 +62,11 @@ func (a Action) String() string {
 
 // Opcodes: the cBPF subset seccomp filters use.
 const (
-	opLdNr uint16 = 0x20 // BPF_LD | BPF_W | BPF_ABS (syscall number)
-	opJeqK uint16 = 0x15 // BPF_JMP | BPF_JEQ | BPF_K
-	opJgeK uint16 = 0x35 // BPF_JMP | BPF_JGE | BPF_K
-	opJa   uint16 = 0x05 // BPF_JMP | BPF_JA (32-bit forward trampoline)
-	opRetK uint16 = 0x06 // BPF_RET | BPF_K
+	opLdAbs uint16 = 0x20 // BPF_LD | BPF_W | BPF_ABS (the seccomp_data word at K)
+	opJeqK  uint16 = 0x15 // BPF_JMP | BPF_JEQ | BPF_K
+	opJgeK  uint16 = 0x35 // BPF_JMP | BPF_JGE | BPF_K
+	opJa    uint16 = 0x05 // BPF_JMP | BPF_JA (32-bit forward trampoline)
+	opRetK  uint16 = 0x06 // BPF_RET | BPF_K
 )
 
 // Insn is one cBPF instruction.
@@ -61,7 +80,10 @@ type Insn struct {
 // String renders the instruction.
 func (i Insn) String() string {
 	switch i.Op {
-	case opLdNr:
+	case opLdAbs:
+		if i.K == offArch {
+			return "ld arch"
+		}
 		return "ld nr"
 	case opJeqK:
 		return fmt.Sprintf("jeq #%d jt=%d jf=%d", i.K, i.Jt, i.Jf)
@@ -93,17 +115,24 @@ var (
 	ErrNotValidated = errors.New("filter: program failed validation")
 )
 
-// Compile builds a filter allowing exactly the given syscall numbers;
-// everything else yields deny. The allow list is folded into maximal
-// contiguous ranges first, then a balanced decision tree is emitted
-// over the ranges, giving O(log n) evaluation depth.
+// Compile builds a filter allowing exactly the given x86-64 syscall
+// numbers; everything else, including every call of another
+// architecture or the x32 ABI, yields deny. The allow list is folded
+// into maximal contiguous ranges first, then a balanced decision tree
+// is emitted over the ranges, giving O(log n) evaluation depth.
 func Compile(allowed []uint64, deny Action) (*Program, error) {
 	if deny == ActionAllow {
 		return nil, fmt.Errorf("filter: default action must deny")
 	}
 	ranges := foldRanges(allowed)
 	p := &Program{Default: deny}
-	p.emit(Insn{Op: opLdNr})
+	// Only a native x86-64 call reaches the tree: arch == x86-64 and
+	// nr < x32Bit, else deny.
+	p.emit(Insn{Op: opLdAbs, K: offArch})
+	p.emit(Insn{Op: opJeqK, K: AuditArchX86_64, Jf: 2})
+	p.emit(Insn{Op: opLdAbs, K: offNr})
+	p.emit(Insn{Op: opJgeK, K: x32Bit, Jf: 1})
+	p.emit(Insn{Op: opRetK, K: uint32(deny)})
 	// Build the tree; every leaf emits ret allow / ret deny.
 	if err := p.tree(ranges); err != nil {
 		return nil, err
@@ -170,13 +199,19 @@ func (p *Program) tree(ranges []span) error {
 				retDeny()
 				return nil
 			}
-			// lo <= nr <= hi: jge lo ? (jge hi+1 ? deny : allow) : deny
-			idx1 := p.emit(Insn{Op: opJgeK, K: r.lo})
+			// lo <= nr <= hi: jge lo ? (jge hi+1 ? deny : allow) : deny.
+			// Every number passes jge 0, so a range from 0 skips it.
+			idx1 := -1
+			if r.lo > 0 {
+				idx1 = p.emit(Insn{Op: opJgeK, K: r.lo})
+			}
 			idx2 := p.emit(Insn{Op: opJgeK, K: r.hi + 1})
 			retAllow()
 			retDeny()
-			if err := p.patch(idx1, idx1+1, idx2+2); err != nil {
-				return err
+			if idx1 >= 0 {
+				if err := p.patch(idx1, idx1+1, idx2+2); err != nil {
+					return err
+				}
 			}
 			return p.patch(idx2, idx2+2, idx2+1)
 		}
@@ -217,7 +252,8 @@ func (p *Program) patch(idx, jtAbs, jfAbs int) error {
 }
 
 // Validate applies seccomp's static checks: bounded length, known
-// opcodes, in-range forward jumps, and a return on every path.
+// opcodes, loads of the number or the architecture only, in-range
+// forward jumps, and a return on every path.
 func (p *Program) Validate() error {
 	n := len(p.Insns)
 	if n == 0 || n > MaxInsns {
@@ -225,7 +261,11 @@ func (p *Program) Validate() error {
 	}
 	for i, in := range p.Insns {
 		switch in.Op {
-		case opLdNr, opRetK:
+		case opLdAbs:
+			if in.K != offNr && in.K != offArch {
+				return fmt.Errorf("%w: load at offset %d", ErrNotValidated, in.K)
+			}
+		case opRetK:
 		case opJeqK, opJgeK:
 			if i+1+int(in.Jt) >= n || i+1+int(in.Jf) >= n {
 				return fmt.Errorf("%w: insn %d", ErrBadJump, i)
@@ -244,9 +284,10 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// Exec runs the filter for a syscall number, with seccomp's execution
-// rules.
-func (p *Program) Exec(nr uint64) (Action, error) {
+// Exec runs the filter for a system call of the given architecture
+// (an AUDIT_ARCH_* value, as in seccomp_data.arch) and number, with
+// seccomp's execution rules.
+func (p *Program) Exec(arch uint32, nr uint64) (Action, error) {
 	var acc uint32
 	pc := 0
 	for steps := 0; steps <= len(p.Insns); steps++ {
@@ -255,8 +296,15 @@ func (p *Program) Exec(nr uint64) (Action, error) {
 		}
 		in := p.Insns[pc]
 		switch in.Op {
-		case opLdNr:
-			acc = uint32(nr)
+		case opLdAbs:
+			switch in.K {
+			case offNr:
+				acc = uint32(nr)
+			case offArch:
+				acc = arch
+			default:
+				return ActionKill, ErrNotValidated
+			}
 			pc++
 		case opJeqK:
 			if acc == in.K {
@@ -281,8 +329,8 @@ func (p *Program) Exec(nr uint64) (Action, error) {
 	return ActionKill, ErrNoReturn
 }
 
-// Allows is a convenience wrapper around Exec.
+// Allows reports whether the filter allows x86-64 system call nr.
 func (p *Program) Allows(nr uint64) bool {
-	a, err := p.Exec(nr)
+	a, err := p.Exec(AuditArchX86_64, nr)
 	return err == nil && a == ActionAllow
 }

@@ -75,13 +75,17 @@ func TestCompileFullTable(t *testing.T) {
 }
 
 func TestValidateCatchesBrokenPrograms(t *testing.T) {
-	p := &Program{Insns: []Insn{{Op: opLdNr}}}
+	p := &Program{Insns: []Insn{{Op: opLdAbs}}}
 	if err := p.Validate(); err == nil {
 		t.Error("missing return not caught")
 	}
 	p = &Program{Insns: []Insn{{Op: opJeqK, Jt: 200, Jf: 200, K: 1}, {Op: opRetK}}}
 	if err := p.Validate(); err == nil {
 		t.Error("out-of-range jump not caught")
+	}
+	p = &Program{Insns: []Insn{{Op: opLdAbs, K: 8}, {Op: opRetK}}}
+	if err := p.Validate(); err == nil {
+		t.Error("load outside nr and arch not caught")
 	}
 	p = &Program{Insns: []Insn{{Op: 0x99}, {Op: opRetK}}}
 	if err := p.Validate(); err == nil {
@@ -142,11 +146,13 @@ func TestActionsAndStrings(t *testing.T) {
 			t.Error("empty insn string")
 		}
 	}
-	if a, err := p.Exec(5); err != nil || a != ActionAllow {
+	if a, err := p.Exec(AuditArchX86_64, 5); err != nil || a != ActionAllow {
 		t.Errorf("exec: %v %v", a, err)
 	}
-	if a, err := p.Exec(6); err != nil || a != ActionErrno {
-		t.Errorf("exec deny: %v %v", a, err)
+	// A denied call fails with SECCOMP_RET_ERRNO and EPERM; with errno 0
+	// it would read as success.
+	if a, err := p.Exec(AuditArchX86_64, 6); err != nil || a != ActionErrno || a&0xFFFF0000 != 0x00050000 || a&0xFFFF != 1 {
+		t.Errorf("exec deny: %#x %v", uint32(a), err)
 	}
 }
 
@@ -165,6 +171,30 @@ func TestDeepTreeStaysInJumpRange(t *testing.T) {
 		want := nr%2 == 0 && nr < 335
 		if p.Allows(nr) != want {
 			t.Fatalf("nr %d mismatch", nr)
+		}
+	}
+}
+
+// TestOnlyNativeCallsAllowed: an allowed number is denied when it
+// arrives as an i386 call or with the x32 bit set.
+func TestOnlyNativeCallsAllowed(t *testing.T) {
+	const auditArchI386 = 0x40000003
+	allowed := []uint64{0, 1, 60, 231}
+	for _, deny := range []Action{ActionErrno, ActionKill} {
+		p, err := Compile(allowed, deny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nr := range allowed {
+			if !p.Allows(nr) {
+				t.Errorf("x86-64 call %d denied", nr)
+			}
+			if a, err := p.Exec(auditArchI386, nr); err != nil || a != deny {
+				t.Errorf("i386 call %d: %v %v, want %v", nr, a, err, deny)
+			}
+			if a, err := p.Exec(AuditArchX86_64, nr|x32Bit); err != nil || a != deny {
+				t.Errorf("x32 call %d: %v %v, want %v", nr, a, err, deny)
+			}
 		}
 	}
 }

@@ -41,6 +41,43 @@ func forkingSites(t *testing.T, n int) *cfg.Graph {
 	return g
 }
 
+// guardedWrappers builds a program of n register wrappers (the number
+// arrives in %rdi, then pad nops precede the syscall), each called from
+// callers sites behind a data-independent branch: wrapper detection
+// spends steps in every wrapper, and identification spends steps on
+// every call site.
+func guardedWrappers(t *testing.T, n, callers, pad int) *cfg.Graph {
+	t.Helper()
+	bin, _ := testbin.Build(t, elff.KindStatic, func(b *asm.Builder) {
+		b.Func("_start")
+		for i := 0; i < n; i++ {
+			for j := 0; j < callers; j++ {
+				lbl := fmt.Sprintf("skip%d_%d", i, j)
+				b.CmpRegImm(x86.R12, int32(j))
+				b.Jcc(x86.CondE, lbl)
+				b.MovRegImm32(x86.RDI, uint32(i*callers+j))
+				b.CallLabel(fmt.Sprintf("wrapper%d", i))
+				b.Label(lbl)
+			}
+		}
+		b.Ret()
+		for i := 0; i < n; i++ {
+			b.Func(fmt.Sprintf("wrapper%d", i))
+			b.MovRegReg(x86.RAX, x86.RDI)
+			for k := 0; k < pad; k++ {
+				b.Nop()
+			}
+			b.Syscall()
+			b.Ret()
+		}
+	}, nil)
+	g, err := cfg.Recover(bin, cfg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestBudgetErrorShape: a budget verdict keeps the message it always
 // had, still matches ErrTimeout, and names its stage and cause.
 func TestBudgetErrorShape(t *testing.T) {
@@ -101,5 +138,46 @@ func TestIdentifyUnitPanicAcrossWorkers(t *testing.T) {
 		if !budget.Exhausted() {
 			t.Fatalf("workers=%d: the budget never tripped, so the test proves nothing", w)
 		}
+	}
+}
+
+// TestStageVerdictAcrossWorkers: for every step limit up to the first
+// that lets the analysis finish, the verdict at 2, 4 and 8 workers is
+// the serial one — the stage whose total crossed the limit, whichever
+// run happened to end last. The padded wrappers keep concurrent runs
+// overlapping, so a stage verdict taken from the runs alone fails
+// here on nearly every repetition.
+func TestStageVerdictAcrossWorkers(t *testing.T) {
+	g := guardedWrappers(t, 12, 6, 64)
+	verdict := func(maxSteps, workers int) string {
+		budget := &symex.Budget{MaxSteps: maxSteps, MaxForks: 1 << 20, MaxVisits: 3}
+		_, err := Analyze(g, Config{Budget: budget, Workers: workers})
+		if err == nil {
+			return "decided"
+		}
+		var be *BudgetError
+		if !errors.As(err, &be) {
+			t.Fatalf("MaxSteps %d, workers=%d: %v", maxSteps, workers, err)
+		}
+		return be.Stage
+	}
+	const reps = 5
+	stages := map[string]bool{}
+	for max := 1; ; max++ {
+		want := verdict(max, 1)
+		stages[want] = true
+		for _, w := range []int{2, 4, 8} {
+			for rep := 0; rep < reps; rep++ {
+				if got := verdict(max, w); got != want {
+					t.Fatalf("MaxSteps %d, workers=%d: verdict %q, serial %q", max, w, got, want)
+				}
+			}
+		}
+		if want == "decided" {
+			break
+		}
+	}
+	if !stages[StageWrappers] || !stages[StageIdentify] {
+		t.Fatalf("serial verdicts %v: the sweep must cross both stages", stages)
 	}
 }

@@ -378,6 +378,11 @@ func (p *Pass) DetectWrappers() error {
 	if err != nil {
 		return err
 	}
+	// The stage's total decides, not whichever run ended last: its
+	// last steps may cross the limit with no check left to see them.
+	if p.conf.Budget.Exhausted() {
+		return p.budgetError(StageWrappers)
+	}
 
 	p.wrappers = make(map[uint64]*WrapperInfo)
 	for _, info := range results {

@@ -2,7 +2,6 @@ package ident
 
 import (
 	"bside/internal/cfg"
-	"bside/internal/symex"
 	"bside/internal/usedef"
 	"bside/internal/x86"
 )
@@ -51,23 +50,15 @@ func (p *Pass) detectWrapper(fn *cfg.Func, site *cfg.Block) (*WrapperInfo, error
 		return nil, p.budgetError(StageWrappers)
 	}
 	for _, st := range res.SiteStates {
-		rax := st.Reg(x86.RAX)
-		if rax.Kind == symex.KParam {
+		// %rax is a parameter, or derives from parameters through
+		// arithmetic; then the first one in table order carries the
+		// number.
+		if param, ok := st.Reg(x86.RAX).Param(); ok {
 			return &WrapperInfo{
 				FnEntry:  fn.Entry,
 				FnName:   fn.Name,
 				SiteAddr: site.Last().Addr,
-				Param:    rax.P,
-			}, nil
-		}
-		if taint := rax.AllTaint(); rax.Kind == symex.KUnknown && len(taint) > 0 {
-			// %rax derives from a parameter through arithmetic; the
-			// first taint is the carrying parameter.
-			return &WrapperInfo{
-				FnEntry:  fn.Entry,
-				FnName:   fn.Name,
-				SiteAddr: site.Last().Addr,
-				Param:    taint[0],
+				Param:    param,
 			}, nil
 		}
 	}

@@ -1,9 +1,14 @@
 package symex
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
+
+	"bside/internal/asm"
+	"bside/internal/cfg"
+	"bside/internal/x86"
 )
 
 // TestBudgetCause: each limit records its own cause when it trips, a
@@ -100,6 +105,64 @@ func TestBudgetCauseRace(t *testing.T) {
 			if c != final {
 				t.Fatalf("round %d: goroutine %d saw cause %v, final %v", round, i, c, final)
 			}
+		}
+	}
+}
+
+// chainGraph builds a straight chain of n three-instruction blocks and
+// returns it with its first block.
+func chainGraph(t *testing.T, n int) (*cfg.Graph, *cfg.Block) {
+	t.Helper()
+	g, syms := recoverGraph(t, func(b *asm.Builder) {
+		b.Func("_start")
+		for i := 0; i < n-1; i++ {
+			b.IncReg(x86.RCX)
+			b.IncReg(x86.RCX)
+			b.JmpLabel(fmt.Sprintf("b%d", i+1))
+			b.Label(fmt.Sprintf("b%d", i+1))
+		}
+		b.IncReg(x86.RCX)
+		b.IncReg(x86.RCX)
+		b.Ret()
+	})
+	start, _ := g.BlockAt(syms["_start"])
+	return g, start
+}
+
+// TestRunBudgetAccounting: a run counts its steps locally, yet with one
+// worker it stops at exactly the block where per-block accounting
+// stops it — also past a flush — and every step it executed is on the
+// shared counter once it returns, so a later run sharing the budget
+// starts exhausted.
+func TestRunBudgetAccounting(t *testing.T) {
+	const blocks = 400 // 1,200 steps: more than one flush
+	g, start := chainGraph(t, blocks)
+	for _, tc := range []struct {
+		maxSteps, blocks int
+		hit              bool
+	}{
+		{7, 3, true},      // checks at 0, 3, 6 pass; 9 trips
+		{1100, 367, true}, // 366 blocks are 1,098 steps; 367 are 1,101
+		{3 * blocks, blocks, false},
+		{1 << 20, blocks, false},
+	} {
+		b := &Budget{MaxSteps: tc.maxSteps, MaxForks: 10, MaxVisits: 3}
+		m := NewMachine(g, b)
+		res := m.RunToSite(start, m.NewState(), allBlocks(g), nil)
+		if res.BlocksExecuted != tc.blocks || res.HitBudget != tc.hit {
+			t.Errorf("MaxSteps %d: %d blocks, hit %v; want %d, %v",
+				tc.maxSteps, res.BlocksExecuted, res.HitBudget, tc.blocks, tc.hit)
+		}
+		if got := int(b.steps.Load()); got != 3*tc.blocks {
+			t.Errorf("MaxSteps %d: shared counter %d after the run, want %d", tc.maxSteps, got, 3*tc.blocks)
+		}
+		if !tc.hit {
+			continue
+		}
+		again := m.RunToSite(start, m.NewState(), allBlocks(g), nil)
+		if again.BlocksExecuted != 0 || !again.HitBudget {
+			t.Errorf("MaxSteps %d: a second run executed %d blocks, hit %v",
+				tc.maxSteps, again.BlocksExecuted, again.HitBudget)
 		}
 	}
 }

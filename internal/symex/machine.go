@@ -18,6 +18,19 @@ import (
 // pool), with the step and fork counters accumulated atomically. The
 // Max* limits and Deadline are configuration — set them before the
 // first search and leave them alone afterwards.
+//
+// A run does not add each block's steps to the shared counter as it
+// goes. It keeps a local count, checks the limit against the shared
+// count plus its own, and adds its count in chunks of flushSteps and
+// when it returns. With one worker the budget therefore trips at
+// exactly the block where per-block accounting would trip it. With
+// several, a run may see another run's steps up to one chunk late, so
+// it can execute a few more blocks before it stops. The verdict stays
+// exact. Every run has added all its steps by the time it returns, so
+// the check each stage makes after its units finish reads the true
+// total, and that total reaches MaxSteps exactly when the runs'
+// complete step counts would: a run only stops early once it has seen
+// the limit reached.
 type Budget struct {
 	MaxSteps  int // instructions executed across all paths
 	MaxForks  int // path splits
@@ -94,8 +107,12 @@ func (b *Budget) AddForks(n int) { b.forks.Add(int64(n)) }
 // Exhausted reports whether any limit was hit: steps, forks, the
 // wall-clock deadline, or an external cancellation. The first limit
 // seen tripping is recorded for Cause.
-func (b *Budget) Exhausted() bool {
-	if int(b.steps.Load()) >= b.MaxSteps {
+func (b *Budget) Exhausted() bool { return b.exhausted(0) }
+
+// exhausted is Exhausted for a run holding pending steps it has not
+// added yet.
+func (b *Budget) exhausted(pending int) bool {
+	if int(b.steps.Load())+pending >= b.MaxSteps {
 		return b.trip(CauseSteps)
 	}
 	if int(b.forks.Load()) >= b.MaxForks {
@@ -270,6 +287,10 @@ func (m *Machine) Release(res *Result) {
 	res.SiteStates = nil
 }
 
+// flushSteps is how many steps a run counts locally before it adds
+// them to the shared budget.
+const flushSteps = 1024
+
 type task struct {
 	blk *cfg.Block
 	st  *State
@@ -298,8 +319,9 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 	}
 	stack := append(sc.stack[:0], task{blk: start, st: init})
 	visitStack := append(sc.visits[:0], sc.newVisits(m.g.NumBlocks()))
+	pending := 0 // steps executed but not yet added to the budget
 	for len(stack) > 0 {
-		if m.budget.Exhausted() {
+		if m.budget.exhausted(pending) {
 			res.HitBudget = true
 			for i, t := range stack {
 				m.freeState(t.st)
@@ -323,13 +345,16 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 		st := t.st
 		n := len(t.blk.Insns)
 
-		// Execute the block body (everything but the last instruction).
-		// The whole block is charged in one atomic add so a budget
-		// shared across worker goroutines is not a contention point.
+		// Execute the block body (everything but the last instruction),
+		// charging the whole block to the local count; the shared
+		// budget sees it at the next flush.
 		for _, in := range t.blk.Insns[:n-1] {
 			m.step(st, in)
 		}
-		m.budget.AddSteps(n)
+		if pending += n; pending >= flushSteps {
+			m.budget.AddSteps(pending)
+			pending = 0
+		}
 
 		if t.blk == site {
 			if res.sites == nil {
@@ -492,6 +517,7 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 			m.freeState(st)
 		}
 	}
+	m.budget.AddSteps(pending)
 	// Clear to capacity before pooling: stale tasks past the length
 	// would keep this run's blocks (and states) reachable.
 	clear(stack[:cap(stack)])

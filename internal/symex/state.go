@@ -1,6 +1,8 @@
 package symex
 
 import (
+	"fmt"
+
 	"bside/internal/x86"
 )
 
@@ -28,6 +30,8 @@ func NewState() *State {
 // NewEntryState returns a function-entry state with the System V
 // argument registers and the first stackParams stack slots tagged as
 // parameters — the configuration used by wrapper detection's phase 2.
+// It panics when stackParams exceeds the parameter table's
+// maxStackParams slots.
 func NewEntryState(stackParams int) *State {
 	s := NewState()
 	s.initEntry(stackParams)
@@ -38,12 +42,15 @@ func NewEntryState(stackParams int) *State {
 // otherwise-fresh state (shared by NewEntryState and the machine's
 // pooled variant).
 func (s *State) initEntry(stackParams int) {
-	for _, r := range x86.ParamRegs {
-		s.Regs[r] = Param(ParamRef{Reg: r})
+	if stackParams > maxStackParams {
+		panic(fmt.Sprintf("symex: %d stack parameters, the taint mask holds %d", stackParams, maxStackParams))
+	}
+	for i, r := range paramRegs {
+		s.Regs[r] = paramValue(i)
 	}
 	for i := 0; i < stackParams; i++ {
 		off := int64(8 * (i + 1)) // above the return address
-		s.Stack[off] = Param(ParamRef{Stack: true, Off: off})
+		s.Stack[off] = paramValue(len(paramRegs) + i)
 	}
 }
 

@@ -120,7 +120,7 @@ func (m *Machine) addSub(st *State, in x86.Inst, sign int64) {
 	case a.Kind == KStackPtr && bConst:
 		v = StackPtr(a.StackOff() + sign*int64(kb))
 	default:
-		v = taintedUnknown(a, b)
+		v = taintedUnknown2(a, b)
 	}
 	m.writeOperand(st, in, in.Dst, v)
 }
@@ -134,7 +134,7 @@ func (m *Machine) alu(st *State, in x86.Inst, f func(a, b uint64) uint64) {
 		m.writeOperand(st, in, in.Dst, truncate(Const(f(ka, kb)), in.OpSize))
 		return
 	}
-	m.writeOperand(st, in, in.Dst, taintedUnknown(a, b))
+	m.writeOperand(st, in, in.Dst, taintedUnknown2(a, b))
 }
 
 func (m *Machine) incDec(st *State, in x86.Inst, sign int64) {
@@ -185,7 +185,7 @@ func (m *Machine) evalEA(st *State, in x86.Inst, mem x86.Mem) Value {
 	case base.Kind == KStackPtr && idxConst:
 		return StackPtr(base.StackOff() + int64(ki*uint64(mem.Scale)) + int64(mem.Disp))
 	default:
-		return taintedUnknown(base, idx)
+		return taintedUnknown2(base, idx)
 	}
 }
 

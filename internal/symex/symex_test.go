@@ -129,7 +129,7 @@ func TestWrapperParamRegister(t *testing.T) {
 		t.Fatal("no site states")
 	}
 	v := res.SiteStates[0].Reg(x86.RAX)
-	if v.Kind != KParam || v.P.Reg != x86.RDI || v.P.Stack {
+	if p, _ := v.Param(); v.Kind != KParam || p != (ParamRef{Reg: x86.RDI}) {
 		t.Fatalf("rax = %v, want arg:rdi", v)
 	}
 }
@@ -152,7 +152,7 @@ func TestWrapperParamStackSlot(t *testing.T) {
 		t.Fatal("no site states")
 	}
 	v := res.SiteStates[0].Reg(x86.RAX)
-	if v.Kind != KParam || !v.P.Stack || v.P.Off != 8 {
+	if p, _ := v.Param(); v.Kind != KParam || p != (ParamRef{Stack: true, Off: 8}) {
 		t.Fatalf("rax = %v, want arg[rsp+8]", v)
 	}
 }
@@ -365,12 +365,12 @@ func TestValueHelpers(t *testing.T) {
 	if p.String() != "arg:rdi" {
 		t.Errorf("param string: %s", p.String())
 	}
-	u := taintedUnknown(p, Param(ParamRef{Stack: true, Off: 16}))
+	u := taintedUnknown2(p, Param(ParamRef{Stack: true, Off: 16}))
 	if len(u.AllTaint()) != 2 {
 		t.Errorf("taint: %v", u.AllTaint())
 	}
 	// Dedup.
-	u2 := taintedUnknown(p, p, u)
+	u2 := taintedUnknown2(taintedUnknown2(p, p), u)
 	if len(u2.AllTaint()) != 2 {
 		t.Errorf("dedup taint: %v", u2.AllTaint())
 	}

@@ -10,7 +10,7 @@ package symex
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 	"strings"
 
 	"bside/internal/x86"
@@ -50,14 +50,36 @@ func (p ParamRef) String() string {
 	return "arg:" + p.Reg.String()
 }
 
+// The parameter table gives every parameter a value can carry one bit
+// of a taint mask. It lists the System V argument registers in
+// register-number order, then the stack slots +8, +16, ... — so a
+// mask's lowest bit is the lowest register by number, and registers
+// come before stack slots.
+var paramRegs = [...]x86.Reg{x86.RCX, x86.RDX, x86.RSI, x86.RDI, x86.R8, x86.R9}
+
+// maxStackParams is how many stack slots the table holds after the
+// registers: one taint bit each.
+const maxStackParams = 32 - len(paramRegs)
+
+// paramAt returns the parameter at table index i.
+func paramAt(i int) ParamRef {
+	if i < len(paramRegs) {
+		return ParamRef{Reg: paramRegs[i]}
+	}
+	return ParamRef{Stack: true, Off: int64(8 * (i - len(paramRegs) + 1))}
+}
+
 // Value is a symbolic value. The zero value is an untainted unknown.
+// It is 16 bytes and holds no pointers: the executor copies values on
+// every instruction, and a state's registers and stack then clear
+// without write barriers.
 type Value struct {
 	Kind Kind
-	K    uint64 // constant bits (KConst) or stack offset as int64 (KStackPtr)
-	P    ParamRef
-	// Taint lists the parameters that influenced a KUnknown value (or,
-	// for KParam, is implicitly {P}). Kept sorted and deduplicated.
-	Taint []ParamRef
+	// taint is a bitmask over the parameter table: for KParam the one
+	// parameter itself, for KUnknown the parameters that influenced it,
+	// zero for the other kinds.
+	taint uint32
+	K     uint64 // constant bits (KConst) or stack offset as int64 (KStackPtr)
 }
 
 // Const builds a concrete value.
@@ -67,8 +89,20 @@ func Const(v uint64) Value { return Value{Kind: KConst, K: v} }
 // the state's stack base.
 func StackPtr(off int64) Value { return Value{Kind: KStackPtr, K: uint64(off)} }
 
-// Param builds a parameter value.
-func Param(p ParamRef) Value { return Value{Kind: KParam, P: p} }
+// Param builds a parameter value. It panics when p is not in the
+// parameter table: a register that carries no System V argument, or a
+// stack slot beyond the table's maxStackParams qwords.
+func Param(p ParamRef) Value {
+	for i := 0; i < len(paramRegs)+maxStackParams; i++ {
+		if paramAt(i) == p {
+			return paramValue(i)
+		}
+	}
+	panic(fmt.Sprintf("symex: %v is not in the parameter table", p))
+}
+
+// paramValue is the parameter at table index i.
+func paramValue(i int) Value { return Value{Kind: KParam, taint: 1 << i} }
 
 // Unknown is an untainted opaque value.
 func Unknown() Value { return Value{} }
@@ -84,13 +118,24 @@ func (v Value) IsConst() (uint64, bool) {
 // StackOff returns the stack offset of a KStackPtr value.
 func (v Value) StackOff() int64 { return int64(v.K) }
 
-// AllTaint returns the parameters influencing v (for KParam, the
-// parameter itself).
-func (v Value) AllTaint() []ParamRef {
-	if v.Kind == KParam {
-		return []ParamRef{v.P}
+// Param returns the parameter that carries v: a KParam's own parameter,
+// or a tainted KUnknown's first influence in table order. ok is false
+// when no parameter influenced v.
+func (v Value) Param() (p ParamRef, ok bool) {
+	if v.taint == 0 {
+		return ParamRef{}, false
 	}
-	return v.Taint
+	return paramAt(bits.TrailingZeros32(v.taint)), true
+}
+
+// AllTaint returns the parameters influencing v (for KParam, the
+// parameter itself) in table order.
+func (v Value) AllTaint() []ParamRef {
+	var out []ParamRef
+	for m := v.taint; m != 0; m &= m - 1 {
+		out = append(out, paramAt(bits.TrailingZeros32(m)))
+	}
+	return out
 }
 
 // String renders the value.
@@ -101,50 +146,25 @@ func (v Value) String() string {
 	case KStackPtr:
 		return fmt.Sprintf("stack%+d", v.StackOff())
 	case KParam:
-		return v.P.String()
+		p, _ := v.Param()
+		return p.String()
 	default:
-		if len(v.Taint) == 0 {
+		if v.taint == 0 {
 			return "?"
 		}
-		parts := make([]string, len(v.Taint))
-		for i, p := range v.Taint {
-			parts[i] = p.String()
+		var parts []string
+		for _, p := range v.AllTaint() {
+			parts = append(parts, p.String())
 		}
 		return "?{" + strings.Join(parts, ",") + "}"
 	}
 }
 
-// taintedUnknown builds an unknown influenced by the taints of the given
-// values.
-func taintedUnknown(vs ...Value) Value {
-	var taint []ParamRef
-	for _, v := range vs {
-		taint = append(taint, v.AllTaint()...)
-	}
-	return Value{Kind: KUnknown, Taint: dedupParams(taint)}
-}
+// taintedUnknown builds an unknown influenced by v's taint.
+func taintedUnknown(v Value) Value { return Value{taint: v.taint} }
 
-func dedupParams(ps []ParamRef) []ParamRef {
-	if len(ps) <= 1 {
-		return ps
-	}
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Stack != ps[j].Stack {
-			return !ps[i].Stack
-		}
-		if ps[i].Reg != ps[j].Reg {
-			return ps[i].Reg < ps[j].Reg
-		}
-		return ps[i].Off < ps[j].Off
-	})
-	out := ps[:1]
-	for _, p := range ps[1:] {
-		if p != out[len(out)-1] {
-			out = append(out, p)
-		}
-	}
-	return out
-}
+// taintedUnknown2 builds an unknown influenced by the taints of a and b.
+func taintedUnknown2(a, b Value) Value { return Value{taint: a.taint | b.taint} }
 
 // truncate masks a value to the given operand size, modelling the
 // zero-extension of 32-bit destinations. Non-constants keep their

@@ -157,9 +157,6 @@ func TestRegisterProperties(t *testing.T) {
 	if RIP.Valid() || RegNone.Valid() {
 		t.Error("pseudo registers must be invalid")
 	}
-	if ParamRegs != [6]Reg{RDI, RSI, RDX, RCX, R8, R9} {
-		t.Error("SysV parameter order")
-	}
 }
 
 func TestStringFormatting(t *testing.T) {

@@ -79,7 +79,3 @@ func (r Reg) IsCallerSaved() bool {
 	}
 	return false
 }
-
-// ParamRegs lists the integer argument registers of the System V AMD64
-// calling convention, in order.
-var ParamRegs = [6]Reg{RDI, RSI, RDX, RCX, R8, R9}
