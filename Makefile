@@ -4,7 +4,7 @@
 GO ?= go
 SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo nosha)
 
-.PHONY: all build vet fmt-check lines test race bench bench-module bench-compare bench-check profile fuzz fuzz-nightly fuzz-malformed
+.PHONY: all build vet fmt-check lines test cover race bench bench-module bench-compare bench-check profile fuzz fuzz-nightly fuzz-malformed
 
 all: build vet fmt-check test
 
@@ -32,6 +32,15 @@ lines:
 
 test:
 	$(GO) test ./...
+
+# Statement coverage of the whole module from the root test suite: each
+# package's tests count toward every package they execute
+# (-coverpkg=./...). Prints the functions no test executes (0.0%) and
+# the total. The bside main() runs that TestMainScenarios re-executes
+# as child processes are not counted: the children write no profile.
+cover:
+	$(GO) test -count=1 -coverpkg=./... -coverprofile=cover.out ./...
+	@$(GO) tool cover -func=cover.out | awk '$$NF == "0.0%" || $$1 == "total:"'
 
 # Race-detector pass over the concurrent paths: the shared-interface
 # analyzer, the on-disk cache (with its striped memory tier), the

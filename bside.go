@@ -752,7 +752,7 @@ func (a *Analyzer) analyze(ctx context.Context, bin *elff.Binary, probed bool) (
 			return nil, fmt.Errorf("bside: module %s: %w", path, err)
 		}
 		out.FailOpen = out.FailOpen || failOpen
-		var merged linux.ValueSet
+		var merged linux.SyscallBitset
 		merged.AddAll(out.Syscalls)
 		merged.AddAll(set)
 		out.Syscalls = merged.Append(out.Syscalls[:0])

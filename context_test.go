@@ -2,6 +2,7 @@ package bside
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -122,5 +123,64 @@ func TestLookupByHash(t *testing.T) {
 	// Unknown hashes miss.
 	if _, ok := b.Lookup("0000000000000000000000000000000000000000000000000000000000000000"); ok {
 		t.Fatal("Lookup hit on unknown hash")
+	}
+}
+
+// TestLookupStaysInsideCache: a Lookup hash is caller input (serve's
+// `?hash=`). One that is not a SHA-256 in lowercase hex must be a miss
+// before any tier is probed: it must neither serve an envelope planted
+// outside the cache directory through a relative path, nor count a
+// directory it happens to name as a disk error.
+func TestLookupStaysInsideCache(t *testing.T) {
+	path, libDir := writeCorpusApp(t)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := elff.ReadIdentity(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	cacheDir := filepath.Join(root, "cache")
+	if _, err := NewAnalyzer(Options{LibraryDir: libDir, CacheDir: cacheDir}).AnalyzeFile(path); err != nil {
+		t.Fatal(err)
+	}
+	// Plant a copy of the valid program entry outside the cache
+	// directory, refiled under the key that reaches it.
+	raw, err := os.ReadFile(filepath.Join(cacheDir, "program", id.Hash[:2], id.Hash+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env map[string]any
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatal(err)
+	}
+	const evil = "../outside/evil"
+	env["sha256"] = evil
+	planted, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outside := filepath.Join(root, "outside")
+	if err := os.MkdirAll(filepath.Join(outside, "dir.json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(outside, "evil.json"), planted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	a := NewAnalyzer(Options{LibraryDir: libDir, CacheDir: cacheDir})
+	if got, ok := a.Lookup(evil); ok {
+		t.Fatalf("Lookup served an envelope from outside the cache: %+v", got)
+	}
+	if _, ok := a.Lookup("../outside/dir"); ok {
+		t.Fatal("Lookup hit on a directory")
+	}
+	if n := a.CacheStats().CacheIOErrors; n != 0 {
+		t.Fatalf("malformed keys counted %d disk errors", n)
+	}
+	if _, ok := a.Lookup(id.Hash); !ok {
+		t.Fatal("the valid hash missed")
 	}
 }

@@ -100,9 +100,6 @@ func (b *Builder) QuadLabel(label string) {
 	b.Quad(0)
 }
 
-// Zero emits n zero bytes.
-func (b *Builder) Zero(n int) { b.buf = append(b.buf, make([]byte, n)...) }
-
 // Finalize resolves all label references assuming the image is loaded at
 // base, and returns the image plus the symbol table (label -> absolute
 // virtual address).

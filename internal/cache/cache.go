@@ -505,7 +505,17 @@ func Load[T any](s *Store, kind, key, conf string) (T, bool) {
 // the caller owns validating the returned fingerprint — serving an
 // entry without checking it would silently cross analyzer
 // configurations.
+//
+// The key arrives from outside the process, so anything but a SHA-256
+// in lowercase hex is a miss before any tier is probed: a key such as
+// "../x" must never name a file outside the store's directory.
 func LoadAny[T any](s *Store, kind, key string) (T, string, bool) {
+	var kb [32]byte
+	if !decodeHexKey(key, &kb) {
+		s.misses.Add(1)
+		var zero T
+		return zero, "", false
+	}
 	return load[T](s, kind, key, "", true)
 }
 

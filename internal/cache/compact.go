@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -92,6 +93,10 @@ func (s *Store) discoverPacks() {
 // to live under the store's directory) and adds it to the probe set.
 // This is the Options.PackPath hook: a fleet can build one pack
 // centrally and point every node's analyzer at it read-only.
+//
+// A pack whose body checksum matches one already in the set (typically
+// the file Open found under the store's own packs/ directory) is not
+// added twice: its new mapping is closed and AttachPack returns nil.
 func (s *Store) AttachPack(path string) error {
 	p, err := openPack(path)
 	if err != nil {
@@ -101,6 +106,14 @@ func (s *Store) AttachPack(path string) error {
 		old := s.packs.Load()
 		var next []*pack
 		if old != nil {
+			for _, q := range *old {
+				if bytes.Equal(q.checksum(), p.checksum()) {
+					// A read-only mapping nothing probes yet: a failed
+					// unmap leaves the probe set as correct as a good one.
+					_ = p.img.Close()
+					return nil
+				}
+			}
 			next = append(next, *old...)
 		}
 		next = append(next, p)

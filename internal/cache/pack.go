@@ -182,6 +182,11 @@ func parsePack(path string, img *elff.Image) (*pack, error) {
 	return p, nil
 }
 
+// checksum is the pack's body checksum (header bytes 48:80). Packs
+// are named after its first bytes, so it identifies the pack's content
+// wherever the file lies.
+func (p *pack) checksum() []byte { return p.data[48:80] }
+
 func (p *pack) rec(i int) []byte {
 	return p.index[i*packRecordSize : (i+1)*packRecordSize]
 }

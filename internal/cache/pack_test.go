@@ -338,6 +338,50 @@ func TestCompactCarriesOldPack(t *testing.T) {
 	}
 }
 
+// TestAttachPackSkipsOpenPack: attaching the pack Open already found
+// under the store's packs/ directory leaves one pack in the probe set
+// (misses would otherwise probe it twice, and the gauges would double),
+// while a different pack still joins.
+func TestAttachPackSkipsOpenPack(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	populate(t, s, "interface", 8, constConf(""))
+	cs, err := s.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s2.Stats()
+	if err := s2.AttachPack(cs.PackPath); err != nil {
+		t.Fatal(err)
+	}
+	if st := s2.Stats(); st.Packs != 1 || st.PackEntries != 8 || st.PackBytesMapped != before.PackBytesMapped {
+		t.Fatalf("re-attached pack counted twice: %+v", st)
+	}
+
+	other, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	populate(t, other, "program", 3, constConf(""))
+	ocs, err := other.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.AttachPack(ocs.PackPath); err != nil {
+		t.Fatal(err)
+	}
+	if st := s2.Stats(); st.Packs != 2 || st.PackEntries != 11 {
+		t.Fatalf("a different pack was not attached: %+v", st)
+	}
+}
+
 // TestPackReservedByteRejected: index byte 39 is reserved and must be
 // zero. A pack with it set (what the binary payload codecs of earlier
 // releases wrote) is refused whole even when its checksum is valid,

@@ -320,9 +320,6 @@ func (m *Machine) setReg(r x86.Reg, size uint8, v uint64) {
 	}
 }
 
-// Reg exposes register values (tests and debugging).
-func (m *Machine) Reg(r x86.Reg) uint64 { return m.regs[r] }
-
 func (m *Machine) readOperand(in x86.Inst, op x86.Operand) (uint64, error) {
 	switch op.Kind {
 	case x86.KindImm:

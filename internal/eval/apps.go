@@ -32,9 +32,6 @@ type ToolRun struct {
 	FellBack bool
 }
 
-// Count is the identified-set size (0 on failure).
-func (t ToolRun) Count() int { return len(t.Syscalls) }
-
 // AppEval bundles every tool's result on one application.
 type AppEval struct {
 	Name      string

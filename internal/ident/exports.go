@@ -36,14 +36,14 @@ func ExportProfiles(g *cfg.Graph, rep *Report) []ExportProfile {
 		wrapperByEntry[w.FnEntry] = w.Param
 	}
 
-	var values linux.ValueSet
+	var values linux.SyscallBitset
 	var imports []string
 	profiles := make([]ExportProfile, 0, len(g.Bin.Exports))
 	for _, ex := range g.Bin.Exports {
 		p := ExportProfile{Name: ex.Name, Addr: ex.Addr}
 		reach := g.ReachableSet(ex.Addr)
 
-		values.Reset()
+		values = linux.SyscallBitset{}
 		for _, site := range rep.Sites {
 			if !reach.Has(site.Block) {
 				continue

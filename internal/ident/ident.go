@@ -118,7 +118,10 @@ type SiteResult struct {
 	Kind SiteKind
 	// Wrapper is the wrapper function entry for redirected sites.
 	Wrapper uint64
-	// Syscalls lists the resolved syscall numbers at this site.
+	// Syscalls lists the resolved syscall numbers at this site, sorted.
+	// Values at or above linux.SyscallSetBits are addresses or artifacts,
+	// never syscalls: the backward search drops them as it collects the
+	// site's values, so they never reach this list.
 	Syscalls []uint64
 	// FailOpen is set when the search could not bound the value set;
 	// the binary-level report then falls back to the full table for
@@ -176,8 +179,9 @@ type Stats struct {
 
 // Report is the identification result for one binary.
 type Report struct {
-	// Syscalls is the deduplicated, sorted union over all sites, with
-	// artifacts at or above linux.SyscallSetBits dropped.
+	// Syscalls is the deduplicated, sorted union over all sites. Like
+	// each site's list, it holds no value at or above
+	// linux.SyscallSetBits.
 	Syscalls []uint64
 	// Sites holds per-target details, ordered by (Addr, Kind, Wrapper).
 	Sites []SiteResult
@@ -280,12 +284,6 @@ func putSet(s *cfg.BlockSet) { setPool.Put(s) }
 func (p *Pass) budgetError(stage string) error {
 	return &BudgetError{Stage: stage, Cause: p.conf.Budget.Cause()}
 }
-
-// ReachableImports returns the imported symbols the binary can call.
-func (p *Pass) ReachableImports() []string { return p.imports }
-
-// Wrappers returns the wrappers found by DetectWrappers.
-func (p *Pass) Wrappers() []WrapperInfo { return p.wrapperInfos }
 
 // forEachUnit runs fn(i) for every unit index in [0, n) across at most
 // workers goroutines. fn must confine its writes to slot i of the
@@ -446,11 +444,7 @@ func (p *Pass) Identify() (*Report, error) {
 			if res.FailOpen {
 				rep.FailOpen = true
 			}
-			for _, v := range res.Syscalls {
-				if v < linux.SyscallSetBits {
-					values.Add(v)
-				}
-			}
+			values.AddAll(res.Syscalls)
 		}
 	}
 

@@ -22,7 +22,7 @@ type searchScratch struct {
 	pending  []*cfg.Block
 	next     []*cfg.Block
 	preds    []*cfg.Block
-	values   linux.ValueSet
+	values   linux.SyscallBitset
 }
 
 // getScratch returns an empty search bundle sized for a graph of
@@ -32,7 +32,7 @@ func getScratch(numBlocks int) *searchScratch {
 	s.directed.ResetFor(numBlocks)
 	s.visited.ResetFor(numBlocks)
 	s.predSeen.ResetFor(numBlocks)
-	s.values.Reset()
+	s.values = linux.SyscallBitset{}
 	return s
 }
 
@@ -82,6 +82,9 @@ func (p *Pass) identify(target *cfg.Block, param *symex.ParamRef) SiteResult {
 		all := len(run.SiteStates) > 0
 		for _, st := range run.SiteStates {
 			if k, ok := query(st).IsConst(); ok {
+				// A constant at or above linux.SyscallSetBits is an
+				// address or an artifact, not a syscall: Add drops it
+				// here, the one place a site's values are collected.
 				sc.values.Add(k)
 			} else {
 				all = false

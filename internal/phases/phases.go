@@ -143,7 +143,7 @@ func Detect(in Input, conf Config) (*Automaton, error) {
 		onSym  []int    // successors taken on any label
 	}
 	nodes := make([]nfa, len(blocks))
-	var alphaSet linux.ValueSet
+	var alphaSet linux.SyscallBitset
 	for i, b := range blocks {
 		emits := in.Emits[b.Addr]
 		for _, e := range b.Succs {
@@ -332,10 +332,10 @@ func Detect(in Input, conf Config) (*Automaton, error) {
 		out.Phases[i] = &Phase{ID: i, Transitions: make(map[int][]uint64)}
 	}
 	blockSets := make([]map[uint64]bool, numPhases)
-	transSets := make([]map[int]*linux.ValueSet, numPhases)
+	transSets := make([]map[int]*linux.SyscallBitset, numPhases)
 	for i := range blockSets {
 		blockSets[i] = make(map[uint64]bool)
-		transSets[i] = make(map[int]*linux.ValueSet)
+		transSets[i] = make(map[int]*linux.SyscallBitset)
 	}
 	for id, st := range dfa {
 		p := comp[id]
@@ -348,7 +348,7 @@ func Detect(in Input, conf Config) (*Automaton, error) {
 			dst := comp[to]
 			set := transSets[p][dst]
 			if set == nil {
-				set = new(linux.ValueSet)
+				set = new(linux.SyscallBitset)
 				transSets[p][dst] = set
 			}
 			set.Add(s)
@@ -362,7 +362,7 @@ func Detect(in Input, conf Config) (*Automaton, error) {
 			}
 		}
 		sort.Slice(ph.Blocks, func(i, j int) bool { return ph.Blocks[i] < ph.Blocks[j] })
-		var allowed linux.ValueSet
+		var allowed linux.SyscallBitset
 		for dst, set := range transSets[p] {
 			allowed.Union(set)
 			ph.Transitions[dst] = set.Slice()
@@ -388,7 +388,7 @@ func backPropagate(a *Automaton) {
 			}
 		}
 	})
-	allowed := make([]linux.ValueSet, n)
+	allowed := make([]linux.SyscallBitset, n)
 	for i, ph := range a.Phases {
 		allowed[i].AddAll(ph.Allowed)
 	}

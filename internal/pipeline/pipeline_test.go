@@ -5,14 +5,19 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
+	"bside/internal/asm"
 	"bside/internal/cfg"
 	"bside/internal/corpus"
 	"bside/internal/elff"
+	"bside/internal/emu"
 	"bside/internal/ident"
 	"bside/internal/symex"
+	"bside/internal/testbin"
+	"bside/internal/x86"
 )
 
 // testBinary synthesizes a mid-sized static binary with enough
@@ -57,6 +62,85 @@ func TestRunMatchesMonolithicAnalyze(t *testing.T) {
 	}
 	if len(res.Report.Wrappers) != len(want.Wrappers) {
 		t.Fatalf("wrappers drifted: %d vs %d", len(res.Report.Wrappers), len(want.Wrappers))
+	}
+}
+
+// TestIndirectDispatchMatchesEmulator: the syscall number is set before
+// a register-indirect transfer whose target a table indexed by RDI
+// supplies, so the search reaches each site only through the symbolic
+// indirect jump or call. The analysis must stay decided, and its set
+// must equal what the emulator executes.
+func TestIndirectDispatchMatchesEmulator(t *testing.T) {
+	dispatch := func(b *asm.Builder) {
+		b.Func("_start")
+		b.MovRegImm32(x86.RAX, 39) // getpid
+		b.Lea(x86.RDX, "table")
+		b.MovRegMem(x86.RDX, x86.Mem{Base: x86.RDX, Index: x86.RDI, Scale: 8})
+	}
+	table := func(b *asm.Builder) {
+		b.Label("__code_end")
+		b.Align(8)
+		b.Label("table")
+		b.QuadLabel("case0")
+		b.QuadLabel("case1")
+	}
+	cases := []struct {
+		name  string
+		build func(b *asm.Builder)
+	}{
+		{"jmp through a jump table", func(b *asm.Builder) {
+			dispatch(b)
+			b.JmpReg(x86.RDX)
+			b.Func("case0")
+			b.Syscall()
+			b.JmpLabel("out")
+			b.Func("case1")
+			b.Syscall()
+			b.Label("out")
+			b.MovRegImm32(x86.RAX, 60)
+			b.Syscall()
+			b.Ret()
+			table(b)
+		}},
+		{"call through a function-pointer table", func(b *asm.Builder) {
+			dispatch(b)
+			b.CallReg(x86.RDX)
+			b.MovRegImm32(x86.RAX, 60)
+			b.Syscall()
+			b.Ret()
+			b.Func("case0")
+			b.Syscall()
+			b.Ret()
+			b.Func("case1")
+			b.Syscall()
+			b.Ret()
+			table(b)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			bin, _ := testbin.Build(t, elff.KindStatic, c.build, nil)
+			m, err := emu.NewProcess(bin, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Run(10_000); err != nil {
+				t.Fatal(err)
+			}
+			truth := append([]uint64(nil), m.Trace...)
+			sort.Slice(truth, func(i, j int) bool { return truth[i] < truth[j] })
+			res, err := Run(bin, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []uint64{39, 60}
+			if !reflect.DeepEqual(truth, want) {
+				t.Fatalf("emulator executed %v, want %v", truth, want)
+			}
+			if rep := res.Report; !reflect.DeepEqual(rep.Syscalls, want) || rep.FailOpen {
+				t.Fatalf("identified %v (fail-open %v), want %v decided", rep.Syscalls, rep.FailOpen, want)
+			}
+		})
 	}
 }
 

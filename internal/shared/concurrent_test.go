@@ -516,6 +516,12 @@ func TestSameNamedModulesDoNotShareMemo(t *testing.T) {
 	if !reflect.DeepEqual(setA, []uint64{41}) || !reflect.DeepEqual(setB, []uint64{42}) {
 		t.Fatalf("same-named modules cross-contaminated: %v / %v", setA, setB)
 	}
+	// An image without a content hash cannot key its memo entries.
+	bare := *mkModule(0x7F0D00000000, 43)
+	bare.Hash = ""
+	if _, _, err := a.Module(&bare, "hook.so", nil); err == nil {
+		t.Fatal("module without a content hash accepted")
+	}
 }
 
 // TestUnderlinkedLibraryResolvesViaProgramScope: a library calling a

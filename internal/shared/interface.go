@@ -1,9 +1,15 @@
 // Package shared implements step 3 of B-Side's pipeline (§4.5):
 // decoupled analysis of shared libraries into reusable *shared
-// interfaces* (persisted as content-addressed cache entries),
-// dependency ordering through a priority queue, and
+// interfaces* (persisted as content-addressed cache entries), and
 // resolution of a dynamically compiled executable's foreign calls
 // against the interfaces of its (transitive) library dependencies.
+//
+// Each DT_NEEDED list's closure is walked once into a closure record
+// (closureOf). Its post-order orders interface computation, so every
+// library is analyzed after everything it needs; its sorted names are
+// the symbol-resolution scope and the export-memo key; and its
+// name=sha256 rendering is the dependency part of every cache
+// fingerprint.
 package shared
 
 import (

@@ -1,13 +1,12 @@
 package shared
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bside/internal/cache"
@@ -68,14 +67,13 @@ type Analyzer struct {
 	// the benchmark harness under bench/ still sets it.
 	DisableFuncMemo bool
 
-	mu          sync.Mutex
-	interfaces  map[string]*Interface
-	exportMemo  map[string]exportSet
-	bins        map[string]*elff.Binary
-	binFlight   map[string]*flight[*elff.Binary]
-	ifcFlight   map[string]*flight[*Interface]
-	depHashMemo map[string]string
-	moduleSeq   atomic.Uint64
+	mu         sync.Mutex
+	interfaces map[string]*Interface
+	exportMemo map[string]exportSet
+	bins       map[string]*elff.Binary
+	binFlight  map[string]*flight[*elff.Binary]
+	ifcFlight  map[string]*flight[*Interface]
+	closures   map[string]*closure
 }
 
 type exportSet struct {
@@ -131,14 +129,14 @@ func singleflight[T any](mu *sync.Mutex, memo map[string]T, flights map[string]*
 // NewAnalyzer builds an Analyzer around a library loader.
 func NewAnalyzer(load func(name string) (*elff.Binary, error), conf ident.Config) *Analyzer {
 	return &Analyzer{
-		LoadLib:     load,
-		Config:      conf,
-		interfaces:  make(map[string]*Interface),
-		exportMemo:  make(map[string]exportSet),
-		bins:        make(map[string]*elff.Binary),
-		binFlight:   make(map[string]*flight[*elff.Binary]),
-		ifcFlight:   make(map[string]*flight[*Interface]),
-		depHashMemo: make(map[string]string),
+		LoadLib:    load,
+		Config:     conf,
+		interfaces: make(map[string]*Interface),
+		exportMemo: make(map[string]exportSet),
+		bins:       make(map[string]*elff.Binary),
+		binFlight:  make(map[string]*flight[*elff.Binary]),
+		ifcFlight:  make(map[string]*flight[*Interface]),
+		closures:   make(map[string]*closure),
 	}
 }
 
@@ -200,44 +198,67 @@ func (a *Analyzer) loadLib(name string) (*elff.Binary, error) {
 	})
 }
 
-// depItem is a priority-queue element ordered by dependency depth:
-// deepest libraries are analyzed first so that every library sees its
-// dependencies' interfaces (§4.5's DAG-compatible ordering).
-type depItem struct {
-	name  string
-	depth int
+// maxChain bounds the DT_NEEDED chain a closure walk follows.
+const maxChain = 64
+
+// closure is one DT_NEEDED list's transitive dependency closure, walked
+// once and shared by everything that needs it: interface ordering,
+// symbol resolution, the export memo and the cache fingerprint.
+type closure struct {
+	// order lists the members in DFS post-order, so every library comes
+	// after everything it needs (§4.5's DAG-compatible ordering).
+	order []string
+	// names lists the members sorted: the program's global symbol
+	// scope in a deterministic search order.
+	names []string
+	// key renders names canonically, so export sets memoized under
+	// different scopes never collide.
+	key string
+	// deps renders each member as name=sha256 in names order, the
+	// dependency part of a cache fingerprint; depsErr is set instead
+	// when a member has no content hash.
+	deps    string
+	depsErr error
 }
 
-type depQueue []depItem
-
-func (q depQueue) Len() int           { return len(q) }
-func (q depQueue) Less(i, j int) bool { return q[i].depth > q[j].depth }
-func (q depQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *depQueue) Push(x any)        { *q = append(*q, x.(depItem)) }
-func (q *depQueue) Pop() any          { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
-
-// depClosure loads the transitive DT_NEEDED closure of needed and
-// returns each member's depth (deeper = analyzed earlier).
-func (a *Analyzer) depClosure(needed []string) (map[string]int, error) {
-	depth := make(map[string]int)
-	var visit func(name string, d int) error
-	visit = func(name string, d int) error {
-		if prev, ok := depth[name]; ok && prev >= d {
+// closureOf loads the transitive DT_NEEDED closure of needed and
+// returns its record. Records are memoized per needed list: LoadLib's
+// name→image mapping is fixed for the analyzer's lifetime (loads are
+// memoized), so the closure is a pure function of the list. Failures
+// (a load error, a cycle, a chain deeper than maxChain) are not
+// memoized.
+func (a *Analyzer) closureOf(needed []string) (*closure, error) {
+	memoKey := strings.Join(needed, "\x00")
+	a.mu.Lock()
+	cl, ok := a.closures[memoKey]
+	a.mu.Unlock()
+	if ok {
+		return cl, nil
+	}
+	cl = &closure{}
+	// hashes holds the finished members. A member finishes only after
+	// everything below it, so a cycle never finishes and runs into the
+	// chain bound instead.
+	hashes := make(map[string]string)
+	var visit func(name string, depth int) error
+	visit = func(name string, depth int) error {
+		if _, done := hashes[name]; done {
 			return nil
 		}
-		if d > 64 {
+		if depth > maxChain {
 			return fmt.Errorf("shared: dependency cycle or chain too deep at %q", name)
 		}
-		depth[name] = d
 		bin, err := a.loadLib(name)
 		if err != nil {
 			return err
 		}
 		for _, sub := range bin.Needed {
-			if err := visit(sub, d+1); err != nil {
+			if err := visit(sub, depth+1); err != nil {
 				return err
 			}
 		}
+		hashes[name] = bin.Hash
+		cl.order = append(cl.order, name)
 		return nil
 	}
 	for _, name := range needed {
@@ -245,28 +266,44 @@ func (a *Analyzer) depClosure(needed []string) (map[string]int, error) {
 			return nil, err
 		}
 	}
-	return depth, nil
+	cl.names = append([]string(nil), cl.order...)
+	sort.Strings(cl.names)
+	cl.key = strings.Join(cl.names, ",")
+	var sb strings.Builder
+	for i, n := range cl.names {
+		if hashes[n] == "" {
+			cl.depsErr = fmt.Errorf("shared: dependency %q has no content hash", n)
+			break
+		}
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(n)
+		sb.WriteByte('=')
+		sb.WriteString(hashes[n])
+	}
+	if cl.depsErr == nil {
+		cl.deps = sb.String()
+	}
+	a.mu.Lock()
+	a.closures[memoKey] = cl
+	a.mu.Unlock()
+	return cl, nil
 }
 
 // ensureInterfaces analyzes every library in the dependency closure of
-// needed, deepest-first.
-func (a *Analyzer) ensureInterfaces(needed []string) error {
-	depth, err := a.depClosure(needed)
+// needed, dependencies first, and returns the closure.
+func (a *Analyzer) ensureInterfaces(needed []string) (*closure, error) {
+	cl, err := a.closureOf(needed)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	q := make(depQueue, 0, len(depth))
-	for name, d := range depth {
-		q = append(q, depItem{name: name, depth: d})
-	}
-	heap.Init(&q)
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(depItem)
-		if err := a.ensureInterface(it.name); err != nil {
-			return err
+	for _, name := range cl.order {
+		if err := a.ensureInterface(name); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return cl, nil
 }
 
 // ensureInterface makes sure one library's interface is available,
@@ -321,7 +358,11 @@ func (a *Analyzer) computeInterface(name string) (*Interface, error) {
 			return &ifc, nil
 		}
 	}
-	wrappers, err := a.importWrappersFor(bin)
+	cl, err := a.closureOf(bin.Needed)
+	if err != nil {
+		return nil, err
+	}
+	wrappers, err := a.importWrappersFor(bin, cl)
 	if err != nil {
 		return nil, err
 	}
@@ -337,15 +378,14 @@ func (a *Analyzer) computeInterface(name string) (*Interface, error) {
 	return ifc, nil
 }
 
-// importWrappersFor inspects the interfaces of bin's dependencies and
-// returns the imported symbols that are wrappers.
-func (a *Analyzer) importWrappersFor(bin *elff.Binary) (map[string]symex.ParamRef, error) {
+// importWrappersFor inspects the interfaces of bin's dependency closure
+// cl and returns the imported symbols that are wrappers.
+func (a *Analyzer) importWrappersFor(bin *elff.Binary, cl *closure) (map[string]symex.ParamRef, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	scope := a.closureScopeLocked(bin.Needed)
 	out := make(map[string]symex.ParamRef)
 	for _, im := range bin.Imports {
-		ifc, exp := a.findProviderLocked(scope, bin.Needed, im.Name)
+		ifc, exp := a.findProviderLocked(cl, bin.Needed, im.Name)
 		if ifc == nil || exp.Wrapper == nil {
 			continue
 		}
@@ -358,37 +398,14 @@ func (a *Analyzer) importWrappersFor(bin *elff.Binary) (map[string]symex.ParamRe
 	return out, nil
 }
 
-// closureScopeLocked returns the name set of the transitive DT_NEEDED
-// closure of needed, walked over already-loaded images. This is the
-// symbol resolution scope of one program: a batch analyzer holds
-// interfaces from many unrelated programs, and letting a symbol
-// resolve against a library outside the binary's own closure would
-// make results depend on what else happened to be analyzed — and,
-// with the persistent cache, freeze that accident of scheduling into
-// a content-addressed entry. Callers hold a.mu.
-func (a *Analyzer) closureScopeLocked(needed []string) map[string]bool {
-	scope := make(map[string]bool)
-	var visit func(names []string)
-	visit = func(names []string) {
-		for _, n := range names {
-			if scope[n] {
-				continue
-			}
-			scope[n] = true
-			if bin, ok := a.bins[n]; ok {
-				visit(bin.Needed)
-			}
-		}
-	}
-	visit(needed)
-	return scope
-}
-
 // findProviderLocked locates the export named sym: first in the given
-// dependency list's interfaces, then anywhere within scope (the
-// program's global symbol scope — its full dependency closure).
-// Callers hold a.mu.
-func (a *Analyzer) findProviderLocked(scope map[string]bool, needed []string, sym string) (*Interface, *Export) {
+// dependency list's interfaces, then anywhere within cl (the program's
+// global symbol scope — its full dependency closure), in name order.
+// Resolving only within the program's own closure keeps results
+// independent of what else a batch analyzer happened to analyze — and,
+// with the persistent cache, keeps that accident of scheduling out of
+// content-addressed entries. Callers hold a.mu.
+func (a *Analyzer) findProviderLocked(cl *closure, needed []string, sym string) (*Interface, *Export) {
 	for _, name := range needed {
 		if ifc, ok := a.interfaces[name]; ok {
 			if exp, ok := ifc.ExportNamed(sym); ok {
@@ -396,43 +413,27 @@ func (a *Analyzer) findProviderLocked(scope map[string]bool, needed []string, sy
 			}
 		}
 	}
-	names := make([]string, 0, len(scope))
-	for name := range scope {
-		if _, ok := a.interfaces[name]; ok {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if exp, ok := a.interfaces[name].ExportNamed(sym); ok {
-			return a.interfaces[name], exp
+	for _, name := range cl.names {
+		if ifc, ok := a.interfaces[name]; ok {
+			if exp, ok := ifc.ExportNamed(sym); ok {
+				return ifc, exp
+			}
 		}
 	}
 	return nil, nil
 }
 
-// scopeKeyOf canonically renders a resolution scope so memoized
-// export sets computed under different scopes never collide.
-func scopeKeyOf(scope map[string]bool) string {
-	names := make([]string, 0, len(scope))
-	for n := range scope {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ",")
-}
-
 // closedExportSetLocked computes the transitive syscall set of one
 // export, following its foreign calls through other interfaces.
-// Imports resolve within scope — the analyzed program's full
-// dependency closure, matching the dynamic linker's global symbol
-// scope (an underlinked library routinely calls symbols provided by a
-// sibling it never declares in DT_NEEDED). The memo is keyed by
-// (scope, library, export), so results stay deterministic per program
-// even when one analyzer serves many programs with different
-// closures. Callers hold a.mu.
-func (a *Analyzer) closedExportSetLocked(scope map[string]bool, scopeKey string, lib *Interface, exp *Export) exportSet {
-	out, _ := a.closedExportWalkLocked(scope, scopeKey, lib, exp, 0, make(map[string]int))
+// Imports resolve within cl — the analyzed program's full dependency
+// closure, matching the dynamic linker's global symbol scope (an
+// underlinked library routinely calls symbols provided by a sibling it
+// never declares in DT_NEEDED). The memo is keyed by (closure,
+// library, export), so results stay deterministic per program even
+// when one analyzer serves many programs with different closures.
+// Callers hold a.mu.
+func (a *Analyzer) closedExportSetLocked(cl *closure, lib *Interface, exp *Export) exportSet {
+	out, _ := a.closedExportWalkLocked(cl, lib, exp, 0, make(map[string]int))
 	return out
 }
 
@@ -447,8 +448,8 @@ func (a *Analyzer) closedExportSetLocked(scope map[string]bool, scopeKey string,
 // incomplete set (as a naive seed-and-store does) would let another
 // program's query — or the persistent cache — serve a syscall set
 // missing the cycle's contributions.
-func (a *Analyzer) closedExportWalkLocked(scope map[string]bool, scopeKey string, lib *Interface, exp *Export, depth int, onStack map[string]int) (exportSet, int) {
-	key := scopeKey + "\x01" + lib.Library + "\x00" + exp.Name
+func (a *Analyzer) closedExportWalkLocked(cl *closure, lib *Interface, exp *Export, depth int, onStack map[string]int) (exportSet, int) {
+	key := cl.key + "\x01" + lib.Library + "\x00" + exp.Name
 	if memo, ok := a.exportMemo[key]; ok {
 		return memo, depth + 1
 	}
@@ -460,12 +461,12 @@ func (a *Analyzer) closedExportWalkLocked(scope map[string]bool, scopeKey string
 	onStack[key] = depth
 	defer delete(onStack, key)
 
-	var set linux.ValueSet
+	var set linux.SyscallBitset
 	set.AddAll(exp.Syscalls)
 	failOpen := exp.FailOpen
 	low := depth + 1
 	for _, sym := range exp.Imports {
-		ifc, sub := a.findProviderLocked(scope, lib.Needed, sym)
+		ifc, sub := a.findProviderLocked(cl, lib.Needed, sym)
 		if ifc == nil {
 			// A library may import its own export (PLT-routed
 			// self-calls); modules especially sit outside scope.
@@ -478,7 +479,7 @@ func (a *Analyzer) closedExportWalkLocked(scope map[string]bool, scopeKey string
 			failOpen = true
 			continue
 		}
-		es, sublow := a.closedExportWalkLocked(scope, scopeKey, ifc, sub, depth+1, onStack)
+		es, sublow := a.closedExportWalkLocked(cl, ifc, sub, depth+1, onStack)
 		if sublow < low {
 			low = sublow
 		}
@@ -549,7 +550,7 @@ func (r *ProgramReport) Emits() map[uint64][]uint64 {
 }
 
 func mergeSets(a, b []uint64) []uint64 {
-	var set linux.ValueSet
+	var set linux.SyscallBitset
 	set.AddAll(a)
 	set.AddAll(b)
 	return set.Slice()
@@ -576,12 +577,13 @@ func (a *Analyzer) ProgramCtx(ctx context.Context, bin *elff.Binary) (*ProgramRe
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := a.ensureInterfaces(bin.Needed); err != nil {
+	cl, err := a.ensureInterfaces(bin.Needed)
+	if err != nil {
 		return nil, err
 	}
 
 	conf := a.confFor(ctx)
-	wrappers, err := a.importWrappersFor(bin)
+	wrappers, err := a.importWrappersFor(bin, cl)
 	if err != nil {
 		return nil, err
 	}
@@ -600,7 +602,7 @@ func (a *Analyzer) ProgramCtx(ctx context.Context, bin *elff.Binary) (*ProgramRe
 	// Stitch stage: resolve each reachable foreign call against the
 	// dependency closure's interfaces and union the results.
 	stitchStart := time.Now()
-	var set linux.ValueSet
+	var set linux.SyscallBitset
 	set.AddAll(rep.Syscalls)
 	out := &ProgramReport{
 		Main:      rep,
@@ -610,15 +612,13 @@ func (a *Analyzer) ProgramCtx(ctx context.Context, bin *elff.Binary) (*ProgramRe
 		Timings:   res.Timings,
 	}
 	a.mu.Lock()
-	scope := a.closureScopeLocked(bin.Needed)
-	scopeKey := scopeKeyOf(scope)
 	for _, sym := range rep.ReachableImports {
-		ifc, exp := a.findProviderLocked(scope, bin.Needed, sym)
+		ifc, exp := a.findProviderLocked(cl, bin.Needed, sym)
 		if ifc == nil {
 			out.FailOpen = true
 			continue
 		}
-		es := a.closedExportSetLocked(scope, scopeKey, ifc, exp)
+		es := a.closedExportSetLocked(cl, ifc, exp)
 		out.PerImport[sym] = es.syscalls
 		out.FailOpen = out.FailOpen || es.failOpen
 		set.AddAll(es.syscalls)
@@ -658,41 +658,30 @@ func (a *Analyzer) ModuleCtx(ctx context.Context, bin *elff.Binary, name string,
 	// resolution scope, so the interface key must identify the
 	// (module image, host image) pair — a base name alone would let
 	// same-named modules, or the same module under different hosts,
-	// poison each other's entries. An image without a content hash
-	// gets a never-reused serial: correctness over memoization.
-	ifcName := "module:" + name
-	unkeyed := false
-	if mbin.Hash != "" {
-		ifcName += "#" + mbin.Hash[:12]
-	} else {
-		unkeyed = true
+	// poison each other's entries.
+	if mbin.Hash == "" {
+		return nil, false, fmt.Errorf("shared: module %q has no content hash", name)
 	}
+	ifcName := "module:" + name + "#" + mbin.Hash[:12]
 	if host != nil && len(host.Needed) > 0 {
+		if host.Hash == "" {
+			return nil, false, fmt.Errorf("shared: host of module %q has no content hash", name)
+		}
 		merged := append([]string(nil), mbin.Needed...)
 		for _, n := range host.Needed {
-			found := false
-			for _, m := range merged {
-				found = found || m == n
-			}
-			if !found {
+			if !slices.Contains(merged, n) {
 				merged = append(merged, n)
 			}
 		}
 		mbin.Needed = merged
-		if host.Hash != "" {
-			ifcName += "@" + host.Hash[:12]
-		} else {
-			unkeyed = true
-		}
-	}
-	if unkeyed {
-		ifcName += fmt.Sprintf("!%d", a.moduleSeq.Add(1))
+		ifcName += "@" + host.Hash[:12]
 	}
 	bin = &mbin
-	if err := a.ensureInterfaces(bin.Needed); err != nil {
+	cl, err := a.ensureInterfaces(bin.Needed)
+	if err != nil {
 		return nil, false, err
 	}
-	wrappers, err := a.importWrappersFor(bin)
+	wrappers, err := a.importWrappersFor(bin, cl)
 	if err != nil {
 		return nil, false, err
 	}
@@ -700,27 +689,16 @@ func (a *Analyzer) ModuleCtx(ctx context.Context, bin *elff.Binary, name string,
 	if err != nil {
 		return nil, false, err
 	}
-	var set linux.ValueSet
+	var set linux.SyscallBitset
 	a.mu.Lock()
-	scope := a.closureScopeLocked(bin.Needed)
-	scopeKey := scopeKeyOf(scope)
 	for i := range ifc.Exports {
 		exp := &ifc.Exports[i]
 		if exp.Wrapper != nil {
 			failOpen = true
 		}
-		es := a.closedExportSetLocked(scope, scopeKey, ifc, exp)
+		es := a.closedExportSetLocked(cl, ifc, exp)
 		failOpen = failOpen || es.failOpen
 		set.AddAll(es.syscalls)
-	}
-	if unkeyed {
-		// A one-shot key can never be hit again: drop the module's own
-		// memo entries so repeated hash-less Module calls do not grow
-		// the memo without bound. (Entries for the regular libraries
-		// reached during the walk stay — those keys recur.)
-		for i := range ifc.Exports {
-			delete(a.exportMemo, scopeKey+"\x01"+ifc.Library+"\x00"+ifc.Exports[i].Name)
-		}
 	}
 	a.mu.Unlock()
 	return set.Slice(), failOpen, nil

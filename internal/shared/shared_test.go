@@ -182,6 +182,54 @@ func TestProgramThroughDirectImport(t *testing.T) {
 	}
 }
 
+// TestLibraryExportDropsOutOfRangeValues: a constant at or above
+// linux.SyscallSetBits reaching a syscall is an address or an
+// artifact, not a syscall number. The program's own sites drop it, and
+// a library export's site must drop it the same way instead of
+// carrying it into the stitched set.
+func TestLibraryExportDropsOutOfRangeValues(t *testing.T) {
+	lib, _ := testbin.BuildAt(t, elff.KindShared, 0x7F0000000000, func(b *asm.Builder) {
+		b.Func("odd")
+		b.MovRegImm32(x86.RAX, 0x1000)
+		b.Syscall()
+		b.Ret()
+	}, func(spec *elff.Spec, syms map[string]uint64) {
+		spec.Exports = []elff.Export{{Name: "odd", Addr: syms["odd"]}}
+	})
+	main, _ := testbin.Build(t, elff.KindDynamic, func(b *asm.Builder) {
+		b.Func("_start")
+		b.CallLabel("stub_odd")
+		b.MovRegImm32(x86.RAX, 60)
+		b.Syscall()
+		b.Ret()
+		b.Func("stub_odd")
+		b.JmpMemRIP("got_odd")
+		b.Label("__code_end")
+		b.Align(8)
+		b.Label("got_odd")
+		b.Quad(0)
+	}, func(spec *elff.Spec, syms map[string]uint64) {
+		spec.Imports = []elff.Import{{Name: "odd", SlotAddr: syms["got_odd"]}}
+		spec.Needed = []string{"libodd.so"}
+	})
+	a := NewAnalyzer(func(name string) (*elff.Binary, error) {
+		if name == "libodd.so" {
+			return lib, nil
+		}
+		return nil, &elffNotFound{name}
+	}, ident.Config{})
+	rep, err := a.Program(main)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.Syscalls, []uint64{60}) || rep.FailOpen {
+		t.Fatalf("syscalls: %v failopen=%v, want [60]", rep.Syscalls, rep.FailOpen)
+	}
+	if got := rep.PerImport["odd"]; len(got) != 0 {
+		t.Fatalf("per-import odd: %v, want empty", got)
+	}
+}
+
 func TestProgramThroughImportedWrapper(t *testing.T) {
 	// The program calls libc's syscall() wrapper with a constant: the
 	// wrapper parameter comes from libc's interface and the call site

@@ -3,7 +3,6 @@ package shared
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"bside/internal/cache"
@@ -27,13 +26,15 @@ const (
 // fields that survive a cache round trip. The CFG and the per-site
 // identification report are deliberately dropped — they dwarf the
 // summary and only matter for phase detection and diagnostics, which
-// re-analyze when needed.
+// re-analyze when needed. The per-import breakdown is not stored
+// either: nothing reads it back from a cached summary. Entries written
+// by earlier versions, which stored it, still load; the decoder
+// ignores the extra field.
 type Summary struct {
-	Syscalls  []uint64            `json:"syscalls,omitempty"`
-	FailOpen  bool                `json:"fail_open,omitempty"`
-	Wrappers  int                 `json:"wrappers,omitempty"`
-	Imports   []string            `json:"imports,omitempty"`
-	PerImport map[string][]uint64 `json:"per_import,omitempty"`
+	Syscalls []uint64 `json:"syscalls,omitempty"`
+	FailOpen bool     `json:"fail_open,omitempty"`
+	Wrappers int      `json:"wrappers,omitempty"`
+	Imports  []string `json:"imports,omitempty"`
 	// Cached reports whether the summary was served from the store
 	// rather than computed. Not persisted.
 	Cached bool `json:"-"`
@@ -42,11 +43,10 @@ type Summary struct {
 // Summarize reduces a full report to its cacheable summary.
 func Summarize(rep *ProgramReport) *Summary {
 	return &Summary{
-		Syscalls:  rep.Syscalls,
-		FailOpen:  rep.FailOpen,
-		Wrappers:  len(rep.Main.Wrappers),
-		Imports:   rep.Main.ReachableImports,
-		PerImport: rep.PerImport,
+		Syscalls: rep.Syscalls,
+		FailOpen: rep.FailOpen,
+		Wrappers: len(rep.Main.Wrappers),
+		Imports:  rep.Main.ReachableImports,
 	}
 }
 
@@ -91,66 +91,17 @@ func (a *Analyzer) confFingerprint(kind string) string {
 	return fp
 }
 
-// depHashes resolves a DT_NEEDED list's transitive closure and renders
-// each member as name=sha256, sorted. A cached result is only valid
-// while every dependency image is byte-identical: upgrading a library
-// busts the entries of everything linking it, even though the
-// dependents' own images are unchanged.
-//
-// The rendering is memoized per needed-list: LoadLib's name→image
-// mapping is fixed for the analyzer's lifetime (loads are memoized),
-// so the fingerprint is a pure function of the list — and one cache
-// probe plus its following store would otherwise walk the closure
-// twice per binary, with a whole batch repeating it per member.
+// depHashes renders a DT_NEEDED list's transitive closure as
+// name=sha256 pairs, sorted. A cached result is only valid while every
+// dependency image is byte-identical: upgrading a library busts the
+// entries of everything linking it, even though the dependents' own
+// images are unchanged.
 func (a *Analyzer) depHashes(needed []string) (string, error) {
-	memoKey := strings.Join(needed, "\x00")
-	a.mu.Lock()
-	if v, ok := a.depHashMemo[memoKey]; ok {
-		a.mu.Unlock()
-		return v, nil
-	}
-	a.mu.Unlock()
-	out, err := a.depHashesUncached(needed)
+	cl, err := a.closureOf(needed)
 	if err != nil {
 		return "", err
 	}
-	a.mu.Lock()
-	a.depHashMemo[memoKey] = out
-	a.mu.Unlock()
-	return out, nil
-}
-
-func (a *Analyzer) depHashesUncached(needed []string) (string, error) {
-	closure, err := a.depClosure(needed)
-	if err != nil {
-		return "", err
-	}
-	seen := make(map[string]string, len(closure))
-	for n := range closure {
-		dep, err := a.loadLib(n) // memoized by depClosure
-		if err != nil {
-			return "", err
-		}
-		if dep.Hash == "" {
-			return "", fmt.Errorf("shared: dependency %q has no content hash", n)
-		}
-		seen[n] = dep.Hash
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var sb strings.Builder
-	for i, n := range names {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(n)
-		sb.WriteByte('=')
-		sb.WriteString(seen[n])
-	}
-	return sb.String(), nil
+	return cl.deps, cl.depsErr
 }
 
 // entryConf builds the cache fingerprint for entries of one kind

@@ -230,9 +230,6 @@ func NewMachine(g *cfg.Graph, budget *Budget) *Machine {
 	return &Machine{g: g, budget: budget, importSlots: slots}
 }
 
-// Budget exposes the machine's budget.
-func (m *Machine) Budget() *Budget { return m.budget }
-
 // NewState returns an empty path state drawn from the state pool;
 // pair with Release (directly, or via the Result that carried it).
 func (m *Machine) NewState() *State {
@@ -256,7 +253,7 @@ func (m *Machine) freeState(s *State) {
 	statePool.Put(s)
 }
 
-// cloneState is State.Clone through the pool.
+// cloneState deep-copies s into a state drawn from the pool.
 func (m *Machine) cloneState(s *State) *State {
 	c := m.NewState()
 	c.Regs = s.Regs

@@ -63,22 +63,6 @@ func (s *State) reset() {
 	clear(s.Overlay)
 }
 
-// Clone deep-copies the state.
-func (s *State) Clone() *State {
-	c := &State{
-		Regs:    s.Regs,
-		Stack:   make(map[int64]Value, len(s.Stack)),
-		Overlay: make(map[uint64]Value, len(s.Overlay)),
-	}
-	for k, v := range s.Stack {
-		c.Stack[k] = v
-	}
-	for k, v := range s.Overlay {
-		c.Overlay[k] = v
-	}
-	return c
-}
-
 // Reg returns the value of r.
 func (s *State) Reg(r x86.Reg) Value {
 	if !r.Valid() {
