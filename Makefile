@@ -43,7 +43,7 @@ cover:
 	@$(GO) tool cover -func=cover.out | awk '$$NF == "0.0%" || $$1 == "total:"'
 
 # Race-detector pass over the concurrent paths: the shared-interface
-# analyzer, the on-disk cache (with its striped memory tier), the
+# analyzer, the on-disk cache (with its process-wide memory tier), the
 # staged pipeline with its intra-binary worker pool and the
 # symbolic-execution budget its runs add their steps to, the public batch
 # API, the sweep harness's producer/consumer pipeline, and the fuzzing

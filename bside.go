@@ -91,6 +91,12 @@ func IsPanic(err error) (*PanicError, bool) { return guard.AsPanic(err) }
 // holds for every parse rejection from any entry path.
 var ErrMalformed = elff.ErrMalformed
 
+// ErrLayout classifies a well-formed image the analyzer cannot model
+// yet — more than one loadable segment, or code not at the segment
+// base, as real linkers emit — refused rather than answered with a set
+// missing every syscall outside the modelled region.
+var ErrLayout = elff.ErrLayout
+
 // Options configures an Analyzer.
 type Options struct {
 	// LibraryDir is where DT_NEEDED dependencies are looked up (by
@@ -155,13 +161,6 @@ type Options struct {
 	// byte-identical binary is served by CacheDir. The field stays
 	// because the benchmark harness under bench/ still sets it.
 	DisableFuncMemo bool
-	// DisableMemoryTier turns off the persistent cache's in-process
-	// memory tier, forcing every cache load to the disk envelopes. The
-	// tier only ever holds disk-validated, content-addressed payloads,
-	// so results are byte-identical either way (the fuzzer's
-	// frontend-invariance axis enforces that); the switch exists for
-	// benchmarking the durable tier and for the oracle itself.
-	DisableMemoryTier bool
 	// ResolverLayers selects the depth of the layered indirect-call
 	// resolver, which refines how far each indirect call/jump site can
 	// fan out before identification runs: -1 disables it (every site
@@ -279,9 +278,6 @@ func NewAnalyzer(opts Options) *Analyzer {
 	a.inner = inner
 	if opts.CacheDir != "" {
 		a.cache, a.cacheErr = cache.Open(opts.CacheDir)
-		if a.cache != nil && opts.DisableMemoryTier {
-			a.cache.DisableMemoryTier()
-		}
 		if a.cache != nil && opts.PackPath != "" {
 			if err := a.cache.AttachPack(opts.PackPath); err != nil && a.cacheErr == nil {
 				a.cacheErr = err

@@ -30,7 +30,7 @@ func runSweep(args []string, stdout, stderr io.Writer) error {
 	maxInsns := fs.Int("max-insns", 0, "disassembly budget per binary (0 = default)")
 	queue := fs.Int("queue", 0, "bounded path-queue depth between walker and workers (0 = 256)")
 	diff := fs.Bool("diff", false, "run the syspeek-style linear scanner on every binary and flag disagreements")
-	nommap := fs.Bool("nommap", false, "read images through the copying frontend instead of mmap")
+	nommap := fs.Bool("nommap", false, "read images through the copying frontend instead of mmap (the -diff scanner always reads through debug/elf)")
 	progress := fs.Int("progress", 64, "rolling summary cadence in binaries (0 = default)")
 	sumFile := fs.String("summary", "", "write the final fleet summary as JSON to this file")
 	fs.Usage = func() {
@@ -68,7 +68,6 @@ func runSweep(args []string, stdout, stderr io.Writer) error {
 		Jobs:          *jobs,
 		QueueDepth:    *queue,
 		Diff:          *diff,
-		NoMmap:        *nommap,
 		ProgressEvery: *progress,
 		OnResult: func(r *sweep.Result) {
 			if e := enc.Encode(r); e != nil && encErr == nil {

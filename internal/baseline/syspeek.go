@@ -1,7 +1,10 @@
 package baseline
 
 import (
-	"bside/internal/elff"
+	"debug/elf"
+	"fmt"
+	"io"
+
 	"bside/internal/x86"
 )
 
@@ -10,13 +13,59 @@ import (
 // small-constant window the objdump-pipeline tools use.
 const syspeekWindow = 32
 
+// CodeRegion is one run of executable bytes at its virtual address.
+type CodeRegion struct {
+	Addr uint64
+	Code []byte
+}
+
+// CodeRegions reads the executable code of the ELF file at path
+// through debug/elf alone, as `objdump -d` would find it: the
+// SHF_EXECINSTR sections, or the PF_X PT_LOAD segments of an image
+// without any. The analyzer's own reader (internal/elff) is not
+// involved, so a blind spot there cannot blind the scanner.
+func CodeRegions(path string) ([]CodeRegion, error) {
+	f, err := elf.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var out []CodeRegion
+	for _, s := range f.Sections {
+		// A compressed section is never mapped as code, and its header
+		// alone would size the decompression buffer.
+		if s.Type != elf.SHT_PROGBITS || s.Flags&elf.SHF_EXECINSTR == 0 || s.Flags&elf.SHF_COMPRESSED != 0 {
+			continue
+		}
+		code, err := s.Data()
+		if err != nil {
+			return nil, fmt.Errorf("section %s: %w", s.Name, err)
+		}
+		out = append(out, CodeRegion{Addr: s.Addr, Code: code})
+	}
+	if len(out) > 0 {
+		return out, nil
+	}
+	for _, p := range f.Progs {
+		if p.Type != elf.PT_LOAD || p.Flags&elf.PF_X == 0 {
+			continue
+		}
+		code, err := io.ReadAll(p.Open())
+		if err != nil {
+			return nil, fmt.Errorf("segment at %#x: %w", p.Vaddr, err)
+		}
+		out = append(out, CodeRegion{Addr: p.Vaddr, Code: code})
+	}
+	return out, nil
+}
+
 // Syspeek is the cheap objdump-style scanner the sweep harness carries
-// as a differential baseline: one linear decode pass over the code
+// as a differential baseline: one linear decode pass over each code
 // region — no CFG, no reachability, no symbolic execution — recording
 // every `syscall` instruction and backtracking through the
-// just-decoded window for an immediate load into RAX. Decode errors
-// resync by one byte, as a disassembly pipeline over `objdump -d`
-// effectively does.
+// just-decoded window of its region for an immediate load into RAX.
+// Decode errors resync by one byte, as a disassembly pipeline over
+// `objdump -d` effectively does.
 //
 // Its blind spots are exactly what B-Side exists to fix — numbers
 // carried through wrappers, stack slots, or computed registers are
@@ -27,45 +76,40 @@ const syspeekWindow = 32
 // identification, while syspeek missing numbers B-Side found is the
 // expected precision gap. Works on every ELF kind (no unwind or PIC
 // requirements), so it never returns an error.
-func Syspeek(bin *elff.Binary) *Result {
+func Syspeek(regions []CodeRegion) *Result {
 	res := &Result{}
 	values := make(map[uint64]bool)
-
-	// Ring of the last syspeekWindow decoded instructions, in decode
-	// order; window[(head-1+len)%len] is the most recent.
-	var window [syspeekWindow]x86.Inst
-	head, filled := 0, 0
-
-	code := bin.Blob
-	if bin.CodeSize < uint64(len(code)) {
-		code = code[:bin.CodeSize]
-	}
-	addr := bin.Base
-	for off := 0; off < len(code); {
-		in, err := x86.Decode(code[off:], addr)
-		if err != nil {
-			// Resync: skip one byte, like objdump riding over data
-			// interleaved with code.
-			off++
-			addr++
-			continue
-		}
-		if in.Op == x86.OpSyscall {
-			res.SitesTotal++
-			if v, ok := syspeekBacktrack(&window, head, filled); ok {
-				values[v] = true
-				res.SitesResolved++
+	for _, r := range regions {
+		// Ring of the last syspeekWindow decoded instructions, in
+		// decode order; window[(head-1+len)%len] is the most recent.
+		var window [syspeekWindow]x86.Inst
+		head, filled := 0, 0
+		addr := r.Addr
+		for off := 0; off < len(r.Code); {
+			in, err := x86.Decode(r.Code[off:], addr)
+			if err != nil {
+				// Resync: skip one byte, like objdump riding over data
+				// interleaved with code.
+				off++
+				addr++
+				continue
 			}
+			if in.Op == x86.OpSyscall {
+				res.SitesTotal++
+				if v, ok := syspeekBacktrack(&window, head, filled); ok {
+					values[v] = true
+					res.SitesResolved++
+				}
+			}
+			window[head] = in
+			head = (head + 1) % syspeekWindow
+			if filled < syspeekWindow {
+				filled++
+			}
+			off += int(in.Len)
+			addr += uint64(in.Len)
 		}
-		window[head] = in
-		head = (head + 1) % syspeekWindow
-		if filled < syspeekWindow {
-			filled++
-		}
-		off += int(in.Len)
-		addr += uint64(in.Len)
 	}
-
 	res.Syscalls = sortedSet(values)
 	return res
 }

@@ -1,6 +1,11 @@
 package baseline
 
 import (
+	"bytes"
+	"debug/elf"
+	"encoding/binary"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -9,6 +14,31 @@ import (
 	"bside/internal/testbin"
 	"bside/internal/x86"
 )
+
+// codeRegions writes img to a file and reads its code regions back.
+func codeRegions(t *testing.T, img []byte) []CodeRegion {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "img")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	regions, err := CodeRegions(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return regions
+}
+
+// scan serializes bin and runs the scanner over the code regions
+// debug/elf finds in the image, as the sweep's -diff mode does.
+func scan(t *testing.T, bin *elff.Binary) *Result {
+	t.Helper()
+	img, err := elff.Write(bin.Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Syspeek(codeRegions(t, img))
+}
 
 func TestSyspeekResolvesImmediateSites(t *testing.T) {
 	bin, _ := testbin.Build(t, elff.KindStatic, func(b *asm.Builder) {
@@ -19,7 +49,7 @@ func TestSyspeekResolvesImmediateSites(t *testing.T) {
 		b.Syscall()
 		b.Ret()
 	}, nil)
-	res := Syspeek(bin)
+	res := scan(t, bin)
 	if res.SitesTotal != 2 || res.SitesResolved != 2 {
 		t.Fatalf("sites: %d/%d, want 2/2", res.SitesResolved, res.SitesTotal)
 	}
@@ -40,7 +70,7 @@ func TestSyspeekCannotResolveIndirectNumbers(t *testing.T) {
 		b.Syscall()
 		b.Ret()
 	}, nil)
-	res := Syspeek(bin)
+	res := scan(t, bin)
 	if res.SitesTotal != 1 || res.SitesResolved != 0 {
 		t.Fatalf("sites: %d/%d, want 0/1", res.SitesResolved, res.SitesTotal)
 	}
@@ -64,7 +94,7 @@ func TestSyspeekScansDeadCode(t *testing.T) {
 		b.Syscall()
 		b.Ret()
 	}, nil)
-	res := Syspeek(bin)
+	res := scan(t, bin)
 	if !reflect.DeepEqual(res.Syscalls, []uint64{39, 60}) {
 		t.Fatalf("syscalls: %v, want [39 60]", res.Syscalls)
 	}
@@ -84,7 +114,7 @@ func TestSyspeekResyncsOverData(t *testing.T) {
 		b.Syscall()
 		b.Ret()
 	}, nil)
-	res := Syspeek(bin)
+	res := scan(t, bin)
 	if !reflect.DeepEqual(res.Syscalls, []uint64{1, 60}) {
 		t.Fatalf("syscalls: %v, want [1 60]", res.Syscalls)
 	}
@@ -98,8 +128,49 @@ func TestSyspeekInterveningWriteBlocksResolution(t *testing.T) {
 		b.Syscall()
 		b.Ret()
 	}, nil)
-	res := Syspeek(bin)
+	res := scan(t, bin)
 	if res.SitesResolved != 0 {
 		t.Fatalf("clobbered site resolved: %v", res.Syscalls)
+	}
+}
+
+// TestCodeRegionsFallBackToExecutableSegments: an image without
+// section headers is scanned through its PF_X segments — every one of
+// them, not only the first — and never through a data segment.
+func TestCodeRegionsFallBackToExecutableSegments(t *testing.T) {
+	segs := []struct {
+		flags elf.ProgFlag
+		addr  uint64
+		code  []byte
+	}{
+		{elf.PF_R | elf.PF_X, 0x400000, []byte{0xC3}},                                     // ret
+		{elf.PF_R | elf.PF_W, 0x600000, []byte{0xB8, 0x01, 0x00, 0x00, 0x00, 0x0F, 0x05}}, // data: mov eax, 1; syscall
+		{elf.PF_R | elf.PF_X, 0x800000, []byte{0xB8, 0x3C, 0x00, 0x00, 0x00, 0x0F, 0x05}}, // mov eax, 60; syscall
+	}
+	var buf bytes.Buffer
+	hdr := elf.Header64{
+		Type: uint16(elf.ET_EXEC), Machine: uint16(elf.EM_X86_64), Version: uint32(elf.EV_CURRENT),
+		Entry: 0x400000, Phoff: 64, Ehsize: 64, Phentsize: 56, Phnum: uint16(len(segs)),
+	}
+	copy(hdr.Ident[:], []byte{0x7F, 'E', 'L', 'F', byte(elf.ELFCLASS64), byte(elf.ELFDATA2LSB), byte(elf.EV_CURRENT)})
+	binary.Write(&buf, binary.LittleEndian, hdr)
+	off := uint64(64 + 56*len(segs))
+	for _, s := range segs {
+		n := uint64(len(s.code))
+		binary.Write(&buf, binary.LittleEndian, elf.Prog64{Type: uint32(elf.PT_LOAD), Flags: uint32(s.flags),
+			Off: off, Vaddr: s.addr, Paddr: s.addr, Filesz: n, Memsz: n, Align: 1})
+		off += n
+	}
+	for _, s := range segs {
+		buf.Write(s.code)
+	}
+
+	regions := codeRegions(t, buf.Bytes())
+	if len(regions) != 2 || regions[0].Addr != 0x400000 || regions[1].Addr != 0x800000 {
+		t.Fatalf("regions: %+v, want the two PF_X segments", regions)
+	}
+	res := Syspeek(regions)
+	if res.SitesTotal != 1 || !reflect.DeepEqual(res.Syscalls, []uint64{60}) {
+		t.Fatalf("scan: %d sites, syscalls %v; want 1 site resolving [60]", res.SitesTotal, res.Syscalls)
 	}
 }

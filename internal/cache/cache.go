@@ -25,9 +25,9 @@
 // a configuration fingerprint mismatch (different analysis settings,
 // or a dependency whose image hash changed), or any decode error is
 // treated as a miss and the entry is re-computed — corruption is never
-// fatal. Writes go
-// through a temp file plus rename so concurrent writers of the same
-// entry cannot tear each other's files.
+// fatal. Writes go through a temp file plus rename (installFile) so
+// concurrent writers of the same entry cannot tear each other's files;
+// Compact and GC remove the temps a crashed writer abandons.
 //
 // Between the memory tier and the loose files sits the optional pack
 // tier (see pack.go): Compact folds the loose entries into one
@@ -45,9 +45,11 @@
 // In front of both durable tiers sits a process-wide memory tier
 // holding *decoded* values: a payload validated and decoded once is
 // kept as the typed Go value (keyed by directory, kind and key), so
-// repeated loads of the same entry — a fleet re-probing a warm cache,
-// analyzers recreated per batch — skip the file read and both decodes;
-// a memory hit is a type assertion, not an Unmarshal. One
+// repeated loads of the same entry in one process — a resident
+// service's hash replays, analyzers recreated per request — skip the
+// file read and both decodes; a memory hit is a type assertion, not an
+// Unmarshal. A sweep's fresh process reads every entry once, so only a
+// resident process ever hits it. One
 // stat per hit confirms the durable backing (loose file or pack) still
 // exists, so deleting a cache directory makes the process recompute
 // and repopulate rather than serve ghosts. The tier is read-through:
@@ -57,15 +59,14 @@
 // a result the durable tier would not. Because hits hand every caller
 // the same decoded value, callers must treat loaded results as
 // immutable — the analyzer's read paths already do.
-// DisableMemoryTier opts a handle out — the fuzzer's
-// frontend-invariance oracle holds memory-tier-on and -off analyses to
-// byte-identical results.
+// Store.DisableMemoryTier opts one handle out, for tests that check or
+// price the durable tiers alone.
 //
-// The tier is a size-bounded LRU: both the entry count and the total
-// payload bytes are capped (SetMemoryTierLimits), and inserting past
-// either cap evicts from the cold end. A resident service can therefore
-// hold a process open for months without the tier growing with the
-// fleet's distinct-binary population; eviction only ever costs the next
+// The tier is one LRU under one mutex, bounded by both entry count and
+// total payload bytes (SetMemoryTierLimits); inserting past either cap
+// evicts from the cold end. A resident service can therefore hold a
+// process open for months without the tier growing with the fleet's
+// distinct-binary population; eviction only ever costs the next
 // identical load a disk read, never a recompute of anything that is
 // still on disk. Eviction traffic is counted (Stats.MemoryEvictions)
 // so an operator can see when the tier is sized below the working set.
@@ -101,12 +102,16 @@ const (
 	defaultMemBytes   = 256 << 20
 )
 
-// memTier is the process-wide memory tier: a lock-striped LRU over
-// full entry keys (dir\x00kind\x00key). It is shared by every Store
-// handle so a per-batch analyzer recreated over the same directory
-// keeps its warm entries; striping keeps a fleet sweep's worker pool
-// from serializing on one mutex.
-var memTier = newStripedTier(defaultMemEntries, defaultMemBytes)
+// memTier is the process-wide memory tier: one LRU over full entry
+// keys (dir\x00kind\x00key) under one mutex. It is shared by every
+// Store handle so a per-batch analyzer recreated over the same
+// directory keeps its warm entries.
+var memTier = &lruTier{
+	entries:    make(map[string]*list.Element),
+	order:      list.New(),
+	maxEntries: defaultMemEntries,
+	maxBytes:   defaultMemBytes,
+}
 
 // memEntry is one resident memory-tier entry: the decoded value (the T
 // a typed Load decoded — immutable by contract), the conf fingerprint
@@ -121,107 +126,9 @@ type memEntry struct {
 	val  any
 }
 
-// tierStripes is the memory tier's stripe count. Keys spread by hash,
-// so with a fleet sweep's worker pool (typically ≤ GOMAXPROCS workers)
-// the probability of two workers colliding on one stripe's mutex stays
-// low; 16 is plenty without fragmenting the byte budget into
-// uselessly small shares.
-const tierStripes = 16
-
-// stripedTier shards the memory tier across tierStripes independent
-// LRUs, each with its own mutex and a proportional slice of the entry
-// and byte budgets (shares sum to the configured caps, except that
-// every stripe keeps a floor of 1 so degenerate tiny caps stay
-// functional). Recency and eviction are therefore per-stripe: a
-// globally-LRU entry survives if its stripe is cold, and a hot stripe
-// evicts entries a global LRU would have kept — bounded staleness the
-// property test holds to a per-stripe tolerance, in exchange for
-// uncontended parallel access.
-type stripedTier struct {
-	limitMu    sync.Mutex // guards the configured totals, not the data path
-	maxEntries int
-	maxBytes   int64
-	stripes    [tierStripes]*lruTier
-}
-
-func newStripedTier(maxEntries int, maxBytes int64) *stripedTier {
-	t := &stripedTier{}
-	for i := range t.stripes {
-		t.stripes[i] = newLRUTier(1, 1)
-	}
-	t.setLimits(maxEntries, maxBytes)
-	return t
-}
-
-// stripeOf routes a key to its stripe by FNV-1a hash.
-func stripeOf(key string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return h % tierStripes
-}
-
-func (t *stripedTier) get(key string) (memEntry, bool) { return t.stripes[stripeOf(key)].get(key) }
-func (t *stripedTier) put(ent memEntry)                { t.stripes[stripeOf(ent.key)].put(ent) }
-func (t *stripedTier) del(key string)                  { t.stripes[stripeOf(key)].del(key) }
-
-func (t *stripedTier) snapshot() (entries int, bytes int64) {
-	for _, s := range t.stripes {
-		e, b := s.snapshot()
-		entries += e
-		bytes += b
-	}
-	return entries, bytes
-}
-
-func (t *stripedTier) evictions() uint64 {
-	var n uint64
-	for _, s := range t.stripes {
-		n += s.evictions.Load()
-	}
-	return n
-}
-
-// setLimits installs new totals (non-positive values keep the current
-// ones) by dividing them across the stripes — remainder spread over
-// the low stripes, a floor of 1 per stripe — and returns the previous
-// totals.
-func (t *stripedTier) setLimits(maxEntries int, maxBytes int64) (prevEntries int, prevBytes int64) {
-	t.limitMu.Lock()
-	defer t.limitMu.Unlock()
-	prevEntries, prevBytes = t.maxEntries, t.maxBytes
-	if maxEntries > 0 {
-		t.maxEntries = maxEntries
-	}
-	if maxBytes > 0 {
-		t.maxBytes = maxBytes
-	}
-	for i := range t.stripes {
-		e := t.maxEntries / tierStripes
-		if i < t.maxEntries%tierStripes {
-			e++
-		}
-		if e < 1 {
-			e = 1
-		}
-		b := t.maxBytes / tierStripes
-		if int64(i) < t.maxBytes%int64(tierStripes) {
-			b++
-		}
-		if b < 1 {
-			b = 1
-		}
-		t.stripes[i].setLimits(e, b)
-	}
-	return prevEntries, prevBytes
-}
-
-// lruTier is the size-bounded LRU behind one stripe of the memory
-// tier: a map for lookup, an intrusive recency list for eviction
-// order, and byte accounting over payload sizes. Each stripe has its
-// own mutex; cross-stripe concurrency never contends.
+// lruTier is the size-bounded LRU behind the memory tier: a map for
+// lookup, an intrusive recency list for eviction order, and byte
+// accounting over payload sizes.
 type lruTier struct {
 	mu         sync.Mutex
 	entries    map[string]*list.Element // -> *memEntry elements of order
@@ -230,15 +137,6 @@ type lruTier struct {
 	maxEntries int
 	maxBytes   int64
 	evictions  atomic.Uint64
-}
-
-func newLRUTier(maxEntries int, maxBytes int64) *lruTier {
-	return &lruTier{
-		entries:    make(map[string]*list.Element),
-		order:      list.New(),
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-	}
 }
 
 // get returns the entry for key, marking it most recently used.
@@ -267,14 +165,7 @@ func (t *lruTier) put(ent memEntry) {
 		t.entries[ent.key] = t.order.PushFront(&ent)
 		t.bytes += int64(ent.size)
 	}
-	for t.order.Len() > t.maxEntries || t.bytes > t.maxBytes {
-		back := t.order.Back()
-		if back == nil {
-			break
-		}
-		t.removeLocked(back)
-		t.evictions.Add(1)
-	}
+	t.evictLocked()
 }
 
 // del drops the entry for key if present.
@@ -293,6 +184,14 @@ func (t *lruTier) removeLocked(el *list.Element) {
 	t.bytes -= int64(ent.size)
 }
 
+// evictLocked drops entries from the cold end until both bounds hold.
+func (t *lruTier) evictLocked() {
+	for t.order.Len() > t.maxEntries || t.bytes > t.maxBytes {
+		t.removeLocked(t.order.Back())
+		t.evictions.Add(1)
+	}
+}
+
 // snapshot returns the tier's gauges: entry count and payload bytes.
 func (t *lruTier) snapshot() (entries int, bytes int64) {
 	t.mu.Lock()
@@ -300,37 +199,24 @@ func (t *lruTier) snapshot() (entries int, bytes int64) {
 	return t.order.Len(), t.bytes
 }
 
-// setLimits installs new bounds (non-positive values keep the current
-// ones), evicting immediately if the tier is now over, and returns the
-// previous bounds. Process-wide: the tier is shared by every Store.
-func (t *lruTier) setLimits(maxEntries int, maxBytes int64) (prevEntries int, prevBytes int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	prevEntries, prevBytes = t.maxEntries, t.maxBytes
-	if maxEntries > 0 {
-		t.maxEntries = maxEntries
-	}
-	if maxBytes > 0 {
-		t.maxBytes = maxBytes
-	}
-	for t.order.Len() > t.maxEntries || t.bytes > t.maxBytes {
-		back := t.order.Back()
-		if back == nil {
-			break
-		}
-		t.removeLocked(back)
-		t.evictions.Add(1)
-	}
-	return prevEntries, prevBytes
-}
-
 // SetMemoryTierLimits bounds the process-wide memory tier by entry
 // count and total payload bytes (non-positive values keep the current
-// bound) and returns the previous bounds. A resident service sizes the
-// tier to its memory budget here; eviction is recorded in every
-// store's Stats.MemoryEvictions.
+// bound), evicting at once if the tier is now over, and returns the
+// previous bounds. A resident service sizes the tier to its memory
+// budget here; eviction is recorded in every store's
+// Stats.MemoryEvictions.
 func SetMemoryTierLimits(maxEntries int, maxBytes int64) (prevEntries int, prevBytes int64) {
-	return memTier.setLimits(maxEntries, maxBytes)
+	memTier.mu.Lock()
+	defer memTier.mu.Unlock()
+	prevEntries, prevBytes = memTier.maxEntries, memTier.maxBytes
+	if maxEntries > 0 {
+		memTier.maxEntries = maxEntries
+	}
+	if maxBytes > 0 {
+		memTier.maxBytes = maxBytes
+	}
+	memTier.evictLocked()
+	return prevEntries, prevBytes
 }
 
 // Store is a content-addressed cache directory plus its slice of the
@@ -353,13 +239,6 @@ type Store struct {
 	// compactMu serializes Compact/GC against each other; probes and
 	// stores never take it.
 	compactMu sync.Mutex
-
-	// shardMu stripes disk writes by key shard (the key[:2] subdir
-	// layout mapped onto tierStripes mutexes): concurrent sweep workers
-	// storing into different shards proceed in parallel, while writers
-	// landing in one shard serialize their temp-sweep + create + rename
-	// sequence instead of churning temp files against each other.
-	shardMu [tierStripes]sync.Mutex
 
 	hits        atomic.Uint64
 	memoryHits  atomic.Uint64
@@ -434,9 +313,8 @@ func (s *Store) Dir() string { return s.dir }
 
 // DisableMemoryTier makes this handle bypass the process-wide memory
 // tier: every Load goes to disk and nothing is promoted. Results are
-// byte-identical either way (the fuzzer's invariance oracle enforces
-// it); the switch exists for benchmarking the durable tier and for the
-// oracle itself. Returns the store for chaining.
+// byte-identical either way; the switch exists for tests and
+// benchmarks of the durable tiers. Returns the store for chaining.
 func (s *Store) DisableMemoryTier() *Store {
 	s.noMem.Store(true)
 	return s
@@ -455,7 +333,7 @@ func (s *Store) Stats() Stats {
 		Stores:          s.stores.Load(),
 		StoredBytes:     s.storedBytes.Load(),
 		IOErrors:        s.ioErrors.Load(),
-		MemoryEvictions: memTier.evictions(),
+		MemoryEvictions: memTier.evictions.Load(),
 		MemoryEntries:   entries,
 		MemoryBytes:     bytes,
 	}
@@ -681,34 +559,9 @@ func (s *Store) Store(kind, key, conf string, payload any) error {
 	if err != nil {
 		return fmt.Errorf("cache: marshal envelope: %w", err)
 	}
-	path := s.path(kind, key)
-	mu := &s.shardMu[stripeOf(key[:2])]
-	mu.Lock()
-	defer mu.Unlock()
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	if err := installFile(s.path(kind, key), data); err != nil {
 		s.ioErrors.Add(1)
-		return fmt.Errorf("cache: %w", err)
-	}
-	sweepStaleTemps(filepath.Dir(path))
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+key+".tmp-*")
-	if err != nil {
-		s.ioErrors.Add(1)
-		return fmt.Errorf("cache: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		_ = os.Remove(tmp.Name())
-		if werr == nil {
-			werr = cerr
-		}
-		s.ioErrors.Add(1)
-		return fmt.Errorf("cache: write %s: %w", path, werr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		_ = os.Remove(tmp.Name())
-		s.ioErrors.Add(1)
-		return fmt.Errorf("cache: %w", err)
+		return fmt.Errorf("cache: write %s/%s: %w", kind, key, err)
 	}
 	// Drop any memory copy: the tier is read-through, so the next Load
 	// re-validates from disk and promotes the fresh payload.
@@ -718,29 +571,50 @@ func (s *Store) Store(kind, key, conf string, payload any) error {
 	return nil
 }
 
-// staleTempAge is how old an abandoned temp file must be before a
-// writer sweeps it: long enough that no live writer (create→rename is
+// installFile writes data to a temp file next to path and renames it
+// over path, so a reader sees the old file or the new one, never a torn
+// write, and concurrent writers of one path cannot tear each other's
+// files. The temp is removed on any failure; one a crash abandons is
+// left for removeStaleTemps.
+func installFile(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp.Name())
+	}
+	return err
+}
+
+// staleTempAge is how old an abandoned temp file must be before it is
+// removed: long enough that no live writer (create→rename is
 // milliseconds) can be racing on it.
 const staleTempAge = time.Hour
 
-// sweepStaleTemps removes temp files orphaned by crashed writers from
-// one shard directory, so a long-lived store does not accumulate dead
-// files. Best-effort and O(shard): writers are the only thing that
-// creates temps, so sweeping where we are about to write is enough.
-func sweepStaleTemps(dir string) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		name := e.Name()
+// removeStaleTemps deletes, from one listing of dir, the temp files
+// crashed installs left behind (".<name>.tmp-*") once they are older
+// than staleTempAge. Compact and GC call it on every directory they
+// list, so a long-lived store does not accumulate dead files.
+func removeStaleTemps(dir string, files []fs.DirEntry) {
+	for _, f := range files {
+		name := f.Name()
 		if !strings.HasPrefix(name, ".") || !strings.Contains(name, ".tmp-") {
 			continue
 		}
-		info, err := e.Info()
-		if err != nil || time.Since(info.ModTime()) < staleTempAge {
-			continue
+		if info, err := f.Info(); err == nil && time.Since(info.ModTime()) >= staleTempAge {
+			_ = os.Remove(filepath.Join(dir, name))
 		}
-		_ = os.Remove(filepath.Join(dir, name))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -271,7 +272,17 @@ func TestStaleTempFilesSwept(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A write leaves both alone: it never lists its shard.
 	if err := s.Store("interface", key, "conf", payload{Name: "x"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{stale, fresh} {
+		if _, err := os.Stat(p); err != nil {
+			t.Fatalf("Store touched temp %s: %v", filepath.Base(p), err)
+		}
+	}
+	// GC lists every loose shard and removes only the stale temp.
+	if _, err := s.GC(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
@@ -453,14 +464,11 @@ func TestMemoryTierDroppedWithDurableEntry(t *testing.T) {
 }
 
 func TestMemoryTierLRUEvictionBounds(t *testing.T) {
-	// The tier is process-wide and lock-striped: budgets divide across
-	// stripes and recency is tracked per stripe. Drain leftovers from
-	// other tests (a 1-byte budget evicts every real payload), then pin
-	// bounds that give each stripe a capacity of 2, and exercise the
-	// LRU semantics with keys crafted to collide on ONE stripe — where
-	// eviction order is defined. Restore the defaults afterwards.
+	// The tier is process-wide: drain leftovers from other tests (a
+	// 1-byte budget evicts every real payload), then pin a capacity of
+	// 2 entries. Restore the defaults afterwards.
 	prevE, prevB := SetMemoryTierLimits(1, 1)
-	SetMemoryTierLimits(2*tierStripes, 1<<20)
+	SetMemoryTierLimits(2, 1<<20)
 	defer SetMemoryTierLimits(prevE, prevB)
 
 	dir := t.TempDir()
@@ -468,22 +476,9 @@ func TestMemoryTierLRUEvictionBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Four keys landing in the same stripe. The stripe is keyed by the
-	// full memory-tier key (dir\x00kind\x00key), so match on that.
-	keys := make([]string, 0, 4)
-	target := uint32(0)
-	for nonce := 0; len(keys) < 4 && nonce < 1<<16; nonce++ {
-		k := testKey(t, fmt.Sprintf("image-lru-%d", nonce))
-		st := stripeOf(s.memKey("interface", k))
-		if len(keys) == 0 {
-			target = st
-		} else if st != target {
-			continue
-		}
-		keys = append(keys, k)
-	}
-	if len(keys) < 4 {
-		t.Fatal("could not craft colliding keys")
+	keys := make([]string, 4)
+	for i := range keys {
+		keys[i] = testKey(t, fmt.Sprintf("image-lru-%d", i))
 	}
 	for _, k := range keys {
 		if err := s.Store("interface", k, "conf", payload{Name: k[:8]}); err != nil {
@@ -556,6 +551,101 @@ func TestMemoryTierByteBound(t *testing.T) {
 	}
 	if after.MemoryEvictions == before.MemoryEvictions {
 		t.Fatal("over-budget promotion did not evict")
+	}
+
+	// The whole budget is one pool: a 100 KiB payload under a 1 MiB
+	// budget stays resident, and its next load is a memory hit.
+	SetMemoryTierLimits(1<<16, 1<<20)
+	big := testKey(t, "image-bytes-big")
+	if err := s.Store("interface", big, "conf", payload{Name: strings.Repeat("x", 100<<10)}); err != nil {
+		t.Fatal(err)
+	}
+	before = s.Stats()
+	for i := 0; i < 2; i++ {
+		if !loadPayload(s, "interface", big, "conf", &out) || len(out.Name) != 100<<10 {
+			t.Fatalf("load %d of the large payload failed", i)
+		}
+	}
+	after = s.Stats()
+	if after.MemoryEvictions != before.MemoryEvictions {
+		t.Fatalf("a payload within budget was evicted: %d evictions", after.MemoryEvictions-before.MemoryEvictions)
+	}
+	if after.MemoryHits != before.MemoryHits+1 || after.MemoryBytes < 100<<10 {
+		t.Fatalf("large payload not resident: %d memory hits, %d bytes resident",
+			after.MemoryHits-before.MemoryHits, after.MemoryBytes)
+	}
+}
+
+// TestMemoryTierRaceHammer runs concurrent Get/Store/Invalidate
+// through the public Store API (every Load promotes into the memory
+// tier, every Store invalidates) plus direct tier churn including
+// concurrent SetMemoryTierLimits, under -race in CI.
+func TestMemoryTierRaceHammer(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		workers      = 8
+		opsPerWorker = 300
+		numKeys      = 32
+	)
+	keys := make([]string, numKeys)
+	for i := range keys {
+		keys[i] = testKey(t, fmt.Sprintf("hammer-%d", i))
+	}
+	// Seed the store so loads can hit.
+	for i, k := range keys {
+		if err := s.Store("interface", k, "conf", payload{Name: fmt.Sprintf("seed-%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w + 1)))
+			for op := 0; op < opsPerWorker; op++ {
+				k := keys[rng.Intn(numKeys)]
+				switch rng.Intn(4) {
+				case 0: // store (re-keys the entry, invalidates the memory copy)
+					if err := s.Store("interface", k, "conf", payload{Name: fmt.Sprintf("w%d-%d", w, op)}); err != nil {
+						t.Errorf("store: %v", err)
+						return
+					}
+				case 1: // direct invalidate of the memory copy
+					memTier.del(s.memKey("interface", k))
+				case 2: // shrink/grow the budgets concurrently
+					if op%50 == 0 {
+						SetMemoryTierLimits(numKeys/2, 1<<16)
+						SetMemoryTierLimits(defaultMemEntries, defaultMemBytes)
+					}
+					fallthrough
+				default: // load (promotes on a disk hit)
+					var out payload
+					if !loadPayload(s, "interface", k, "conf", &out) {
+						t.Errorf("load %q missed", k)
+						return
+					}
+					if !strings.HasPrefix(out.Name, "seed-") && !strings.HasPrefix(out.Name, "w") {
+						t.Errorf("load %q returned foreign payload %q", k, out.Name)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	// Restore the process-wide defaults for other tests.
+	SetMemoryTierLimits(defaultMemEntries, defaultMemBytes)
+	if t.Failed() {
+		return
+	}
+	entries, bytes := memTier.snapshot()
+	if entries < 0 || bytes < 0 {
+		t.Fatalf("tier accounting went negative: %d entries, %d bytes", entries, bytes)
 	}
 }
 

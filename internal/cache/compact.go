@@ -47,19 +47,6 @@ type GCStats struct {
 // packsDir is where a store's pack files live.
 func (s *Store) packsDir() string { return filepath.Join(s.dir, packDirName) }
 
-// Packs returns the paths of the currently open pack files.
-func (s *Store) Packs() []string {
-	ps := s.packs.Load()
-	if ps == nil {
-		return nil
-	}
-	out := make([]string, 0, len(*ps))
-	for _, p := range *ps {
-		out = append(out, p.path)
-	}
-	return out
-}
-
 // discoverPacks opens every pack under <dir>/packs/, newest name last
 // (names are content hashes, so order only matters for determinism).
 // Invalid packs are skipped: corruption is never fatal, the loose tier
@@ -154,7 +141,8 @@ type looseEntry struct {
 }
 
 // collectLoose walks the loose tier and returns every entry that can
-// enter a pack, plus the count of files it had to leave in place.
+// enter a pack, plus the count of files it had to leave in place. It
+// removes stale temp files from each shard it lists.
 // Entries are validated exactly as Load would (envelope version, sha
 // field against the file name) — a file Load would reject must not be
 // laundered into a pack where it would start being served.
@@ -181,6 +169,7 @@ func (s *Store) collectLoose() (loose []looseEntry, skipped int, err error) {
 			if err != nil {
 				continue
 			}
+			removeStaleTemps(shardDir, files)
 			for _, f := range files {
 				name := f.Name()
 				if !f.Type().IsRegular() || !strings.HasSuffix(name, ".json") || strings.HasPrefix(name, ".") {
@@ -272,29 +261,12 @@ func (s *Store) Compact() (CompactStats, error) {
 	if err != nil {
 		return st, err
 	}
-	// buildPack dedups exact (kind, key, conf) repeats.
-	if err := os.MkdirAll(s.packsDir(), 0o755); err != nil {
-		return st, fmt.Errorf("cache: %w", err)
-	}
-	tmp, err := os.CreateTemp(s.packsDir(), ".pack.tmp-*")
-	if err != nil {
-		return st, fmt.Errorf("cache: %w", err)
-	}
-	_, werr := tmp.Write(buf)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		_ = os.Remove(tmp.Name())
-		if werr == nil {
-			werr = cerr
-		}
-		return st, fmt.Errorf("cache: write pack: %w", werr)
-	}
-	// Content-addressed name: the body checksum the header already
-	// carries. Identical content compacts to the identical file.
+	// buildPack dedups exact (kind, key, conf) repeats. The name is
+	// content-addressed: the body checksum the header already carries,
+	// so identical content compacts to the identical file.
 	path := filepath.Join(s.packsDir(), fmt.Sprintf("pack-%x%s", buf[48:60], packExt))
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		_ = os.Remove(tmp.Name())
-		return st, fmt.Errorf("cache: %w", err)
+	if err := installFile(path, buf); err != nil {
+		return st, fmt.Errorf("cache: write pack: %w", err)
 	}
 	np, err := openPack(path)
 	if err != nil {
@@ -328,7 +300,9 @@ func (s *Store) Compact() (CompactStats, error) {
 // valid loose entry whose exact (kind, key, conf) is packed, the loose
 // file is redundant (entries are content-addressed — same key and
 // fingerprint, same payload). Loose entries the packs do not cover are
-// kept. Also sweeps abandoned temp files out of the packs directory.
+// kept. It also removes the stale temp files crashed writers
+// abandoned: in the loose shards, as Compact does, and in the packs
+// directory.
 func (s *Store) GC() (GCStats, error) {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
@@ -357,6 +331,8 @@ func (s *Store) GC() (GCStats, error) {
 			st.KeptLoose++
 		}
 	}
-	sweepStaleTemps(s.packsDir())
+	if files, err := os.ReadDir(s.packsDir()); err == nil {
+		removeStaleTemps(s.packsDir(), files)
+	}
 	return st, nil
 }

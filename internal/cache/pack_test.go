@@ -48,6 +48,17 @@ func looseFiles(t *testing.T, dir string) int {
 	return n
 }
 
+// packPaths returns the paths of s's currently open pack files.
+func packPaths(s *Store) []string {
+	var out []string
+	if ps := s.packs.Load(); ps != nil {
+		for _, p := range *ps {
+			out = append(out, p.path)
+		}
+	}
+	return out
+}
+
 func TestPackRoundTripAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -180,7 +191,7 @@ func TestCorruptPackRejectedAtOpen(t *testing.T) {
 			if _, err := s.Compact(); err != nil {
 				t.Fatal(err)
 			}
-			packs := s.Packs()
+			packs := packPaths(s)
 			if len(packs) != 1 {
 				t.Fatalf("expected one pack, got %v", packs)
 			}
@@ -205,7 +216,7 @@ func TestCorruptPackRejectedAtOpen(t *testing.T) {
 				t.Fatal(err)
 			}
 			s2.DisableMemoryTier()
-			if got := s2.Packs(); len(got) != 0 {
+			if got := packPaths(s2); len(got) != 0 {
 				t.Fatalf("corrupt pack was opened: %v", got)
 			}
 			var out payload
@@ -247,7 +258,7 @@ func TestPackGhostServeProtection(t *testing.T) {
 	if loadPayload(s, "interface", keys[0], "conf", &out) {
 		t.Fatal("ghost-served after the cache directory was deleted")
 	}
-	if got := s.Packs(); len(got) != 0 {
+	if got := packPaths(s); len(got) != 0 {
 		t.Fatalf("deleted pack still in the probe set: %v", got)
 	}
 }
@@ -396,7 +407,7 @@ func TestPackReservedByteRejected(t *testing.T) {
 	if _, err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	path := s.Packs()[0]
+	path := packPaths(s)[0]
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -420,7 +431,7 @@ func TestPackReservedByteRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2.DisableMemoryTier()
-	if got := s2.Packs(); len(got) != 0 {
+	if got := packPaths(s2); len(got) != 0 {
 		t.Fatalf("pack with a set reserved byte was opened: %v", got)
 	}
 	var out payload

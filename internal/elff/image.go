@@ -100,7 +100,7 @@ func openImage(path string, noMmap bool) (*Image, error) {
 
 // OpenBinary opens, hashes and parses the ELF at path through the
 // image layer: one open, one hash, and — when the platform maps and
-// the layout allows (single PT_LOAD with Filesz == Memsz) — a Blob
+// the segment has no trailing BSS (Filesz == Memsz) — a Blob
 // that aliases the mapping instead of copying it. The returned Binary
 // owns its image; call ReleaseImage once the segment bytes are no
 // longer needed. noMmap forces the in-heap fallback (identical

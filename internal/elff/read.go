@@ -20,6 +20,13 @@ import (
 // analyzer fault.
 var ErrMalformed = errors.New("malformed ELF image")
 
+// ErrLayout marks a valid image the single-segment model cannot
+// represent: more than one PT_LOAD, or no .text at the segment base.
+// Code outside the modelled region would be invisible and read as "no
+// syscalls", so the image is refused. It is not ErrMalformed: the image
+// is well formed; the reader falls short.
+var ErrLayout = errors.New("ELF layout not supported")
+
 // badImage wraps a structural parse failure so it is both ErrMalformed
 // (classification) and the specific cause (diagnosis).
 func badImage(format string, args ...any) error {
@@ -43,7 +50,7 @@ type Binary struct {
 	Kind      Kind
 	Entry     uint64
 	Base      uint64 // virtual address of Blob[0]
-	Blob      []byte // the single loadable region
+	Blob      []byte // the one loadable region
 	CodeSize  uint64 // leading bytes of Blob that are code (.text)
 	Exports   []Export
 	Imports   []Import
@@ -232,6 +239,10 @@ func readHashed(data []byte, hash string, alias bool) (*Binary, error) {
 		return nil, badImage("unsupported ELF type %v", f.Type)
 	}
 
+	// Validate every PT_LOAD before refusing a layout, so a bad later
+	// segment is still reported as ErrMalformed.
+	var load *elf.Prog
+	loads := 0
 	for _, p := range f.Progs {
 		if p.Type != elf.PT_LOAD {
 			continue
@@ -248,24 +259,33 @@ func readHashed(data []byte, hash string, alias bool) (*Binary, error) {
 		if p.Memsz-p.Filesz > maxBSSBytes {
 			return nil, badImage("PT_LOAD demands %#x zero-fill bytes (limit %#x)", p.Memsz-p.Filesz, uint64(maxBSSBytes))
 		}
-		if alias && p.Filesz == p.Memsz {
-			// Zero-copy: the loadable region is fully materialized in
-			// the file, so the blob can be a view into the source bytes
-			// (typically an mmap'd image) instead of a heap copy.
-			out.Blob = data[p.Off : p.Off+p.Filesz : p.Off+p.Filesz]
-		} else {
-			blob := make([]byte, p.Memsz)
-			copy(blob, data[p.Off:p.Off+p.Filesz])
-			out.Blob = blob
+		if load == nil {
+			load = p
 		}
-		out.Base = p.Vaddr
-		break // single-PT_LOAD images by construction
+		loads++
 	}
-	if out.Blob == nil {
+	if load == nil {
 		return nil, badImage("no PT_LOAD segment")
 	}
+	if loads > 1 {
+		return nil, fmt.Errorf("%w: %d PT_LOAD segments, one supported", ErrLayout, loads)
+	}
+	ts := f.Section(".text")
+	if ts == nil || ts.Addr != load.Vaddr {
+		return nil, fmt.Errorf("%w: no .text section at the segment base %#x", ErrLayout, load.Vaddr)
+	}
+	if alias && load.Filesz == load.Memsz {
+		// Zero-copy: the loadable region is fully materialized in the
+		// file, so the blob can be a view into the source bytes
+		// (typically an mmap'd image) instead of a heap copy.
+		out.Blob = data[load.Off : load.Off+load.Filesz : load.Off+load.Filesz]
+	} else {
+		out.Blob = make([]byte, load.Memsz)
+		copy(out.Blob, data[load.Off:load.Off+load.Filesz])
+	}
+	out.Base = load.Vaddr
 	out.CodeSize = uint64(len(out.Blob))
-	if ts := f.Section(".text"); ts != nil && ts.Size > 0 && ts.Size <= out.CodeSize {
+	if ts.Size > 0 && ts.Size <= out.CodeSize {
 		out.CodeSize = ts.Size
 	}
 
@@ -306,8 +326,8 @@ func readHashed(data []byte, hash string, alias bool) (*Binary, error) {
 		out.Needed = libs
 	}
 
-	// Data-section views over the blob. Sections outside the single
-	// PT_LOAD region (real multi-segment binaries) are skipped: the
+	// Data-section views over the blob. Sections outside the PT_LOAD
+	// region (non-ALLOC or out-of-range headers) are skipped: the
 	// resolver can only vouch for bytes it can actually read.
 	for _, s := range f.Sections {
 		if s.Type != elf.SHT_PROGBITS || s.Flags&elf.SHF_ALLOC == 0 ||

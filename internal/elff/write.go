@@ -4,6 +4,11 @@
 // code+data, a dynamic symbol table with exports and imports, JUMP_SLOT
 // relocations for import GOT slots, DT_NEEDED entries, a full symbol
 // table, and an optional unwind-info marker section.
+//
+// The reader models exactly that shape: one PT_LOAD segment with .text
+// at its base. An image of any other layout — a real linker's separate
+// code segment, say — is refused with ErrLayout instead of being
+// analyzed through a partial view that would read as "no syscalls".
 package elff
 
 import (

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -136,6 +137,43 @@ func (o *Oracle) replayUndecided(a *bside.Analyzer, want, tier string) error {
 		return fmt.Errorf("undecided replay was not a %s hit", tier)
 	}
 	return nil
+}
+
+// packedCopy copies the cache directory src into dst and compacts the
+// copy into one pack, returning the pack's path. The memory tier is
+// keyed by directory, so each dst must be new: packs are named after
+// their content, so a fixed dst recreated by a second check of the
+// same seed would pass the tier's stat of a pack it promoted from.
+func packedCopy(src, dst string) (string, error) {
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		return "", err
+	}
+	st, err := cache.Open(dst)
+	if err != nil {
+		return "", err
+	}
+	cs, err := st.Compact()
+	if err == nil && cs.Packed == 0 {
+		err = errors.New("compaction packed nothing")
+	}
+	return cs.PackPath, err
 }
 
 // tierHits reads the hit counter of one cache tier: "memory", "pack",
@@ -351,22 +389,21 @@ func (o *Oracle) Check(c Case) *Verdict {
 		// Pack-tier axis: compacting the loose entries into a
 		// memory-mapped pack must be invisible in results — a warm run
 		// over the pack is byte-identical to every other leg, and the
-		// hit provably came from the pack tier.
+		// hit provably came from the pack tier. The leg runs on a new
+		// copy of the cache, which the memory tier has never seen.
 		leg{"cache-pack", func() (*bside.Analysis, error) {
-			st, err := cache.Open(cacheDir)
+			dir, err := os.MkdirTemp(o.opts.Dir, "cache-pack-")
 			if err != nil {
 				return nil, err
 			}
-			if cs, err := st.Compact(); err != nil {
+			defer os.RemoveAll(dir)
+			if _, err := packedCopy(cacheDir, dir); err != nil {
 				return nil, err
-			} else if cs.Packed == 0 {
-				return nil, errors.New("compaction packed nothing")
 			}
 			a, err := bside.NewAnalyzerErr(bside.Options{
-				LibraryDir:        o.opts.Universe.Dir,
-				IntraWorkers:      1,
-				CacheDir:          cacheDir,
-				DisableMemoryTier: true,
+				LibraryDir:   o.opts.Universe.Dir,
+				IntraWorkers: 1,
+				CacheDir:     dir,
 			})
 			if err != nil {
 				return nil, err
@@ -389,34 +426,27 @@ func (o *Oracle) Check(c Case) *Verdict {
 		// broken) must be rejected wholesale — the analyzer recomputes
 		// from scratch and still produces the identical fingerprint; it
 		// must never ghost-serve bytes out of a corrupt mapping. The
-		// recompute re-stores loose entries as a side effect.
+		// compaction pruned the copy's loose entries, so nothing else
+		// can answer.
 		leg{"cache-pack-corrupt", func() (*bside.Analysis, error) {
-			st, err := cache.Open(cacheDir)
+			dir, err := os.MkdirTemp(o.opts.Dir, "cache-corrupt-")
 			if err != nil {
 				return nil, err
 			}
-			packs := st.Packs()
-			if len(packs) == 0 {
-				return nil, errors.New("no pack to corrupt")
+			defer os.RemoveAll(dir)
+			packPath, err := packedCopy(cacheDir, dir)
+			if err != nil {
+				return nil, err
 			}
-			data, err := os.ReadFile(packs[0])
+			data, err := os.ReadFile(packPath)
 			if err != nil {
 				return nil, err
 			}
 			data[len(data)/2] ^= 0x01
-			if err := os.WriteFile(packs[0], data, 0o644); err != nil {
+			if err := os.WriteFile(packPath, data, 0o644); err != nil {
 				return nil, err
 			}
-			a, err := bside.NewAnalyzerErr(bside.Options{
-				LibraryDir:        o.opts.Universe.Dir,
-				IntraWorkers:      1,
-				CacheDir:          cacheDir,
-				DisableMemoryTier: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			res, err := a.AnalyzeFile(binPath)
+			res, err := analyzer(1, dir).AnalyzeFile(binPath)
 			if err == nil && res.Cached {
 				return nil, errors.New("corrupt pack still served a cached result")
 			}
@@ -701,7 +731,6 @@ func (o *Oracle) sweepRun(seed int64, binPath string, noMmap bool, offHas func(u
 			}),
 			Jobs:     1,
 			Diff:     true,
-			NoMmap:   noMmap,
 			OnResult: func(r *sweep.Result) { res = r },
 		})
 		if err != nil {

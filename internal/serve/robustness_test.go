@@ -12,6 +12,7 @@ import (
 	"bside"
 	"bside/internal/elff"
 	"bside/internal/faults"
+	"bside/internal/testbin"
 )
 
 // readCorpus loads one checked-in malformed image from the elff
@@ -57,6 +58,14 @@ func TestMalformedUploadAnswers400(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("clean upload after garbage: status %d", resp.StatusCode)
+	}
+
+	// A valid image the analyzer cannot model (bside.ErrLayout) is not
+	// the client's fault: 422, and malformed_total does not move.
+	resp = postBytes(t, ts.URL+"/analyze", testbin.TwoSegments(minimalELF(t, 8)))
+	resp.Body.Close()
+	if got := s.MetricsSnapshot().Serve.MalformedTotal; resp.StatusCode != http.StatusUnprocessableEntity || got != 2 {
+		t.Fatalf("two-segment upload: status %d, malformed_total %d; want 422 and 2", resp.StatusCode, got)
 	}
 }
 

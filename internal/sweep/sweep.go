@@ -10,16 +10,20 @@
 //
 // With Diff enabled every successfully analyzed binary is also run
 // through the cheap syspeek-style linear scanner
-// (internal/baseline.Syspeek) and the two answers are compared: a
-// scan-resolved syscall number missing from B-Side's set is a
-// soundness disagreement worth a human look, while numbers only
-// B-Side finds are the expected precision gap of a scanner that
-// cannot follow wrappers or stack-carried values.
+// (internal/baseline.Syspeek), which finds code through debug/elf
+// rather than the analyzer's reader, and the two answers are compared:
+// a scan-resolved syscall number missing from B-Side's set, or a
+// decided, empty set where the scanner saw syscall sites, is a
+// soundness disagreement worth a human look, while numbers only B-Side
+// finds are the expected precision gap of a scanner that cannot follow
+// wrappers or stack-carried values. A binary the analyzer's ELF model
+// cannot represent (bside.ErrLayout) fails under its own "layout" phase.
 package sweep
 
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -33,7 +37,6 @@ import (
 
 	"bside"
 	"bside/internal/baseline"
-	"bside/internal/elff"
 	"bside/internal/metrics"
 )
 
@@ -53,10 +56,6 @@ type Options struct {
 	// Diff runs the syspeek-style linear scanner on every analyzed
 	// binary and records where the cheap scan and B-Side disagree.
 	Diff bool
-	// NoMmap opens the diff scanner's images through the copying
-	// frontend (the analyzer's own frontend is governed by
-	// bside.Options.DisableMmap).
-	NoMmap bool
 	// OnResult, when set, is invoked once per candidate binary as its
 	// analysis completes — completion order, calls serialized. Skipped
 	// non-ELF files do not produce results.
@@ -96,9 +95,10 @@ type Result struct {
 	// Ms is the per-binary wall clock in milliseconds.
 	Ms float64 `json:"ms"`
 	// Phase is the failure phase for failed candidates: "open",
-	// "analyze", "panic" (the analysis crashed and was contained — the
-	// binary is recorded as hostile/broken and the fleet moved on) or
-	// "scan". Empty on success.
+	// "layout" (a valid image the analyzer cannot model yet,
+	// bside.ErrLayout), "analyze", "panic" (the analysis crashed and
+	// was contained — the binary is recorded as hostile/broken and the
+	// fleet moved on) or "scan". Empty on success.
 	Phase string `json:"phase,omitempty"`
 	Error string `json:"error,omitempty"`
 	Diff  *Diff  `json:"diff,omitempty"`
@@ -126,7 +126,7 @@ type Summary struct {
 	Warm     int64 `json:"warm"`
 	Failed   int64 `json:"failed"`
 	// FailurePhases histograms failures by phase ("walk", "open",
-	// "analyze", "panic", "scan").
+	// "layout", "analyze", "panic", "scan").
 	FailurePhases  map[string]int64 `json:"failure_phases,omitempty"`
 	ElapsedMs      float64          `json:"elapsed_ms"`
 	BinariesPerSec float64          `json:"binaries_per_sec"`
@@ -143,7 +143,8 @@ type Summary struct {
 	P50Ms float64 `json:"p50_ms"`
 	P99Ms float64 `json:"p99_ms"`
 	// ScanDisagreements counts binaries whose Diff.ScanOnly was
-	// non-empty (0 unless Options.Diff).
+	// non-empty, or whose decided answer was empty although the scanner
+	// saw a syscall site (0 unless Options.Diff).
 	ScanDisagreements int64 `json:"scan_disagreements"`
 	// Latency is the full per-binary latency distribution.
 	Latency metrics.Snapshot `json:"latency"`
@@ -350,13 +351,15 @@ func (st *state) sweepOne(ctx context.Context, path string) {
 		// A contained panic gets its own phase: "analyze" failures are
 		// expected fleet noise (unbounded sites, timeouts), a panic is a
 		// hostile or bug-triggering binary worth triaging separately.
-		if _, isPanic := bside.IsPanic(err); isPanic {
-			st.fail("panic")
+		switch _, isPanic := bside.IsPanic(err); {
+		case isPanic:
 			out.Phase = "panic"
-		} else {
-			st.fail("analyze")
+		case errors.Is(err, bside.ErrLayout):
+			out.Phase = "layout"
+		default:
 			out.Phase = "analyze"
 		}
+		st.fail(out.Phase)
 		out.Error = err.Error()
 		st.emit(out)
 		return
@@ -376,7 +379,7 @@ func (st *state) sweepOne(ctx context.Context, path string) {
 			return
 		}
 		out.Diff = diff
-		if len(diff.ScanOnly) > 0 {
+		if len(diff.ScanOnly) > 0 || (!res.FailOpen && len(res.Syscalls) == 0 && diff.ScanSites > 0) {
 			st.scanDis.Add(1)
 		}
 	}
@@ -388,18 +391,16 @@ func (st *state) sweepOne(ctx context.Context, path string) {
 	st.emit(out)
 }
 
-// diffOne runs the linear scanner over the binary and compares. The
-// scan opens its own image through the zero-copy frontend (released
-// before returning); fail-open analyses compare trivially — their
+// diffOne runs the linear scanner over the binary's code, as debug/elf
+// finds it, and compares. Fail-open analyses compare trivially — their
 // effective set is the full table, so nothing the scanner resolves can
 // sit outside it.
 func (st *state) diffOne(path string, res *bside.Analysis) (*Diff, error) {
-	bin, err := elff.OpenBinary(path, st.opts.NoMmap)
+	regions, err := baseline.CodeRegions(path)
 	if err != nil {
 		return nil, err
 	}
-	scan := baseline.Syspeek(bin)
-	_ = bin.ReleaseImage()
+	scan := baseline.Syspeek(regions)
 
 	d := &Diff{ScanSites: scan.SitesTotal, ScanResolved: scan.SitesResolved}
 	if !res.FailOpen {

@@ -16,6 +16,7 @@ import (
 	"bside/internal/corpus"
 	"bside/internal/elff"
 	"bside/internal/faults"
+	"bside/internal/testbin"
 	"bside/internal/x86"
 )
 
@@ -135,7 +136,7 @@ func TestSweepWarmSecondPass(t *testing.T) {
 	}
 }
 
-func TestSweepNoMmapIdentical(t *testing.T) {
+func TestSweepDisableMmapIdentical(t *testing.T) {
 	root := t.TempDir()
 	elfs := writeTree(t, root)
 
@@ -143,7 +144,7 @@ func TestSweepNoMmapIdentical(t *testing.T) {
 		Analyzer: bside.NewAnalyzer(bside.Options{}), Diff: true,
 	})
 	copied, _ := collect(t, root, Options{
-		Analyzer: bside.NewAnalyzer(bside.Options{DisableMmap: true}), Diff: true, NoMmap: true,
+		Analyzer: bside.NewAnalyzer(bside.Options{DisableMmap: true}), Diff: true,
 	})
 	for _, path := range elfs {
 		m, c := mapped[path], copied[path]
@@ -198,6 +199,37 @@ func TestSweepAnalyzeFailureIsCountedNotFatal(t *testing.T) {
 	bad := results[filepath.Join(root, "truncated")]
 	if bad == nil || bad.Phase != "analyze" || bad.Error == "" {
 		t.Fatalf("failure result: %+v", bad)
+	}
+}
+
+// TestSweepBooksLayoutRefusals: images the single-segment model cannot
+// represent fail under their own "layout" phase, apart from analysis
+// failures, and the rest of the tree is analyzed as usual.
+func TestSweepBooksLayoutRefusals(t *testing.T) {
+	root := t.TempDir()
+	elfs := writeTree(t, root)
+	img, err := os.ReadFile(elfs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, patched := range map[string][]byte{
+		"two-segments":       testbin.TwoSegments(img),
+		"headers-in-segment": testbin.HeadersInSegment(img),
+	} {
+		if err := os.WriteFile(filepath.Join(root, name), patched, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	results, sum := collect(t, root, Options{Analyzer: bside.NewAnalyzer(bside.Options{}), Diff: true})
+	if sum.Analyzed != 3 || sum.Failed != 2 || sum.FailurePhases["layout"] != 2 || len(sum.FailurePhases) != 1 {
+		t.Fatalf("analyzed=%d failed=%d phases=%v", sum.Analyzed, sum.Failed, sum.FailurePhases)
+	}
+	for _, name := range []string{"two-segments", "headers-in-segment"} {
+		if r := results[filepath.Join(root, name)]; r == nil || r.Phase != "layout" ||
+			!strings.Contains(r.Error, "ELF layout not supported") {
+			t.Fatalf("%s: %+v", name, r)
+		}
 	}
 }
 
@@ -297,6 +329,37 @@ func TestSweepDiffFlagsResolvedScanOnly(t *testing.T) {
 	}
 	if sum.ScanDisagreements != 1 {
 		t.Fatalf("summary disagreements: %d", sum.ScanDisagreements)
+	}
+}
+
+// TestSweepDiffFlagsEmptyAnswerWithSites: a decided, empty answer from
+// a binary the scanner found a syscall site in is a disagreement even
+// when the scanner cannot resolve the site's number — the shape a
+// reader that misses the code altogether would produce.
+func TestSweepDiffFlagsEmptyAnswerWithSites(t *testing.T) {
+	root := t.TempDir()
+	bin, _ := testbin.Build(t, elff.KindStatic, func(b *asm.Builder) {
+		b.Func("_start")
+		b.Ret()
+		b.Func("dead")
+		b.MovRegReg(x86.RAX, x86.RDI)
+		b.Syscall()
+		b.Ret()
+	}, nil)
+	path := filepath.Join(root, "blind")
+	if err := bin.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	results, sum := collect(t, root, Options{Analyzer: bside.NewAnalyzer(bside.Options{}), Diff: true})
+	res := results[path]
+	if res == nil || res.Diff == nil || len(res.Syscalls) != 0 || res.FailOpen {
+		t.Fatalf("want a decided, empty answer with a diff: %+v", res)
+	}
+	if res.Diff.ScanSites != 1 || len(res.Diff.ScanOnly) != 0 {
+		t.Fatalf("scan: %+v, want one unresolved site", res.Diff)
+	}
+	if sum.ScanDisagreements != 1 {
+		t.Fatalf("summary disagreements: %d, want 1", sum.ScanDisagreements)
 	}
 }
 

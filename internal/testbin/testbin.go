@@ -5,6 +5,7 @@
 package testbin
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"bside/internal/asm"
@@ -66,4 +67,41 @@ func BuildAt(t testing.TB, kind elff.Kind, base uint64, fn func(b *asm.Builder),
 		t.Fatalf("testbin: read: %v", err)
 	}
 	return bin, syms
+}
+
+// TwoSegments rewrites an image elff.Write produced so its one PT_LOAD
+// becomes two, each mapping half of the same bytes at the same
+// addresses: the multi-segment shape real linkers emit, which the
+// reader refuses with elff.ErrLayout.
+func TwoSegments(img []byte) []byte {
+	le, out := binary.LittleEndian, append([]byte(nil), img...)
+	first, second := out[64:120], out[120:176] // the writer pads to 0x1000
+	copy(second, first)
+	size := le.Uint64(first[32:])        // filesz == memsz
+	for _, f := range []int{8, 16, 24} { // offset, vaddr, paddr
+		le.PutUint64(second[f:], le.Uint64(second[f:])+size/2)
+	}
+	for _, f := range []int{32, 40} {
+		le.PutUint64(first[f:], size/2)
+		le.PutUint64(second[f:], size-size/2)
+	}
+	le.PutUint16(out[56:], 2) // e_phnum
+	return out
+}
+
+// HeadersInSegment rewrites an image elff.Write produced so its PT_LOAD
+// also maps the file's first page, as real linkers map the ELF headers:
+// .text then starts past the segment base, which the reader refuses
+// with elff.ErrLayout.
+func HeadersInSegment(img []byte) []byte {
+	le, out := binary.LittleEndian, append([]byte(nil), img...)
+	ph := out[64:120]
+	off := le.Uint64(ph[8:])
+	for _, f := range []int{8, 16, 24} { // offset, vaddr, paddr
+		le.PutUint64(ph[f:], le.Uint64(ph[f:])-off)
+	}
+	for _, f := range []int{32, 40} { // filesz, memsz
+		le.PutUint64(ph[f:], le.Uint64(ph[f:])+off)
+	}
+	return out
 }

@@ -63,10 +63,11 @@ func runWarmLookup(b *testing.B, a *bside.Analyzer, hash string) {
 
 func BenchmarkWarmLookupLoose(b *testing.B) {
 	dir, hash := warmLookupDir(b)
-	a, err := bside.NewAnalyzerErr(bside.Options{CacheDir: dir, DisableMemoryTier: true})
+	a, err := bside.NewAnalyzerErr(bside.Options{CacheDir: dir})
 	if err != nil {
 		b.Fatal(err)
 	}
+	bside.DisableMemoryTier(a)
 	runWarmLookup(b, a, hash)
 }
 
@@ -83,10 +84,11 @@ func BenchmarkWarmLookupPack(b *testing.B) {
 	}
 	// A fresh analyzer discovers the pack; with the memory tier off,
 	// every probe is a pack probe.
-	a, err := bside.NewAnalyzerErr(bside.Options{CacheDir: dir, DisableMemoryTier: true})
+	a, err := bside.NewAnalyzerErr(bside.Options{CacheDir: dir})
 	if err != nil {
 		b.Fatal(err)
 	}
+	bside.DisableMemoryTier(a)
 	runWarmLookup(b, a, hash)
 	b.StopTimer()
 	if st := a.CacheStats(); st.PackHits == 0 {

@@ -3,9 +3,8 @@ package bside_test
 // Fleet-throughput benchmarks for the sweep harness (external test
 // package: the root package cannot import internal/sweep, which
 // imports it back). BenchmarkSweepTree is the distro-scan number the
-// tentpole optimizations — mmap zero-copy image frontend, striped
-// cache tiers — exist to move: binaries per second over a nested tree,
-// cold and warm.
+// mmap zero-copy image frontend and the cache tiers exist to move:
+// binaries per second over a nested tree, cold and warm.
 
 import (
 	"context"
