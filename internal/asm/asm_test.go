@@ -30,18 +30,18 @@ func decodeOne(t *testing.T, fn func(b *Builder)) x86.Inst {
 
 func TestRoundTripMovImm(t *testing.T) {
 	inst := decodeOne(t, func(b *Builder) { b.MovRegImm32(x86.RAX, 231) })
-	if inst.Op != x86.OpMov || inst.Dst.Reg != x86.RAX || inst.Src.Imm != 231 {
+	if inst.Op != x86.OpMov || inst.Dst.Reg != x86.RAX || inst.Src.Kind != x86.KindImm || inst.Imm != 231 {
 		t.Fatalf("got %v", inst)
 	}
 	inst = decodeOne(t, func(b *Builder) { b.MovRegImm32(x86.R11, 0xDEADBEEF) })
-	if inst.Dst.Reg != x86.R11 || uint32(inst.Src.Imm) != 0xDEADBEEF {
+	if inst.Dst.Reg != x86.R11 || uint32(inst.Imm) != 0xDEADBEEF {
 		t.Fatalf("got %v", inst)
 	}
-	if inst.Src.Imm != int64(uint32(0xDEADBEEF)) {
-		t.Fatalf("imm32 must be zero-extended, got %#x", inst.Src.Imm)
+	if inst.Imm != int64(uint32(0xDEADBEEF)) {
+		t.Fatalf("imm32 must be zero-extended, got %#x", inst.Imm)
 	}
 	inst = decodeOne(t, func(b *Builder) { b.MovRegImm64(x86.R9, 0x1122334455667788) })
-	if inst.Op != x86.OpMov || inst.Dst.Reg != x86.R9 || uint64(inst.Src.Imm) != 0x1122334455667788 {
+	if inst.Op != x86.OpMov || inst.Dst.Reg != x86.R9 || uint64(inst.Imm) != 0x1122334455667788 {
 		t.Fatalf("got %v", inst)
 	}
 }
@@ -89,7 +89,7 @@ func TestRoundTripMemForms(t *testing.T) {
 		if inst.Op != x86.OpMov || inst.Dst.Reg != x86.RAX || inst.Src.Kind != x86.KindMem {
 			t.Fatalf("mem %v: got %v", m, inst)
 		}
-		got := inst.Src.Mem
+		got := inst.Mem(inst.Src)
 		if got.Base != m.Base || got.Index != m.Index || got.Disp != m.Disp {
 			t.Errorf("mem %v: decoded %v", m, got)
 		}
@@ -103,7 +103,7 @@ func TestRoundTripMemForms(t *testing.T) {
 		}
 		// Immediate store.
 		inst = decodeOne(t, func(b *Builder) { b.MovMemImm32(m, -42) })
-		if inst.Op != x86.OpMov || inst.Dst.Kind != x86.KindMem || inst.Src.Imm != -42 {
+		if inst.Op != x86.OpMov || inst.Dst.Kind != x86.KindMem || inst.Src.Kind != x86.KindImm || inst.Imm != -42 {
 			t.Errorf("imm store %v: got %v", m, inst)
 		}
 	}
@@ -266,7 +266,7 @@ func TestQuickMemRoundTrip(t *testing.T) {
 		if err != nil || int(inst.Len) != len(img) {
 			return false
 		}
-		got := inst.Src.Mem
+		got := inst.Mem(inst.Src)
 		if inst.Dst.Reg != r || got.Base != m.Base || got.Index != m.Index || got.Disp != m.Disp {
 			return false
 		}

@@ -128,7 +128,7 @@ func chestnutScan(g *cfg.Graph, blk *cfg.Block, idx int, reg x86.Reg) (uint64, b
 			}
 			switch in.Src.Kind {
 			case x86.KindImm:
-				return uint64(in.Src.Imm), true
+				return uint64(in.Imm), true
 			case x86.KindReg:
 				tracked = in.Src.Reg
 			default:

@@ -128,7 +128,7 @@ func syspeekBacktrack(window *[syspeekWindow]x86.Inst, head, filled int) (uint64
 				continue
 			}
 			if in.Src.Kind == x86.KindImm {
-				return uint64(in.Src.Imm), true
+				return uint64(in.Imm), true
 			}
 			return 0, false
 		case x86.OpXor:

@@ -11,6 +11,7 @@ package cfg_test
 // unpooled decode map), not jitter from corpus drift.
 
 import (
+	"runtime"
 	"testing"
 
 	"bside/internal/cfg"
@@ -54,5 +55,48 @@ func TestRecoverAllocCeilingHotDeep(t *testing.T) {
 	t.Logf("HotDeep recover: %.1f allocs/op (ceiling %d)", avg, ceiling)
 	if avg > ceiling {
 		t.Fatalf("cfg.Recover allocates %.1f/op, ceiling %d", avg, ceiling)
+	}
+}
+
+// TestRecoverBytesPerInstruction bounds the bytes Recover allocates per
+// decoded instruction on the decoy-heavy shape that dominates a cold
+// sweep's frontend time. After a warm-up the decode arena comes from
+// the builder free list, so what remains is the address-ordered
+// instruction copy the graph keeps (32 bytes each) and the block, edge
+// and function slabs. Unlike the count ceiling above, this one is
+// tight on purpose: it reads 97 today and read 137 with the 72-byte
+// record, so a field added to x86.Inst trips it.
+func TestRecoverBytesPerInstruction(t *testing.T) {
+	var p corpus.Profile
+	for _, q := range corpus.DebianProfiles(42) {
+		if q.Class == corpus.FailCFGHuge {
+			p = q
+			break
+		}
+	}
+	bin, err := corpus.BuildProgram(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g, err := cfg.Recover(bin, cfg.Options{}) // warm the builder free list
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if g, err = cfg.Recover(bin, cfg.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(g.Stats.DecodedInsns)
+	const ceiling = 100
+	t.Logf("%s: %d instructions, %.1f bytes allocated per instruction (ceiling %d)",
+		p.Name, g.Stats.DecodedInsns, per, ceiling)
+	if per > ceiling {
+		t.Fatalf("cfg.Recover allocates %.1f bytes per decoded instruction, ceiling %d", per, ceiling)
 	}
 }

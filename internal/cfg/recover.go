@@ -186,7 +186,7 @@ type fixEnt struct {
 // Recover regrow its arena from scratch. The list keeps at most
 // GOMAXPROCS builders, each sized for the largest image it has
 // decoded, so the retained scratch is bounded by GOMAXPROCS × the
-// largest image decoded so far: about 100 bytes per instruction plus 4
+// largest image decoded so far: about 57 bytes per instruction plus 4
 // bytes per byte of code.
 var builders struct {
 	sync.Mutex
@@ -234,7 +234,9 @@ func putBuilder(b *builder) {
 	b.bin = nil
 	b.slotImport = nil
 	b.blocks = nil
-	clear(b.entries[:cap(b.entries)]) // names point into the image
+	// Names point into the image. Only the last inferFunctions wrote
+	// entries, all below the length; earlier ones cleared theirs here.
+	clear(b.entries)
 	builders.Lock()
 	if len(builders.free) < runtime.GOMAXPROCS(0) {
 		builders.free = append(builders.free, b)
@@ -525,12 +527,12 @@ func (b *builder) materialize(g *Graph) {
 		last := blk.Last()
 		switch last.Op {
 		case x86.OpJmp:
-			countEdge(blk, b.blockAt(uint64(last.Dst.Imm)))
+			countEdge(blk, b.blockAt(uint64(last.Imm)))
 		case x86.OpJcc:
-			countEdge(blk, b.blockAt(uint64(last.Dst.Imm)))
+			countEdge(blk, b.blockAt(uint64(last.Imm)))
 			countEdge(blk, b.blockAt(last.Next()))
 		case x86.OpCall:
-			countEdge(blk, b.blockAt(uint64(last.Dst.Imm)))
+			countEdge(blk, b.blockAt(uint64(last.Imm)))
 			countEdge(blk, b.blockAt(last.Next()))
 		case x86.OpCallInd:
 			if name, ok := b.importTarget(last); ok {
@@ -582,12 +584,12 @@ func (b *builder) materialize(g *Graph) {
 		last := blk.Last()
 		switch last.Op {
 		case x86.OpJmp:
-			addEdge(EdgeJump, blk, b.blockAt(uint64(last.Dst.Imm)))
+			addEdge(EdgeJump, blk, b.blockAt(uint64(last.Imm)))
 		case x86.OpJcc:
-			addEdge(EdgeJump, blk, b.blockAt(uint64(last.Dst.Imm)))
+			addEdge(EdgeJump, blk, b.blockAt(uint64(last.Imm)))
 			addEdge(EdgeFall, blk, b.blockAt(last.Next()))
 		case x86.OpCall:
-			addEdge(EdgeCall, blk, b.blockAt(uint64(last.Dst.Imm)))
+			addEdge(EdgeCall, blk, b.blockAt(uint64(last.Imm)))
 			addEdge(EdgeCallFall, blk, b.blockAt(last.Next()))
 		case x86.OpCallInd:
 			// Same predicate as the count pass: importTarget, not the
@@ -688,7 +690,7 @@ func (b *builder) inferFunctions(g *Graph) {
 	}
 	for _, blk := range g.sortedBlocks {
 		if last := blk.Last(); last.Op == x86.OpCall {
-			add(uint64(last.Dst.Imm), "", 4)
+			add(uint64(last.Imm), "", 4)
 		}
 	}
 	sort.Slice(ents, func(i, j int) bool {

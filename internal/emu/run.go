@@ -60,11 +60,11 @@ func (m *Machine) exec(in x86.Inst, next *uint64) error {
 		return m.writeOperand(in, in.Dst, v)
 
 	case x86.OpLea:
-		ea, err := m.effAddr(in, in.Src.Mem)
+		ea, err := m.effAddr(in, in.Src)
 		if err != nil {
 			return err
 		}
-		m.setReg(in.Dst.Reg, 8, ea)
+		m.setReg(in.Dst.Reg, in.OpSize, ea)
 
 	case x86.OpMovzx:
 		v, err := m.readOperand(in, in.Src)
@@ -160,7 +160,7 @@ func (m *Machine) exec(in x86.Inst, next *uint64) error {
 		if err := m.write(m.regs[x86.RSP], 8, in.Next()); err != nil {
 			return err
 		}
-		*next = uint64(in.Dst.Imm)
+		*next = uint64(in.Imm)
 
 	case x86.OpCallInd:
 		tgt, err := m.readOperand(in, in.Dst)
@@ -174,7 +174,7 @@ func (m *Machine) exec(in x86.Inst, next *uint64) error {
 		*next = tgt
 
 	case x86.OpJmp:
-		*next = uint64(in.Dst.Imm)
+		*next = uint64(in.Imm)
 
 	case x86.OpJmpInd:
 		tgt, err := m.readOperand(in, in.Dst)
@@ -185,7 +185,7 @@ func (m *Machine) exec(in x86.Inst, next *uint64) error {
 
 	case x86.OpJcc:
 		if m.cond(in.Cond) {
-			*next = uint64(in.Dst.Imm)
+			*next = uint64(in.Imm)
 		}
 
 	case x86.OpRet:
@@ -323,11 +323,11 @@ func (m *Machine) setReg(r x86.Reg, size uint8, v uint64) {
 func (m *Machine) readOperand(in x86.Inst, op x86.Operand) (uint64, error) {
 	switch op.Kind {
 	case x86.KindImm:
-		return truncVal(uint64(op.Imm), in.OpSize), nil
+		return truncVal(uint64(in.Imm), in.OpSize), nil
 	case x86.KindReg:
 		return truncVal(m.regs[op.Reg], in.OpSize), nil
 	case x86.KindMem:
-		ea, err := m.effAddr(in, op.Mem)
+		ea, err := m.effAddr(in, op)
 		if err != nil {
 			return 0, err
 		}
@@ -343,7 +343,7 @@ func (m *Machine) writeOperand(in x86.Inst, op x86.Operand, v uint64) error {
 		m.setReg(op.Reg, in.OpSize, v)
 		return nil
 	case x86.KindMem:
-		ea, err := m.effAddr(in, op.Mem)
+		ea, err := m.effAddr(in, op)
 		if err != nil {
 			return err
 		}
@@ -353,16 +353,18 @@ func (m *Machine) writeOperand(in x86.Inst, op x86.Operand, v uint64) error {
 	}
 }
 
-func (m *Machine) effAddr(in x86.Inst, mem x86.Mem) (uint64, error) {
-	if ea, ok := in.MemEA(x86.MemOp(mem)); ok {
+// effAddr computes the effective address of op, one of in's memory
+// operands.
+func (m *Machine) effAddr(in x86.Inst, op x86.Operand) (uint64, error) {
+	if ea, ok := in.MemEA(op); ok {
 		return ea, nil
 	}
 	var ea uint64
-	if mem.Base != x86.RegNone {
-		ea = m.regs[mem.Base]
+	if op.Reg != x86.RegNone {
+		ea = m.regs[op.Reg]
 	}
-	if mem.Index != x86.RegNone {
-		ea += m.regs[mem.Index] * uint64(mem.Scale)
+	if op.Index != x86.RegNone {
+		ea += m.regs[op.Index] * uint64(op.Scale)
 	}
-	return ea + uint64(int64(mem.Disp)), nil
+	return ea + uint64(int64(in.Disp)), nil
 }

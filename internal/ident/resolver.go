@@ -300,13 +300,13 @@ func requiredArgs(entry *cfg.Block) argMask {
 			case x86.KindReg:
 				addRead(in.Src.Reg)
 			case x86.KindMem:
-				addRead(in.Src.Mem.Base)
-				addRead(in.Src.Mem.Index)
+				addRead(in.Src.Reg) // the base register
+				addRead(in.Src.Index)
 			}
 		}
 		if in.Dst.Kind == x86.KindMem {
-			addRead(in.Dst.Mem.Base)
-			addRead(in.Dst.Mem.Index)
+			addRead(in.Dst.Reg)
+			addRead(in.Dst.Index)
 		}
 		if in.Dst.Kind == x86.KindReg && !selfZero {
 			switch in.Op {

@@ -144,6 +144,79 @@ func TestIndirectDispatchMatchesEmulator(t *testing.T) {
 	}
 }
 
+// TestNarrowRegisterWritesMatchEmulator: a 1- or 2-byte write to a
+// register keeps the bits above it, so the syscall number a site sees
+// can combine an earlier constant with a narrow one. Each program sets
+// the number through such a write, then exits through syscall 60. The
+// analysis must stay decided and identify exactly what the emulator
+// executes.
+func TestNarrowRegisterWritesMatchEmulator(t *testing.T) {
+	cases := []struct {
+		name string
+		body func(b *asm.Builder)
+		nr   uint64
+	}{
+		{"mov al, cl", func(b *asm.Builder) {
+			b.MovRegImm32(x86.RAX, 0x100)
+			b.MovRegImm32(x86.RCX, 0x3c)
+			b.Raw(0x88, 0xC8) // mov al, cl
+		}, 0x13c},
+		{"mov al, imm8", func(b *asm.Builder) {
+			b.MovRegImm32(x86.RAX, 0x100)
+			b.Raw(0xC6, 0xC0, 0x3c) // mov al, 0x3c
+		}, 0x13c},
+		{"xor al, al", func(b *asm.Builder) {
+			b.MovRegImm32(x86.RAX, 0x127)
+			b.Raw(0x30, 0xC0) // xor al, al
+		}, 0x100},
+		{"mov ax, imm16", func(b *asm.Builder) {
+			b.MovRegImm32(x86.RAX, 0x20000)
+			b.Raw(0x66, 0xB8, 0x3c, 0x00) // mov ax, 0x3c
+			b.ShrRegImm(x86.RAX, 16)
+		}, 2},
+		{"lea cx", func(b *asm.Builder) {
+			b.MovRegImm32(x86.RCX, 0x10000)
+			b.MovRegImm32(x86.RDX, 0x3c)
+			b.Raw(0x66, 0x8D, 0x0A) // lea cx, [rdx]
+			b.MovRegReg(x86.RAX, x86.RCX)
+			b.ShrRegImm(x86.RAX, 16)
+		}, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			bin, _ := testbin.Build(t, elff.KindStatic, func(b *asm.Builder) {
+				b.Func("_start")
+				c.body(b)
+				b.Syscall()
+				b.MovRegImm32(x86.RAX, 60)
+				b.Syscall()
+				b.Ret()
+			}, nil)
+			m, err := emu.NewProcess(bin, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Run(1_000); err != nil {
+				t.Fatal(err)
+			}
+			want := []uint64{c.nr, 60}
+			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+			truth := append([]uint64(nil), m.Trace...)
+			sort.Slice(truth, func(i, j int) bool { return truth[i] < truth[j] })
+			if !reflect.DeepEqual(truth, want) {
+				t.Fatalf("emulator executed %v, want %v", truth, want)
+			}
+			res, err := Run(bin, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep := res.Report; !reflect.DeepEqual(rep.Syscalls, want) || rep.FailOpen {
+				t.Fatalf("identified %v (fail-open %v), want %v decided", rep.Syscalls, rep.FailOpen, want)
+			}
+		})
+	}
+}
+
 // TestTimingsRecorded: every per-binary stage must appear, in pipeline
 // order, and Total must be their sum.
 func TestTimingsRecorded(t *testing.T) {

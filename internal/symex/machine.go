@@ -172,10 +172,16 @@ type Machine struct {
 	importSlots map[uint64]bool
 }
 
+// No pooled slice points at a block or a state in any slot up to its
+// capacity. A slice enters its pool only through the code that empties
+// it (Release, the end of RunToSite), and that code clears only the
+// slots its run used: the slots past the length were cleared by the
+// runs that wrote them, and a grown slice starts clear. Clearing to
+// capacity would make every run pay for the largest one.
 var (
 	statePool sync.Pool // *State, scrubbed
 	runPool   sync.Pool // *runScratch, holding no block or state pointers
-	sitesPool sync.Pool // *[]*State, empty and cleared to capacity
+	sitesPool sync.Pool // *[]*State, empty
 )
 
 // runScratch is the per-RunToSite working set: the task stack, its
@@ -269,14 +275,15 @@ func (m *Machine) cloneState(s *State) *State {
 // Release returns a run's surviving states, and the slice holding
 // them, to their pools. Call it once the site states have been read;
 // the Values read from them (register contents, parameter taints) stay
-// valid, only the states themselves are recycled. The slice is cleared
-// to capacity before it is pooled, so no pooled item points at a state.
+// valid, only the states themselves are recycled. The slice's used
+// slots are cleared before it is pooled, so no pooled item points at a
+// state.
 func (m *Machine) Release(res *Result) {
 	for _, st := range res.SiteStates {
 		m.freeState(st)
 	}
 	if res.sites != nil {
-		clear(res.SiteStates[:cap(res.SiteStates)])
+		clear(res.SiteStates)
 		*res.sites = res.SiteStates[:0]
 		sitesPool.Put(res.sites)
 		res.sites = nil
@@ -324,11 +331,17 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 				m.freeState(t.st)
 				sc.freeVisits(visitStack[i])
 			}
+			clear(stack)
+			clear(visitStack)
 			break
 		}
+		// Pop, clearing the slot: a pooled stack must not keep this
+		// run's blocks and states reachable.
 		t := stack[len(stack)-1]
+		stack[len(stack)-1] = task{}
 		stack = stack[:len(stack)-1]
 		visits := visitStack[len(visitStack)-1]
+		visitStack[len(visitStack)-1] = nil
 		visitStack = visitStack[:len(visitStack)-1]
 
 		if visits[t.blk.ID] >= maxVisits {
@@ -509,17 +522,13 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 			if succs[i].st == st {
 				stUsed = true
 			}
+			succs[i] = task{} // the stack holds it now
 		}
 		if !stUsed {
 			m.freeState(st)
 		}
 	}
 	m.budget.AddSteps(pending)
-	// Clear to capacity before pooling: stale tasks past the length
-	// would keep this run's blocks (and states) reachable.
-	clear(stack[:cap(stack)])
-	clear(visitStack[:cap(visitStack)])
-	clear(sc.succs[:cap(sc.succs)])
 	sc.stack = stack[:0]
 	sc.visits = visitStack[:0]
 	runPool.Put(sc)

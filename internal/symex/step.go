@@ -15,11 +15,11 @@ func (m *Machine) step(st *State, in x86.Inst) {
 		m.writeOperand(st, in, in.Dst, m.evalOperand(st, in, in.Src))
 
 	case x86.OpLea:
-		st.SetReg(in.Dst.Reg, m.evalEA(st, in, in.Src.Mem))
+		writeReg(st, in.Dst.Reg, in.OpSize, m.evalEA(st, in, in.Src))
 
 	case x86.OpXor:
 		if in.Dst.Kind == x86.KindReg && in.Src.Kind == x86.KindReg && in.Dst.Reg == in.Src.Reg {
-			st.SetReg(in.Dst.Reg, Const(0)) // zeroing idiom
+			writeReg(st, in.Dst.Reg, in.OpSize, Const(0)) // zeroing idiom
 			return
 		}
 		m.alu(st, in, func(a, b uint64) uint64 { return a ^ b })
@@ -154,36 +154,37 @@ func (m *Machine) incDec(st *State, in x86.Inst, sign int64) {
 func (m *Machine) evalOperand(st *State, in x86.Inst, op x86.Operand) Value {
 	switch op.Kind {
 	case x86.KindImm:
-		return Const(uint64(op.Imm))
+		return Const(uint64(in.Imm))
 	case x86.KindReg:
 		return truncate(st.Reg(op.Reg), in.OpSize)
 	case x86.KindMem:
-		return m.load(st, m.evalEA(st, in, op.Mem), in.OpSize)
+		return m.load(st, m.evalEA(st, in, op), in.OpSize)
 	default:
 		return Unknown()
 	}
 }
 
-// evalEA computes a memory operand's effective address.
-func (m *Machine) evalEA(st *State, in x86.Inst, mem x86.Mem) Value {
-	if ea, ok := in.MemEA(x86.MemOp(mem)); ok {
+// evalEA computes the effective address of op, one of in's memory
+// operands.
+func (m *Machine) evalEA(st *State, in x86.Inst, op x86.Operand) Value {
+	if ea, ok := in.MemEA(op); ok {
 		return Const(ea)
 	}
 	base := Const(0)
-	if mem.Base != x86.RegNone {
-		base = st.Reg(mem.Base)
+	if op.Reg != x86.RegNone {
+		base = st.Reg(op.Reg)
 	}
 	idx := Const(0)
-	if mem.Index != x86.RegNone {
-		idx = st.Reg(mem.Index)
+	if op.Index != x86.RegNone {
+		idx = st.Reg(op.Index)
 	}
 	kb, baseConst := base.IsConst()
 	ki, idxConst := idx.IsConst()
 	switch {
 	case baseConst && idxConst:
-		return Const(kb + ki*uint64(mem.Scale) + uint64(int64(mem.Disp)))
+		return Const(kb + ki*uint64(op.Scale) + uint64(int64(in.Disp)))
 	case base.Kind == KStackPtr && idxConst:
-		return StackPtr(base.StackOff() + int64(ki*uint64(mem.Scale)) + int64(mem.Disp))
+		return StackPtr(base.StackOff() + int64(ki*uint64(op.Scale)) + int64(in.Disp))
 	default:
 		return taintedUnknown2(base, idx)
 	}
@@ -224,9 +225,9 @@ func (m *Machine) load(st *State, ea Value, size uint8) Value {
 func (m *Machine) writeOperand(st *State, in x86.Inst, op x86.Operand, v Value) {
 	switch op.Kind {
 	case x86.KindReg:
-		st.SetReg(op.Reg, truncate(v, in.OpSize))
+		writeReg(st, op.Reg, in.OpSize, v)
 	case x86.KindMem:
-		ea := m.evalEA(st, in, op.Mem)
+		ea := m.evalEA(st, in, op)
 		switch ea.Kind {
 		case KStackPtr:
 			st.StoreStack(ea.StackOff(), v)
@@ -235,4 +236,25 @@ func (m *Machine) writeOperand(st *State, in x86.Inst, op x86.Operand, v Value) 
 		}
 		// Stores to unknown addresses are dropped; see package docs.
 	}
+}
+
+// writeReg stores v into r as a size-byte register write, the one way
+// an instruction's destination register is written. An 8- or 4-byte
+// write replaces the register (a 4-byte one zero-extends); a 2- or
+// 1-byte write keeps the bits above it, so two constants merge into a
+// constant and anything else becomes an unknown tainted by both.
+func writeReg(st *State, r x86.Reg, size uint8, v Value) {
+	v = truncate(v, size)
+	if size < 4 {
+		old := st.Reg(r)
+		ko, oldConst := old.IsConst()
+		kv, newConst := v.IsConst()
+		if oldConst && newConst {
+			mask := uint64(1)<<(8*uint(size)) - 1
+			v = Const(ko&^mask | kv)
+		} else {
+			v = taintedUnknown2(old, v)
+		}
+	}
+	st.SetReg(r, v)
 }

@@ -141,7 +141,7 @@ func (r *resolver) resolveAt(blk *cfg.Block, idx int, reg x86.Reg, out map[uint6
 				if in.OpSize < 4 {
 					return false
 				}
-				out[uint64(in.Src.Imm)] = true
+				out[uint64(in.Imm)] = true
 				return true
 			case x86.KindReg:
 				return r.resolveAt(blk, i, in.Src.Reg, out)
@@ -231,7 +231,7 @@ func (r *resolver) transform(blk *cfg.Block, i int, reg x86.Reg, in x86.Inst, ou
 	if in.Src.Kind != x86.KindImm {
 		return false
 	}
-	imm := uint64(in.Src.Imm)
+	imm := uint64(in.Imm)
 	sub := make(map[uint64]bool)
 	if !r.resolveAt(blk, i, reg, sub) {
 		return false

@@ -37,28 +37,28 @@ func (c *cursor) u8() (byte, error) {
 	return v, nil
 }
 
-func (c *cursor) i8() (int8, error) {
-	v, err := c.u8()
-	return int8(v), err
-}
-
-func (c *cursor) i32() (int32, error) {
-	if c.pos+4 > len(c.b) {
+// imm reads an n-byte little-endian immediate or displacement (n is 1,
+// 2, 4 or 8), sign-extended.
+func (c *cursor) imm(n uint8) (int64, error) {
+	if c.pos+int(n) > len(c.b) {
 		return 0, ErrTruncated
 	}
-	v := int32(binary.LittleEndian.Uint32(c.b[c.pos:]))
-	c.pos += 4
-	return v, nil
+	b := c.b[c.pos:]
+	c.pos += int(n)
+	switch n {
+	case 1:
+		return int64(int8(b[0])), nil
+	case 2:
+		return int64(int16(binary.LittleEndian.Uint16(b))), nil
+	case 4:
+		return int64(int32(binary.LittleEndian.Uint32(b))), nil
+	}
+	return int64(binary.LittleEndian.Uint64(b)), nil
 }
 
-func (c *cursor) i64() (int64, error) {
-	if c.pos+8 > len(c.b) {
-		return 0, ErrTruncated
-	}
-	v := int64(binary.LittleEndian.Uint64(c.b[c.pos:]))
-	c.pos += 8
-	return v, nil
-}
+// target returns the absolute target of a relative branch whose
+// displacement, rel, ends at the cursor.
+func (c *cursor) target(rel int64) int64 { return int64(c.addr) + int64(c.pos) + rel }
 
 // Decode decodes a single instruction starting at b[0], which is mapped
 // at virtual address addr. It returns the decoded instruction; on error
@@ -104,6 +104,10 @@ func Decode(b []byte, addr uint64) (Inst, error) {
 	inst.OpSize = size
 
 	err := decodeOpcode(c, &inst, op, rx, size, repF3)
+	if err == nil && size == 2 && (inst.Op == OpPush || inst.Op == OpPop) {
+		// The 16-bit stack forms move RSP by 2; they are not modeled.
+		err = fmt.Errorf("%w: 16-bit %v", ErrUnsupported, inst.Op)
+	}
 	if err != nil {
 		return Inst{Addr: addr}, err
 	}
@@ -152,7 +156,7 @@ func decodeOpcode(c *cursor, inst *Inst, op byte, rx rex, size uint8, repF3 bool
 			inst.OpSize = 1
 		}
 		regToRM := op&2 == 0
-		reg, rm, err := decodeModRM(c, rx)
+		reg, rm, err := decodeModRM(c, inst, rx)
 		if err != nil {
 			return err
 		}
@@ -177,7 +181,7 @@ func decodeOpcode(c *cursor, inst *Inst, op byte, rx rex, size uint8, repF3 bool
 		return nil
 
 	case op == 0x63: // movsxd r64, r/m32
-		reg, rm, err := decodeModRM(c, rx)
+		reg, rm, err := decodeModRM(c, inst, rx)
 		if err != nil {
 			return err
 		}
@@ -187,71 +191,65 @@ func decodeOpcode(c *cursor, inst *Inst, op byte, rx rex, size uint8, repF3 bool
 		return nil
 
 	case op == 0x68: // push imm32
-		v, err := c.i32()
+		v, err := c.imm(4)
 		if err != nil {
 			return err
 		}
 		inst.Op = OpPush
 		inst.OpSize = 8
-		inst.Dst = ImmOp(int64(v))
+		inst.Dst, inst.Imm = immOperand, v
 		return nil
 
 	case op == 0x6A: // push imm8
-		v, err := c.i8()
+		v, err := c.imm(1)
 		if err != nil {
 			return err
 		}
 		inst.Op = OpPush
 		inst.OpSize = 8
-		inst.Dst = ImmOp(int64(v))
+		inst.Dst, inst.Imm = immOperand, v
 		return nil
 
 	case op >= 0x70 && op <= 0x7F: // jcc rel8
-		v, err := c.i8()
+		v, err := c.imm(1)
 		if err != nil {
 			return err
 		}
 		inst.Op = OpJcc
 		inst.Cond = Cond(op - 0x70)
-		inst.Dst = ImmOp(int64(c.addr) + int64(c.pos) + int64(v))
+		inst.Dst, inst.Imm = immOperand, c.target(v)
 		return nil
 
 	case op == 0x80, op == 0x81, op == 0x83: // group 1 imm
-		reg, rm, digit, err := decodeModRMDigit(c, rx)
+		_, rm, digit, err := decodeModRMDigit(c, inst, rx)
 		if err != nil {
 			return err
 		}
-		_ = reg
 		kind := grp1Ops[digit]
 		if kind == OpInvalid {
 			return fmt.Errorf("%w: group1 /%d", ErrUnsupported, digit)
 		}
-		var imm int64
+		n := uint8(1)
 		if op == 0x81 {
-			v, err := c.i32()
-			if err != nil {
-				return err
-			}
-			imm = int64(v)
-		} else {
-			v, err := c.i8()
-			if err != nil {
-				return err
-			}
-			imm = int64(v)
+			n = min(size, 4) // imm16 or imm32, sign-extended to OpSize
+		}
+		imm, err := c.imm(n)
+		if err != nil {
+			return err
 		}
 		if op == 0x80 {
 			inst.OpSize = 1
 		}
 		inst.Op = kind
-		inst.Dst, inst.Src = rm, ImmOp(imm)
+		inst.Dst = rm
+		inst.Src, inst.Imm = immOperand, imm
 		return nil
 
 	case op == 0x84, op == 0x85: // test r/m, r
 		if op == 0x84 {
 			inst.OpSize = 1
 		}
-		reg, rm, err := decodeModRM(c, rx)
+		reg, rm, err := decodeModRM(c, inst, rx)
 		if err != nil {
 			return err
 		}
@@ -260,7 +258,7 @@ func decodeOpcode(c *cursor, inst *Inst, op byte, rx rex, size uint8, repF3 bool
 		return nil
 
 	case op == 0x8D: // lea
-		reg, rm, err := decodeModRM(c, rx)
+		reg, rm, err := decodeModRM(c, inst, rx)
 		if err != nil {
 			return err
 		}
@@ -279,32 +277,27 @@ func decodeOpcode(c *cursor, inst *Inst, op byte, rx rex, size uint8, repF3 bool
 		inst.Op = OpCdqe
 		return nil
 
-	case op >= 0xB8 && op <= 0xBF: // mov r, imm32/imm64
-		r := regExt(op-0xB8, rx.b)
-		if rx.w {
-			v, err := c.i64()
-			if err != nil {
-				return err
-			}
-			inst.Op = OpMov
-			inst.Dst, inst.Src = RegOp(r), ImmOp(v)
-			return nil
-		}
-		v, err := c.i32()
+	case op >= 0xB8 && op <= 0xBF: // mov r, imm16/imm32/imm64
+		v, err := c.imm(size)
 		if err != nil {
 			return err
 		}
+		if size < 8 {
+			// Keep the unsigned value: mov r32, imm32 zero-extends, and
+			// mov r16, imm16 writes exactly the low 16 bits.
+			v &= 1<<(8*size) - 1
+		}
 		inst.Op = OpMov
-		// mov r32, imm32 zero-extends; keep the unsigned 32-bit value.
-		inst.Dst, inst.Src = RegOp(r), ImmOp(int64(uint32(v)))
+		inst.Dst = RegOp(regExt(op-0xB8, rx.b))
+		inst.Src, inst.Imm = immOperand, v
 		return nil
 
 	case op == 0xC1: // group 2 shift imm8
-		_, rm, digit, err := decodeModRMDigit(c, rx)
+		_, rm, digit, err := decodeModRMDigit(c, inst, rx)
 		if err != nil {
 			return err
 		}
-		v, err := c.i8()
+		v, err := c.imm(1)
 		if err != nil {
 			return err
 		}
@@ -316,7 +309,8 @@ func decodeOpcode(c *cursor, inst *Inst, op byte, rx rex, size uint8, repF3 bool
 		default:
 			return fmt.Errorf("%w: group2 /%d", ErrUnsupported, digit)
 		}
-		inst.Dst, inst.Src = rm, ImmOp(int64(uint8(v)))
+		inst.Dst = rm
+		inst.Src, inst.Imm = immOperand, int64(uint8(v))
 		return nil
 
 	case op == 0xC3:
@@ -324,30 +318,25 @@ func decodeOpcode(c *cursor, inst *Inst, op byte, rx rex, size uint8, repF3 bool
 		return nil
 
 	case op == 0xC6, op == 0xC7: // mov r/m, imm
-		_, rm, digit, err := decodeModRMDigit(c, rx)
+		_, rm, digit, err := decodeModRMDigit(c, inst, rx)
 		if err != nil {
 			return err
 		}
 		if digit != 0 {
 			return fmt.Errorf("%w: C6/C7 /%d", ErrUnsupported, digit)
 		}
-		var imm int64
+		n := min(size, 4) // imm16 or imm32, sign-extended to OpSize
 		if op == 0xC6 {
 			inst.OpSize = 1
-			v, err := c.i8()
-			if err != nil {
-				return err
-			}
-			imm = int64(v)
-		} else {
-			v, err := c.i32()
-			if err != nil {
-				return err
-			}
-			imm = int64(v) // sign-extended to OpSize
+			n = 1
+		}
+		imm, err := c.imm(n)
+		if err != nil {
+			return err
 		}
 		inst.Op = OpMov
-		inst.Dst, inst.Src = rm, ImmOp(imm)
+		inst.Dst = rm
+		inst.Src, inst.Imm = immOperand, imm
 		return nil
 
 	case op == 0xC9:
@@ -359,30 +348,30 @@ func decodeOpcode(c *cursor, inst *Inst, op byte, rx rex, size uint8, repF3 bool
 		return nil
 
 	case op == 0xE8: // call rel32
-		v, err := c.i32()
+		v, err := c.imm(4)
 		if err != nil {
 			return err
 		}
 		inst.Op = OpCall
-		inst.Dst = ImmOp(int64(c.addr) + int64(c.pos) + int64(v))
+		inst.Dst, inst.Imm = immOperand, c.target(v)
 		return nil
 
 	case op == 0xE9: // jmp rel32
-		v, err := c.i32()
+		v, err := c.imm(4)
 		if err != nil {
 			return err
 		}
 		inst.Op = OpJmp
-		inst.Dst = ImmOp(int64(c.addr) + int64(c.pos) + int64(v))
+		inst.Dst, inst.Imm = immOperand, c.target(v)
 		return nil
 
 	case op == 0xEB: // jmp rel8
-		v, err := c.i8()
+		v, err := c.imm(1)
 		if err != nil {
 			return err
 		}
 		inst.Op = OpJmp
-		inst.Dst = ImmOp(int64(c.addr) + int64(c.pos) + int64(v))
+		inst.Dst, inst.Imm = immOperand, c.target(v)
 		return nil
 
 	case op == 0xF4:
@@ -390,7 +379,7 @@ func decodeOpcode(c *cursor, inst *Inst, op byte, rx rex, size uint8, repF3 bool
 		return nil
 
 	case op == 0xFF: // group 5
-		_, rm, digit, err := decodeModRMDigit(c, rx)
+		_, rm, digit, err := decodeModRMDigit(c, inst, rx)
 		if err != nil {
 			return err
 		}
@@ -445,24 +434,23 @@ func decode0F(c *cursor, inst *Inst, rx rex, size uint8, repF3 bool) error {
 		inst.Op = OpEndbr64
 		return nil
 	case op == 0x1F: // multi-byte nop
-		_, _, _, err := decodeModRMDigit(c, rx)
+		_, _, _, err := decodeModRMDigit(c, inst, rx)
 		if err != nil {
 			return err
 		}
 		inst.Op = OpNop
-		inst.Dst, inst.Src = Operand{}, Operand{}
 		return nil
 	case op >= 0x80 && op <= 0x8F: // jcc rel32
-		v, err := c.i32()
+		v, err := c.imm(4)
 		if err != nil {
 			return err
 		}
 		inst.Op = OpJcc
 		inst.Cond = Cond(op - 0x80)
-		inst.Dst = ImmOp(int64(c.addr) + int64(c.pos) + int64(v))
+		inst.Dst, inst.Imm = immOperand, c.target(v)
 		return nil
 	case op == 0xB6, op == 0xB7, op == 0xBE, op == 0xBF:
-		reg, rm, err := decodeModRM(c, rx)
+		reg, rm, err := decodeModRM(c, inst, rx)
 		if err != nil {
 			return err
 		}
@@ -485,16 +473,21 @@ func regExt(low byte, ext bool) Reg {
 	return r
 }
 
+// immOperand is the operand of an instruction's immediate (or a direct
+// branch's target), whose value is Inst.Imm.
+var immOperand = Operand{Kind: KindImm}
+
 // decodeModRM decodes a ModRM byte (plus SIB/displacement) and returns
-// the reg field as a register and the r/m field as an operand.
-func decodeModRM(c *cursor, rx rex) (Reg, Operand, error) {
-	reg, rm, _, err := decodeModRMDigit(c, rx)
+// the reg field as a register and the r/m field as an operand. A memory
+// r/m operand's displacement goes to inst.Disp.
+func decodeModRM(c *cursor, inst *Inst, rx rex) (Reg, Operand, error) {
+	reg, rm, _, err := decodeModRMDigit(c, inst, rx)
 	return reg, rm, err
 }
 
 // decodeModRMDigit is decodeModRM but also exposes the raw reg field
 // value (the "/digit" of group opcodes).
-func decodeModRMDigit(c *cursor, rx rex) (Reg, Operand, byte, error) {
+func decodeModRMDigit(c *cursor, inst *Inst, rx rex) (Reg, Operand, byte, error) {
 	modrm, err := c.u8()
 	if err != nil {
 		return 0, Operand{}, 0, err
@@ -508,7 +501,7 @@ func decodeModRMDigit(c *cursor, rx rex) (Reg, Operand, byte, error) {
 		return reg, RegOp(regExt(rmField, rx.b)), regField, nil
 	}
 
-	m := Mem{Base: RegNone, Index: RegNone, Scale: 1}
+	m := Operand{Kind: KindMem, Reg: RegNone, Index: RegNone, Scale: 1}
 
 	if rmField == 4 { // SIB follows
 		sib, err := c.u8()
@@ -518,52 +511,46 @@ func decodeModRMDigit(c *cursor, rx rex) (Reg, Operand, byte, error) {
 		scaleBits := sib >> 6
 		indexField := (sib >> 3) & 7
 		baseField := sib & 7
-		m.Scale = 1 << scaleBits
-		idx := regExt(indexField, rx.x)
-		if idx != RSP { // index=100 without REX.X means "no index"
+		if idx := regExt(indexField, rx.x); idx != RSP { // index=100 without REX.X means "no index"
 			m.Index = idx
-		} else {
-			m.Index = RegNone
-			m.Scale = 1
+			m.Scale = 1 << scaleBits
 		}
 		if baseField == 5 && mod == 0 {
 			// disp32 with no base
-			d, err := c.i32()
+			d, err := c.imm(4)
 			if err != nil {
 				return 0, Operand{}, 0, err
 			}
-			m.Disp = d
-			return reg, MemOp(m), regField, nil
+			inst.Disp = int32(d)
+			return reg, m, regField, nil
 		}
-		m.Base = regExt(baseField, rx.b)
+		m.Reg = regExt(baseField, rx.b)
 	} else if rmField == 5 && mod == 0 {
 		// RIP-relative disp32
-		d, err := c.i32()
+		d, err := c.imm(4)
 		if err != nil {
 			return 0, Operand{}, 0, err
 		}
-		m.Base = RIP
-		m.Disp = d
-		return reg, MemOp(m), regField, nil
+		m.Reg = RIP
+		inst.Disp = int32(d)
+		return reg, m, regField, nil
 	} else {
-		m.Base = regExt(rmField, rx.b)
+		m.Reg = regExt(rmField, rx.b)
 	}
 
 	switch mod {
-	case 0:
-		// no displacement
 	case 1:
-		d, err := c.i8()
+		d, err := c.imm(1)
 		if err != nil {
 			return 0, Operand{}, 0, err
 		}
-		m.Disp = int32(d)
+		inst.Disp = int32(d)
 	case 2:
-		d, err := c.i32()
+		d, err := c.imm(4)
 		if err != nil {
 			return 0, Operand{}, 0, err
 		}
-		m.Disp = d
+		inst.Disp = int32(d)
 	}
-	return reg, MemOp(m), regField, nil
+	return reg, m, regField, nil
 }

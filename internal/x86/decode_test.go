@@ -47,7 +47,7 @@ func TestDecodeOperandDetails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inst.Dst.Reg != RAX || inst.Src.Mem.Base != RSP || inst.Src.Mem.Disp != 8 || inst.OpSize != 8 {
+	if m := inst.Mem(inst.Src); inst.Dst.Reg != RAX || m.Base != RSP || m.Disp != 8 || inst.OpSize != 8 {
 		t.Fatalf("got %v", inst)
 	}
 
@@ -56,7 +56,7 @@ func TestDecodeOperandDetails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inst.OpSize != 4 || inst.Src.Imm != 1 {
+	if inst.OpSize != 4 || inst.Src.Kind != KindImm || inst.Imm != 1 {
 		t.Fatalf("got %v size=%d", inst, inst.OpSize)
 	}
 

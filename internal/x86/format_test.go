@@ -8,32 +8,33 @@ import (
 // TestStringAllOps exercises the formatter across every supported
 // operation so listings never render empty or panic.
 func TestStringAllOps(t *testing.T) {
-	mem := MemOp(Mem{Base: RAX, Index: RCX, Scale: 4, Disp: -8})
+	mem := Operand{Kind: KindMem, Reg: RAX, Index: RCX, Scale: 4}
+	imm := Operand{Kind: KindImm}
 	cases := []Inst{
-		{Op: OpMov, Dst: RegOp(RAX), Src: ImmOp(60), OpSize: 4},
-		{Op: OpMov, Dst: mem, Src: RegOp(RBX), OpSize: 8},
-		{Op: OpMovzx, Dst: RegOp(RAX), Src: mem, OpSize: 4},
-		{Op: OpMovsx, Dst: RegOp(RAX), Src: mem, OpSize: 8},
+		{Op: OpMov, Dst: RegOp(RAX), Src: imm, Imm: 60, OpSize: 4},
+		{Op: OpMov, Dst: mem, Src: RegOp(RBX), Disp: -8, OpSize: 8},
+		{Op: OpMovzx, Dst: RegOp(RAX), Src: mem, Disp: -8, OpSize: 4},
+		{Op: OpMovsx, Dst: RegOp(RAX), Src: mem, Disp: -8, OpSize: 8},
 		{Op: OpMovsxd, Dst: RegOp(RAX), Src: RegOp(RDI), OpSize: 8},
-		{Op: OpLea, Dst: RegOp(RSI), Src: mem, OpSize: 8},
+		{Op: OpLea, Dst: RegOp(RSI), Src: mem, Disp: -8, OpSize: 8},
 		{Op: OpXor, Dst: RegOp(RDI), Src: RegOp(RDI), OpSize: 4},
-		{Op: OpAdd, Dst: RegOp(RSP), Src: ImmOp(16), OpSize: 8},
-		{Op: OpSub, Dst: RegOp(RSP), Src: ImmOp(16), OpSize: 8},
-		{Op: OpAnd, Dst: RegOp(RDX), Src: ImmOp(0xFF), OpSize: 8},
-		{Op: OpOr, Dst: RegOp(RDX), Src: ImmOp(1), OpSize: 8},
-		{Op: OpCmp, Dst: RegOp(RCX), Src: ImmOp(0), OpSize: 8},
+		{Op: OpAdd, Dst: RegOp(RSP), Src: imm, Imm: 16, OpSize: 8},
+		{Op: OpSub, Dst: RegOp(RSP), Src: imm, Imm: 16, OpSize: 8},
+		{Op: OpAnd, Dst: RegOp(RDX), Src: imm, Imm: 0xFF, OpSize: 8},
+		{Op: OpOr, Dst: RegOp(RDX), Src: imm, Imm: 1, OpSize: 8},
+		{Op: OpCmp, Dst: RegOp(RCX), Src: imm, Imm: 0, OpSize: 8},
 		{Op: OpTest, Dst: RegOp(RAX), Src: RegOp(RAX), OpSize: 8},
-		{Op: OpShl, Dst: RegOp(RAX), Src: ImmOp(3), OpSize: 8},
-		{Op: OpShr, Dst: RegOp(RAX), Src: ImmOp(1), OpSize: 8},
+		{Op: OpShl, Dst: RegOp(RAX), Src: imm, Imm: 3, OpSize: 8},
+		{Op: OpShr, Dst: RegOp(RAX), Src: imm, Imm: 1, OpSize: 8},
 		{Op: OpInc, Dst: RegOp(R12), OpSize: 8},
 		{Op: OpDec, Dst: RegOp(R12), OpSize: 8},
 		{Op: OpPush, Dst: RegOp(RBP), OpSize: 8},
 		{Op: OpPop, Dst: RegOp(RBP), OpSize: 8},
-		{Op: OpCall, Dst: ImmOp(0x401000)},
+		{Op: OpCall, Dst: imm, Imm: 0x401000},
 		{Op: OpCallInd, Dst: RegOp(RAX)},
-		{Op: OpJmp, Dst: ImmOp(0x401000)},
-		{Op: OpJmpInd, Dst: mem},
-		{Op: OpJcc, Cond: CondNE, Dst: ImmOp(0x401000)},
+		{Op: OpJmp, Dst: imm, Imm: 0x401000},
+		{Op: OpJmpInd, Dst: mem, Disp: -8},
+		{Op: OpJcc, Cond: CondNE, Dst: imm, Imm: 0x401000},
 		{Op: OpRet},
 		{Op: OpLeave},
 		{Op: OpSyscall},
@@ -74,7 +75,7 @@ func TestBranchTargetNonBranches(t *testing.T) {
 
 func TestMemEANonRIP(t *testing.T) {
 	in := Inst{Op: OpMov, Dst: RegOp(RAX),
-		Src: MemOp(Mem{Base: RBX, Index: RegNone, Scale: 1, Disp: 8})}
+		Src: Operand{Kind: KindMem, Reg: RBX, Index: RegNone, Scale: 1}, Disp: 8}
 	if _, ok := in.MemEA(in.Src); ok {
 		t.Error("non-RIP memory operand must not have a static EA")
 	}

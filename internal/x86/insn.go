@@ -29,7 +29,7 @@ const (
 	OpDec
 	OpPush
 	OpPop
-	OpCall    // direct near call, target in Dst (immediate absolute address)
+	OpCall    // direct near call; Dst is KindImm and Imm holds the absolute target
 	OpCallInd // indirect call through register or memory
 	OpJmp     // direct jump
 	OpJmpInd  // indirect jump
@@ -128,7 +128,7 @@ func (c Cond) String() string {
 	return fmt.Sprintf("cc(%d)", uint8(c))
 }
 
-// OperandKind discriminates the Operand union.
+// OperandKind discriminates an Operand.
 type OperandKind uint8
 
 // Operand kinds.
@@ -148,9 +148,6 @@ type Mem struct {
 	Scale uint8 // 1, 2, 4 or 8; meaningful only when Index != RegNone
 	Disp  int32
 }
-
-// IsRIPRel reports whether the operand is RIP-relative.
-func (m Mem) IsRIPRel() bool { return m.Base == RIP }
 
 // String renders the memory operand in Intel-like syntax.
 func (m Mem) String() string {
@@ -178,46 +175,35 @@ func (m Mem) String() string {
 	return b.String()
 }
 
-// Operand is a single instruction operand.
+// Operand is a single instruction operand, in 4 bytes: an instruction
+// carries at most one immediate and at most one memory operand, so the
+// immediate value and the displacement live on the Inst (Imm, Disp)
+// and an operand only says which of them it is. Check Kind before
+// reading Reg.
 type Operand struct {
-	Kind OperandKind
-	Reg  Reg
-	Imm  int64
-	Mem  Mem
+	Kind  OperandKind
+	Reg   Reg   // the register (KindReg), or the base register, RIP or RegNone (KindMem)
+	Index Reg   // KindMem: the index register, RegNone when absent
+	Scale uint8 // KindMem: 1, 2, 4 or 8; meaningful only with an index
 }
 
 // RegOp builds a register operand.
 func RegOp(r Reg) Operand { return Operand{Kind: KindReg, Reg: r} }
 
-// ImmOp builds an immediate operand.
-func ImmOp(v int64) Operand { return Operand{Kind: KindImm, Imm: v} }
-
-// MemOp builds a memory operand.
-func MemOp(m Mem) Operand { return Operand{Kind: KindMem, Mem: m} }
-
-// String renders the operand.
-func (o Operand) String() string {
-	switch o.Kind {
-	case KindReg:
-		return o.Reg.String()
-	case KindImm:
-		return fmt.Sprintf("%#x", o.Imm)
-	case KindMem:
-		return o.Mem.String()
-	default:
-		return "<none>"
-	}
-}
-
-// Inst is one decoded instruction.
+// Inst is one decoded instruction. It is 32 bytes and holds no
+// pointers: the CFG frontend, the symbolic executor and the emulator
+// copy instructions by value, and an arena of them is never scanned by
+// the garbage collector.
 type Inst struct {
 	Addr   uint64 // virtual address of the first byte
+	Imm    int64  // the KindImm operand's value, or a direct branch's absolute target
+	Disp   int32  // the KindMem operand's displacement
 	Len    uint8  // encoded length in bytes
 	Op     Op
 	Cond   Cond    // valid when Op == OpJcc
+	OpSize uint8   // effective operand size in bytes: 1, 2, 4 or 8
 	Dst    Operand // first operand (destination for two-operand forms)
 	Src    Operand // second operand
-	OpSize uint8   // effective operand size in bytes: 1, 2, 4 or 8
 }
 
 // Next returns the address of the instruction following i.
@@ -228,18 +214,24 @@ func (i Inst) Next() uint64 { return i.Addr + uint64(i.Len) }
 func (i Inst) BranchTarget() (uint64, bool) {
 	switch i.Op {
 	case OpCall, OpJmp, OpJcc:
-		return uint64(i.Dst.Imm), true
+		return uint64(i.Imm), true
 	}
 	return 0, false
+}
+
+// Mem returns the memory reference of o, one of i's operands. It is
+// meaningful only when o.Kind == KindMem.
+func (i Inst) Mem(o Operand) Mem {
+	return Mem{Base: o.Reg, Index: o.Index, Scale: o.Scale, Disp: i.Disp}
 }
 
 // MemEA returns the concrete effective address of a RIP-relative memory
 // operand and true; for all other operand shapes it returns false.
 func (i Inst) MemEA(o Operand) (uint64, bool) {
-	if o.Kind != KindMem || !o.Mem.IsRIPRel() {
+	if o.Kind != KindMem || o.Reg != RIP {
 		return 0, false
 	}
-	return i.Next() + uint64(int64(o.Mem.Disp)), true
+	return i.Next() + uint64(int64(i.Disp)), true
 }
 
 // IsTerminator reports whether the instruction ends a basic block.
@@ -260,19 +252,33 @@ func (i Inst) String() string {
 	fmt.Fprintf(&b, "%#08x: ", i.Addr)
 	switch i.Op {
 	case OpJcc:
-		fmt.Fprintf(&b, "j%s %#x", i.Cond, i.Dst.Imm)
+		fmt.Fprintf(&b, "j%s %#x", i.Cond, i.Imm)
 	case OpCall, OpJmp:
-		fmt.Fprintf(&b, "%s %#x", i.Op, i.Dst.Imm)
+		fmt.Fprintf(&b, "%s %#x", i.Op, i.Imm)
 	default:
 		b.WriteString(i.Op.String())
 		if i.Dst.Kind != KindNone {
 			b.WriteByte(' ')
-			b.WriteString(i.Dst.String())
+			b.WriteString(i.operandString(i.Dst))
 		}
 		if i.Src.Kind != KindNone {
 			b.WriteString(", ")
-			b.WriteString(i.Src.String())
+			b.WriteString(i.operandString(i.Src))
 		}
 	}
 	return b.String()
+}
+
+// operandString renders o, one of i's operands.
+func (i Inst) operandString(o Operand) string {
+	switch o.Kind {
+	case KindReg:
+		return o.Reg.String()
+	case KindImm:
+		return fmt.Sprintf("%#x", i.Imm)
+	case KindMem:
+		return i.Mem(o).String()
+	default:
+		return "<none>"
+	}
 }
