@@ -37,7 +37,8 @@ test:
 # package's tests count toward every package they execute
 # (-coverpkg=./...). Prints the functions no test executes (0.0%) and
 # the total. The bside main() runs that TestMainScenarios re-executes
-# as child processes are not counted: the children write no profile.
+# as child processes are counted too: they write their counters into
+# the parent test's coverage directory.
 cover:
 	$(GO) test -count=1 -coverpkg=./... -coverprofile=cover.out ./...
 	@$(GO) tool cover -func=cover.out | awk '$$NF == "0.0%" || $$1 == "total:"'

@@ -22,6 +22,7 @@ import (
 
 	"bside/internal/corpus"
 	"bside/internal/elff"
+	"bside/internal/linux"
 	"bside/internal/serve"
 	"bside/internal/sweep"
 )
@@ -57,6 +58,7 @@ func TestMainScenarios(t *testing.T) {
 		name string
 		run  func(*testing.T, *scenarioInputs)
 	}{
+		{"single", singleScenario},
 		{"serve", serveScenario},
 		{"sweep", sweepScenario},
 		{"pack", packScenario},
@@ -137,6 +139,59 @@ func runMain(t *testing.T, want int, args ...string) (stdout, stderr []byte) {
 		t.Fatalf("bside %v exited %d, want %d:\n%s", args, code, want, errOut.Bytes())
 	}
 	return out.Bytes(), errOut.Bytes()
+}
+
+// singleScenario runs the default one-binary form in each of its
+// output modes on one app and holds them to that app's batch line.
+func singleScenario(t *testing.T, in *scenarioInputs) {
+	app := in.apps[0]
+	var want batchLine
+	out, _ := runMain(t, 0, "batch", "-libs", in.libs, "-jobs", "1", app)
+	if err := json.Unmarshal(out, &want); err != nil || len(want.Syscalls) == 0 {
+		t.Fatalf("batch line %s: %v", out, err)
+	}
+	single := func(args ...string) (stdout, stderr []byte) {
+		return runMain(t, 0, append(append([]string{"-libs", in.libs}, args...), app)...)
+	}
+
+	if out, _ := single(); !bytes.HasPrefix(out, fmt.Appendf(nil, "%d system calls identified", len(want.Syscalls))) {
+		t.Errorf("plain output does not open with the batch line's count %d:\n%s", len(want.Syscalls), out)
+	}
+	var got batchLine
+	if out, _ := single("-json"); json.Unmarshal(out, &got) != nil ||
+		!slices.Equal(got.Syscalls, want.Syscalls) || got.FailOpen != want.FailOpen {
+		t.Errorf("-json: %s, want the batch line's syscalls %v", out, want.Syscalls)
+	}
+	var policy struct {
+		Allowed  []uint64 `json:"allowed"`
+		FailOpen bool     `json:"fail_open"`
+	}
+	wantAllowed := want.Syscalls
+	if want.FailOpen {
+		wantAllowed = linux.All()
+	}
+	if out, _ := single("-policy"); json.Unmarshal(out, &policy) != nil || !slices.Equal(policy.Allowed, wantAllowed) {
+		t.Errorf("-policy: %s, want allowed %v", out, wantAllowed)
+	}
+	if !want.FailOpen {
+		out, _ := single("-phases")
+		var phases struct {
+			Phases []json.RawMessage `json:"phases"`
+		}
+		jsonOut, _ := single("-phases", "-json")
+		if err := json.Unmarshal(jsonOut, &phases); err != nil ||
+			!bytes.HasPrefix(out, fmt.Appendf(nil, "%d phases (start ", len(phases.Phases))) {
+			t.Errorf("-phases opens %q; -phases -json: %v, %d phases", bytes.SplitN(out, []byte("\n"), 2)[0], err, len(phases.Phases))
+		}
+	}
+	if out, _ := single("-disasm"); !bytes.Contains(out, []byte("syscall")) {
+		t.Errorf("-disasm lists no syscall:\n%.500s", out)
+	}
+	if _, stderr := single("-timings"); !bytes.Contains(stderr, []byte("timings: decode=")) {
+		t.Errorf("-timings: stderr %q", stderr)
+	}
+	runMain(t, 2)           // usage mistake: no binary
+	runMain(t, 1, in.noise) // run failure: not an ELF
 }
 
 func serveScenario(t *testing.T, in *scenarioInputs) {

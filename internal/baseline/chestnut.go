@@ -173,12 +173,12 @@ func linearWindow(g *cfg.Graph, blk *cfg.Block, idx int) []x86.Inst {
 
 func writesRegister(in x86.Inst, reg x86.Reg) bool {
 	switch in.Op {
-	case x86.OpMov, x86.OpMovzx, x86.OpMovsx, x86.OpMovsxd, x86.OpLea,
+	case x86.OpMov, x86.OpMovzxB, x86.OpMovzxW, x86.OpMovsxB, x86.OpMovsxW, x86.OpMovsxd, x86.OpLea,
 		x86.OpXor, x86.OpAdd, x86.OpSub, x86.OpAnd, x86.OpOr,
 		x86.OpShl, x86.OpShr, x86.OpInc, x86.OpDec, x86.OpPop:
 		return in.Dst.Kind == x86.KindReg && in.Dst.Reg == reg
 	case x86.OpCall, x86.OpCallInd, x86.OpSyscall:
-		return reg.IsCallerSaved()
+		return x86.CallerSaved.Has(reg)
 	}
 	return false
 }

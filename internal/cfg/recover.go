@@ -305,17 +305,13 @@ func (b *builder) traverse(starts ...uint64) error {
 				b.leader.set(int(tgt - b.base))
 				work = append(work, tgt)
 			}
-			switch inst.Op {
-			case x86.OpJmp, x86.OpJmpInd, x86.OpRet, x86.OpUd2, x86.OpHlt, x86.OpInt3:
-				// No fall-through.
-			case x86.OpJcc, x86.OpCall, x86.OpCallInd, x86.OpSyscall:
-				if next := inst.Next(); b.bin.CodeContains(next) {
-					b.leader.set(int(next - b.base))
-					work = append(work, next)
-				}
-			default:
+			if !inst.EndsBlock() {
 				addr = inst.Next()
 				continue
+			}
+			if next := inst.Next(); inst.FallsThrough() && b.bin.CodeContains(next) {
+				b.leader.set(int(next - b.base))
+				work = append(work, next)
 			}
 			break
 		}
@@ -327,7 +323,7 @@ func (b *builder) traverse(starts ...uint64) error {
 // importTarget resolves a call/jmp through [rip+slot] against the
 // import table.
 func (b *builder) importTarget(inst x86.Inst) (string, bool) {
-	if b.slotImport == nil {
+	if b.slotImport == nil || !inst.IsIndirect() {
 		return "", false
 	}
 	ea, ok := inst.MemEA(inst.Dst)
@@ -410,26 +406,13 @@ func (b *builder) fixpoint(roots, dataPtrs []uint64) (int, error) {
 			}
 		}
 
-		switch inst.Op {
-		case x86.OpJmp, x86.OpCall, x86.OpJcc:
-			if tgt, ok := inst.BranchTarget(); ok {
-				push(tgt, ent.wave)
-			}
-			if inst.Op != x86.OpJmp {
-				push(inst.Next(), ent.wave)
-			}
-		case x86.OpCallInd:
-			if _, ok := b.importTarget(inst); !ok {
-				indirect()
-			}
-			push(inst.Next(), ent.wave)
-		case x86.OpJmpInd:
-			if _, ok := b.importTarget(inst); !ok {
-				indirect()
-			}
-		case x86.OpRet, x86.OpUd2, x86.OpHlt, x86.OpInt3:
-			// No successors.
-		default:
+		if tgt, ok := inst.BranchTarget(); ok {
+			push(tgt, ent.wave)
+		}
+		if _, imported := b.importTarget(inst); inst.IsIndirect() && !imported {
+			indirect() // not an import's: its targets are the active set
+		}
+		if inst.FallsThrough() {
 			push(inst.Next(), ent.wave)
 		}
 	}
@@ -473,7 +456,7 @@ func (b *builder) materialize(g *Graph) {
 			open = true
 		}
 		prevEnd = in.Next()
-		if in.IsTerminator() || in.IsCall() || in.Op == x86.OpSyscall {
+		if in.EndsBlock() {
 			open = false
 		}
 	}
@@ -511,57 +494,27 @@ func (b *builder) materialize(g *Graph) {
 		}
 	}
 
-	// Pass 2: count edge degrees, resolve import labels.
+	// Pass 2: resolve import labels and count edge degrees.
 	b.succDeg = resize(b.succDeg, numBlocks)
 	b.predDeg = resize(b.predDeg, numBlocks)
 	totalEdges := 0
-	countEdge := func(from *Block, to *Block) {
-		if to == nil {
-			return
-		}
+	count := func(_ EdgeKind, from, to *Block) {
 		b.succDeg[from.ID]++
 		b.predDeg[to.ID]++
 		totalEdges++
 	}
 	for _, blk := range sorted {
-		last := blk.Last()
-		switch last.Op {
-		case x86.OpJmp:
-			countEdge(blk, b.blockAt(uint64(last.Imm)))
-		case x86.OpJcc:
-			countEdge(blk, b.blockAt(uint64(last.Imm)))
-			countEdge(blk, b.blockAt(last.Next()))
-		case x86.OpCall:
-			countEdge(blk, b.blockAt(uint64(last.Imm)))
-			countEdge(blk, b.blockAt(last.Next()))
-		case x86.OpCallInd:
-			if name, ok := b.importTarget(last); ok {
-				blk.ImportCall = name
-			} else {
-				for _, t := range activeBlocks {
-					countEdge(blk, t)
-				}
-			}
-			countEdge(blk, b.blockAt(last.Next()))
-		case x86.OpJmpInd:
-			if name, ok := b.importTarget(last); ok {
-				blk.ImportCall = name
+		if name, ok := b.importTarget(blk.Last()); ok {
+			blk.ImportCall = name
+			if blk.Last().Op == x86.OpJmpInd {
 				g.ImportStubs[blk.Addr] = name
-			} else {
-				for _, t := range activeBlocks {
-					countEdge(blk, t)
-				}
 			}
-		case x86.OpRet, x86.OpUd2, x86.OpHlt, x86.OpInt3:
-			// No successors; returns are modeled by EdgeCallFall.
-		default:
-			// Fall-through block boundary (syscall or leader split).
-			countEdge(blk, b.blockAt(last.Next()))
 		}
+		b.eachEdge(blk, activeBlocks, count)
 	}
 
-	// Pass 3: carve Succs/Preds from two slabs and wire the edges in
-	// the same order the per-round builder produced.
+	// Pass 3: carve Succs/Preds from two slabs and wire the same edges
+	// in the same order.
 	succSlab := make([]Edge, 0, totalEdges)
 	predSlab := make([]Edge, 0, totalEdges)
 	for _, blk := range sorted {
@@ -572,51 +525,56 @@ func (b *builder) materialize(g *Graph) {
 		blk.Preds = predSlab[len(predSlab) : len(predSlab) : len(predSlab)+d]
 		predSlab = predSlab[:len(predSlab)+d]
 	}
-	addEdge := func(kind EdgeKind, from, to *Block) {
-		if to == nil {
-			return
-		}
+	wire := func(kind EdgeKind, from, to *Block) {
 		e := Edge{Kind: kind, From: from, To: to}
 		from.Succs = append(from.Succs, e)
 		to.Preds = append(to.Preds, e)
 	}
 	for _, blk := range sorted {
-		last := blk.Last()
-		switch last.Op {
-		case x86.OpJmp:
-			addEdge(EdgeJump, blk, b.blockAt(uint64(last.Imm)))
-		case x86.OpJcc:
-			addEdge(EdgeJump, blk, b.blockAt(uint64(last.Imm)))
-			addEdge(EdgeFall, blk, b.blockAt(last.Next()))
-		case x86.OpCall:
-			addEdge(EdgeCall, blk, b.blockAt(uint64(last.Imm)))
-			addEdge(EdgeCallFall, blk, b.blockAt(last.Next()))
-		case x86.OpCallInd:
-			// Same predicate as the count pass: importTarget, not the
-			// ImportCall label (a dynsym legally named "" would make
-			// the label test disagree and overflow the edge slabs).
-			if _, ok := b.importTarget(last); !ok {
-				for _, t := range activeBlocks {
-					addEdge(EdgeIndirectCall, blk, t)
-				}
-			}
-			addEdge(EdgeCallFall, blk, b.blockAt(last.Next()))
-		case x86.OpJmpInd:
-			if _, ok := b.importTarget(last); !ok {
-				for _, t := range activeBlocks {
-					addEdge(EdgeIndirectJump, blk, t)
-				}
-			}
-		case x86.OpRet, x86.OpUd2, x86.OpHlt, x86.OpInt3:
-		default:
-			addEdge(EdgeFall, blk, b.blockAt(last.Next()))
-		}
+		b.eachEdge(blk, activeBlocks, wire)
 	}
 	g.Stats.NumEdges = totalEdges
 
 	// The full address-taken set (SysFilter's original, non-active
 	// notion): every harvested lea candidate, reachable or not.
 	g.AddrTaken = dedupSorted(b.leaEACopy())
+}
+
+// eachEdge calls f on each out-edge of blk whose target block exists,
+// in wiring order: the direct branch target, the fan-out of an
+// indirect call or jump to the active address-taken blocks, then the
+// fall-through (a call's return site). Both the count and the wire
+// pass enumerate edges here, so they cannot disagree and overflow the
+// pre-counted slabs.
+func (b *builder) eachEdge(blk *Block, active []*Block, f func(kind EdgeKind, from, to *Block)) {
+	last := blk.Last()
+	if tgt, ok := last.BranchTarget(); ok {
+		kind := EdgeJump
+		if last.Op == x86.OpCall {
+			kind = EdgeCall
+		}
+		if to := b.blockAt(tgt); to != nil {
+			f(kind, blk, to)
+		}
+	}
+	if _, imported := b.importTarget(last); last.IsIndirect() && !imported {
+		kind := EdgeIndirectJump
+		if last.Op == x86.OpCallInd {
+			kind = EdgeIndirectCall
+		}
+		for _, t := range active {
+			f(kind, blk, t)
+		}
+	}
+	if last.FallsThrough() {
+		kind := EdgeFall
+		if last.IsCall() {
+			kind = EdgeCallFall
+		}
+		if to := b.blockAt(last.Next()); to != nil {
+			f(kind, blk, to)
+		}
+	}
 }
 
 // blockAt returns the materialized block starting at addr, or nil.

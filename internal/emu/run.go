@@ -47,13 +47,12 @@ func (m *Machine) RunBudget(budget Budget) error {
 
 func (m *Machine) exec(in x86.Inst, next *uint64) error {
 	switch in.Op {
-	case x86.OpNop, x86.OpEndbr64, x86.OpCdqe:
-		if in.Op == x86.OpCdqe {
-			m.regs[x86.RAX] = uint64(int64(int32(uint32(m.regs[x86.RAX]))))
-		}
+	case x86.OpNop, x86.OpEndbr64:
+	case x86.OpCdqe: // cdqe, cwde or cbw: sign-extend the low half of RAX
+		m.setReg(x86.RAX, in.OpSize, signExtend(m.regs[x86.RAX], in.SrcSize()))
 
 	case x86.OpMov:
-		v, err := m.readOperand(in, in.Src)
+		v, err := m.readOperand(in, in.Src, in.OpSize)
 		if err != nil {
 			return err
 		}
@@ -66,28 +65,22 @@ func (m *Machine) exec(in x86.Inst, next *uint64) error {
 		}
 		m.setReg(in.Dst.Reg, in.OpSize, ea)
 
-	case x86.OpMovzx:
-		v, err := m.readOperand(in, in.Src)
+	case x86.OpMovzxB, x86.OpMovzxW, x86.OpMovsxB, x86.OpMovsxW, x86.OpMovsxd:
+		v, err := m.readOperand(in, in.Src, in.SrcSize())
 		if err != nil {
 			return err
+		}
+		if in.Op != x86.OpMovzxB && in.Op != x86.OpMovzxW {
+			v = signExtend(v, in.SrcSize())
 		}
 		return m.writeOperand(in, in.Dst, v)
 
-	case x86.OpMovsx, x86.OpMovsxd:
-		v, err := m.readOperand(in, in.Src)
-		if err != nil {
-			return err
-		}
-		// Source widths were 8/16/32; sign-extend from 32 as the corpus
-		// only uses movsxd.
-		return m.writeOperand(in, in.Dst, uint64(int64(int32(uint32(v)))))
-
 	case x86.OpAdd, x86.OpSub, x86.OpAnd, x86.OpOr, x86.OpXor, x86.OpCmp, x86.OpTest:
-		a, err := m.readOperand(in, in.Dst)
+		a, err := m.readOperand(in, in.Dst, in.OpSize)
 		if err != nil {
 			return err
 		}
-		b, err := m.readOperand(in, in.Src)
+		b, err := m.readOperand(in, in.Src, in.OpSize)
 		if err != nil {
 			return err
 		}
@@ -98,26 +91,30 @@ func (m *Machine) exec(in x86.Inst, next *uint64) error {
 		return m.writeOperand(in, in.Dst, res)
 
 	case x86.OpShl, x86.OpShr:
-		a, err := m.readOperand(in, in.Dst)
+		a, err := m.readOperand(in, in.Dst, in.OpSize)
 		if err != nil {
 			return err
 		}
-		b, err := m.readOperand(in, in.Src)
+		b, err := m.readOperand(in, in.Src, in.OpSize)
 		if err != nil {
 			return err
+		}
+		mask := uint64(31) // the count is masked to 5 bits, 6 for 8-byte operands
+		if in.OpSize == 8 {
+			mask = 63
 		}
 		var res uint64
 		if in.Op == x86.OpShl {
-			res = a << (b & 63)
+			res = a << (b & mask)
 		} else {
-			res = a >> (b & 63)
+			res = a >> (b & mask)
 		}
 		res = truncVal(res, in.OpSize)
 		m.setZFSF(res, in.OpSize)
 		return m.writeOperand(in, in.Dst, res)
 
 	case x86.OpInc, x86.OpDec:
-		a, err := m.readOperand(in, in.Dst)
+		a, err := m.readOperand(in, in.Dst, in.OpSize)
 		if err != nil {
 			return err
 		}
@@ -131,7 +128,7 @@ func (m *Machine) exec(in x86.Inst, next *uint64) error {
 		return m.writeOperand(in, in.Dst, res)
 
 	case x86.OpPush:
-		v, err := m.readOperand(in, in.Dst)
+		v, err := m.readOperand(in, in.Dst, in.OpSize)
 		if err != nil {
 			return err
 		}
@@ -163,7 +160,7 @@ func (m *Machine) exec(in x86.Inst, next *uint64) error {
 		*next = uint64(in.Imm)
 
 	case x86.OpCallInd:
-		tgt, err := m.readOperand(in, in.Dst)
+		tgt, err := m.readOperand(in, in.Dst, in.OpSize)
 		if err != nil {
 			return err
 		}
@@ -177,7 +174,7 @@ func (m *Machine) exec(in x86.Inst, next *uint64) error {
 		*next = uint64(in.Imm)
 
 	case x86.OpJmpInd:
-		tgt, err := m.readOperand(in, in.Dst)
+		tgt, err := m.readOperand(in, in.Dst, in.OpSize)
 		if err != nil {
 			return err
 		}
@@ -262,6 +259,12 @@ func signBit(v uint64, size uint8) bool {
 	return v>>(8*uint(size)-1)&1 == 1
 }
 
+// signExtend extends the low size bytes of v by their sign.
+func signExtend(v uint64, size uint8) uint64 {
+	shift := 64 - 8*uint(size)
+	return uint64(int64(v<<shift) >> shift)
+}
+
 func truncVal(v uint64, size uint8) uint64 {
 	if size >= 8 {
 		return v
@@ -305,6 +308,10 @@ func (m *Machine) cond(c x86.Cond) bool {
 }
 
 func (m *Machine) setReg(r x86.Reg, size uint8, v uint64) {
+	if r.High() { // AH, CH, DH or BH: bits 8-15
+		m.regs[r.Full()] = m.regs[r.Full()]&^uint64(0xFF00) | v&0xFF<<8
+		return
+	}
 	if !r.Valid() {
 		return
 	}
@@ -320,18 +327,22 @@ func (m *Machine) setReg(r x86.Reg, size uint8, v uint64) {
 	}
 }
 
-func (m *Machine) readOperand(in x86.Inst, op x86.Operand) (uint64, error) {
+// readOperand reads op, one of in's operands, at size bytes.
+func (m *Machine) readOperand(in x86.Inst, op x86.Operand, size uint8) (uint64, error) {
 	switch op.Kind {
 	case x86.KindImm:
-		return truncVal(uint64(in.Imm), in.OpSize), nil
+		return truncVal(uint64(in.Imm), size), nil
 	case x86.KindReg:
-		return truncVal(m.regs[op.Reg], in.OpSize), nil
+		if op.Reg.High() {
+			return m.regs[op.Reg.Full()] >> 8 & 0xFF, nil
+		}
+		return truncVal(m.regs[op.Reg], size), nil
 	case x86.KindMem:
 		ea, err := m.effAddr(in, op)
 		if err != nil {
 			return 0, err
 		}
-		return m.read(ea, in.OpSize)
+		return m.read(ea, size)
 	default:
 		return 0, fmt.Errorf("%w: missing operand at %#x", ErrTrap, in.Addr)
 	}

@@ -56,7 +56,13 @@ func TestKernelEnforcesCompiledPolicy(t *testing.T) {
 		enforceInChild(t)
 		return
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestKernelEnforcesCompiledPolicy$", "-test.v")
+	args := []string{"-test.run=^TestKernelEnforcesCompiledPolicy$", "-test.v"}
+	if testing.CoverMode() != "" {
+		// Without a directory to write its counters to, the child's
+		// coverage teardown makes one, and the filter denies mkdirat.
+		args = append(args, "-test.gocoverdir="+t.TempDir())
+	}
+	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), seccompChildEnv+"=1")
 	out, err := cmd.CombinedOutput()
 	if err != nil {

@@ -27,28 +27,8 @@ import (
 	"bside/internal/x86"
 )
 
-// argMask is a bitset over the six System V integer argument registers.
-type argMask uint8
-
-const allArgs argMask = (1 << 6) - 1
-
-func argBit(r x86.Reg) (argMask, bool) {
-	switch r {
-	case x86.RDI:
-		return 1 << 0, true
-	case x86.RSI:
-		return 1 << 1, true
-	case x86.RDX:
-		return 1 << 2, true
-	case x86.RCX:
-		return 1 << 3, true
-	case x86.R8:
-		return 1 << 4, true
-	case x86.R9:
-		return 1 << 5, true
-	}
-	return 0, false
-}
+// allArgs holds the six System V integer argument registers.
+const allArgs = x86.RegSet(1<<x86.RDI | 1<<x86.RSI | 1<<x86.RDX | 1<<x86.RCX | 1<<x86.R8 | 1<<x86.R9)
 
 // resolveIndirectSites builds the per-image candidate-target index:
 // site block ID -> refined target set. Sites absent from the map keep
@@ -75,16 +55,16 @@ func resolveIndirectSites(g *cfg.Graph, layers int) map[int]*cfg.BlockSet {
 	}
 
 	sites := make(map[int]*cfg.BlockSet)
-	reqCache := make(map[int]argMask) // candidate block ID -> required args
+	reqCache := make(map[int]x86.RegSet) // candidate block ID -> required args
 	var universe, cands []*cfg.Block
 	for _, blk := range g.SortedBlocks() {
 		if len(blk.Insns) == 0 || blk.ImportCall != "" {
 			continue
 		}
-		op := blk.Last().Op
-		if op != x86.OpCallInd && op != x86.OpJmpInd {
+		if !blk.Last().IsIndirect() {
 			continue
 		}
+		op := blk.Last().Op
 		universe = universe[:0]
 		for _, e := range blk.Succs {
 			if e.Kind == cfg.EdgeIndirectCall || e.Kind == cfg.EdgeIndirectJump {
@@ -199,7 +179,7 @@ func siteProvenance(g *cfg.Graph, site *cfg.Block, memRead func(uint64) (uint64,
 // ever produced inside the program-entry function with no callers:
 // the one place the ABI pins the incoming register state (at process
 // entry the integer argument registers hold nothing deliberate).
-func providedArgs(g *cfg.Graph, site *cfg.Block) argMask {
+func providedArgs(g *cfg.Graph, site *cfg.Block) x86.RegSet {
 	const maxBlocks = 64
 
 	fn, ok := g.FuncContaining(site.Addr)
@@ -207,23 +187,16 @@ func providedArgs(g *cfg.Graph, site *cfg.Block) argMask {
 		return allArgs
 	}
 
-	var provided argMask
+	var provided x86.RegSet
 	// scan unions the MAY-writes of a straight-line run; false means
 	// the run contains a barrier (call/syscall) past which the
 	// register state is unknowable.
 	scan := func(insns []x86.Inst) bool {
 		for _, in := range insns {
-			switch in.Op {
-			case x86.OpCall, x86.OpCallInd, x86.OpSyscall:
+			if in.IsCall() || in.Op == x86.OpSyscall {
 				return false
-			case x86.OpCmp, x86.OpTest, x86.OpPush:
-				continue // read-only destinations
 			}
-			if in.Dst.Kind == x86.KindReg {
-				if b, ok := argBit(in.Dst.Reg); ok {
-					provided |= b
-				}
-			}
+			provided |= in.Writes() & allArgs
 		}
 		return true
 	}
@@ -274,13 +247,13 @@ func providedArgs(g *cfg.Graph, site *cfg.Block) argMask {
 // including the block's terminator — ends it. Keeping the answer an
 // under-approximation is what makes pruning on it safe: a register is
 // only reported when an incoming value is provably observed.
-func requiredArgs(entry *cfg.Block) argMask {
-	var req, written argMask
+func requiredArgs(entry *cfg.Block) x86.RegSet {
+	var req, written x86.RegSet
 	for _, in := range entry.Insns {
 		switch in.Op {
 		case x86.OpEndbr64, x86.OpNop:
 			continue
-		case x86.OpMov, x86.OpMovzx, x86.OpMovsx, x86.OpMovsxd, x86.OpLea,
+		case x86.OpMov, x86.OpMovzxB, x86.OpMovzxW, x86.OpMovsxB, x86.OpMovsxW, x86.OpMovsxd, x86.OpLea,
 			x86.OpXor, x86.OpAdd, x86.OpSub, x86.OpAnd, x86.OpOr,
 			x86.OpCmp, x86.OpTest, x86.OpShl, x86.OpShr, x86.OpInc,
 			x86.OpDec, x86.OpPush, x86.OpPop:
@@ -289,12 +262,8 @@ func requiredArgs(entry *cfg.Block) argMask {
 		}
 		selfZero := in.Op == x86.OpXor && in.Src.Kind == x86.KindReg &&
 			in.Dst.Kind == x86.KindReg && in.Src.Reg == in.Dst.Reg
-		var reads argMask
-		addRead := func(r x86.Reg) {
-			if b, ok := argBit(r); ok {
-				reads |= b
-			}
-		}
+		var reads x86.RegSet
+		addRead := func(r x86.Reg) { reads |= x86.RegSetOf(r) }
 		if !selfZero {
 			switch in.Src.Kind {
 			case x86.KindReg:
@@ -316,16 +285,8 @@ func requiredArgs(entry *cfg.Block) argMask {
 				addRead(in.Dst.Reg) // read-modify-write or pure read
 			}
 		}
-		req |= reads &^ written
-		if in.Dst.Kind == x86.KindReg {
-			switch in.Op {
-			case x86.OpCmp, x86.OpTest, x86.OpPush:
-			default:
-				if b, ok := argBit(in.Dst.Reg); ok {
-					written |= b
-				}
-			}
-		}
+		req |= reads & allArgs &^ written
+		written |= in.Writes()
 	}
 	return req
 }

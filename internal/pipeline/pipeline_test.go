@@ -146,10 +146,13 @@ func TestIndirectDispatchMatchesEmulator(t *testing.T) {
 
 // TestNarrowRegisterWritesMatchEmulator: a 1- or 2-byte write to a
 // register keeps the bits above it, so the syscall number a site sees
-// can combine an earlier constant with a narrow one. Each program sets
-// the number through such a write, then exits through syscall 60. The
-// analysis must stay decided and identify exactly what the emulator
-// executes.
+// can combine an earlier constant with a narrow one; AH, CH, DH and BH
+// are bits 8-15 of their register; movzx and movsx extend from their
+// source's width, cwde from 16 bits; a 4-byte shift masks its count
+// to five bits. Each program sets the number through such an
+// instruction, then exits through syscall 60. The numbers are the
+// hardware's. The emulator must execute them, and the analysis must
+// stay decided and identify exactly them.
 func TestNarrowRegisterWritesMatchEmulator(t *testing.T) {
 	cases := []struct {
 		name string
@@ -181,6 +184,43 @@ func TestNarrowRegisterWritesMatchEmulator(t *testing.T) {
 			b.MovRegReg(x86.RAX, x86.RCX)
 			b.ShrRegImm(x86.RAX, 16)
 		}, 1},
+		{"movzx eax, cl", func(b *asm.Builder) {
+			b.MovRegImm32(x86.RCX, 0x127)
+			b.Raw(0x0F, 0xB6, 0xC1) // movzx eax, cl
+		}, 0x27},
+		{"movzx eax, cx", func(b *asm.Builder) {
+			b.MovRegImm32(x86.RCX, 0x10027)
+			b.Raw(0x0F, 0xB7, 0xC1) // movzx eax, cx
+		}, 0x27},
+		{"movsx eax, cl", func(b *asm.Builder) {
+			b.MovRegImm32(x86.RCX, 0x127)
+			b.Raw(0x0F, 0xBE, 0xC1) // movsx eax, cl
+		}, 0x27},
+		{"mov ah, imm8", func(b *asm.Builder) {
+			b.MovRegImm32(x86.RAX, 0x27)
+			b.Raw(0xC6, 0xC4, 0x01) // mov ah, 1
+		}, 0x127},
+		{"mov ah, cl", func(b *asm.Builder) {
+			b.MovRegImm32(x86.RAX, 0x27)
+			b.MovRegImm32(x86.RCX, 1)
+			b.Raw(0x88, 0xCC) // mov ah, cl
+		}, 0x127},
+		{"movzx eax, ch", func(b *asm.Builder) {
+			b.MovRegImm32(x86.RCX, 0x2700)
+			b.Raw(0x0F, 0xB6, 0xC5) // movzx eax, ch
+		}, 0x27},
+		{"xor ah, ah", func(b *asm.Builder) {
+			b.MovRegImm32(x86.RAX, 0x127)
+			b.Raw(0x30, 0xE4) // xor ah, ah
+		}, 0x27},
+		{"cwde", func(b *asm.Builder) {
+			b.MovRegImm32(x86.RAX, 0x10027)
+			b.Raw(0x98) // cwde: sign-extend ax into eax
+		}, 0x27},
+		{"shl eax, 32", func(b *asm.Builder) {
+			b.MovRegImm32(x86.RAX, 0x27)
+			b.Raw(0xC1, 0xE0, 0x20) // shl eax, 32: the count masks to 0
+		}, 0x27},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -411,7 +411,7 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 				m.pushRet(st, last.Next())
 				push(callee, st)
 			} else if inSet(fall) {
-				st.havocCallerSaved()
+				st.havoc(x86.CallerSaved)
 				push(fall, st)
 			}
 
@@ -419,12 +419,12 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 			fall := succOf(t.blk, cfg.EdgeCallFall)
 			if t.blk.ImportCall != "" {
 				if inSet(fall) {
-					st.havocCallerSaved()
+					st.havoc(x86.CallerSaved)
 					push(fall, st)
 				}
 				break
 			}
-			tv := m.evalOperand(st, last, last.Dst)
+			tv := m.evalOperand(st, last, last.Dst, last.OpSize)
 			if k, ok := tv.IsConst(); ok {
 				if to, found := m.g.BlockAt(k); found && inSet(to) {
 					m.pushRet(st, last.Next())
@@ -432,7 +432,7 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 					break
 				}
 				if inSet(fall) {
-					st.havocCallerSaved()
+					st.havoc(x86.CallerSaved)
 					push(fall, st)
 				}
 				break
@@ -449,7 +449,7 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 				push(e.To, s2)
 			}
 			if inSet(fall) {
-				st.havocCallerSaved()
+				st.havoc(x86.CallerSaved)
 				push(fall, st)
 			}
 
@@ -457,13 +457,13 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 			if t.blk.ImportCall != "" {
 				// Import stub: model call-and-return through the
 				// external function.
-				st.havocCallerSaved()
+				st.havoc(x86.CallerSaved)
 				if to, ok := m.popRetTarget(st); ok && inSet(to) {
 					push(to, st)
 				}
 				break
 			}
-			tv := m.evalOperand(st, last, last.Dst)
+			tv := m.evalOperand(st, last, last.Dst, last.OpSize)
 			if k, ok := tv.IsConst(); ok {
 				if to, found := m.g.BlockAt(k); found && inSet(to) {
 					push(to, st)
@@ -483,18 +483,9 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 				push(to, st)
 			}
 
-		case x86.OpSyscall:
-			// A syscall on the way to the site: clobber per the ABI.
-			st.SetReg(x86.RAX, Unknown())
-			st.SetReg(x86.RCX, Unknown())
-			st.SetReg(x86.R11, Unknown())
-			if fall := succOf(t.blk, cfg.EdgeFall); inSet(fall) {
-				push(fall, st)
-			}
-
 		default:
-			// Plain fall-through boundary: the last instruction is an
-			// ordinary one; apply it and continue.
+			// Plain fall-through boundary, or a syscall on the way to
+			// the site: apply the instruction and continue.
 			m.step(st, last)
 			if fall := succOf(t.blk, cfg.EdgeFall); inSet(fall) {
 				push(fall, st)

@@ -2,6 +2,7 @@ package symex
 
 import (
 	"fmt"
+	"math/bits"
 
 	"bside/internal/x86"
 )
@@ -89,12 +90,11 @@ func (s *State) LoadStack(off int64) Value {
 // StoreStack writes the 8-byte slot at the given abstract offset.
 func (s *State) StoreStack(off int64, v Value) { s.Stack[off] = v }
 
-// havocCallerSaved clobbers the ABI caller-saved registers, modelling a
-// skipped call to a function outside the directed search set.
-func (s *State) havocCallerSaved() {
-	for r := x86.Reg(0); r < x86.NumGPR; r++ {
-		if r.IsCallerSaved() {
-			s.Regs[r] = Unknown()
-		}
+// havoc clobbers the registers in rs: what an instruction writes, or
+// x86.CallerSaved for a skipped call to a function outside the directed
+// search set.
+func (s *State) havoc(rs x86.RegSet) {
+	for ; rs != 0; rs &= rs - 1 {
+		s.Regs[bits.TrailingZeros16(uint16(rs))] = Unknown()
 	}
 }

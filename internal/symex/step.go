@@ -7,49 +7,22 @@ import (
 )
 
 // step applies the effect of one non-control-flow instruction to st.
-// Control transfer is handled by RunToSite's dispatcher; if a control
-// instruction lands here (mid-block), it is a no-op.
+// Control transfer is handled by RunToSite's dispatcher; an instruction
+// without a case here clobbers the registers it writes.
 func (m *Machine) step(st *State, in x86.Inst) {
 	switch in.Op {
 	case x86.OpMov:
-		m.writeOperand(st, in, in.Dst, m.evalOperand(st, in, in.Src))
+		m.writeOperand(st, in, in.Dst, m.evalOperand(st, in, in.Src, in.OpSize))
 
 	case x86.OpLea:
 		writeReg(st, in.Dst.Reg, in.OpSize, m.evalEA(st, in, in.Src))
 
-	case x86.OpXor:
-		if in.Dst.Kind == x86.KindReg && in.Src.Kind == x86.KindReg && in.Dst.Reg == in.Src.Reg {
-			writeReg(st, in.Dst.Reg, in.OpSize, Const(0)) // zeroing idiom
-			return
-		}
-		m.alu(st, in, func(a, b uint64) uint64 { return a ^ b })
-
-	case x86.OpAdd:
-		m.addSub(st, in, 1)
-
-	case x86.OpSub:
-		m.addSub(st, in, -1)
-
-	case x86.OpAnd:
-		m.alu(st, in, func(a, b uint64) uint64 { return a & b })
-
-	case x86.OpOr:
-		m.alu(st, in, func(a, b uint64) uint64 { return a | b })
-
-	case x86.OpShl:
-		m.alu(st, in, func(a, b uint64) uint64 { return a << (b & 63) })
-
-	case x86.OpShr:
-		m.alu(st, in, func(a, b uint64) uint64 { return a >> (b & 63) })
-
-	case x86.OpInc:
-		m.incDec(st, in, 1)
-
-	case x86.OpDec:
-		m.incDec(st, in, -1)
+	case x86.OpXor, x86.OpAdd, x86.OpSub, x86.OpAnd, x86.OpOr,
+		x86.OpShl, x86.OpShr, x86.OpInc, x86.OpDec:
+		m.alu(st, in)
 
 	case x86.OpPush:
-		v := m.evalOperand(st, in, in.Dst)
+		v := m.evalOperand(st, in, in.Dst, in.OpSize)
 		rsp := st.Reg(x86.RSP)
 		if rsp.Kind == KStackPtr {
 			off := rsp.StackOff() - 8
@@ -77,88 +50,78 @@ func (m *Machine) step(st *State, in x86.Inst) {
 			st.SetReg(x86.RBP, Unknown())
 		}
 
-	case x86.OpMovzx, x86.OpMovsx, x86.OpMovsxd:
-		v := m.evalOperand(st, in, in.Src)
-		if _, ok := v.IsConst(); !ok {
+	case x86.OpMovzxB, x86.OpMovzxW, x86.OpMovsxB, x86.OpMovsxW, x86.OpMovsxd, x86.OpCdqe:
+		dst, src := in.Dst, in.Src
+		if in.Op == x86.OpCdqe { // extends RAX in place
+			dst, src = x86.RegOp(x86.RAX), x86.RegOp(x86.RAX)
+		}
+		v := m.evalOperand(st, in, src, in.SrcSize())
+		if k, ok := v.IsConst(); ok {
+			k, _ = x86.Fold(in.Op, 0, k, in.OpSize)
+			v = Const(k)
+		} else {
 			v = taintedUnknown(v)
 		}
-		// Constants in this corpus are small non-negative syscall
-		// numbers; extension is the identity for them.
-		m.writeOperand(st, in, in.Dst, v)
-
-	case x86.OpCdqe:
-		v := st.Reg(x86.RAX)
-		if k, ok := v.IsConst(); ok {
-			st.SetReg(x86.RAX, Const(uint64(int64(int32(uint32(k))))))
-		} else {
-			st.SetReg(x86.RAX, taintedUnknown(v))
-		}
+		m.writeOperand(st, in, dst, v)
 
 	case x86.OpCmp, x86.OpTest, x86.OpNop, x86.OpEndbr64:
 		// Flags are not tracked; both branch directions are explored.
 
-	case x86.OpSyscall:
-		st.SetReg(x86.RAX, Unknown())
-		st.SetReg(x86.RCX, Unknown())
-		st.SetReg(x86.R11, Unknown())
+	default:
+		// A syscall on the way to the site clobbers what the kernel
+		// writes; so does any other instruction without a case here.
+		st.havoc(in.Writes())
 	}
 }
 
-func (m *Machine) addSub(st *State, in x86.Inst, sign int64) {
-	a := m.evalOperand(st, in, in.Dst)
-	b := m.evalOperand(st, in, in.Src)
-	var v Value
+// alu applies an ALU instruction: constants fold through x86.Fold, a
+// stack pointer moved by a constant stays a stack pointer, and
+// anything else becomes an unknown tainted by both operands.
+func (m *Machine) alu(st *State, in x86.Inst) {
+	if in.Op == x86.OpXor && in.Dst.Kind == x86.KindReg && in.Src == in.Dst {
+		writeReg(st, in.Dst.Reg, in.OpSize, Const(0)) // zeroing idiom
+		return
+	}
+	a := m.evalOperand(st, in, in.Dst, in.OpSize)
+	b := Const(1) // inc and dec
+	if in.Src.Kind != x86.KindNone {
+		b = m.evalOperand(st, in, in.Src, in.OpSize)
+	}
 	ka, aConst := a.IsConst()
 	kb, bConst := b.IsConst()
+	v := taintedUnknown2(a, b)
 	switch {
 	case aConst && bConst:
-		if sign > 0 {
-			v = truncate(Const(ka+kb), in.OpSize)
-		} else {
-			v = truncate(Const(ka-kb), in.OpSize)
-		}
+		k, _ := x86.Fold(in.Op, ka, kb, in.OpSize)
+		v = Const(k)
 	case a.Kind == KStackPtr && bConst:
-		v = StackPtr(a.StackOff() + sign*int64(kb))
-	default:
-		v = taintedUnknown2(a, b)
+		switch in.Op {
+		case x86.OpAdd, x86.OpInc:
+			v = StackPtr(a.StackOff() + int64(kb))
+		case x86.OpSub, x86.OpDec:
+			v = StackPtr(a.StackOff() - int64(kb))
+		}
 	}
 	m.writeOperand(st, in, in.Dst, v)
 }
 
-func (m *Machine) alu(st *State, in x86.Inst, f func(a, b uint64) uint64) {
-	a := m.evalOperand(st, in, in.Dst)
-	b := m.evalOperand(st, in, in.Src)
-	ka, aConst := a.IsConst()
-	kb, bConst := b.IsConst()
-	if aConst && bConst {
-		m.writeOperand(st, in, in.Dst, truncate(Const(f(ka, kb)), in.OpSize))
-		return
-	}
-	m.writeOperand(st, in, in.Dst, taintedUnknown2(a, b))
-}
-
-func (m *Machine) incDec(st *State, in x86.Inst, sign int64) {
-	a := m.evalOperand(st, in, in.Dst)
-	if k, ok := a.IsConst(); ok {
-		m.writeOperand(st, in, in.Dst, truncate(Const(uint64(int64(k)+sign)), in.OpSize))
-		return
-	}
-	if a.Kind == KStackPtr {
-		m.writeOperand(st, in, in.Dst, StackPtr(a.StackOff()+sign))
-		return
-	}
-	m.writeOperand(st, in, in.Dst, taintedUnknown(a))
-}
-
-// evalOperand computes the value of an operand.
-func (m *Machine) evalOperand(st *State, in x86.Inst, op x86.Operand) Value {
+// evalOperand computes the value of op, one of in's operands, read at
+// size bytes.
+func (m *Machine) evalOperand(st *State, in x86.Inst, op x86.Operand, size uint8) Value {
 	switch op.Kind {
 	case x86.KindImm:
 		return Const(uint64(in.Imm))
 	case x86.KindReg:
-		return truncate(st.Reg(op.Reg), in.OpSize)
+		v := st.Reg(op.Reg.Full())
+		if !op.Reg.High() {
+			return truncate(v, size)
+		}
+		if k, ok := v.IsConst(); ok { // AH, CH, DH or BH: bits 8-15
+			return Const(k >> 8 & 0xFF)
+		}
+		return taintedUnknown(v)
 	case x86.KindMem:
-		return m.load(st, m.evalEA(st, in, op), in.OpSize)
+		return m.load(st, m.evalEA(st, in, op), size)
 	default:
 		return Unknown()
 	}
@@ -241,17 +204,22 @@ func (m *Machine) writeOperand(st *State, in x86.Inst, op x86.Operand, v Value) 
 // writeReg stores v into r as a size-byte register write, the one way
 // an instruction's destination register is written. An 8- or 4-byte
 // write replaces the register (a 4-byte one zero-extends); a 2- or
-// 1-byte write keeps the bits above it, so two constants merge into a
-// constant and anything else becomes an unknown tainted by both.
+// 1-byte write, and a write to AH, CH, DH or BH (bits 8-15), keeps the
+// other bits, so two constants merge into a constant and anything else
+// becomes an unknown tainted by both.
 func writeReg(st *State, r x86.Reg, size uint8, v Value) {
 	v = truncate(v, size)
 	if size < 4 {
+		shift := uint(0)
+		if r.High() {
+			r, shift = r.Full(), 8
+		}
 		old := st.Reg(r)
 		ko, oldConst := old.IsConst()
 		kv, newConst := v.IsConst()
 		if oldConst && newConst {
-			mask := uint64(1)<<(8*uint(size)) - 1
-			v = Const(ko&^mask | kv)
+			mask := (uint64(1)<<(8*uint(size)) - 1) << shift
+			v = Const(ko&^mask | kv<<shift)
 		} else {
 			v = taintedUnknown2(old, v)
 		}

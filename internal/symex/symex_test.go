@@ -134,6 +134,41 @@ func TestWrapperParamRegister(t *testing.T) {
 	}
 }
 
+// TestNarrowReadsCarryParamTaint: a syscall number built from part of
+// a parameter register stays tainted by that parameter, so wrapper
+// detection still sees where it comes from. CH and DL are parts of the
+// argument registers RCX and RDX.
+func TestNarrowReadsCarryParamTaint(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		code []byte
+		want x86.Reg
+	}{
+		{"movzx eax, cl", []byte{0x0F, 0xB6, 0xC1}, x86.RCX},
+		{"movsx eax, ch", []byte{0x0F, 0xBE, 0xC5}, x86.RCX},
+		{"mov ah, dl", []byte{0x88, 0xD4}, x86.RDX},
+	} {
+		g, syms := recoverGraph(t, func(b *asm.Builder) {
+			b.Func("_start")
+			b.Ret()
+			b.Func("wrapper")
+			b.MovRegImm32(x86.RAX, 0x27)
+			b.Raw(c.code...)
+			b.Syscall()
+			b.Ret()
+		})
+		entry, _ := g.BlockAt(syms["wrapper"])
+		res := NewMachine(g, NewBudget()).RunToSite(entry, NewEntryState(0), allBlocks(g), g.SyscallBlocks()[0])
+		if len(res.SiteStates) != 1 {
+			t.Fatalf("%s: %d site states", c.name, len(res.SiteStates))
+		}
+		v := res.SiteStates[0].Reg(x86.RAX)
+		if p, ok := v.Param(); v.Kind != KUnknown || !ok || p != (ParamRef{Reg: c.want}) {
+			t.Errorf("%s: rax = %v, want an unknown tainted by arg:%v", c.name, v, c.want)
+		}
+	}
+}
+
 func TestWrapperParamStackSlot(t *testing.T) {
 	// A Go-style wrapper taking the syscall number on the stack.
 	g, syms := recoverGraph(t, func(b *asm.Builder) {

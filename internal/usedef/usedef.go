@@ -115,19 +115,7 @@ func (r *resolver) resolveAt(blk *cfg.Block, idx int, reg x86.Reg, out map[uint6
 	}
 	for i := idx - 1; i >= 0; i-- {
 		in := blk.Insns[i]
-		switch in.Op {
-		case x86.OpSyscall:
-			if reg == x86.RAX || reg == x86.RCX || reg == x86.R11 {
-				return false
-			}
-			continue
-		case x86.OpCall, x86.OpCallInd:
-			if reg.IsCallerSaved() {
-				return false
-			}
-			continue
-		}
-		if !writesReg(in, reg) {
+		if !in.Writes().Has(reg) {
 			continue
 		}
 		if in.OpSize < 4 {
@@ -138,50 +126,27 @@ func (r *resolver) resolveAt(blk *cfg.Block, idx int, reg x86.Reg, out map[uint6
 		case x86.OpMov:
 			switch in.Src.Kind {
 			case x86.KindImm:
-				if in.OpSize < 4 {
-					return false
-				}
 				out[uint64(in.Imm)] = true
 				return true
 			case x86.KindReg:
 				return r.resolveAt(blk, i, in.Src.Reg, out)
-			case x86.KindMem:
-				// A full-width load from a concrete address is in domain
-				// exactly when the caller vouches for the memory being
-				// immutable (see Request.MemRead).
-				if r.memRead != nil && in.OpSize == 8 {
-					if ea, ok := in.MemEA(in.Src); ok {
-						if v, ok := r.memRead(ea); ok {
-							out[v] = true
-							return true
-						}
-					}
-				}
-				return false
-			default:
-				return false // memory operand: out of domain
 			}
-		case x86.OpXor:
-			if in.Src.Kind == x86.KindReg && in.Src.Reg == reg {
-				out[0] = true
+			// A full-width load from a concrete address is in domain
+			// exactly when the caller vouches for the memory being
+			// immutable (see Request.MemRead).
+			if ea, ok := in.MemEA(in.Src); ok && r.memRead != nil && in.OpSize == 8 {
+				if v, ok := r.memRead(ea); ok {
+					out[v] = true
+					return true
+				}
+			}
+			return false
+		case x86.OpXor, x86.OpAdd, x86.OpSub, x86.OpAnd, x86.OpOr, x86.OpShl, x86.OpShr, x86.OpInc, x86.OpDec:
+			if in.Op == x86.OpXor && in.Src == in.Dst {
+				out[0] = true // zeroing idiom
 				return true
 			}
 			return r.transform(blk, i, reg, in, out)
-		case x86.OpAdd, x86.OpSub, x86.OpAnd, x86.OpOr, x86.OpShl, x86.OpShr:
-			return r.transform(blk, i, reg, in, out)
-		case x86.OpInc, x86.OpDec:
-			sub := make(map[uint64]bool)
-			if !r.resolveAt(blk, i, reg, sub) {
-				return false
-			}
-			for v := range sub {
-				if in.Op == x86.OpInc {
-					out[v+1] = true
-				} else {
-					out[v-1] = true
-				}
-			}
-			return true
 		case x86.OpLea:
 			if ea, ok := in.MemEA(in.Src); ok {
 				out[ea] = true
@@ -189,7 +154,7 @@ func (r *resolver) resolveAt(blk *cfg.Block, idx int, reg x86.Reg, out map[uint6
 			}
 			return false
 		default:
-			// pop, movzx with memory, partial writes, ...
+			// A clobber (call, syscall, pop, leave), an extension, ...
 			return false
 		}
 	}
@@ -225,50 +190,19 @@ func (r *resolver) resolveAt(blk *cfg.Block, idx int, reg x86.Reg, out map[uint6
 	return any
 }
 
-// transform applies an ALU instruction with an immediate operand to the
-// recursively-resolved prior values.
+// transform folds an ALU instruction with an immediate source, or inc
+// or dec, over the recursively-resolved prior values.
 func (r *resolver) transform(blk *cfg.Block, i int, reg x86.Reg, in x86.Inst, out map[uint64]bool) bool {
-	if in.Src.Kind != x86.KindImm {
+	if in.Src.Kind != x86.KindImm && in.Src.Kind != x86.KindNone {
 		return false
 	}
-	imm := uint64(in.Imm)
 	sub := make(map[uint64]bool)
 	if !r.resolveAt(blk, i, reg, sub) {
 		return false
 	}
 	for v := range sub {
-		switch in.Op {
-		case x86.OpAdd:
-			out[v+imm] = true
-		case x86.OpSub:
-			out[v-imm] = true
-		case x86.OpAnd:
-			out[v&imm] = true
-		case x86.OpOr:
-			out[v|imm] = true
-		case x86.OpXor:
-			out[v^imm] = true
-		case x86.OpShl:
-			out[v<<(imm&63)] = true
-		case x86.OpShr:
-			out[v>>(imm&63)] = true
-		default:
-			return false
-		}
+		k, _ := x86.Fold(in.Op, v, uint64(in.Imm), in.OpSize)
+		out[k] = true
 	}
 	return true
-}
-
-// writesReg reports whether in's destination is exactly the full (or
-// zero-extending 32-bit) register reg.
-func writesReg(in x86.Inst, reg x86.Reg) bool {
-	switch in.Op {
-	case x86.OpMov, x86.OpMovzx, x86.OpMovsx, x86.OpMovsxd, x86.OpLea,
-		x86.OpXor, x86.OpAdd, x86.OpSub, x86.OpAnd, x86.OpOr,
-		x86.OpShl, x86.OpShr, x86.OpInc, x86.OpDec, x86.OpPop:
-		return in.Dst.Kind == x86.KindReg && in.Dst.Reg == reg
-	case x86.OpCdqe:
-		return reg == x86.RAX
-	}
-	return false
 }

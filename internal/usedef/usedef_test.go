@@ -187,3 +187,40 @@ func TestLoopBackEdgeTerminates(t *testing.T) {
 		t.Fatalf("vals=%v ok=%v", vals, ok)
 	}
 }
+
+func TestLeaveClobbersRBP(t *testing.T) {
+	// leave reloads RBP from the stack: the 5 before it never reaches
+	// the syscall.
+	_, fn, site := setup(t, func(b *asm.Builder) {
+		b.Func("_start")
+		b.CallLabel("fn")
+		b.Ret()
+		b.Func("fn")
+		b.MovRegImm32(x86.RBP, 5)
+		b.Leave()
+		b.Raw(0x89, 0xE8) // mov eax, ebp
+		b.Syscall()
+		b.Ret()
+	})
+	if vals, ok := resolveRAX(t, fn, site); ok {
+		t.Fatalf("a value across leave must fail, got %v", vals)
+	}
+}
+
+func TestThirtyTwoBitArithWraps(t *testing.T) {
+	// A 4-byte add wraps and zero-extends, as the hardware computes it.
+	_, fn, site := setup(t, func(b *asm.Builder) {
+		b.Func("_start")
+		b.CallLabel("fn")
+		b.Ret()
+		b.Func("fn")
+		b.MovRegImm32(x86.RAX, 0xffffffff)
+		b.Raw(0x83, 0xC0, 0x3d) // add eax, 0x3d
+		b.Syscall()
+		b.Ret()
+	})
+	vals, ok := resolveRAX(t, fn, site)
+	if !ok || !reflect.DeepEqual(vals, []uint64{0x3c}) {
+		t.Fatalf("vals=%#x ok=%v, want [0x3c]", vals, ok)
+	}
+}

@@ -133,6 +133,7 @@ func decodeOpcode(c *cursor, inst *Inst, op byte, rx rex, size uint8, repF3 bool
 		op == 0x28, op == 0x29, op == 0x2A, op == 0x2B,
 		op == 0x30, op == 0x31, op == 0x32, op == 0x33,
 		op == 0x38, op == 0x39, op == 0x3A, op == 0x3B,
+		op == 0x84, op == 0x85, // test r/m, r
 		op == 0x88, op == 0x89, op == 0x8A, op == 0x8B:
 		var kind Op
 		switch op & 0xF8 {
@@ -148,23 +149,25 @@ func decodeOpcode(c *cursor, inst *Inst, op byte, rx rex, size uint8, repF3 bool
 			kind = OpXor
 		case 0x38:
 			kind = OpCmp
+		case 0x80:
+			kind = OpTest
 		case 0x88:
 			kind = OpMov
 		}
-		byteForm := op&1 == 0
-		if byteForm {
-			inst.OpSize = 1
-		}
-		regToRM := op&2 == 0
 		reg, rm, err := decodeModRM(c, inst, rx)
 		if err != nil {
 			return err
 		}
+		r := RegOp(reg)
+		if op&1 == 0 { // byte form
+			inst.OpSize = 1
+			r, rm = rx.byteReg(r), rx.byteReg(rm)
+		}
 		inst.Op = kind
-		if regToRM {
-			inst.Dst, inst.Src = rm, RegOp(reg)
+		if op&2 == 0 { // reg to r/m
+			inst.Dst, inst.Src = rm, r
 		} else {
-			inst.Dst, inst.Src = RegOp(reg), rm
+			inst.Dst, inst.Src = r, rm
 		}
 		return nil
 
@@ -239,22 +242,11 @@ func decodeOpcode(c *cursor, inst *Inst, op byte, rx rex, size uint8, repF3 bool
 		}
 		if op == 0x80 {
 			inst.OpSize = 1
+			rm = rx.byteReg(rm)
 		}
 		inst.Op = kind
 		inst.Dst = rm
 		inst.Src, inst.Imm = immOperand, imm
-		return nil
-
-	case op == 0x84, op == 0x85: // test r/m, r
-		if op == 0x84 {
-			inst.OpSize = 1
-		}
-		reg, rm, err := decodeModRM(c, inst, rx)
-		if err != nil {
-			return err
-		}
-		inst.Op = OpTest
-		inst.Dst, inst.Src = rm, RegOp(reg)
 		return nil
 
 	case op == 0x8D: // lea
@@ -329,6 +321,7 @@ func decodeOpcode(c *cursor, inst *Inst, op byte, rx rex, size uint8, repF3 bool
 		if op == 0xC6 {
 			inst.OpSize = 1
 			n = 1
+			rm = rx.byteReg(rm)
 		}
 		imm, err := c.imm(n)
 		if err != nil {
@@ -449,20 +442,30 @@ func decode0F(c *cursor, inst *Inst, rx rex, size uint8, repF3 bool) error {
 		inst.Cond = Cond(op - 0x80)
 		inst.Dst, inst.Imm = immOperand, c.target(v)
 		return nil
-	case op == 0xB6, op == 0xB7, op == 0xBE, op == 0xBF:
+	case op == 0xB6, op == 0xB7, op == 0xBE, op == 0xBF: // movzx, movsx
 		reg, rm, err := decodeModRM(c, inst, rx)
 		if err != nil {
 			return err
 		}
-		if op == 0xB6 || op == 0xB7 {
-			inst.Op = OpMovzx
-		} else {
-			inst.Op = OpMovsx
+		// Opcode bit 3 picks sign extension, bit 0 a word source.
+		inst.Op = [...]Op{OpMovzxB, OpMovzxW, OpMovsxB, OpMovsxW}[(op>>2)&2|op&1]
+		if op&1 == 0 { // byte source
+			rm = rx.byteReg(rm)
 		}
 		inst.Dst, inst.Src = RegOp(reg), rm
 		return nil
 	}
 	return fmt.Errorf("%w: opcode 0f %#02x", ErrUnsupported, op)
+}
+
+// byteReg returns o as a 1-byte operand: without a REX prefix,
+// register codes 4-7 name AH, CH, DH and BH rather than the low bytes
+// of RSP, RBP, RSI and RDI.
+func (rx rex) byteReg(o Operand) Operand {
+	if o.Kind == KindReg && !rx.present && o.Reg >= RSP && o.Reg <= RDI {
+		o.Reg += AH - RSP
+	}
+	return o
 }
 
 func regExt(low byte, ext bool) Reg {

@@ -126,14 +126,14 @@ func TestDecodeRandomNeverPanics(t *testing.T) {
 }
 
 func TestTerminatorsAndCalls(t *testing.T) {
-	term := []Op{OpJmp, OpJmpInd, OpJcc, OpRet, OpUd2, OpHlt, OpInt3}
-	for _, op := range term {
-		if !(Inst{Op: op}).IsTerminator() {
-			t.Errorf("%v must terminate a block", op)
+	ends := []Op{OpJmp, OpJmpInd, OpJcc, OpRet, OpUd2, OpHlt, OpInt3, OpCall, OpCallInd, OpSyscall}
+	for _, op := range ends {
+		if !(Inst{Op: op}).EndsBlock() {
+			t.Errorf("%v must end a block", op)
 		}
 	}
-	if (Inst{Op: OpCall}).IsTerminator() {
-		t.Error("call must not terminate a block")
+	if (Inst{Op: OpMov}).EndsBlock() {
+		t.Error("mov must not end a block")
 	}
 	if !(Inst{Op: OpCall}).IsCall() || !(Inst{Op: OpCallInd}).IsCall() {
 		t.Error("call ops must report IsCall")
@@ -147,15 +147,20 @@ func TestRegisterProperties(t *testing.T) {
 	callerSaved := map[Reg]bool{RAX: true, RCX: true, RDX: true, RSI: true, RDI: true,
 		R8: true, R9: true, R10: true, R11: true}
 	for r := Reg(0); r < NumGPR; r++ {
-		if got := r.IsCallerSaved(); got != callerSaved[r] {
+		if got := CallerSaved.Has(r); got != callerSaved[r] {
 			t.Errorf("%v caller-saved = %v", r, got)
 		}
-		if !r.Valid() {
-			t.Errorf("%v must be valid", r)
+		if !r.Valid() || r.High() || r.Full() != r {
+			t.Errorf("%v must be a valid full register", r)
 		}
 	}
-	if RIP.Valid() || RegNone.Valid() {
-		t.Error("pseudo registers must be invalid")
+	if RIP.Valid() || RegNone.Valid() || CallerSaved.Has(RIP) || CallerSaved.Has(RegNone) {
+		t.Error("pseudo registers must be invalid and in no set")
+	}
+	for r, full := range map[Reg]Reg{AH: RAX, CH: RCX, DH: RDX, BH: RBX} {
+		if r.Valid() || !r.High() || r.Full() != full || RegSetOf(r) != RegSetOf(full) {
+			t.Errorf("%v: valid %v high %v full %v, want a high byte of %v", r, r.Valid(), r.High(), r.Full(), full)
+		}
 	}
 }
 

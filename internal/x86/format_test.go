@@ -13,8 +13,10 @@ func TestStringAllOps(t *testing.T) {
 	cases := []Inst{
 		{Op: OpMov, Dst: RegOp(RAX), Src: imm, Imm: 60, OpSize: 4},
 		{Op: OpMov, Dst: mem, Src: RegOp(RBX), Disp: -8, OpSize: 8},
-		{Op: OpMovzx, Dst: RegOp(RAX), Src: mem, Disp: -8, OpSize: 4},
-		{Op: OpMovsx, Dst: RegOp(RAX), Src: mem, Disp: -8, OpSize: 8},
+		{Op: OpMovzxB, Dst: RegOp(RAX), Src: mem, Disp: -8, OpSize: 4},
+		{Op: OpMovzxW, Dst: RegOp(RAX), Src: RegOp(CH), OpSize: 4},
+		{Op: OpMovsxB, Dst: RegOp(RAX), Src: mem, Disp: -8, OpSize: 8},
+		{Op: OpMovsxW, Dst: RegOp(RAX), Src: mem, Disp: -8, OpSize: 8},
 		{Op: OpMovsxd, Dst: RegOp(RAX), Src: RegOp(RDI), OpSize: 8},
 		{Op: OpLea, Dst: RegOp(RSI), Src: mem, Disp: -8, OpSize: 8},
 		{Op: OpXor, Dst: RegOp(RDI), Src: RegOp(RDI), OpSize: 4},

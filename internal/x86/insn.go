@@ -12,8 +12,10 @@ type Op uint8
 const (
 	OpInvalid Op = iota
 	OpMov
-	OpMovzx
-	OpMovsx
+	OpMovzxB // movzx from a byte source
+	OpMovzxW // movzx from a word source
+	OpMovsxB // movsx from a byte source
+	OpMovsxW // movsx from a word source
 	OpMovsxd
 	OpLea
 	OpXor
@@ -48,8 +50,10 @@ const (
 var opNames = [...]string{
 	OpInvalid: "(invalid)",
 	OpMov:     "mov",
-	OpMovzx:   "movzx",
-	OpMovsx:   "movsx",
+	OpMovzxB:  "movzx",
+	OpMovzxW:  "movzx",
+	OpMovsxB:  "movsx",
+	OpMovsxW:  "movsx",
 	OpMovsxd:  "movsxd",
 	OpLea:     "lea",
 	OpXor:     "xor",
@@ -234,17 +238,136 @@ func (i Inst) MemEA(o Operand) (uint64, bool) {
 	return i.Next() + uint64(int64(i.Disp)), true
 }
 
-// IsTerminator reports whether the instruction ends a basic block.
-func (i Inst) IsTerminator() bool {
+// EndsBlock reports whether the instruction ends a basic block: a
+// jump, call or return, a trap, or syscall.
+func (i Inst) EndsBlock() bool {
 	switch i.Op {
-	case OpJmp, OpJmpInd, OpJcc, OpRet, OpUd2, OpHlt, OpInt3:
+	case OpJmp, OpJmpInd, OpJcc, OpCall, OpCallInd, OpRet, OpSyscall, OpUd2, OpInt3, OpHlt:
 		return true
 	}
 	return false
 }
 
+// FallsThrough reports whether execution may continue at Next: after
+// anything but an unconditional jump, a return or a trap.
+func (i Inst) FallsThrough() bool {
+	switch i.Op {
+	case OpJmp, OpJmpInd, OpRet, OpUd2, OpInt3, OpHlt:
+		return false
+	}
+	return true
+}
+
+// Writes returns the registers the instruction may change: a register
+// destination (AH's is RAX), RSP for push, pop and ret, RAX for cdqe,
+// RSP and RBP for leave, CallerSaved for a call (its return undoes its
+// push), and for syscall RAX, RCX and R11 (the kernel's result, the
+// saved RIP and RFLAGS).
+func (i Inst) Writes() RegSet {
+	var dst RegSet
+	if i.Dst.Kind == KindReg {
+		dst = RegSetOf(i.Dst.Reg)
+	}
+	switch i.Op {
+	case OpMov, OpMovzxB, OpMovzxW, OpMovsxB, OpMovsxW, OpMovsxd, OpLea,
+		OpXor, OpAdd, OpSub, OpAnd, OpOr, OpShl, OpShr, OpInc, OpDec:
+		return dst
+	case OpPop:
+		return dst | 1<<RSP
+	case OpPush, OpRet:
+		return 1 << RSP
+	case OpLeave:
+		return 1<<RSP | 1<<RBP
+	case OpCdqe:
+		return 1 << RAX
+	case OpCall, OpCallInd:
+		return CallerSaved
+	case OpSyscall:
+		return 1<<RAX | 1<<RCX | 1<<R11
+	}
+	return 0 // flags only, control flow, or nothing
+}
+
+// SrcSize returns the width in bytes at which the instruction reads its
+// source: 1 or 2 for movzx and movsx, 4 for movsxd, half of OpSize for
+// cdqe (which sign-extends the low half of RAX), else OpSize.
+func (i Inst) SrcSize() uint8 {
+	switch i.Op {
+	case OpMovzxB, OpMovsxB:
+		return 1
+	case OpMovzxW, OpMovsxW:
+		return 2
+	case OpMovsxd:
+		return 4
+	case OpCdqe:
+		return i.OpSize / 2
+	}
+	return i.OpSize
+}
+
+// Fold returns the value op computes at operand size size from the
+// constants a, the destination's old value, and b, the source's; false
+// means op computes no value (a move, a comparison, control flow). Inc
+// and dec read only a; the extensions (movzx, movsx, movsxd, and cdqe
+// of RAX) only b, at their source width. The result is zero-extended
+// from size bytes, as a 4-byte write leaves a register; a caller
+// merges a 1- or 2-byte result into the bits above it.
+func Fold(op Op, a, b uint64, size uint8) (uint64, bool) {
+	a, b = trunc(a, size), trunc(b, size)
+	count := b & 31 // shift counts are masked to 5 bits, 6 for 8 bytes
+	if size == 8 {
+		count = b & 63
+	}
+	var v uint64
+	switch op {
+	case OpAdd:
+		v = a + b
+	case OpSub:
+		v = a - b
+	case OpAnd:
+		v = a & b
+	case OpOr:
+		v = a | b
+	case OpXor:
+		v = a ^ b
+	case OpShl:
+		v = a << count
+	case OpShr:
+		v = a >> count
+	case OpInc:
+		v = a + 1
+	case OpDec:
+		v = a - 1
+	case OpMovzxB, OpMovzxW:
+		v = trunc(b, Inst{Op: op}.SrcSize())
+	case OpMovsxB, OpMovsxW, OpMovsxd, OpCdqe:
+		v = signExtend(b, Inst{Op: op, OpSize: size}.SrcSize())
+	default:
+		return 0, false
+	}
+	return trunc(v, size), true
+}
+
+// trunc keeps the low size bytes of v.
+func trunc(v uint64, size uint8) uint64 {
+	if size >= 8 {
+		return v
+	}
+	return v & (1<<(8*size) - 1)
+}
+
+// signExtend extends the low size bytes of v by their sign.
+func signExtend(v uint64, size uint8) uint64 {
+	shift := 64 - 8*uint(size)
+	return uint64(int64(v<<shift) >> shift)
+}
+
 // IsCall reports whether the instruction is a direct or indirect call.
 func (i Inst) IsCall() bool { return i.Op == OpCall || i.Op == OpCallInd }
+
+// IsIndirect reports whether the instruction is an indirect call or
+// jump.
+func (i Inst) IsIndirect() bool { return i.Op == OpCallInd || i.Op == OpJmpInd }
 
 // String renders the instruction in Intel-like syntax.
 func (i Inst) String() string {

@@ -152,6 +152,20 @@ func TestDecodeTable(t *testing.T) {
 		{"0f b7 c0", 3, "movzx rax, rax", 4},
 		{"48 0f be c0", 4, "movsx rax, rax", 8},
 		{"0f bf 4c 24 08", 5, "movsx rcx, [rsp+0x8]", 4},
+		// Without REX, byte-register codes 4-7 are AH, CH, DH and BH;
+		// with any REX they are the low bytes of RSP, RBP, RSI and RDI.
+		{"88 cc", 2, "mov ah, rcx", 1},
+		{"40 88 cc", 3, "mov rsp, rcx", 1},
+		{"8a e1", 2, "mov ah, rcx", 1},
+		{"8a 24 24", 3, "mov ah, [rsp]", 1},
+		{"30 e4", 2, "xor ah, ah", 1},
+		{"c6 c7 01", 3, "mov bh, 0x1", 1},
+		{"80 fd 05", 3, "cmp ch, 0x5", 1},
+		{"84 f6", 2, "test dh, dh", 1},
+		{"85 f6", 2, "test rsi, rsi", 4},
+		{"0f b6 c5", 3, "movzx rax, ch", 4},
+		{"40 0f b6 c5", 4, "movzx rax, rbp", 4},
+		{"0f b7 c5", 3, "movzx rax, rbp", 4},
 	}
 	for _, c := range cases {
 		in, err := decodeHex(t, c.hex)
@@ -163,6 +177,30 @@ func TestDecodeTable(t *testing.T) {
 		if in.Len != c.len || in.String() != want || in.OpSize != c.size {
 			t.Errorf("%s: len %d %q size %d, want len %d %q size %d",
 				c.hex, in.Len, in.String(), in.OpSize, c.len, want, c.size)
+		}
+	}
+	// movzx and movsx keep their source width, from a register and
+	// from memory; the extension then runs from that width.
+	for _, c := range []struct {
+		hex       string
+		op        Op
+		size, src uint8
+	}{
+		{"0f b6 c1", OpMovzxB, 4, 1},       // movzx eax, cl
+		{"0f b6 07", OpMovzxB, 4, 1},       // movzx eax, byte [rdi]
+		{"66 0f b6 c1", OpMovzxB, 2, 1},    // movzx ax, cl
+		{"0f b7 c1", OpMovzxW, 4, 2},       // movzx eax, cx
+		{"0f b7 47 02", OpMovzxW, 4, 2},    // movzx eax, word [rdi+2]
+		{"48 0f be c1", OpMovsxB, 8, 1},    // movsx rax, cl
+		{"0f be 4c 24 08", OpMovsxB, 4, 1}, // movsx ecx, byte [rsp+8]
+		{"0f bf c1", OpMovsxW, 4, 2},       // movsx eax, cx
+		{"48 0f bf 07", OpMovsxW, 8, 2},    // movsx rax, word [rdi]
+		{"48 63 c7", OpMovsxd, 8, 4},       // movsxd rax, edi
+	} {
+		in, err := decodeHex(t, c.hex)
+		if err != nil || in.Op != c.op || in.OpSize != c.size || in.SrcSize() != c.src {
+			t.Errorf("%s: %v op %v size %d source %d, want %v size %d source %d",
+				c.hex, err, in.Op, in.OpSize, in.SrcSize(), c.op, c.size, c.src)
 		}
 	}
 }

@@ -7,6 +7,9 @@
 // RIP-relative operands, which is sufficient to disassemble the machine
 // code produced by compilers around system call sites as well as the
 // binaries synthesized by the corpus generator in this repository.
+//
+// An Inst also says what it does (EndsBlock, FallsThrough, Writes, and
+// Fold for its arithmetic), so every analysis layer reads one answer.
 package x86
 
 import "fmt"
@@ -44,6 +47,17 @@ const (
 	RegNone Reg = 0xFF
 )
 
+// AH, CH, DH and BH are bits 8-15 of RAX, RCX, RDX and RBX: what
+// byte-register codes 4-7 name in an instruction without a REX prefix.
+// They occur only as 1-byte register operands; Full maps each to its
+// 64-bit register.
+const (
+	AH Reg = 0x14 + iota
+	CH
+	DH
+	BH
+)
+
 // NumGPR is the number of addressable general-purpose registers.
 const NumGPR = 16
 
@@ -53,9 +67,11 @@ var regNames = [...]string{
 	R8: "r8", R9: "r9", R10: "r10", R11: "r11",
 	R12: "r12", R13: "r13", R14: "r14", R15: "r15",
 	RIP: "rip",
+	AH:  "ah", CH: "ch", DH: "dh", BH: "bh",
 }
 
-// String returns the conventional 64-bit name of the register.
+// String returns the conventional 64-bit name of the register, or the
+// byte name of AH, CH, DH and BH.
 func (r Reg) String() string {
 	if int(r) < len(regNames) && regNames[r] != "" {
 		return regNames[r]
@@ -69,13 +85,35 @@ func (r Reg) String() string {
 // Valid reports whether r names one of the 16 general-purpose registers.
 func (r Reg) Valid() bool { return r < NumGPR }
 
-// IsCallerSaved reports whether the System V AMD64 ABI allows a called
-// function to clobber r. The symbolic executor uses this to havoc
-// registers across skipped calls.
-func (r Reg) IsCallerSaved() bool {
-	switch r {
-	case RAX, RCX, RDX, RSI, RDI, R8, R9, R10, R11:
-		return true
+// High reports whether r is AH, CH, DH or BH.
+func (r Reg) High() bool { return r >= AH && r <= BH }
+
+// Full returns the 64-bit register r is part of: RAX for AH, CH's RCX,
+// and so on; every other register is its own.
+func (r Reg) Full() Reg {
+	if r.High() {
+		return r - AH + RAX
 	}
-	return false
+	return r
 }
+
+// RegSet is a set of general-purpose registers, one bit per 64-bit
+// register.
+type RegSet uint16
+
+// CallerSaved holds the registers the System V AMD64 ABI lets a called
+// function clobber.
+const CallerSaved = RegSet(1<<RAX | 1<<RCX | 1<<RDX | 1<<RSI | 1<<RDI |
+	1<<R8 | 1<<R9 | 1<<R10 | 1<<R11)
+
+// RegSetOf returns the set holding r's 64-bit register, or the empty
+// set for RIP and RegNone.
+func RegSetOf(r Reg) RegSet {
+	if r = r.Full(); !r.Valid() {
+		return 0
+	}
+	return 1 << r
+}
+
+// Has reports whether s holds r's 64-bit register.
+func (s RegSet) Has(r Reg) bool { return s&RegSetOf(r) != 0 }
