@@ -127,15 +127,18 @@ fuzz:
 # Adversarial-input smoke: replays the checked-in malformed-ELF corpus
 # under the race detector (structured rejection through every entry
 # path, allocation-bomb ceiling), then gives each coverage-guided ELF
-# fuzz target a bounded mutation budget. Corpus replay is cheap and
-# deterministic; the -fuzztime legs hunt for new crashers. A crasher
-# found here lands in internal/elff/testdata/fuzz/ — minimize it and
-# promote it into testdata/malformed/ with the others.
+# fuzz target, and the instruction decoder's, a bounded mutation
+# budget. Corpus replay is cheap and deterministic; the -fuzztime legs
+# hunt for new crashers. A crasher found here lands in
+# internal/elff/testdata/fuzz/ (or internal/x86/testdata/fuzz/) —
+# minimize it and promote an ELF one into testdata/malformed/ with the
+# others, a decoder one into the decoder's tests.
 FUZZTIME ?= 30s
 fuzz-malformed:
 	$(GO) test -race -run 'Malformed|AllocationBomb|Corpus' ./internal/elff/ . ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/elff/
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenBinary$$' -fuzztime $(FUZZTIME) ./internal/elff/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/x86/
 
 # The nightly CI shape: a wider seed range under the race detector,
 # plus the per-seed precision report (identified vs resolver-off vs

@@ -411,7 +411,7 @@ func load[T any](s *Store, kind, key, conf string, anyConf bool) (T, string, boo
 		s.misses.Add(1)
 		return zero, "", false
 	}
-	if err := faults.Fire(faults.CacheRead, kind+"/"+key); err != nil {
+	if err := faults.Fire(faults.CacheRead, kind, "/", key); err != nil {
 		// Injected disk failure: counted and served as a miss, exactly
 		// like the real unreadable-file path below.
 		s.ioErrors.Add(1)
@@ -542,7 +542,7 @@ func (s *Store) Store(kind, key, conf string, payload any) error {
 	if len(key) < 2 {
 		return fmt.Errorf("cache: invalid key %q", key)
 	}
-	if err := faults.Fire(faults.CacheWrite, kind+"/"+key); err != nil {
+	if err := faults.Fire(faults.CacheWrite, kind, "/", key); err != nil {
 		s.ioErrors.Add(1)
 		return fmt.Errorf("cache: write %s/%s: %w", kind, key, err)
 	}

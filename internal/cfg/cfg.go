@@ -138,10 +138,9 @@ type Graph struct {
 	Bin   *elff.Binary
 	Funcs []*Func // sorted by entry address
 
-	// AddrTaken is every code address used as a lea operand anywhere in
-	// the disassembled image; ActiveAddrTaken is the subset reachable
-	// from the roots after the iterative refinement of §4.3.
-	AddrTaken       []uint64
+	// ActiveAddrTaken holds the code addresses used as lea operands in
+	// code reachable from the roots after the iterative refinement of
+	// §4.3, in address order: the targets of indirect edges.
 	ActiveAddrTaken []uint64
 
 	// ImportStubs maps the entry address of each import stub (a block

@@ -157,11 +157,10 @@ func TestActiveAddressTaken(t *testing.T) {
 	if len(g.ActiveAddrTaken) != 1 || g.ActiveAddrTaken[0] != syms["fptr1"] {
 		t.Fatalf("active addr taken: %#x", g.ActiveAddrTaken)
 	}
-	// The full addr-taken set includes both (dead code was decoded from
-	// the symbol root only if symbols exist; fptr2's lea lives in
-	// "dead" which is in the symbol table, hence decoded).
-	if len(g.AddrTaken) != 2 {
-		t.Fatalf("addr taken: %#x", g.AddrTaken)
+	// fptr2 stays out although its lea was decoded: "dead" is in the
+	// symbol table, so its block is decoded from the symbol root.
+	if _, ok := g.BlockAt(syms["dead"]); !ok {
+		t.Fatal("dead's block was not decoded from its symbol")
 	}
 	entry, _ := g.BlockAt(syms["_start"])
 	// _start's first block ends at the indirect call; find that block.

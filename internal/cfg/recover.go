@@ -534,10 +534,6 @@ func (b *builder) materialize(g *Graph) {
 		b.eachEdge(blk, activeBlocks, wire)
 	}
 	g.Stats.NumEdges = totalEdges
-
-	// The full address-taken set (SysFilter's original, non-active
-	// notion): every harvested lea candidate, reachable or not.
-	g.AddrTaken = dedupSorted(b.leaEACopy())
 }
 
 // eachEdge calls f on each out-edge of blk whose target block exists,
@@ -600,17 +596,6 @@ func resize(s []int32, n int) []int32 {
 	s = s[:n]
 	clear(s)
 	return s
-}
-
-// leaEACopy collects the harvested lea targets as virtual addresses.
-func (b *builder) leaEACopy() []uint64 {
-	out := make([]uint64, 0, 8)
-	for _, v := range b.leaEA {
-		if v != 0 {
-			out = append(out, b.base+v-1)
-		}
-	}
-	return out
 }
 
 // funcEntry is one candidate function entry during inference. rank
@@ -752,19 +737,6 @@ func scanDataPointers(bin *elff.Binary) []uint64 {
 		}
 	}
 	return out
-}
-
-// dedupSorted sorts s ascending and removes duplicates in place.
-func dedupSorted(s []uint64) []uint64 {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	n := 0
-	for i, v := range s {
-		if i == 0 || v != s[n-1] {
-			s[n] = v
-			n++
-		}
-	}
-	return s[:n]
 }
 
 // offBits is a plain dense bitset over small integer indices (code

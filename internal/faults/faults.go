@@ -4,16 +4,18 @@
 // hurt, armed only by tests and the fuzzer's poison-binary legs.
 //
 // When nothing is armed — every production run — a seam costs one
-// atomic pointer load and a nil check. When a test arms a Rule, the
-// matching seam panics (to exercise the recovery boundaries in
-// internal/guard), returns an injected IO error (to exercise cache
-// degradation), or hands back a byte-tampered copy of an ELF image (to
-// exercise the malformed-input paths) — letting tests prove that one
-// poisoned binary costs exactly one result and nothing else.
+// atomic pointer load and a nil check, and allocates nothing. When a
+// test arms a Rule, the matching seam panics (to exercise the recovery
+// boundaries in internal/guard), returns an injected IO error (to
+// exercise cache degradation), or hands back a byte-tampered copy of an
+// ELF image (to exercise the malformed-input paths) — letting tests
+// prove that one poisoned binary costs exactly one result and nothing
+// else.
 package faults
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -102,9 +104,15 @@ func match(point Point, key string) *Rule {
 	return nil
 }
 
-// Fire triggers any armed fault at point for key: a panic rule panics,
-// an IO rule returns its error, no matching rule returns nil.
-func Fire(point Point, key string) error {
+// Fire triggers any armed fault at point for the key its parts spell,
+// concatenated: a panic rule panics, an IO rule returns its error, no
+// matching rule returns nil. The key is built only while a rule is
+// armed, so an unarmed seam allocates nothing.
+func Fire(point Point, parts ...string) error {
+	if armed.Load() == nil {
+		return nil
+	}
+	key := strings.Join(parts, "")
 	r := match(point, key)
 	if r == nil {
 		return nil
@@ -113,6 +121,14 @@ func Fire(point Point, key string) error {
 		panic(fmt.Sprintf("faults: injected panic at %s (%s)", point, key))
 	}
 	return r.Err
+}
+
+// FireIndex is Fire with the decimal i as the key.
+func FireIndex(point Point, i int) error {
+	if armed.Load() == nil {
+		return nil
+	}
+	return Fire(point, strconv.Itoa(i))
 }
 
 // TamperImage returns a corrupted copy of data when an Image rule

@@ -17,6 +17,25 @@ func TestUnarmedSeamsAreNoOps(t *testing.T) {
 	}
 }
 
+// TestUnarmedSeamsAllocateNothing calls each seam the way production
+// code does, with a 64-character hash in the key and a unit index past
+// the small integers Go keeps preallocated: unarmed, none allocates.
+func TestUnarmedSeamsAllocateNothing(t *testing.T) {
+	hash := strings.Repeat("ab", 32)
+	kind, stage, unit := "program", "identify", 1234
+	data := []byte{1, 2, 3}
+	allocs := testing.AllocsPerRun(100, func() {
+		_ = Fire(CacheRead, kind, "/", hash)
+		_ = Fire(CacheWrite, kind, "/", hash)
+		_ = Fire(Stage, stage, ":", hash)
+		_ = FireIndex(IdentUnit, unit)
+		_ = TamperImage("/bin/ls", data)
+	})
+	if allocs != 0 {
+		t.Errorf("unarmed seams allocate %v objects per round, want 0", allocs)
+	}
+}
+
 func TestFireMatchesPointAndKey(t *testing.T) {
 	injected := errors.New("disk on fire")
 	restore := Activate(
@@ -27,6 +46,9 @@ func TestFireMatchesPointAndKey(t *testing.T) {
 
 	if err := Fire(CacheRead, "program/abc123"); !errors.Is(err, injected) {
 		t.Errorf("matching rule did not fire: %v", err)
+	}
+	if err := Fire(CacheRead, "program", "/", "abc123"); !errors.Is(err, injected) {
+		t.Errorf("a key in parts did not match: %v", err)
 	}
 	if err := Fire(CacheRead, "interface/abc123"); err != nil {
 		t.Errorf("non-matching key fired: %v", err)

@@ -18,7 +18,6 @@ package ident
 import (
 	"errors"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -301,7 +300,7 @@ func (p *Pass) budgetError(stage string) error {
 func forEachUnit(n, workers int, fn func(i int) error) error {
 	call := func(i int) error {
 		return guard.Capture("unit", "", func() error {
-			if err := faults.Fire(faults.IdentUnit, strconv.Itoa(i)); err != nil {
+			if err := faults.FireIndex(faults.IdentUnit, i); err != nil {
 				return err
 			}
 			return fn(i)

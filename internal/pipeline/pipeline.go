@@ -167,7 +167,7 @@ func Run(bin *elff.Binary, conf Config) (*Result, error) {
 		}
 		start := time.Now()
 		err := guard.Capture(s.String(), bin.Hash, func() error {
-			if err := faults.Fire(faults.Stage, s.String()+":"+bin.Hash); err != nil {
+			if err := faults.Fire(faults.Stage, s.String(), ":", bin.Hash); err != nil {
 				return err
 			}
 			return body()

@@ -69,10 +69,6 @@ type Interface struct {
 	Needed []string `json:"needed,omitempty"`
 	// Exports describes each exposed function.
 	Exports []Export `json:"exports"`
-	// AddrTaken records the library's active addresses taken.
-	AddrTaken []uint64 `json:"addr_taken,omitempty"`
-	// Wrappers lists wrapper function entry points (informational).
-	Wrappers []uint64 `json:"wrappers,omitempty"`
 }
 
 // ExportNamed returns the interface entry for name.
@@ -101,12 +97,8 @@ func AnalyzeLibrary(bin *elff.Binary, name string, conf ident.Config, importWrap
 	profiles := ident.ExportProfiles(g, rep)
 
 	ifc := &Interface{
-		Library:   name,
-		Needed:    append([]string(nil), bin.Needed...),
-		AddrTaken: append([]uint64(nil), g.ActiveAddrTaken...),
-	}
-	for _, w := range rep.Wrappers {
-		ifc.Wrappers = append(ifc.Wrappers, w.FnEntry)
+		Library: name,
+		Needed:  append([]string(nil), bin.Needed...),
 	}
 	for _, p := range profiles {
 		e := Export{

@@ -1,7 +1,10 @@
 package x86
 
 import (
+	"encoding/hex"
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -123,6 +126,40 @@ func TestDecodeRandomNeverPanics(t *testing.T) {
 			t.Fatalf("bad length %d for %x", inst.Len, buf[:n])
 		}
 	}
+}
+
+// FuzzDecode checks what an accepted decode promises: a length of 1 to
+// 15 bytes within the input, the same record from exactly those bytes,
+// and a truncation error from one byte fewer. A rejected decode returns
+// a record that is zero apart from Addr. The seeds are decodeTable's
+// instructions.
+func FuzzDecode(f *testing.F) {
+	for _, c := range decodeTable {
+		b, err := hex.DecodeString(strings.ReplaceAll(c.hex, " ", ""))
+		if err != nil {
+			f.Fatalf("bad hex %q: %v", c.hex, err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		const addr = 0x401000
+		in, err := Decode(b, addr)
+		if err != nil {
+			if in != (Inst{Addr: addr}) {
+				t.Fatalf("% x: %v returned %+v", b, err, in)
+			}
+			return
+		}
+		if in.Len < 1 || in.Len > 15 || int(in.Len) > len(b) {
+			t.Fatalf("% x: length %d", b, in.Len)
+		}
+		if again, err := Decode(b[:in.Len], addr); err != nil || again != in {
+			t.Fatalf("% x: %+v, from its own %d bytes %+v (%v)", b, in, in.Len, again, err)
+		}
+		if _, err := Decode(b[:in.Len-1], addr); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("% x: one byte short of %d: %v, want ErrTruncated", b, in.Len, err)
+		}
+	})
 }
 
 func TestTerminatorsAndCalls(t *testing.T) {

@@ -382,21 +382,22 @@ func (i Inst) String() string {
 		b.WriteString(i.Op.String())
 		if i.Dst.Kind != KindNone {
 			b.WriteByte(' ')
-			b.WriteString(i.operandString(i.Dst))
+			b.WriteString(i.operandString(i.Dst, i.OpSize))
 		}
 		if i.Src.Kind != KindNone {
 			b.WriteString(", ")
-			b.WriteString(i.operandString(i.Src))
+			b.WriteString(i.operandString(i.Src, i.SrcSize()))
 		}
 	}
 	return b.String()
 }
 
-// operandString renders o, one of i's operands.
-func (i Inst) operandString(o Operand) string {
+// operandString renders o, one of i's operands, naming a register at
+// width size; a memory operand's base and index keep 64-bit names.
+func (i Inst) operandString(o Operand, size uint8) string {
 	switch o.Kind {
 	case KindReg:
-		return o.Reg.String()
+		return o.Reg.Name(size)
 	case KindImm:
 		return fmt.Sprintf("%#x", i.Imm)
 	case KindMem:

@@ -51,123 +51,127 @@ func decodeHex(t *testing.T, h string) (Inst, error) {
 	return Decode(append(b, 0x90, 0x90, 0x90, 0x90), 0x401000)
 }
 
-// TestDecodeTable pins the length and rendering of one instruction per
-// decoder branch and per ModRM shape: a register, [base], disp8,
-// disp32, SIB with index and scale, disp32 without a base, and
-// RIP-relative. The renderings read 64-bit register names whatever the
-// operand size; OpSize carries the width.
+// decodeTable pins the length, rendering and operand size of one
+// instruction per opcode row and per ModRM shape: a register, [base],
+// disp8, disp32, SIB with index and scale, disp32 without a base, and
+// RIP-relative. A register renders at the operand size, or for a
+// movzx, movsx or movsxd source at the source's width; memory bases and
+// indexes read their 64-bit names.
+var decodeTable = []struct {
+	hex  string
+	len  uint8
+	want string
+	size uint8
+}{
+	// ALU r/m, r and r, r/m families, over every ModRM shape.
+	{"01 d8", 2, "add eax, ebx", 4},
+	{"48 01 d8", 3, "add rax, rbx", 8},
+	{"00 c8", 2, "add al, cl", 1},
+	{"31 c0", 2, "xor eax, eax", 4},
+	{"48 29 d8", 3, "sub rax, rbx", 8},
+	{"48 21 d8", 3, "and rax, rbx", 8},
+	{"48 09 d8", 3, "or rax, rbx", 8},
+	{"48 39 d8", 3, "cmp rax, rbx", 8},
+	{"8a c1", 2, "mov al, cl", 1},
+	{"4d 89 c7", 3, "mov r15, r8", 8},
+	{"89 07", 2, "mov [rdi], eax", 4},
+	{"48 8b 44 24 08", 5, "mov rax, [rsp+0x8]", 8},
+	{"8b 45 f8", 3, "mov eax, [rbp-0x8]", 4},
+	{"8b 85 00 f0 ff ff", 6, "mov eax, [rbp-0x1000]", 4},
+	{"48 89 84 24 00 01 00 00", 8, "mov [rsp+0x100], rax", 8},
+	{"48 8b 14 ca", 4, "mov rdx, [rdx+rcx*8]", 8},
+	{"4a 8b 04 e3", 4, "mov rax, [rbx+r12*8]", 8},
+	{"48 8b 04 cd 00 10 00 00", 8, "mov rax, [rcx*8+0x1000]", 8},
+	{"8b 04 25 00 10 00 00", 7, "mov eax, [0x1000]", 4},
+	{"48 8b 05 10 00 00 00", 7, "mov rax, [rip+0x10]", 8},
+	{"41 8b 04 24", 4, "mov eax, [r12]", 4},
+	{"41 8b 45 00", 4, "mov eax, [r13]", 4},
+	// push, pop, movsxd.
+	{"55", 1, "push rbp", 8},
+	{"41 57", 2, "push r15", 8},
+	{"41 5f", 2, "pop r15", 8},
+	{"48 63 c7", 3, "movsxd rax, edi", 8},
+	{"48 63 47 08", 4, "movsxd rax, [rdi+0x8]", 8},
+	{"68 78 56 34 12", 5, "push 0x12345678", 8},
+	{"6a ff", 2, "push -0x1", 8},
+	// Branches carry their absolute target in Imm.
+	{"74 05", 2, "je 0x401007", 4},
+	{"0f 84 00 01 00 00", 6, "je 0x401106", 4},
+	{"e8 10 00 00 00", 5, "call 0x401015", 4},
+	{"e9 fb ff ff ff", 5, "jmp 0x401000", 4},
+	{"eb fe", 2, "jmp 0x401000", 4},
+	// Group 1, including a displacement and an immediate at once.
+	{"80 3d 10 00 00 00 05", 7, "cmp [rip+0x10], 0x5", 1},
+	{"81 c1 00 01 00 00", 6, "add ecx, 0x100", 4},
+	{"48 81 c1 ff ff ff ff", 7, "add rcx, -0x1", 8},
+	{"48 83 ec 10", 4, "sub rsp, 0x10", 8},
+	{"48 83 e4 f0", 4, "and rsp, -0x10", 8},
+	{"48 83 c8 08", 4, "or rax, 0x8", 8},
+	{"81 7c 24 10 00 00 ff ff", 8, "cmp [rsp+0x10], -0x10000", 4},
+	// test, lea, one-byte operations.
+	{"85 c0", 2, "test eax, eax", 4},
+	{"84 c0", 2, "test al, al", 1},
+	{"48 8d 35 10 00 00 00", 7, "lea rsi, [rip+0x10]", 8},
+	{"48 8d 44 24 08", 5, "lea rax, [rsp+0x8]", 8},
+	{"8d 0c 11", 3, "lea ecx, [rcx+rdx*1]", 4},
+	{"90", 1, "nop", 4},
+	{"48 98", 2, "cdqe", 8},
+	{"c3", 1, "ret", 4},
+	{"c9", 1, "leave", 4},
+	{"cc", 1, "int3", 4},
+	{"f4", 1, "hlt", 4},
+	// mov r, imm: imm32 zero-extends, movabs needs all 64 bits.
+	{"b8 3c 00 00 00", 5, "mov eax, 0x3c", 4},
+	{"41 bb ef be ad de", 6, "mov r11d, 0xdeadbeef", 4},
+	{"48 b8 88 77 66 55 44 33 22 11", 10, "mov rax, 0x1122334455667788", 8},
+	{"49 bb ff ff ff ff ff ff ff ff", 10, "mov r11, -0x1", 8},
+	// Group 2 shifts.
+	{"48 c1 e0 03", 4, "shl rax, 0x3", 8},
+	{"48 c1 e8 01", 4, "shr rax, 0x1", 8},
+	// mov r/m, imm, including a displacement and an immediate.
+	{"c6 00 05", 3, "mov [rax], 0x5", 1},
+	{"c7 44 24 18 2a 00 00 00", 8, "mov [rsp+0x18], 0x2a", 4},
+	{"48 c7 c0 ff ff ff ff", 7, "mov rax, -0x1", 8},
+	{"c7 05 08 00 00 00 01 00 00 00", 10, "mov [rip+0x8], 0x1", 4},
+	// Group 5.
+	{"ff c0", 2, "inc eax", 4},
+	{"48 ff c8", 3, "dec rax", 8},
+	{"ff d0", 2, "call rax", 8},
+	{"41 ff d3", 3, "call r11", 8},
+	{"ff 15 10 00 00 00", 6, "call [rip+0x10]", 8},
+	{"ff e0", 2, "jmp rax", 8},
+	{"ff 24 c5 00 10 00 00", 7, "jmp [rax*8+0x1000]", 8},
+	{"ff 35 10 00 00 00", 6, "push [rip+0x10]", 8},
+	// Two-byte opcodes.
+	{"0f 05", 2, "syscall", 4},
+	{"0f 0b", 2, "ud2", 4},
+	{"f3 0f 1e fa", 4, "endbr64", 4},
+	{"0f 1f 40 00", 4, "nop", 4},
+	{"66 0f 1f 44 00 00", 6, "nop", 2},
+	{"0f b6 c0", 3, "movzx eax, al", 4},
+	{"0f b7 c0", 3, "movzx eax, ax", 4},
+	{"48 0f be c0", 4, "movsx rax, al", 8},
+	{"0f bf 4c 24 08", 5, "movsx ecx, [rsp+0x8]", 4},
+	// Without REX, byte-register codes 4-7 are AH, CH, DH and BH;
+	// with any REX they are the low bytes of RSP, RBP, RSI and RDI.
+	{"88 cc", 2, "mov ah, cl", 1},
+	{"40 88 cc", 3, "mov spl, cl", 1},
+	{"8a e1", 2, "mov ah, cl", 1},
+	{"8a 24 24", 3, "mov ah, [rsp]", 1},
+	{"30 e4", 2, "xor ah, ah", 1},
+	{"c6 c7 01", 3, "mov bh, 0x1", 1},
+	{"80 fd 05", 3, "cmp ch, 0x5", 1},
+	{"84 f6", 2, "test dh, dh", 1},
+	{"85 f6", 2, "test esi, esi", 4},
+	{"0f b6 c5", 3, "movzx eax, ch", 4},
+	{"40 0f b6 c5", 4, "movzx eax, bpl", 4},
+	{"0f b7 c5", 3, "movzx eax, bp", 4},
+	{"0f b6 c1", 3, "movzx eax, cl", 4},
+	{"41 b8 01 00 00 00", 6, "mov r8d, 0x1", 4},
+}
+
 func TestDecodeTable(t *testing.T) {
-	cases := []struct {
-		hex  string
-		len  uint8
-		want string
-		size uint8
-	}{
-		// ALU r/m, r and r, r/m families, over every ModRM shape.
-		{"01 d8", 2, "add rax, rbx", 4},
-		{"48 01 d8", 3, "add rax, rbx", 8},
-		{"00 c8", 2, "add rax, rcx", 1},
-		{"31 c0", 2, "xor rax, rax", 4},
-		{"48 29 d8", 3, "sub rax, rbx", 8},
-		{"48 21 d8", 3, "and rax, rbx", 8},
-		{"48 09 d8", 3, "or rax, rbx", 8},
-		{"48 39 d8", 3, "cmp rax, rbx", 8},
-		{"8a c1", 2, "mov rax, rcx", 1},
-		{"4d 89 c7", 3, "mov r15, r8", 8},
-		{"89 07", 2, "mov [rdi], rax", 4},
-		{"48 8b 44 24 08", 5, "mov rax, [rsp+0x8]", 8},
-		{"8b 45 f8", 3, "mov rax, [rbp-0x8]", 4},
-		{"8b 85 00 f0 ff ff", 6, "mov rax, [rbp-0x1000]", 4},
-		{"48 89 84 24 00 01 00 00", 8, "mov [rsp+0x100], rax", 8},
-		{"48 8b 14 ca", 4, "mov rdx, [rdx+rcx*8]", 8},
-		{"4a 8b 04 e3", 4, "mov rax, [rbx+r12*8]", 8},
-		{"48 8b 04 cd 00 10 00 00", 8, "mov rax, [rcx*8+0x1000]", 8},
-		{"8b 04 25 00 10 00 00", 7, "mov rax, [0x1000]", 4},
-		{"48 8b 05 10 00 00 00", 7, "mov rax, [rip+0x10]", 8},
-		{"41 8b 04 24", 4, "mov rax, [r12]", 4},
-		{"41 8b 45 00", 4, "mov rax, [r13]", 4},
-		// push, pop, movsxd.
-		{"55", 1, "push rbp", 8},
-		{"41 57", 2, "push r15", 8},
-		{"41 5f", 2, "pop r15", 8},
-		{"48 63 c7", 3, "movsxd rax, rdi", 8},
-		{"48 63 47 08", 4, "movsxd rax, [rdi+0x8]", 8},
-		{"68 78 56 34 12", 5, "push 0x12345678", 8},
-		{"6a ff", 2, "push -0x1", 8},
-		// Branches carry their absolute target in Imm.
-		{"74 05", 2, "je 0x401007", 4},
-		{"0f 84 00 01 00 00", 6, "je 0x401106", 4},
-		{"e8 10 00 00 00", 5, "call 0x401015", 4},
-		{"e9 fb ff ff ff", 5, "jmp 0x401000", 4},
-		{"eb fe", 2, "jmp 0x401000", 4},
-		// Group 1, including a displacement and an immediate at once.
-		{"80 3d 10 00 00 00 05", 7, "cmp [rip+0x10], 0x5", 1},
-		{"81 c1 00 01 00 00", 6, "add rcx, 0x100", 4},
-		{"48 81 c1 ff ff ff ff", 7, "add rcx, -0x1", 8},
-		{"48 83 ec 10", 4, "sub rsp, 0x10", 8},
-		{"48 83 e4 f0", 4, "and rsp, -0x10", 8},
-		{"48 83 c8 08", 4, "or rax, 0x8", 8},
-		{"81 7c 24 10 00 00 ff ff", 8, "cmp [rsp+0x10], -0x10000", 4},
-		// test, lea, one-byte operations.
-		{"85 c0", 2, "test rax, rax", 4},
-		{"84 c0", 2, "test rax, rax", 1},
-		{"48 8d 35 10 00 00 00", 7, "lea rsi, [rip+0x10]", 8},
-		{"48 8d 44 24 08", 5, "lea rax, [rsp+0x8]", 8},
-		{"8d 0c 11", 3, "lea rcx, [rcx+rdx*1]", 4},
-		{"90", 1, "nop", 4},
-		{"48 98", 2, "cdqe", 8},
-		{"c3", 1, "ret", 4},
-		{"c9", 1, "leave", 4},
-		{"cc", 1, "int3", 4},
-		{"f4", 1, "hlt", 4},
-		// mov r, imm: imm32 zero-extends, movabs needs all 64 bits.
-		{"b8 3c 00 00 00", 5, "mov rax, 0x3c", 4},
-		{"41 bb ef be ad de", 6, "mov r11, 0xdeadbeef", 4},
-		{"48 b8 88 77 66 55 44 33 22 11", 10, "mov rax, 0x1122334455667788", 8},
-		{"49 bb ff ff ff ff ff ff ff ff", 10, "mov r11, -0x1", 8},
-		// Group 2 shifts.
-		{"48 c1 e0 03", 4, "shl rax, 0x3", 8},
-		{"48 c1 e8 01", 4, "shr rax, 0x1", 8},
-		// mov r/m, imm, including a displacement and an immediate.
-		{"c6 00 05", 3, "mov [rax], 0x5", 1},
-		{"c7 44 24 18 2a 00 00 00", 8, "mov [rsp+0x18], 0x2a", 4},
-		{"48 c7 c0 ff ff ff ff", 7, "mov rax, -0x1", 8},
-		{"c7 05 08 00 00 00 01 00 00 00", 10, "mov [rip+0x8], 0x1", 4},
-		// Group 5.
-		{"ff c0", 2, "inc rax", 4},
-		{"48 ff c8", 3, "dec rax", 8},
-		{"ff d0", 2, "call rax", 8},
-		{"41 ff d3", 3, "call r11", 8},
-		{"ff 15 10 00 00 00", 6, "call [rip+0x10]", 8},
-		{"ff e0", 2, "jmp rax", 8},
-		{"ff 24 c5 00 10 00 00", 7, "jmp [rax*8+0x1000]", 8},
-		{"ff 35 10 00 00 00", 6, "push [rip+0x10]", 8},
-		// Two-byte opcodes.
-		{"0f 05", 2, "syscall", 4},
-		{"0f 0b", 2, "ud2", 4},
-		{"f3 0f 1e fa", 4, "endbr64", 4},
-		{"0f 1f 40 00", 4, "nop", 4},
-		{"66 0f 1f 44 00 00", 6, "nop", 2},
-		{"0f b6 c0", 3, "movzx rax, rax", 4},
-		{"0f b7 c0", 3, "movzx rax, rax", 4},
-		{"48 0f be c0", 4, "movsx rax, rax", 8},
-		{"0f bf 4c 24 08", 5, "movsx rcx, [rsp+0x8]", 4},
-		// Without REX, byte-register codes 4-7 are AH, CH, DH and BH;
-		// with any REX they are the low bytes of RSP, RBP, RSI and RDI.
-		{"88 cc", 2, "mov ah, rcx", 1},
-		{"40 88 cc", 3, "mov rsp, rcx", 1},
-		{"8a e1", 2, "mov ah, rcx", 1},
-		{"8a 24 24", 3, "mov ah, [rsp]", 1},
-		{"30 e4", 2, "xor ah, ah", 1},
-		{"c6 c7 01", 3, "mov bh, 0x1", 1},
-		{"80 fd 05", 3, "cmp ch, 0x5", 1},
-		{"84 f6", 2, "test dh, dh", 1},
-		{"85 f6", 2, "test rsi, rsi", 4},
-		{"0f b6 c5", 3, "movzx rax, ch", 4},
-		{"40 0f b6 c5", 4, "movzx rax, rbp", 4},
-		{"0f b7 c5", 3, "movzx rax, rbp", 4},
-	}
-	for _, c := range cases {
+	for _, c := range decodeTable {
 		in, err := decodeHex(t, c.hex)
 		if err != nil {
 			t.Errorf("%s: %v", c.hex, err)
@@ -261,13 +265,13 @@ func TestDecodeOperandSizePrefix(t *testing.T) {
 		want string
 		imm  int64
 	}{
-		{"66 b8 34 12", 4, "mov rax, 0x1234", 0x1234},      // mov ax, 0x1234
-		{"66 b8 ff ff", 4, "mov rax, 0xffff", 0xffff},      // mov ax, 0xffff
-		{"66 81 c1 34 12", 5, "add rcx, 0x1234", 0x1234},   // add cx, 0x1234
-		{"66 81 c1 ff ff", 5, "add rcx, -0x1", -1},         // add cx, 0xffff
+		{"66 b8 34 12", 4, "mov ax, 0x1234", 0x1234},
+		{"66 b8 ff ff", 4, "mov ax, 0xffff", 0xffff},
+		{"66 81 c1 34 12", 5, "add cx, 0x1234", 0x1234},
+		{"66 81 c1 ff ff", 5, "add cx, -0x1", -1},          // add cx, 0xffff
 		{"66 c7 00 34 12", 5, "mov [rax], 0x1234", 0x1234}, // mov word [rax], 0x1234
 		{"66 c7 44 24 08 34 12", 7, "mov [rsp+0x8], 0x1234", 0x1234},
-		{"66 83 c1 01", 4, "add rcx, 0x1", 1}, // imm8 stays imm8
+		{"66 83 c1 01", 4, "add cx, 0x1", 1}, // imm8 stays imm8
 	}
 	for _, c := range cases {
 		in, err := decodeHex(t, c.hex)

@@ -61,22 +61,40 @@ const (
 // NumGPR is the number of addressable general-purpose registers.
 const NumGPR = 16
 
-var regNames = [...]string{
-	RAX: "rax", RCX: "rcx", RDX: "rdx", RBX: "rbx",
-	RSP: "rsp", RBP: "rbp", RSI: "rsi", RDI: "rdi",
-	R8: "r8", R9: "r9", R10: "r10", R11: "r11",
-	R12: "r12", R13: "r13", R14: "r14", R15: "r15",
-	RIP: "rip",
-	AH:  "ah", CH: "ch", DH: "dh", BH: "bh",
+// gprNames holds the general-purpose registers' names at 1, 2, 4 and 8
+// bytes.
+var gprNames = [4][NumGPR]string{
+	{"al", "cl", "dl", "bl", "spl", "bpl", "sil", "dil", "r8b", "r9b", "r10b", "r11b", "r12b", "r13b", "r14b", "r15b"},
+	{"ax", "cx", "dx", "bx", "sp", "bp", "si", "di", "r8w", "r9w", "r10w", "r11w", "r12w", "r13w", "r14w", "r15w"},
+	{"eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi", "r8d", "r9d", "r10d", "r11d", "r12d", "r13d", "r14d", "r15d"},
+	{"rax", "rcx", "rdx", "rbx", "rsp", "rbp", "rsi", "rdi", "r8", "r9", "r10", "r11", "r12", "r13", "r14", "r15"},
 }
 
 // String returns the conventional 64-bit name of the register, or the
 // byte name of AH, CH, DH and BH.
-func (r Reg) String() string {
-	if int(r) < len(regNames) && regNames[r] != "" {
-		return regNames[r]
-	}
-	if r == RegNone {
+func (r Reg) String() string { return r.Name(8) }
+
+// Name returns the register's name at width size bytes: al, ax, eax or
+// rax, and r8b, r8w, r8d or r8 (spl to dil are the low bytes of RSP to
+// RDI). A size other than 1, 2 or 4 reads the 64-bit name; RIP and AH
+// to BH have one name whatever the size.
+func (r Reg) Name(size uint8) string {
+	switch {
+	case r.Valid():
+		switch size {
+		case 1:
+			return gprNames[0][r]
+		case 2:
+			return gprNames[1][r]
+		case 4:
+			return gprNames[2][r]
+		}
+		return gprNames[3][r]
+	case r == RIP:
+		return "rip"
+	case r.High():
+		return [...]string{"ah", "ch", "dh", "bh"}[r-AH]
+	case r == RegNone:
 		return "none"
 	}
 	return fmt.Sprintf("reg(%d)", uint8(r))
