@@ -397,6 +397,35 @@ func BenchmarkRecoverLargeBinary(b *testing.B) {
 	}
 }
 
+// BenchmarkRecoverHuge profiles the frontend at a cold sweep's shape:
+// the first FailCFGHuge image of the seed-42 Debian-shaped tree, about
+// 90k decoded instructions, where memory traffic dominates. The
+// large-binary image decodes about 10k and stays in cache. Not gated:
+// `make profile` reads it.
+func BenchmarkRecoverHuge(b *testing.B) {
+	var p corpus.Profile
+	for _, q := range corpus.DebianProfiles(42) {
+		if q.Class == corpus.FailCFGHuge {
+			p = q
+			break
+		}
+	}
+	bin, err := corpus.BuildProgram(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, err := cfg.Recover(bin, cfg.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if g.NumBlocks() == 0 {
+			b.Fatal("empty graph")
+		}
+	}
+}
+
 // --- substrate micro-benchmarks -----------------------------------------
 
 // BenchmarkDecode measures raw instruction decoding.

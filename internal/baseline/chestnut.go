@@ -1,8 +1,6 @@
 package baseline
 
 import (
-	"sort"
-
 	"bside/internal/cfg"
 	"bside/internal/elff"
 	"bside/internal/linux"
@@ -83,11 +81,12 @@ func ChestnutWithBudget(bin *elff.Binary, maxInsns int) (*Result, error) {
 			// Resolve at the wrapper's call sites instead.
 			resolvedAll := true
 			entryBlk, _ := g.BlockAt(glibcWrapper)
-			for _, e := range entryBlk.Preds {
+			for _, e := range g.Preds(entryBlk) {
 				if e.Kind != cfg.EdgeCall && e.Kind != cfg.EdgeIndirectCall {
 					continue
 				}
-				if v, ok := chestnutScan(g, e.From, len(e.From.Insns)-1, x86.RDI); ok {
+				from := g.Block(e.From)
+				if v, ok := chestnutScan(g, from, len(g.Insns(from))-1, x86.RDI); ok {
 					values[v] = true
 				} else {
 					resolvedAll = false
@@ -100,7 +99,7 @@ func ChestnutWithBudget(bin *elff.Binary, maxInsns int) (*Result, error) {
 			}
 			continue
 		}
-		if v, ok := chestnutScan(g, site, len(site.Insns)-1, x86.RAX); ok {
+		if v, ok := chestnutScan(g, site, len(g.Insns(site))-1, x86.RAX); ok {
 			values[v] = true
 			res.SitesResolved++
 		} else {
@@ -152,17 +151,15 @@ func chestnutScan(g *cfg.Graph, blk *cfg.Block, idx int, reg x86.Reg) (uint64, b
 // (blk, idx) in address order, crossing block boundaries linearly.
 func linearWindow(g *cfg.Graph, blk *cfg.Block, idx int) []x86.Inst {
 	var out []x86.Inst
-	out = append(out, blk.Insns[:idx]...)
-	// Walk backwards through address-adjacent blocks.
-	blocks := g.SortedBlocks()
-	pos := sort.Search(len(blocks), func(i int) bool { return blocks[i].Addr >= blk.Addr })
-	for pos > 0 && len(out) < chestnutScanWindow {
-		pos--
-		prev := blocks[pos]
-		if prev.End() != blk.Addr {
+	out = append(out, g.Insns(blk)[:idx]...)
+	// Walk backwards through address-adjacent blocks (the block before
+	// in address order is the one with the previous ID).
+	for blk.ID > 0 && len(out) < chestnutScanWindow {
+		prev := g.Block(blk.ID - 1)
+		if g.End(prev) != blk.Addr {
 			break // gap: stop the linear walk
 		}
-		out = append(append([]x86.Inst(nil), prev.Insns...), out...)
+		out = append(append([]x86.Inst(nil), g.Insns(prev)...), out...)
 		blk = prev
 	}
 	if len(out) > chestnutScanWindow {

@@ -42,9 +42,10 @@ func SysFilterWithBudget(bin *elff.Binary, maxInsns int) (*Result, error) {
 			continue
 		}
 		vals, ok := usedef.Resolve(usedef.Request{
+			Graph:   g,
 			Fn:      fn,
 			Block:   site,
-			InsnIdx: len(site.Insns) - 1,
+			InsnIdx: len(g.Insns(site)) - 1,
 			Reg:     x86.RAX,
 		})
 		if !ok {

@@ -18,18 +18,19 @@ func NewBlockSet(numBlocks int) *BlockSet {
 }
 
 // grow ensures the set can hold bit id.
-func (s *BlockSet) grow(id int) {
-	if w := id/64 + 1; w > len(s.words) {
+func (s *BlockSet) grow(id BlockID) {
+	if w := int(id)/64 + 1; w > len(s.words) {
 		words := make([]uint64, w)
 		copy(words, s.words)
 		s.words = words
 	}
 }
 
-// Add inserts b and reports whether it was absent.
-func (s *BlockSet) Add(b *Block) bool {
-	s.grow(b.ID)
-	w, bit := b.ID/64, uint64(1)<<(b.ID%64)
+// Add inserts the block with the given ID and reports whether it was
+// absent.
+func (s *BlockSet) Add(id BlockID) bool {
+	s.grow(id)
+	w, bit := id/64, uint64(1)<<(id%64)
 	if s.words[w]&bit != 0 {
 		return false
 	}
@@ -38,13 +39,14 @@ func (s *BlockSet) Add(b *Block) bool {
 	return true
 }
 
-// Has reports whether b is a member. A nil set is empty.
-func (s *BlockSet) Has(b *Block) bool {
+// Has reports whether the block with the given ID is a member. A nil
+// set is empty.
+func (s *BlockSet) Has(id BlockID) bool {
 	if s == nil {
 		return false
 	}
-	w := b.ID / 64
-	return w < len(s.words) && s.words[w]&(1<<(b.ID%64)) != 0
+	w := int(id / 64)
+	return w < len(s.words) && s.words[w]&(1<<(id%64)) != 0
 }
 
 // Len returns the number of members.
@@ -76,10 +78,10 @@ func (s *BlockSet) ResetFor(numBlocks int) {
 	s.n = 0
 }
 
-// ReachableSet is the bitset form of Reachable: the set of blocks
-// reachable from the given root addresses following all edge kinds.
-// Iteration order is the caller's choice — walking SortedBlocks and
-// filtering with Has yields address order without sorting.
+// ReachableSet returns the set of blocks reachable from the given
+// root addresses following all edge kinds. Iteration order is the
+// caller's choice — walking Blocks and filtering with Has yields
+// address order without sorting.
 func (g *Graph) ReachableSet(roots ...uint64) *BlockSet {
 	return g.ReachableSetFiltered(nil, roots...)
 }
@@ -90,17 +92,17 @@ func (g *Graph) ReachableSet(roots ...uint64) *BlockSet {
 // the refinement as an edge filter at traversal time. A nil allow
 // admits every edge.
 func (g *Graph) ReachableSetFiltered(allow func(Edge) bool, roots ...uint64) *BlockSet {
-	seen := NewBlockSet(len(g.sortedBlocks))
-	var stack []*Block
+	seen := NewBlockSet(g.NumBlocks())
+	var stack []BlockID
 	for _, r := range roots {
-		if b, ok := g.BlockAt(r); ok && seen.Add(b) {
-			stack = append(stack, b)
+		if b, ok := g.BlockAt(r); ok && seen.Add(b.ID) {
+			stack = append(stack, b.ID)
 		}
 	}
 	for len(stack) > 0 {
-		b := stack[len(stack)-1]
+		b := g.Block(stack[len(stack)-1])
 		stack = stack[:len(stack)-1]
-		for _, e := range b.Succs {
+		for _, e := range g.Succs(b) {
 			if allow != nil && !allow(e) {
 				continue
 			}

@@ -3,17 +3,11 @@ package cfg
 import (
 	"math/rand"
 	"testing"
-)
 
-// fakeBlocks builds n standalone blocks with dense IDs, enough to
-// exercise BlockSet without recovering a real graph.
-func fakeBlocks(n int) []*Block {
-	out := make([]*Block, n)
-	for i := range out {
-		out[i] = &Block{Addr: 0x400000 + uint64(i)*16, ID: i}
-	}
-	return out
-}
+	"bside/internal/asm"
+	"bside/internal/elff"
+	"bside/internal/x86"
+)
 
 // TestBlockSetPropertyEquivalence drives BlockSet and a map reference
 // with the same randomized operation stream: add, membership, reset,
@@ -22,7 +16,6 @@ func TestBlockSetPropertyEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(300)
-		blocks := fakeBlocks(n)
 		// Start some sets at zero capacity to exercise growth.
 		var s *BlockSet
 		if rng.Intn(2) == 0 {
@@ -30,26 +23,26 @@ func TestBlockSetPropertyEquivalence(t *testing.T) {
 		} else {
 			s = &BlockSet{}
 		}
-		ref := make(map[*Block]bool, n)
+		ref := make(map[BlockID]bool, n)
 
 		for op := 0; op < 400; op++ {
-			b := blocks[rng.Intn(n)]
+			id := BlockID(rng.Intn(n))
 			switch rng.Intn(4) {
 			case 0, 1:
-				added := s.Add(b)
-				if added == ref[b] {
+				added := s.Add(id)
+				if added == ref[id] {
 					t.Fatalf("seed %d: Add(%d) first-insert = %v, ref member = %v",
-						seed, b.ID, added, ref[b])
+						seed, id, added, ref[id])
 				}
-				ref[b] = true
+				ref[id] = true
 			case 2:
-				if s.Has(b) != ref[b] {
-					t.Fatalf("seed %d: Has(%d) = %v, ref %v", seed, b.ID, s.Has(b), ref[b])
+				if s.Has(id) != ref[id] {
+					t.Fatalf("seed %d: Has(%d) = %v, ref %v", seed, id, s.Has(id), ref[id])
 				}
 			case 3:
 				if rng.Intn(20) == 0 {
 					s.Reset()
-					ref = make(map[*Block]bool, n)
+					ref = make(map[BlockID]bool, n)
 				}
 			}
 			if s.Len() != len(ref) {
@@ -57,9 +50,9 @@ func TestBlockSetPropertyEquivalence(t *testing.T) {
 			}
 		}
 		// Full iterate agreement in dense order.
-		for _, b := range blocks {
-			if s.Has(b) != ref[b] {
-				t.Fatalf("seed %d: final Has(%d) = %v, ref %v", seed, b.ID, s.Has(b), ref[b])
+		for id := BlockID(0); int(id) < n; id++ {
+			if s.Has(id) != ref[id] {
+				t.Fatalf("seed %d: final Has(%d) = %v, ref %v", seed, id, s.Has(id), ref[id])
 			}
 		}
 	}
@@ -69,7 +62,7 @@ func TestBlockSetPropertyEquivalence(t *testing.T) {
 // executor's allowed-set contract).
 func TestBlockSetNilIsEmpty(t *testing.T) {
 	var s *BlockSet
-	if s.Has(&Block{ID: 3}) {
+	if s.Has(3) {
 		t.Fatal("nil set must contain nothing")
 	}
 	if s.Len() != 0 {
@@ -77,32 +70,57 @@ func TestBlockSetNilIsEmpty(t *testing.T) {
 	}
 }
 
-// TestReachableSetMatchesReachable: the bitset reachability agrees with
-// the map-based original on a real recovered graph shape — here a
-// hand-wired diamond with an unreachable tail.
+// TestReachableSetMatchesReachable: the bitset reachability agrees
+// with the reachable set a plain map-based walk over Succs finds, on a
+// recovered diamond with a call and an unreachable tail.
 func TestReachableSetMatchesReachable(t *testing.T) {
-	blocks := fakeBlocks(6)
-	g := &Graph{sortedBlocks: blocks}
-	link := func(kind EdgeKind, from, to *Block) {
-		e := Edge{Kind: kind, From: from, To: to}
-		from.Succs = append(from.Succs, e)
-		to.Preds = append(to.Preds, e)
+	bin, syms := assemble(t, elff.KindStatic, func(b *asm.Builder) {
+		b.Func("_start")
+		b.CmpRegImm(x86.RCX, 0)
+		b.Jcc(x86.CondNE, "right")
+		b.Nop()
+		b.JmpLabel("join")
+		b.Label("right")
+		b.Nop()
+		b.Label("join")
+		b.CallLabel("callee")
+		b.Ret()
+		b.Func("callee")
+		b.Ret()
+		b.Func("unused")
+		b.Ret()
+	})
+	g, err := Recover(bin, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// 0 -> 1 -> 3, 0 -> 2 -> 3, 3 -> 4; 5 unreachable.
-	link(EdgeJump, blocks[0], blocks[1])
-	link(EdgeFall, blocks[0], blocks[2])
-	link(EdgeJump, blocks[1], blocks[3])
-	link(EdgeJump, blocks[2], blocks[3])
-	link(EdgeCall, blocks[3], blocks[4])
-
-	want := g.Reachable(blocks[0].Addr)
-	got := g.ReachableSet(blocks[0].Addr)
+	want := make(map[BlockID]bool)
+	start, _ := g.BlockAt(bin.Entry)
+	stack := []BlockID{start.ID}
+	want[start.ID] = true
+	for len(stack) > 0 {
+		b := g.Block(stack[len(stack)-1])
+		stack = stack[:len(stack)-1]
+		for _, e := range g.Succs(b) {
+			if !want[e.To] {
+				want[e.To] = true
+				stack = append(stack, e.To)
+			}
+		}
+	}
+	if unused, _ := g.BlockAt(syms["unused"]); unused == nil || want[unused.ID] {
+		t.Fatal("the unused tail must be a block and unreachable")
+	}
+	if len(want) < 5 {
+		t.Fatalf("diamond plus callee should reach at least 5 blocks, got %d", len(want))
+	}
+	got := g.ReachableSet(bin.Entry)
 	if got.Len() != len(want) {
 		t.Fatalf("Len %d, want %d", got.Len(), len(want))
 	}
-	for _, b := range blocks {
-		if got.Has(b) != want[b] {
-			t.Fatalf("block %d: bitset %v, map %v", b.ID, got.Has(b), want[b])
+	for _, b := range g.Blocks() {
+		if got.Has(b.ID) != want[b.ID] {
+			t.Fatalf("block %d: bitset %v, map %v", b.ID, got.Has(b.ID), want[b.ID])
 		}
 	}
 }

@@ -3,7 +3,8 @@
 // paper's *active addresses taken* heuristic (§4.3) that conservatively
 // resolves indirect calls and jumps to the set of code addresses that
 // are (a) used as lea operands and (b) reachable from the analysis
-// roots.
+// roots. The graph holds no pointers: blocks, edges and functions are
+// IDs and ID ranges over flat slabs (see Graph).
 package cfg
 
 import (
@@ -61,82 +62,70 @@ func (k EdgeKind) String() string {
 	return "?"
 }
 
-// Edge is a directed CFG edge.
+// BlockID is a block's index in address order: 0 <= id <
+// Graph.NumBlocks(). BlockSet and the analysis scratch buffers are
+// indexed by it.
+type BlockID int32
+
+// Edge is a directed CFG edge between two blocks of one graph.
 type Edge struct {
-	Kind EdgeKind
-	From *Block
-	To   *Block
+	Kind     EdgeKind
+	From, To BlockID
 }
 
 // Block is a basic block. Blocks end at terminators, calls, and syscall
 // instructions (ending blocks at calls and syscalls gives the
-// identification and phase-detection passes block-granular sites).
+// identification and phase-detection passes block-granular sites). It
+// holds no pointer: the Graph's accessors read its instructions (at
+// least one), edges and import name through its offsets. A *Block is
+// &blocks[id] in its graph, never a copy.
 type Block struct {
-	Addr  uint64
-	Insns []x86.Inst
-	Succs []Edge
-	Preds []Edge
+	Addr uint64
+	ID   BlockID
 
-	// ID is the block's dense index in address order, assigned by
-	// Recover: 0 <= ID < Graph.NumBlocks(). BlockSet and the analysis
-	// scratch buffers are indexed by it.
-	ID int
-
-	// ImportCall is the name of the imported symbol this block calls or
-	// jumps to through a GOT slot ("" if none).
-	ImportCall string
+	insn int32 // first instruction in Graph.insns
+	succ int32 // first out-edge in Graph.succs
+	pred int32 // first in-edge in Graph.preds
+	imp  int32 // index + 1 into Bin.Imports of the called import; 0 = none
 }
 
-// End returns the address just past the block's last instruction.
-func (b *Block) End() uint64 {
-	if len(b.Insns) == 0 {
-		return b.Addr
-	}
-	return b.Insns[len(b.Insns)-1].Next()
-}
-
-// Last returns the final instruction of the block.
-func (b *Block) Last() x86.Inst {
-	return b.Insns[len(b.Insns)-1]
-}
-
-// Size returns the block size in bytes.
-func (b *Block) Size() uint64 { return b.End() - b.Addr }
-
-// EndsInSyscall reports whether the block's last instruction is syscall.
-func (b *Block) EndsInSyscall() bool {
-	return len(b.Insns) > 0 && b.Last().Op == x86.OpSyscall
-}
-
-// Func groups the blocks belonging to one function.
+// Func groups the blocks belonging to one function: the IDs [First,
+// End), contiguous under the nearest-preceding-entry rule.
 type Func struct {
-	Entry  uint64
-	Name   string
-	Blocks []*Block // sorted by address
+	Entry      uint64
+	Name       string
+	First, End BlockID
 }
 
 // Graph is a recovered control-flow graph.
 //
-// Immutability contract: a Graph — including every Block, Edge and
-// Func hanging off it — is frozen once Recover returns. Nothing in
-// this package or its consumers may mutate it afterwards, and every
-// accessor is a pure read (no lazy caching), so any number of
-// goroutines can traverse one Graph concurrently without locking.
-// The intra-binary analysis pipeline depends on this: its
-// wrapper-detection and identification units all read the same Graph
-// from a worker pool. The contract is exercised by a concurrent-reader
-// test under the race detector; code needing a mutated variant must
-// re-Recover, never edit in place.
+// Layout: one address-ordered instruction slab, the blocks in address
+// order plus a sentinel holding the slab ends (block i's instructions
+// are insns[blocks[i].insn:blocks[i+1].insn], its edges likewise), and
+// two CSR edge slabs: succs groups the out-edges by source block, preds
+// the same edges by target, in source-ID then edge order. None holds a
+// pointer, so the GC never scans them.
+//
+// Immutability contract: a Graph — including every slab, Block and
+// Func in it — is frozen once Recover returns. Nothing in this package
+// or its consumers may mutate it afterwards, and every accessor is a
+// pure read (no lazy caching), so any number of goroutines can
+// traverse one Graph concurrently without locking. The intra-binary
+// analysis pipeline depends on this: its wrapper-detection and
+// identification units all read the same Graph from a worker pool. The
+// contract is exercised by a concurrent-reader test under the race
+// detector; code needing a mutated variant must re-Recover, never edit
+// in place.
 //
 // The graph keeps no hash maps over its blocks or functions: both are
 // held in address order, and BlockAt and FuncByEntry binary-search
 // them. Nothing outside the graph refers back to it once its analysis
 // is done — the frontend's and the analysis passes' reusable scratch
-// holds no pointers into a graph between uses — so a dropped graph is
+// holds block IDs, never pointers into a graph — so a dropped graph is
 // garbage at the next GC.
 type Graph struct {
 	Bin   *elff.Binary
-	Funcs []*Func // sorted by entry address
+	Funcs []Func // sorted by entry address
 
 	// ActiveAddrTaken holds the code addresses used as lea operands in
 	// code reachable from the roots after the iterative refinement of
@@ -154,7 +143,10 @@ type Graph struct {
 	// enforcement).
 	Stats Stats
 
-	sortedBlocks []*Block
+	blocks []Block // address order, then the sentinel
+	insns  []x86.Inst
+	succs  []Edge
+	preds  []Edge
 }
 
 // Stats counts recovery work.
@@ -166,29 +158,64 @@ type Stats struct {
 	DecodeFailures int
 }
 
-// BlockAt returns the block starting at addr.
-func (g *Graph) BlockAt(addr uint64) (*Block, bool) {
-	idx := sort.Search(len(g.sortedBlocks), func(i int) bool {
-		return g.sortedBlocks[i].Addr >= addr
-	})
-	if idx < len(g.sortedBlocks) && g.sortedBlocks[idx].Addr == addr {
-		return g.sortedBlocks[idx], true
-	}
-	return nil, false
+// Block returns the block with the given ID.
+func (g *Graph) Block(id BlockID) *Block { return &g.blocks[id] }
+
+// Blocks returns all blocks in address order (index = ID). Callers
+// must not modify the returned slice.
+func (g *Graph) Blocks() []Block { return g.blocks[:len(g.blocks)-1] }
+
+// NumBlocks returns the number of blocks; block IDs are dense in
+// [0, NumBlocks).
+func (g *Graph) NumBlocks() int { return len(g.blocks) - 1 }
+
+// Insns returns b's instructions in address order.
+func (g *Graph) Insns(b *Block) []x86.Inst {
+	end := g.blocks[b.ID+1].insn
+	return g.insns[b.insn:end:end]
 }
 
-// BlockContaining returns the block whose address range contains addr.
-func (g *Graph) BlockContaining(addr uint64) (*Block, bool) {
-	// Blocks never overlap; binary-search over the sorted block list.
-	idx := sort.Search(len(g.sortedBlocks), func(i int) bool {
-		return g.sortedBlocks[i].Addr > addr
-	})
-	if idx == 0 {
-		return nil, false
+// Last returns the final instruction of b.
+func (g *Graph) Last(b *Block) x86.Inst { return g.insns[g.blocks[b.ID+1].insn-1] }
+
+// End returns the address just past b's last instruction.
+func (g *Graph) End(b *Block) uint64 { return g.Last(b).Next() }
+
+// Succs returns b's out-edges in wiring order: the direct branch
+// target, the indirect fan-out to the active address-taken blocks in
+// address order, then the fall-through (a call's return site).
+func (g *Graph) Succs(b *Block) []Edge {
+	end := g.blocks[b.ID+1].succ
+	return g.succs[b.succ:end:end]
+}
+
+// Preds returns b's in-edges, by source block ID and then in the
+// source's edge order.
+func (g *Graph) Preds(b *Block) []Edge {
+	end := g.blocks[b.ID+1].pred
+	return g.preds[b.pred:end:end]
+}
+
+// ImportCall returns the name of the imported symbol b calls or jumps
+// to through a GOT slot, or "".
+func (g *Graph) ImportCall(b *Block) string {
+	if b.imp == 0 {
+		return ""
 	}
-	b := g.sortedBlocks[idx-1]
-	if addr >= b.Addr && addr < b.End() {
-		return b, true
+	return g.Bin.Imports[b.imp-1].Name
+}
+
+// FuncBlocks returns f's blocks in address order.
+func (g *Graph) FuncBlocks(f *Func) []Block { return g.blocks[f.First:f.End:f.End] }
+
+// BlockAt returns the block starting at addr.
+func (g *Graph) BlockAt(addr uint64) (*Block, bool) {
+	blocks := g.Blocks()
+	idx := sort.Search(len(blocks), func(i int) bool {
+		return blocks[i].Addr >= addr
+	})
+	if idx < len(blocks) && blocks[idx].Addr == addr {
+		return &blocks[idx], true
 	}
 	return nil, false
 }
@@ -202,7 +229,7 @@ func (g *Graph) FuncContaining(addr uint64) (*Func, bool) {
 	if idx == 0 {
 		return nil, false
 	}
-	return g.Funcs[idx-1], true
+	return &g.Funcs[idx-1], true
 }
 
 // FuncByEntry returns the function with the given entry address.
@@ -211,76 +238,51 @@ func (g *Graph) FuncByEntry(entry uint64) (*Func, bool) {
 		return g.Funcs[i].Entry >= entry
 	})
 	if idx < len(g.Funcs) && g.Funcs[idx].Entry == entry {
-		return g.Funcs[idx], true
+		return &g.Funcs[idx], true
 	}
 	return nil, false
 }
+
+// EndsInSyscall reports whether b's last instruction is syscall.
+func (g *Graph) EndsInSyscall(b *Block) bool { return g.Last(b).Op == x86.OpSyscall }
 
 // SyscallBlocks returns every block ending in a syscall instruction, in
 // address order.
 func (g *Graph) SyscallBlocks() []*Block {
 	var out []*Block
-	for _, b := range g.sortedBlocks {
-		if b.EndsInSyscall() {
-			out = append(out, b)
+	blocks := g.Blocks()
+	for i := range blocks {
+		if g.EndsInSyscall(&blocks[i]) {
+			out = append(out, &blocks[i])
 		}
 	}
 	return out
 }
-
-// Reachable returns the set of blocks reachable from the given root
-// addresses following all edge kinds.
-func (g *Graph) Reachable(roots ...uint64) map[*Block]bool {
-	seen := make(map[*Block]bool)
-	var stack []*Block
-	for _, r := range roots {
-		if b, ok := g.BlockAt(r); ok && !seen[b] {
-			seen[b] = true
-			stack = append(stack, b)
-		}
-	}
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range b.Succs {
-			if !seen[e.To] {
-				seen[e.To] = true
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	return seen
-}
-
-// SortedBlocks returns all blocks in address order. Callers must not
-// modify the returned slice.
-func (g *Graph) SortedBlocks() []*Block { return g.sortedBlocks }
-
-// NumBlocks returns the number of blocks; block IDs are dense in
-// [0, NumBlocks).
-func (g *Graph) NumBlocks() int { return len(g.sortedBlocks) }
 
 // Listing renders a human-readable disassembly of the recovered graph:
 // functions in address order, their blocks, and per-block annotations
 // (import calls, syscall sites).
 func (g *Graph) Listing() string {
 	var b strings.Builder
-	for _, fn := range g.Funcs {
+	for i := range g.Funcs {
+		fn := &g.Funcs[i]
 		name := fn.Name
 		if name == "" {
 			name = fmt.Sprintf("sub_%x", fn.Entry)
 		}
 		fmt.Fprintf(&b, "\n%s:\n", name)
-		for _, blk := range fn.Blocks {
+		blocks := g.FuncBlocks(fn)
+		for j := range blocks {
+			blk := &blocks[j]
 			fmt.Fprintf(&b, "  ; block %#x", blk.Addr)
-			if blk.ImportCall != "" {
-				fmt.Fprintf(&b, " -> import %s", blk.ImportCall)
+			if imp := g.ImportCall(blk); imp != "" {
+				fmt.Fprintf(&b, " -> import %s", imp)
 			}
-			if blk.EndsInSyscall() {
+			if g.EndsInSyscall(blk) {
 				b.WriteString(" [syscall site]")
 			}
 			b.WriteByte('\n')
-			for _, in := range blk.Insns {
+			for _, in := range g.Insns(blk) {
 				fmt.Fprintf(&b, "  %s\n", in)
 			}
 		}

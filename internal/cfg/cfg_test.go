@@ -65,19 +65,19 @@ func TestRecoverLinearAndBranches(t *testing.T) {
 	if len(sys) != 1 {
 		t.Fatalf("want 1 syscall block, got %d", len(sys))
 	}
-	if !sys[0].EndsInSyscall() {
+	if !g.EndsInSyscall(sys[0]) {
 		t.Fatal("syscall must end its block")
 	}
 	// The loop block must have two predecessrs: entry fall-through and
 	// the backward jump.
 	loop, _ := g.BlockAt(syms["loop"])
-	if len(loop.Preds) != 2 {
-		t.Fatalf("loop preds = %d", len(loop.Preds))
+	if len(g.Preds(loop)) != 2 {
+		t.Fatalf("loop preds = %d", len(g.Preds(loop)))
 	}
 	// Syscall block falls through to the after block.
 	found := false
-	for _, e := range sys[0].Succs {
-		if e.Kind == EdgeFall && e.To.Addr == syms["after"] {
+	for _, e := range g.Succs(sys[0]) {
+		if e.Kind == EdgeFall && g.Block(e.To).Addr == syms["after"] {
 			found = true
 		}
 	}
@@ -105,12 +105,12 @@ func TestRecoverCallEdges(t *testing.T) {
 	}
 	entry, _ := g.BlockAt(syms["_start"])
 	var haveCall, haveFall bool
-	for _, e := range entry.Succs {
+	for _, e := range g.Succs(entry) {
 		switch e.Kind {
 		case EdgeCall:
-			haveCall = e.To.Addr == syms["fn"]
+			haveCall = g.Block(e.To).Addr == syms["fn"]
 		case EdgeCallFall:
-			haveFall = e.To.Addr == syms["retsite"]
+			haveFall = g.Block(e.To).Addr == syms["retsite"]
 		}
 	}
 	if !haveCall || !haveFall {
@@ -121,8 +121,9 @@ func TestRecoverCallEdges(t *testing.T) {
 	if !ok || f.Name != "fn" {
 		t.Fatalf("fn function: %+v ok=%v", f, ok)
 	}
-	if blk, ok := g.BlockContaining(syms["fn"] + 1); !ok || blk.Addr != syms["fn"] {
-		t.Fatal("BlockContaining failed")
+	// Its blocks: the syscall ends the first, the ret is the second.
+	if blocks := g.FuncBlocks(f); len(blocks) != 2 || blocks[0].Addr != syms["fn"] {
+		t.Fatalf("fn's blocks: %+v", blocks)
 	}
 }
 
@@ -162,23 +163,18 @@ func TestActiveAddressTaken(t *testing.T) {
 	if _, ok := g.BlockAt(syms["dead"]); !ok {
 		t.Fatal("dead's block was not decoded from its symbol")
 	}
-	entry, _ := g.BlockAt(syms["_start"])
-	// _start's first block ends at the indirect call; find that block.
-	icall, ok := g.BlockContaining(syms["fptr1"] - 1) // last byte before fptr1 is dead's ret
-	_ = icall
-	_ = ok
 	var itargets []uint64
-	for _, blk := range g.SortedBlocks() {
-		for _, e := range blk.Succs {
+	blocks := g.Blocks()
+	for i := range blocks {
+		for _, e := range g.Succs(&blocks[i]) {
 			if e.Kind == EdgeIndirectCall {
-				itargets = append(itargets, e.To.Addr)
+				itargets = append(itargets, g.Block(e.To).Addr)
 			}
 		}
 	}
 	if len(itargets) != 1 || itargets[0] != syms["fptr1"] {
 		t.Fatalf("indirect targets: %#x", itargets)
 	}
-	_ = entry
 }
 
 func TestImportStubResolution(t *testing.T) {
@@ -220,10 +216,10 @@ func TestImportStubResolution(t *testing.T) {
 		t.Fatalf("stub map: %v", g.ImportStubs)
 	}
 	stub, _ := g.BlockAt(syms["stub_write"])
-	if stub.ImportCall != "write" {
-		t.Fatalf("stub block import: %q", stub.ImportCall)
+	if name := g.ImportCall(stub); name != "write" {
+		t.Fatalf("stub block import: %q", name)
 	}
-	if len(stub.Succs) != 0 {
+	if len(g.Succs(stub)) != 0 {
 		t.Fatal("import stub must have no local successors")
 	}
 }
@@ -275,11 +271,11 @@ func TestReachability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reach := g.Reachable(bin.Entry)
-	if used, _ := g.BlockAt(syms["used"]); !reach[used] {
+	reach := g.ReachableSet(bin.Entry)
+	if used, _ := g.BlockAt(syms["used"]); !reach.Has(used.ID) {
 		t.Fatal("used must be reachable")
 	}
-	if unused, ok := g.BlockAt(syms["unused"]); ok && reach[unused] {
+	if unused, ok := g.BlockAt(syms["unused"]); ok && reach.Has(unused.ID) {
 		t.Fatal("unused must not be reachable from entry")
 	}
 }

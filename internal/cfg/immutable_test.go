@@ -39,25 +39,32 @@ func TestGraphConcurrentReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for rounds := 0; rounds < 16; rounds++ {
-				for _, blk := range g.SortedBlocks() {
+				blocks := g.Blocks()
+				for i := range blocks {
+					blk := &blocks[i]
 					if _, ok := g.BlockAt(blk.Addr); !ok {
 						t.Error("block lost")
 						return
 					}
-					g.BlockContaining(blk.Addr)
+					g.Insns(blk)
+					g.Succs(blk)
+					g.Preds(blk)
+					g.ImportCall(blk)
 					g.FuncContaining(blk.Addr)
 				}
-				for _, fn := range g.Funcs {
+				for i := range g.Funcs {
+					fn := &g.Funcs[i]
 					if _, ok := g.FuncByEntry(fn.Entry); !ok {
 						t.Error("func lost")
 						return
 					}
+					g.FuncBlocks(fn)
 				}
 				if len(g.SyscallBlocks()) != 2 {
 					t.Error("syscall sites drifted")
 					return
 				}
-				g.Reachable(g.Roots...)
+				g.ReachableSet(g.Roots...)
 				if g.Listing() == "" {
 					t.Error("empty listing")
 					return

@@ -1,9 +1,10 @@
 package cfg
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"bside/internal/elff"
@@ -42,11 +43,12 @@ const maxRounds = 32
 // The frontend is allocation-lean by construction: one decode pass
 // fills a flat instruction arena indexed by code offset, the §4.3
 // refinement runs as a single incremental instruction-level fixpoint
-// (lea-carried code pointers are harvested at decode time, newly
-// activated regions are traversed exactly once, and reachability never
-// restarts), and the final graph is materialized once at the fixpoint
-// from pre-counted slabs — Block.Insns are zero-copy views into the
-// address-ordered arena.
+// (a lea's code pointer is activated when the walk first visits it,
+// newly activated regions are traversed exactly once, and reachability
+// never restarts), and the final graph is materialized once at the
+// fixpoint into four pointer-free slabs: the address-ordered
+// instructions, the blocks, and the out- and in-edges, the latter two
+// wired by one edge pass.
 func Recover(bin *elff.Binary, opts Options) (*Graph, error) {
 	opts = opts.withDefaults()
 	b := getBuilder(bin, opts.MaxInsns)
@@ -113,7 +115,7 @@ func Recover(bin *elff.Binary, opts Options) (*Graph, error) {
 	b.materialize(g)
 	b.inferFunctions(g)
 	g.Stats.DecodedInsns = b.decoded
-	g.Stats.NumBlocks = len(g.sortedBlocks)
+	g.Stats.NumBlocks = g.NumBlocks()
 	g.Stats.DecodeFailures = b.decodeFailures
 	return g, nil
 }
@@ -129,14 +131,9 @@ type builder struct {
 	code int // code region length in bytes
 
 	// arena holds decoded instructions in decode order; off2idx maps a
-	// code offset to its arena index + 1 (0 = not decoded). leaEA is
-	// parallel to arena: the in-code target of a lea's memory operand,
-	// harvested at decode time and stored as code offset + 1 so 0 can
-	// mean "not a code-pointer lea" even for images loaded at virtual
-	// address 0 — the candidate worklist of the §4.3 refinement.
+	// code offset to its arena index + 1 (0 = not decoded).
 	arena   []x86.Inst
 	off2idx []int32
-	leaEA   []uint64
 
 	// leader marks code offsets that must begin a basic block.
 	leader offBits
@@ -152,19 +149,21 @@ type builder struct {
 	// work is traverse's stack of addresses still to decode.
 	work []uint64
 
-	// slotImport maps GOT slot addresses to import names, built once.
-	slotImport map[uint64]string
+	// slotImport maps GOT slot addresses to indices into bin.Imports,
+	// built once.
+	slotImport map[uint64]int32
 
 	// Finalization scratch, reused across calls: per-block start
 	// indices, the block index (blockOf: block ID + 1 at the
 	// address-ordered arena index of each block's first instruction, 0
-	// elsewhere) and per-block edge degree counters. blocks is the slab
-	// being materialized, held only until Recover returns.
+	// elsewhere), the active address-taken blocks, the out-edges in
+	// block order, and the per-block in-edge counts that become the
+	// in-edge cursors.
 	blockStarts []int32
 	blockOf     []int32
-	blocks      []Block
-	succDeg     []int32
-	predDeg     []int32
+	activeIDs   []BlockID
+	edges       []Edge
+	predAt      []int32
 	entries     []funcEntry
 
 	decoded        int
@@ -186,7 +185,7 @@ type fixEnt struct {
 // Recover regrow its arena from scratch. The list keeps at most
 // GOMAXPROCS builders, each sized for the largest image it has
 // decoded, so the retained scratch is bounded by GOMAXPROCS × the
-// largest image decoded so far: about 57 bytes per instruction plus 4
+// largest image decoded so far: about 52 bytes per instruction plus 4
 // bytes per byte of code.
 var builders struct {
 	sync.Mutex
@@ -212,7 +211,6 @@ func getBuilder(bin *elff.Binary, budget int) *builder {
 	b.decoded = 0
 	b.decodeFailures = 0
 	b.arena = b.arena[:0]
-	b.leaEA = b.leaEA[:0]
 	b.activeList = b.activeList[:0]
 	b.stack = b.stack[:0]
 	b.off2idx = resize(b.off2idx, b.code)
@@ -220,9 +218,9 @@ func getBuilder(bin *elff.Binary, budget int) *builder {
 	b.active.clearTo(b.code)
 	b.visited.clearTo(0)
 	if len(bin.Imports) > 0 {
-		b.slotImport = make(map[uint64]string, len(bin.Imports))
-		for _, im := range bin.Imports {
-			b.slotImport[im.SlotAddr] = im.Name
+		b.slotImport = make(map[uint64]int32, len(bin.Imports))
+		for i, im := range bin.Imports {
+			b.slotImport[im.SlotAddr] = int32(i)
 		}
 	} else {
 		b.slotImport = nil
@@ -233,7 +231,6 @@ func getBuilder(bin *elff.Binary, budget int) *builder {
 func putBuilder(b *builder) {
 	b.bin = nil
 	b.slotImport = nil
-	b.blocks = nil
 	// Names point into the image. Only the last inferFunctions wrote
 	// entries, all below the length; earlier ones cleared theirs here.
 	clear(b.entries)
@@ -258,8 +255,7 @@ func (b *builder) insnAt(addr uint64) int32 {
 }
 
 // traverse decodes instructions reachable from the given addresses via
-// direct control flow, recording block leaders and harvesting
-// lea-carried code pointers into the candidate arena.
+// direct control flow, recording block leaders.
 func (b *builder) traverse(starts ...uint64) error {
 	work := b.work[:0]
 	for _, s := range starts {
@@ -292,13 +288,6 @@ func (b *builder) traverse(starts ...uint64) error {
 			}
 			b.arena = append(b.arena, inst)
 			b.off2idx[addr-b.base] = int32(len(b.arena))
-			var leaOff uint64 // code offset + 1; 0 = none
-			if inst.Op == x86.OpLea {
-				if e, ok := inst.MemEA(inst.Src); ok && b.bin.CodeContains(e) {
-					leaOff = e - b.base + 1
-				}
-			}
-			b.leaEA = append(b.leaEA, leaOff)
 			b.decoded++
 
 			if tgt, ok := inst.BranchTarget(); ok && b.bin.CodeContains(tgt) {
@@ -321,27 +310,32 @@ func (b *builder) traverse(starts ...uint64) error {
 }
 
 // importTarget resolves a call/jmp through [rip+slot] against the
-// import table.
-func (b *builder) importTarget(inst x86.Inst) (string, bool) {
+// import table, returning the import's index in bin.Imports.
+func (b *builder) importTarget(inst x86.Inst) (int32, bool) {
 	if b.slotImport == nil || !inst.IsIndirect() {
-		return "", false
+		return 0, false
 	}
 	ea, ok := inst.MemEA(inst.Dst)
 	if !ok {
-		return "", false
+		return 0, false
 	}
-	name, ok := b.slotImport[ea]
-	return name, ok
+	i, ok := b.slotImport[ea]
+	return i, ok
 }
 
 // fixpoint runs the incremental §4.3 refinement: a depth-first
-// instruction-level reachability walk from the roots. Visiting a
-// harvested lea candidate activates its target — decoding the region
-// on the spot — and activated targets become reachable through any
-// already-visited indirect transfer. Reachability is monotone (code,
-// leaders and active addresses only grow), so every instruction is
-// visited at most once across the whole refinement; the old
-// build-blocks-per-round loop recomputed all of it every round.
+// instruction-level reachability walk from the roots. Visiting a lea
+// whose memory operand lands in code activates that address —
+// decoding the region on the spot — and activated targets become
+// reachable through any already-visited indirect transfer.
+// Reachability is monotone (code, leaders and active addresses only
+// grow), so every instruction is visited at most once across the whole
+// refinement; the old build-blocks-per-round loop recomputed all of it
+// every round.
+//
+// The walk steps to an unvisited fall-through directly instead of
+// pushing it: pushed last, it would be popped next, so the visit order
+// and the waves are those of the plain stack walk.
 //
 // The returned iteration count is the activation cascade depth + 1:
 // the incremental equivalent of the old loop's round counter.
@@ -368,52 +362,54 @@ func (b *builder) fixpoint(roots, dataPtrs []uint64) (int, error) {
 	for len(b.stack) > 0 {
 		ent := b.stack[len(b.stack)-1]
 		b.stack = b.stack[:len(b.stack)-1]
-		inst := b.arena[ent.idx]
+		for {
+			// A copy: traverse may grow the arena under a pointer.
+			inst := b.arena[ent.idx]
 
-		// Activate a harvested code pointer: decode its region (the
-		// arena and the visited set grow in place) and, when an
-		// indirect transfer is already reachable, schedule it.
-		if v := b.leaEA[ent.idx]; v != 0 && b.active.set(int(v-1)) {
-			ea := b.base + v - 1
-			b.activeList = append(b.activeList, ea)
-			if err := b.traverse(ea); err != nil {
-				return 0, err
+			// Activate a code pointer: decode its region (the arena
+			// and the visited set grow in place) and, when an indirect
+			// transfer is already reachable, schedule it.
+			if ea, ok := b.leaTarget(inst); ok && b.active.set(int(ea-b.base)) {
+				b.activeList = append(b.activeList, ea)
+				if err := b.traverse(ea); err != nil {
+					return 0, err
+				}
+				b.visited.growTo(len(b.arena))
+				if hasIndirect {
+					if ent.wave+1 > maxWave {
+						maxWave = ent.wave + 1
+						if int(maxWave)+1 > maxRounds {
+							return 0, fmt.Errorf("cfg: no fixpoint after %d rounds", maxRounds)
+						}
+					}
+					push(ea, ent.wave+1)
+				}
 			}
-			b.visited.growTo(len(b.arena))
-			if hasIndirect {
+
+			if tgt, ok := inst.BranchTarget(); ok {
+				push(tgt, ent.wave)
+			}
+			if _, imported := b.importTarget(inst); inst.IsIndirect() && !imported && !hasIndirect {
+				// Not an import's: its targets are the active set.
+				// Every address activated so far becomes a potential
+				// indirect target; later activations schedule
+				// themselves.
+				hasIndirect = true
+				for _, ea := range b.activeList {
+					push(ea, ent.wave+1)
+				}
 				if ent.wave+1 > maxWave {
 					maxWave = ent.wave + 1
-					if int(maxWave)+1 > maxRounds {
-						return 0, fmt.Errorf("cfg: no fixpoint after %d rounds", maxRounds)
-					}
 				}
-				push(ea, ent.wave+1)
 			}
-		}
-
-		indirect := func() {
-			if hasIndirect {
-				return
+			if !inst.FallsThrough() {
+				break
 			}
-			hasIndirect = true
-			// Every address activated so far becomes a potential
-			// indirect target; later activations schedule themselves.
-			for _, ea := range b.activeList {
-				push(ea, ent.wave+1)
+			idx := b.insnAt(inst.Next())
+			if idx < 0 || !b.visited.set(int(idx)) {
+				break
 			}
-			if ent.wave+1 > maxWave {
-				maxWave = ent.wave + 1
-			}
-		}
-
-		if tgt, ok := inst.BranchTarget(); ok {
-			push(tgt, ent.wave)
-		}
-		if _, imported := b.importTarget(inst); inst.IsIndirect() && !imported {
-			indirect() // not an import's: its targets are the active set
-		}
-		if inst.FallsThrough() {
-			push(inst.Next(), ent.wave)
+			ent.idx = idx
 		}
 	}
 	// Note: newly activated addresses found once an indirect transfer
@@ -424,33 +420,44 @@ func (b *builder) fixpoint(roots, dataPtrs []uint64) (int, error) {
 	return int(maxWave) + 1, nil
 }
 
+// leaTarget returns the code address a lea's memory operand computes:
+// the code pointers the §4.3 refinement activates.
+func (b *builder) leaTarget(inst x86.Inst) (uint64, bool) {
+	if inst.Op != x86.OpLea {
+		return 0, false
+	}
+	ea, ok := inst.MemEA(inst.Src)
+	return ea, ok && b.bin.CodeContains(ea)
+}
+
 // materialize builds the final immutable graph in one pass over the
-// address-ordered arena: blocks and edges are pre-counted and carved
-// from slabs, so the build cost is a handful of allocations however
-// large the binary. Edge targets resolve through two flat arrays
-// (code offset → arena index → block), never through a hash map.
+// address-ordered arena: four slabs (instructions, blocks, out-edges,
+// in-edges), each allocated once at its exact size, whatever the size
+// of the binary. Edge targets resolve through two flat arrays (code
+// offset → arena index → block), never through a hash map.
 func (b *builder) materialize(g *Graph) {
 	// Address-ordered arena: the only copy of the decoded
 	// instructions the graph keeps. off2idx is rewritten to point into
 	// it, and blockOf indexes it, so edge wiring looks targets up in
 	// O(1).
-	final := make([]x86.Inst, len(b.arena))
+	insns := make([]x86.Inst, len(b.arena))
 	n := 0
 	for off := 0; off < b.code; off++ {
 		if idx := b.off2idx[off]; idx != 0 {
-			final[n] = b.arena[idx-1]
+			insns[n] = b.arena[idx-1]
 			n++
 			b.off2idx[off] = int32(n)
 		}
 	}
-	final = final[:n]
+	insns = insns[:n]
+	g.insns = insns
 
-	// Pass 1: block boundaries.
+	// Block boundaries.
 	b.blockStarts = b.blockStarts[:0]
 	var prevEnd uint64
 	open := false
-	for i := range final {
-		in := &final[i]
+	for i := range insns {
+		in := &insns[i]
 		if !open || b.leader.has(int(in.Addr-b.base)) || in.Addr != prevEnd {
 			b.blockStarts = append(b.blockStarts, int32(i))
 			open = true
@@ -462,104 +469,97 @@ func (b *builder) materialize(g *Graph) {
 	}
 
 	numBlocks := len(b.blockStarts)
-	blocks := make([]Block, numBlocks)
-	sorted := make([]*Block, numBlocks)
-	b.blocks = blocks
-	b.blockOf = resize(b.blockOf, len(final))
-	g.ImportStubs = make(map[uint64]string)
-	for k := range blocks {
-		start := int(b.blockStarts[k])
-		end := len(final)
-		if k+1 < numBlocks {
-			end = int(b.blockStarts[k+1])
-		}
-		blk := &blocks[k]
-		blk.Addr = final[start].Addr
-		blk.Insns = final[start:end:end]
-		blk.ID = k
-		sorted[k] = blk
+	blocks := make([]Block, numBlocks+1)
+	b.blockOf = resize(b.blockOf, len(insns))
+	for k, start := range b.blockStarts {
+		blocks[k] = Block{Addr: insns[start].Addr, ID: BlockID(k), insn: start}
 		b.blockOf[start] = int32(k + 1)
 	}
-	g.sortedBlocks = sorted
+	blocks[numBlocks] = Block{ID: BlockID(numBlocks), insn: int32(len(insns))}
+	g.blocks = blocks
 
 	// Active address-taken blocks, in address order: the indirect-edge
 	// targets. The sorted copy doubles as Graph.ActiveAddrTaken.
-	activeAddrs := append([]uint64(nil), b.activeList...)
-	sort.Slice(activeAddrs, func(i, j int) bool { return activeAddrs[i] < activeAddrs[j] })
+	activeAddrs := slices.Clone(b.activeList)
+	slices.Sort(activeAddrs)
 	g.ActiveAddrTaken = activeAddrs
-	activeBlocks := make([]*Block, 0, len(activeAddrs))
+	active := b.activeIDs[:0]
 	for _, ea := range activeAddrs {
-		if blk := b.blockAt(ea); blk != nil {
-			activeBlocks = append(activeBlocks, blk)
+		if id := b.blockAt(ea); id >= 0 {
+			active = append(active, id)
 		}
 	}
+	b.activeIDs = active
 
-	// Pass 2: resolve import labels and count edge degrees.
-	b.succDeg = resize(b.succDeg, numBlocks)
-	b.predDeg = resize(b.predDeg, numBlocks)
-	totalEdges := 0
-	count := func(_ EdgeKind, from, to *Block) {
-		b.succDeg[from.ID]++
-		b.predDeg[to.ID]++
-		totalEdges++
-	}
-	for _, blk := range sorted {
-		if name, ok := b.importTarget(blk.Last()); ok {
-			blk.ImportCall = name
-			if blk.Last().Op == x86.OpJmpInd {
-				g.ImportStubs[blk.Addr] = name
+	// One edge pass: out-edges land in block order, so each block's
+	// run starts where the previous one's ended. Import labels resolve
+	// here too.
+	g.ImportStubs = make(map[uint64]string)
+	edges := b.edges[:0]
+	for k := 0; k < numBlocks; k++ {
+		blk := &blocks[k]
+		blk.succ = int32(len(edges))
+		last := insns[blocks[k+1].insn-1]
+		imp, imported := b.importTarget(last)
+		if imported {
+			blk.imp = imp + 1
+			if last.Op == x86.OpJmpInd {
+				g.ImportStubs[blk.Addr] = b.bin.Imports[imp].Name
 			}
 		}
-		b.eachEdge(blk, activeBlocks, count)
+		edges = b.appendEdges(edges, blk.ID, last, last.IsIndirect() && !imported)
 	}
+	blocks[numBlocks].succ = int32(len(edges))
+	b.edges = edges[:0]
 
-	// Pass 3: carve Succs/Preds from two slabs and wire the same edges
-	// in the same order.
-	succSlab := make([]Edge, 0, totalEdges)
-	predSlab := make([]Edge, 0, totalEdges)
-	for _, blk := range sorted {
-		d := int(b.succDeg[blk.ID])
-		blk.Succs = succSlab[len(succSlab) : len(succSlab) : len(succSlab)+d]
-		succSlab = succSlab[:len(succSlab)+d]
-		d = int(b.predDeg[blk.ID])
-		blk.Preds = predSlab[len(predSlab) : len(predSlab) : len(predSlab)+d]
-		predSlab = predSlab[:len(predSlab)+d]
+	// In-edges: a stable counting sort of the same edges by target, so
+	// each block's predecessors keep source-ID order, then the source's
+	// edge order. predAt turns from counts into cursors.
+	predAt := resize(b.predAt, numBlocks+1)
+	for _, e := range edges {
+		predAt[e.To]++
 	}
-	wire := func(kind EdgeKind, from, to *Block) {
-		e := Edge{Kind: kind, From: from, To: to}
-		from.Succs = append(from.Succs, e)
-		to.Preds = append(to.Preds, e)
+	slab := make([]Edge, 2*len(edges))
+	succs, preds := slab[:len(edges):len(edges)], slab[len(edges):]
+	copy(succs, edges)
+	pos := int32(0)
+	for k := range blocks {
+		d := predAt[k]
+		blocks[k].pred = pos
+		predAt[k] = pos
+		pos += d
 	}
-	for _, blk := range sorted {
-		b.eachEdge(blk, activeBlocks, wire)
+	for _, e := range succs {
+		preds[predAt[e.To]] = e
+		predAt[e.To]++
 	}
-	g.Stats.NumEdges = totalEdges
+	b.predAt = predAt
+	g.succs, g.preds = succs, preds
+	g.Stats.NumEdges = len(edges)
 }
 
-// eachEdge calls f on each out-edge of blk whose target block exists,
-// in wiring order: the direct branch target, the fan-out of an
-// indirect call or jump to the active address-taken blocks, then the
-// fall-through (a call's return site). Both the count and the wire
-// pass enumerate edges here, so they cannot disagree and overflow the
-// pre-counted slabs.
-func (b *builder) eachEdge(blk *Block, active []*Block, f func(kind EdgeKind, from, to *Block)) {
-	last := blk.Last()
+// appendEdges appends the out-edges of block from, whose last
+// instruction is last, that have a target block, in wiring order: the
+// direct branch target, the fan-out of an indirect call or jump (when
+// fanOut) to the active address-taken blocks, then the fall-through (a
+// call's return site).
+func (b *builder) appendEdges(edges []Edge, from BlockID, last x86.Inst, fanOut bool) []Edge {
 	if tgt, ok := last.BranchTarget(); ok {
 		kind := EdgeJump
 		if last.Op == x86.OpCall {
 			kind = EdgeCall
 		}
-		if to := b.blockAt(tgt); to != nil {
-			f(kind, blk, to)
+		if to := b.blockAt(tgt); to >= 0 {
+			edges = append(edges, Edge{Kind: kind, From: from, To: to})
 		}
 	}
-	if _, imported := b.importTarget(last); last.IsIndirect() && !imported {
+	if fanOut {
 		kind := EdgeIndirectJump
 		if last.Op == x86.OpCallInd {
 			kind = EdgeIndirectCall
 		}
-		for _, t := range active {
-			f(kind, blk, t)
+		for _, to := range b.activeIDs {
+			edges = append(edges, Edge{Kind: kind, From: from, To: to})
 		}
 	}
 	if last.FallsThrough() {
@@ -567,24 +567,22 @@ func (b *builder) eachEdge(blk *Block, active []*Block, f func(kind EdgeKind, fr
 		if last.IsCall() {
 			kind = EdgeCallFall
 		}
-		if to := b.blockAt(last.Next()); to != nil {
-			f(kind, blk, to)
+		if to := b.blockAt(last.Next()); to >= 0 {
+			edges = append(edges, Edge{Kind: kind, From: from, To: to})
 		}
 	}
+	return edges
 }
 
-// blockAt returns the materialized block starting at addr, or nil.
-// Valid from materialize on, once off2idx points into the
+// blockAt returns the ID of the materialized block starting at addr,
+// or -1. Valid from materialize on, once off2idx points into the
 // address-ordered arena.
-func (b *builder) blockAt(addr uint64) *Block {
+func (b *builder) blockAt(addr uint64) BlockID {
 	idx := b.insnAt(addr)
 	if idx < 0 {
-		return nil
+		return -1
 	}
-	if id := b.blockOf[idx]; id != 0 {
-		return &b.blocks[id-1]
-	}
-	return nil
+	return BlockID(b.blockOf[idx] - 1)
 }
 
 // resize returns s with length n and every element zero, reusing its
@@ -614,7 +612,7 @@ type funcEntry struct {
 func (b *builder) inferFunctions(g *Graph) {
 	ents := b.entries[:0]
 	add := func(addr uint64, name string, rank uint8) {
-		if b.blockAt(addr) == nil {
+		if b.blockAt(addr) < 0 {
 			return
 		}
 		ents = append(ents, funcEntry{addr: addr, name: name, rank: rank})
@@ -631,20 +629,20 @@ func (b *builder) inferFunctions(g *Graph) {
 	for _, ea := range g.ActiveAddrTaken {
 		add(ea, "", 3)
 	}
-	for _, blk := range g.sortedBlocks {
-		if last := blk.Last(); last.Op == x86.OpCall {
+	blocks := g.Blocks()
+	for i := range blocks {
+		if last := g.Last(&blocks[i]); last.Op == x86.OpCall {
 			add(uint64(last.Imm), "", 4)
 		}
 	}
-	sort.Slice(ents, func(i, j int) bool {
-		a, c := ents[i], ents[j]
+	slices.SortFunc(ents, func(a, c funcEntry) int {
 		if a.addr != c.addr {
-			return a.addr < c.addr
+			return cmp.Compare(a.addr, c.addr)
 		}
 		if a.rank != c.rank {
-			return a.rank < c.rank
+			return cmp.Compare(a.rank, c.rank)
 		}
-		return a.name < c.name
+		return cmp.Compare(a.name, c.name)
 	})
 	b.entries = ents // keep the grown buffer for the next Recover
 
@@ -665,50 +663,17 @@ func (b *builder) inferFunctions(g *Graph) {
 	}
 	ents = ents[:n]
 
+	// Nearest-preceding-entry membership: every entry starts a block
+	// and the blocks are in address order, so a function owns the
+	// blocks from its entry's up to the next entry's.
 	funcs := make([]Func, len(ents))
-	g.Funcs = make([]*Func, len(ents))
 	for i, e := range ents {
-		f := &funcs[i]
-		f.Entry = e.addr
-		f.Name = e.name
-		g.Funcs[i] = f
-	}
-	if len(funcs) == 0 {
-		return
-	}
-	// Nearest-preceding-entry membership over one merge walk: both the
-	// blocks and the entries are address-sorted. Count first, then
-	// carve the per-function block lists from one slab.
-	counts := b.succDeg[:0] // reuse the degree buffer as scratch
-	for range funcs {
-		counts = append(counts, 0)
-	}
-	assigned := 0
-	fi := -1
-	for _, blk := range g.sortedBlocks {
-		for fi+1 < len(funcs) && funcs[fi+1].Entry <= blk.Addr {
-			fi++
-		}
-		if fi >= 0 {
-			counts[fi]++
-			assigned++
+		funcs[i] = Func{Entry: e.addr, Name: e.name, First: b.blockAt(e.addr), End: BlockID(len(blocks))}
+		if i > 0 {
+			funcs[i-1].End = funcs[i].First
 		}
 	}
-	slab := make([]*Block, 0, assigned)
-	for i := range funcs {
-		d := int(counts[i])
-		funcs[i].Blocks = slab[len(slab) : len(slab) : len(slab)+d]
-		slab = slab[:len(slab)+d]
-	}
-	fi = -1
-	for _, blk := range g.sortedBlocks {
-		for fi+1 < len(funcs) && funcs[fi+1].Entry <= blk.Addr {
-			fi++
-		}
-		if fi >= 0 {
-			funcs[fi].Blocks = append(funcs[fi].Blocks, blk)
-		}
-	}
+	g.Funcs = funcs
 }
 
 // scanDataPointers finds little-endian quads in the data region that

@@ -111,14 +111,16 @@ func TestPropertyCFGEdgeSymmetry(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, blk := range g.SortedBlocks() {
-			for _, e := range blk.Succs {
-				if e.From != blk {
+		blocks := g.Blocks()
+		for i := range blocks {
+			blk := &blocks[i]
+			for _, e := range g.Succs(blk) {
+				if e.From != blk.ID {
 					return false
 				}
 				found := false
-				for _, p := range e.To.Preds {
-					if p.From == blk && p.Kind == e.Kind {
+				for _, p := range g.Preds(g.Block(e.To)) {
+					if p.From == blk.ID && p.Kind == e.Kind {
 						found = true
 					}
 				}
@@ -126,8 +128,8 @@ func TestPropertyCFGEdgeSymmetry(t *testing.T) {
 					return false
 				}
 			}
-			for _, e := range blk.Preds {
-				if e.To != blk {
+			for _, e := range g.Preds(blk) {
+				if e.To != blk.ID {
 					return false
 				}
 			}
@@ -156,12 +158,13 @@ func TestPropertyBlocksPartitionCode(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		blocks := g.SortedBlocks()
-		for i, blk := range blocks {
-			if !bin.CodeContains(blk.Addr) || blk.End() > bin.Base+bin.CodeSize {
+		blocks := g.Blocks()
+		for i := range blocks {
+			blk := &blocks[i]
+			if !bin.CodeContains(blk.Addr) || g.End(blk) > bin.Base+bin.CodeSize {
 				return false
 			}
-			if i > 0 && blocks[i-1].End() > blk.Addr {
+			if i > 0 && g.End(&blocks[i-1]) > blk.Addr {
 				return false // overlap
 			}
 		}

@@ -45,7 +45,7 @@ func ExportProfiles(g *cfg.Graph, rep *Report) []ExportProfile {
 
 		values = linux.SyscallBitset{}
 		for _, site := range rep.Sites {
-			if !reach.Has(site.Block) {
+			if !reach.Has(site.Block.ID) {
 				continue
 			}
 			if site.FailOpen {
@@ -56,9 +56,10 @@ func ExportProfiles(g *cfg.Graph, rep *Report) []ExportProfile {
 		p.Syscalls = values.Append(make([]uint64, 0, values.Len()))
 
 		imports = imports[:0]
-		for _, blk := range g.SortedBlocks() {
-			if blk.ImportCall != "" && reach.Has(blk) {
-				imports = append(imports, blk.ImportCall)
+		blocks := g.Blocks()
+		for i := range blocks {
+			if name := g.ImportCall(&blocks[i]); name != "" && reach.Has(blocks[i].ID) {
+				imports = append(imports, name)
 			}
 		}
 		sort.Strings(imports)

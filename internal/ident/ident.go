@@ -221,7 +221,7 @@ type Pass struct {
 	// siteTargets is the resolver's candidate-target index: site block
 	// ID -> refined target set, nil when the resolver is off or found
 	// nothing to refine. It never adds edges — allowEdge only filters.
-	siteTargets map[int]*cfg.BlockSet
+	siteTargets map[cfg.BlockID]*cfg.BlockSet
 
 	sites     []*cfg.Block // reachable syscall sites, address order
 	importSet map[string]bool
@@ -237,8 +237,8 @@ type Pass struct {
 // the runtime keeps a pool it has used reachable until the second GC
 // after its last use, so a pool inside a Pass would keep the Pass and
 // its graph alive for two GC cycles after the analysis ends. Items
-// are sized for the current graph when taken and hold no block
-// pointers once returned.
+// are sized for the current graph when taken and hold block IDs, never
+// block pointers.
 var (
 	scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 	setPool     = sync.Pool{New: func() any { return new(cfg.BlockSet) }}
@@ -255,14 +255,16 @@ func Prepare(g *cfg.Graph, conf Config) *Pass {
 	p.reach = g.ReachableSetFiltered(p.allowEdge, g.Roots...)
 
 	p.importSet = make(map[string]bool)
-	for _, blk := range g.SortedBlocks() {
-		if !p.reach.Has(blk) {
+	blocks := g.Blocks()
+	for i := range blocks {
+		blk := &blocks[i]
+		if !p.reach.Has(blk.ID) {
 			continue
 		}
-		if blk.ImportCall != "" {
-			p.importSet[blk.ImportCall] = true
+		if name := g.ImportCall(blk); name != "" {
+			p.importSet[name] = true
 		}
-		if blk.EndsInSyscall() {
+		if g.EndsInSyscall(blk) {
 			p.sites = append(p.sites, blk)
 		}
 	}
@@ -477,7 +479,7 @@ func (p *Pass) identifySiteUnit(site *cfg.Block) []SiteResult {
 	if fn, _ := p.g.FuncContaining(site.Addr); fn != nil {
 		if w, isWrapper := p.wrappers[fn.Entry]; isWrapper {
 			out := []SiteResult{{
-				Addr:    site.Last().Addr,
+				Addr:    p.g.Last(site).Addr,
 				Block:   site,
 				Kind:    SiteWrapperDef,
 				Wrapper: fn.Entry,
@@ -520,7 +522,7 @@ func (p *Pass) callSitesOf(entry uint64) []*cfg.Block {
 	}
 	var out []*cfg.Block
 	seen := p.getSet()
-	for _, e := range entryBlk.Preds {
+	for _, e := range p.g.Preds(entryBlk) {
 		if e.Kind != cfg.EdgeCall && e.Kind != cfg.EdgeIndirectCall {
 			continue
 		}
@@ -533,7 +535,7 @@ func (p *Pass) callSitesOf(entry uint64) []*cfg.Block {
 		if !p.reach.Has(e.From) || !seen.Add(e.From) {
 			continue
 		}
-		out = append(out, e.From)
+		out = append(out, p.g.Block(e.From))
 	}
 	putSet(seen)
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
@@ -546,14 +548,16 @@ func (p *Pass) importCallSites(name string) []*cfg.Block {
 	var out []*cfg.Block
 	seen := p.getSet()
 	defer putSet(seen)
-	add := func(b *cfg.Block) {
-		if b != nil && p.reach.Has(b) && seen.Add(b) {
-			out = append(out, b)
+	add := func(id cfg.BlockID) {
+		if p.reach.Has(id) && seen.Add(id) {
+			out = append(out, p.g.Block(id))
 		}
 	}
-	for _, blk := range p.g.SortedBlocks() {
-		if blk.ImportCall == name && p.reach.Has(blk) && blk.Last().Op == x86.OpCallInd {
-			add(blk)
+	blocks := p.g.Blocks()
+	for i := range blocks {
+		blk := &blocks[i]
+		if p.g.ImportCall(blk) == name && p.g.Last(blk).Op == x86.OpCallInd {
+			add(blk.ID)
 		}
 	}
 	// Calls to the PLT-style stub: the stub block carries ImportCall
@@ -563,7 +567,7 @@ func (p *Pass) importCallSites(name string) []*cfg.Block {
 			continue
 		}
 		if stub, ok := p.g.BlockAt(stubAddr); ok {
-			for _, e := range stub.Preds {
+			for _, e := range p.g.Preds(stub) {
 				if (e.Kind == cfg.EdgeCall || e.Kind == cfg.EdgeIndirectCall) && p.allowEdge(e) {
 					add(e.From)
 				}

@@ -34,7 +34,7 @@ const allArgs = x86.RegSet(1<<x86.RDI | 1<<x86.RSI | 1<<x86.RDX | 1<<x86.RCX | 1
 // site block ID -> refined target set. Sites absent from the map keep
 // the unrestricted fan-out. layers is the normalized ResolverLayers
 // (>= 1).
-func resolveIndirectSites(g *cfg.Graph, layers int) map[int]*cfg.BlockSet {
+func resolveIndirectSites(g *cfg.Graph, layers int) map[cfg.BlockID]*cfg.BlockSet {
 	// RELATIVE relocation slots resolve like read-only memory: the
 	// loader writes the recorded target at load time and RELRO-style
 	// data is never legitimately rewritten after. This is what makes a
@@ -54,19 +54,19 @@ func resolveIndirectSites(g *cfg.Graph, layers int) map[int]*cfg.BlockSet {
 		return g.Bin.ROU64At(addr)
 	}
 
-	sites := make(map[int]*cfg.BlockSet)
-	reqCache := make(map[int]x86.RegSet) // candidate block ID -> required args
-	var universe, cands []*cfg.Block
-	for _, blk := range g.SortedBlocks() {
-		if len(blk.Insns) == 0 || blk.ImportCall != "" {
+	sites := make(map[cfg.BlockID]*cfg.BlockSet)
+	reqCache := make(map[cfg.BlockID]x86.RegSet) // candidate block ID -> required args
+	var universe, cands []cfg.BlockID
+	blocks := g.Blocks()
+	for i := range blocks {
+		blk := &blocks[i]
+		last := g.Last(blk)
+		if !last.IsIndirect() || g.ImportCall(blk) != "" {
 			continue
 		}
-		if !blk.Last().IsIndirect() {
-			continue
-		}
-		op := blk.Last().Op
+		op := last.Op
 		universe = universe[:0]
-		for _, e := range blk.Succs {
+		for _, e := range g.Succs(blk) {
 			if e.Kind == cfg.EdgeIndirectCall || e.Kind == cfg.EdgeIndirectJump {
 				universe = append(universe, e.To)
 			}
@@ -88,7 +88,7 @@ func resolveIndirectSites(g *cfg.Graph, layers int) map[int]*cfg.BlockSet {
 			sub := cands[:0]
 			matched := 0
 			for _, c := range universe {
-				if want[c.Addr] {
+				if want[g.Block(c).Addr] {
 					sub = append(sub, c)
 					matched++
 				}
@@ -108,10 +108,10 @@ func resolveIndirectSites(g *cfg.Graph, layers int) map[int]*cfg.BlockSet {
 			if provided := providedArgs(g, blk); provided != allArgs {
 				n := 0
 				for _, c := range cands {
-					req, ok := reqCache[c.ID]
+					req, ok := reqCache[c]
 					if !ok {
-						req = requiredArgs(c)
-						reqCache[c.ID] = req
+						req = requiredArgs(g.Insns(g.Block(c)))
+						reqCache[c] = req
 					}
 					if req&^provided == 0 {
 						cands[n] = c
@@ -143,7 +143,7 @@ func resolveIndirectSites(g *cfg.Graph, layers int) map[int]*cfg.BlockSet {
 // use-define chain (with immutable-memory loads in domain), memory
 // operands through a direct immutable read of the concrete slot.
 func siteProvenance(g *cfg.Graph, site *cfg.Block, memRead func(uint64) (uint64, bool)) ([]uint64, bool) {
-	last := site.Last()
+	last := g.Last(site)
 	switch last.Dst.Kind {
 	case x86.KindReg:
 		fn, ok := g.FuncContaining(site.Addr)
@@ -151,9 +151,10 @@ func siteProvenance(g *cfg.Graph, site *cfg.Block, memRead func(uint64) (uint64,
 			return nil, false
 		}
 		vals, ok := usedef.Resolve(usedef.Request{
+			Graph:   g,
 			Fn:      fn,
 			Block:   site,
-			InsnIdx: len(site.Insns) - 1,
+			InsnIdx: len(g.Insns(site)) - 1,
 			Reg:     last.Dst.Reg,
 			MemRead: memRead,
 		})
@@ -201,21 +202,23 @@ func providedArgs(g *cfg.Graph, site *cfg.Block) x86.RegSet {
 		return true
 	}
 
-	if !scan(site.Insns[:len(site.Insns)-1]) {
+	insns := g.Insns(site)
+	if !scan(insns[:len(insns)-1]) {
 		return allArgs
 	}
-	seen := map[int]bool{site.ID: true}
-	stack := []*cfg.Block{site}
+	seen := map[cfg.BlockID]bool{site.ID: true}
+	stack := []cfg.BlockID{site.ID}
 	for len(stack) > 0 {
-		b := stack[len(stack)-1]
+		b := g.Block(stack[len(stack)-1])
 		stack = stack[:len(stack)-1]
-		if len(b.Preds) == 0 {
+		preds := g.Preds(b)
+		if len(preds) == 0 {
 			if b.Addr != fn.Entry {
 				return allArgs // flow from nowhere: not accountable
 			}
 			continue // the program's true start: nothing above
 		}
-		for _, e := range b.Preds {
+		for _, e := range preds {
 			switch e.Kind {
 			case cfg.EdgeFall, cfg.EdgeJump, cfg.EdgeCallFall:
 			default:
@@ -223,16 +226,16 @@ func providedArgs(g *cfg.Graph, site *cfg.Block) x86.RegSet {
 				// from an unaccounted caller.
 				return allArgs
 			}
-			if seen[e.From.ID] {
+			if seen[e.From] {
 				continue
 			}
 			if len(seen) >= maxBlocks {
 				return allArgs
 			}
-			seen[e.From.ID] = true
+			seen[e.From] = true
 			// A CallFall predecessor ends in the call itself, so scan
 			// hits the barrier and bails — no special case needed.
-			if !scan(e.From.Insns) {
+			if !scan(g.Insns(g.Block(e.From))) {
 				return allArgs
 			}
 			stack = append(stack, e.From)
@@ -241,15 +244,16 @@ func providedArgs(g *cfg.Graph, site *cfg.Block) x86.RegSet {
 	return provided
 }
 
-// requiredArgs under-approximates which argument registers the
-// candidate's entry block definitely reads before writing. Only
-// fully-modelled instructions extend the window; anything else —
-// including the block's terminator — ends it. Keeping the answer an
-// under-approximation is what makes pruning on it safe: a register is
-// only reported when an incoming value is provably observed.
-func requiredArgs(entry *cfg.Block) x86.RegSet {
+// requiredArgs under-approximates which argument registers a
+// candidate's entry block, given as its instructions, definitely reads
+// before writing. Only fully-modelled instructions extend the window;
+// anything else — including the block's terminator — ends it. Keeping
+// the answer an under-approximation is what makes pruning on it safe:
+// a register is only reported when an incoming value is provably
+// observed.
+func requiredArgs(entry []x86.Inst) x86.RegSet {
 	var req, written x86.RegSet
-	for _, in := range entry.Insns {
+	for _, in := range entry {
 		switch in.Op {
 		case x86.OpEndbr64, x86.OpNop:
 			continue
@@ -298,7 +302,7 @@ func (p *Pass) allowEdge(e cfg.Edge) bool {
 	if e.Kind != cfg.EdgeIndirectCall && e.Kind != cfg.EdgeIndirectJump {
 		return true
 	}
-	set, ok := p.siteTargets[e.From.ID]
+	set, ok := p.siteTargets[e.From]
 	if !ok || set == nil {
 		return true
 	}

@@ -1,7 +1,6 @@
 package ident
 
 import (
-	"cmp"
 	"slices"
 
 	"bside/internal/cfg"
@@ -12,16 +11,17 @@ import (
 
 // searchScratch is the reusable working set of one backward search:
 // the directed set handed to the symbolic executor, the BFS visited
-// set, a dedup set for predecessor enumeration, the frontier slices,
-// and the value accumulator. Bundles come from scratchPool, so the
-// per-site cost is a handful of Resets instead of a handful of maps.
+// set, a dedup set for predecessor enumeration, the frontier slices
+// (block IDs, so a pooled bundle pins no graph), and the value
+// accumulator. Bundles come from scratchPool, so the per-site cost is
+// a handful of Resets instead of a handful of maps.
 type searchScratch struct {
 	directed cfg.BlockSet
 	visited  cfg.BlockSet
 	predSeen cfg.BlockSet
-	pending  []*cfg.Block
-	next     []*cfg.Block
-	preds    []*cfg.Block
+	pending  []cfg.BlockID
+	next     []cfg.BlockID
+	preds    []cfg.BlockID
 	values   linux.SyscallBitset
 }
 
@@ -36,13 +36,8 @@ func getScratch(numBlocks int) *searchScratch {
 	return s
 }
 
-// putScratch returns s to the pool, first clearing every block pointer
-// it holds (to capacity: stale entries past the length would pin the
-// graph just the same).
+// putScratch returns s to the pool.
 func putScratch(s *searchScratch) {
-	clear(s.pending[:cap(s.pending)])
-	clear(s.next[:cap(s.next)])
-	clear(s.preds[:cap(s.preds)])
 	s.pending, s.next, s.preds = s.pending[:0], s.next[:0], s.preds[:0]
 	scratchPool.Put(s)
 }
@@ -59,7 +54,7 @@ func putScratch(s *searchScratch) {
 // instruction; otherwise it is the given wrapper parameter before the
 // target's call instruction.
 func (p *Pass) identify(target *cfg.Block, param *symex.ParamRef) SiteResult {
-	res := SiteResult{Addr: target.Last().Addr, Block: target}
+	res := SiteResult{Addr: p.g.Last(target).Addr, Block: target}
 	sc := getScratch(p.g.NumBlocks())
 
 	query := func(st *symex.State) symex.Value {
@@ -98,7 +93,7 @@ func (p *Pass) identify(target *cfg.Block, param *symex.ParamRef) SiteResult {
 	selfConcrete := evaluate(target)
 
 	if !selfConcrete && !res.FailOpen {
-		sc.visited.Add(target)
+		sc.visited.Add(target.ID)
 		sc.pending = p.predBlocksInto(target, &sc.predSeen, sc.pending)
 		if len(sc.pending) == 0 {
 			// Nothing above the target can define the value.
@@ -108,16 +103,17 @@ func (p *Pass) identify(target *cfg.Block, param *symex.ParamRef) SiteResult {
 
 		for depth := 1; len(sc.pending) > 0 && depth <= maxBFSDepth; depth++ {
 			sc.next = sc.next[:0]
-			for _, blk := range sc.pending {
-				if !sc.visited.Add(blk) {
+			for _, id := range sc.pending {
+				if !sc.visited.Add(id) {
 					continue
 				}
+				blk := p.g.Block(id)
 				frontier++
 				if frontier > maxFrontier {
 					res.FailOpen = true
 					break
 				}
-				sc.directed.Add(blk)
+				sc.directed.Add(id)
 				allConcrete := evaluate(blk)
 				if res.FailOpen {
 					break
@@ -152,18 +148,18 @@ func (p *Pass) identify(target *cfg.Block, param *symex.ParamRef) SiteResult {
 
 // predBlocksInto appends the deduplicated predecessor blocks of b
 // across every edge kind (fall, jump, call, call-fall, indirect) to
-// out, in ascending address order, skipping indirect predecessors the
-// resolver has excluded. seen is caller-owned scratch; it is reset
-// here.
-func (p *Pass) predBlocksInto(b *cfg.Block, seen *cfg.BlockSet, out []*cfg.Block) []*cfg.Block {
+// out, in ascending address (= ID) order, skipping indirect
+// predecessors the resolver has excluded. seen is caller-owned
+// scratch; it is reset here.
+func (p *Pass) predBlocksInto(b *cfg.Block, seen *cfg.BlockSet, out []cfg.BlockID) []cfg.BlockID {
 	seen.Reset()
 	start := len(out)
-	for _, e := range b.Preds {
-		if e.From == b || !p.allowEdge(e) || !seen.Add(e.From) {
+	for _, e := range p.g.Preds(b) {
+		if e.From == b.ID || !p.allowEdge(e) || !seen.Add(e.From) {
 			continue
 		}
 		out = append(out, e.From)
 	}
-	slices.SortFunc(out[start:], func(x, y *cfg.Block) int { return cmp.Compare(x.Addr, y.Addr) })
+	slices.Sort(out[start:])
 	return out
 }

@@ -21,11 +21,12 @@ import (
 //
 // The verdict is nil when fn is not a wrapper.
 func (p *Pass) detectWrapper(fn *cfg.Func, site *cfg.Block) (*WrapperInfo, error) {
-	siteIdx := len(site.Insns) - 1
+	siteIdx := len(p.g.Insns(site)) - 1
 
 	// Phase 1: cheap use-define chains; memory operands or values
 	// flowing from the caller yield !ok.
 	if _, ok := usedef.Resolve(usedef.Request{
+		Graph:   p.g,
 		Fn:      fn,
 		Block:   site,
 		InsnIdx: siteIdx,
@@ -41,8 +42,8 @@ func (p *Pass) detectWrapper(fn *cfg.Func, site *cfg.Block) (*WrapperInfo, error
 	}
 	allowed := p.getSet()
 	defer putSet(allowed)
-	for _, b := range fn.Blocks {
-		allowed.Add(b)
+	for id := fn.First; id < fn.End; id++ {
+		allowed.Add(id)
 	}
 	res := p.machine.RunToSite(entryBlk, p.machine.NewEntryState(stackParams), allowed, site)
 	defer p.machine.Release(&res)
@@ -57,7 +58,7 @@ func (p *Pass) detectWrapper(fn *cfg.Func, site *cfg.Block) (*WrapperInfo, error
 			return &WrapperInfo{
 				FnEntry:  fn.Entry,
 				FnName:   fn.Name,
-				SiteAddr: site.Last().Addr,
+				SiteAddr: p.g.Last(site).Addr,
 				Param:    param,
 			}, nil
 		}

@@ -34,21 +34,23 @@ func DetectNaive(in Input) []NaivePhase {
 	groups := make(map[string][]uint64)
 	allowedByKey := make(map[string]map[uint64]bool)
 	seen := cfg.NewBlockSet(g.NumBlocks())
-	var stack []*cfg.Block
-	for _, blk := range g.SortedBlocks() {
-		if !reach.Has(blk) {
+	var stack []cfg.BlockID
+	blocks := g.Blocks()
+	for i := range blocks {
+		blk := &blocks[i]
+		if !reach.Has(blk.ID) {
 			continue
 		}
 		// Full forward traversal from blk (deliberately re-done per
 		// block, as the naive method navigates the CFG each time; the
 		// reused visited set does not change the quadratic shape).
 		seen.Reset()
-		seen.Add(blk)
-		stack = append(stack[:0], blk)
+		seen.Add(blk.ID)
+		stack = append(stack[:0], blk.ID)
 		var sig []uint64
 		allowed := make(map[uint64]bool)
 		for len(stack) > 0 {
-			b := stack[len(stack)-1]
+			b := g.Block(stack[len(stack)-1])
 			stack = stack[:len(stack)-1]
 			if emits := in.Emits[b.Addr]; len(emits) > 0 {
 				sig = append(sig, b.Addr)
@@ -56,7 +58,7 @@ func DetectNaive(in Input) []NaivePhase {
 					allowed[s] = true
 				}
 			}
-			for _, e := range b.Succs {
+			for _, e := range g.Succs(b) {
 				if seen.Add(e.To) {
 					stack = append(stack, e.To)
 				}

@@ -123,17 +123,18 @@ func Detect(in Input, conf Config) (*Automaton, error) {
 		return nil, fmt.Errorf("phases: no block at start %#x", start)
 	}
 
-	// Restrict to reachable blocks and assign dense indices.
+	// Restrict to reachable blocks and assign dense indices (-1 for
+	// the unreachable ones).
 	reach := g.ReachableSet(start)
 	blocks := make([]*cfg.Block, 0, reach.Len())
-	for _, b := range g.SortedBlocks() {
-		if reach.Has(b) {
-			blocks = append(blocks, b)
+	idx := make([]int, g.NumBlocks())
+	all := g.Blocks()
+	for i := range all {
+		idx[i] = -1
+		if reach.Has(all[i].ID) {
+			idx[i] = len(blocks)
+			blocks = append(blocks, &all[i])
 		}
-	}
-	idx := make(map[*cfg.Block]int, len(blocks))
-	for i, b := range blocks {
-		idx[b] = i
 	}
 
 	// NFA: per block, ε-successors or labelled successors.
@@ -146,9 +147,9 @@ func Detect(in Input, conf Config) (*Automaton, error) {
 	var alphaSet linux.SyscallBitset
 	for i, b := range blocks {
 		emits := in.Emits[b.Addr]
-		for _, e := range b.Succs {
-			j, ok := idx[e.To]
-			if !ok {
+		for _, e := range g.Succs(b) {
+			j := idx[e.To]
+			if j < 0 {
 				continue
 			}
 			if len(emits) > 0 {
@@ -176,7 +177,7 @@ func Detect(in Input, conf Config) (*Automaton, error) {
 		if len(set) == 0 {
 			continue
 		}
-		if blk, ok := g.BlockAt(addr); ok && !blk.EndsInSyscall() {
+		if blk, ok := g.BlockAt(addr); ok && !g.EndsInSyscall(blk) {
 			continue // call-site emission: handled by call-fall edges
 		}
 		if fn, ok := g.FuncContaining(addr); ok {
@@ -184,7 +185,7 @@ func Detect(in Input, conf Config) (*Automaton, error) {
 		}
 	}
 	for i, b := range blocks {
-		if len(b.Insns) == 0 || b.Last().Op != x86.OpRet {
+		if g.Last(b).Op != x86.OpRet {
 			continue
 		}
 		fn, ok := g.FuncContaining(b.Addr)
@@ -195,15 +196,15 @@ func Detect(in Input, conf Config) (*Automaton, error) {
 		if !ok {
 			continue
 		}
-		for _, e := range entryBlk.Preds {
+		for _, e := range g.Preds(entryBlk) {
 			if e.Kind != cfg.EdgeCall && e.Kind != cfg.EdgeIndirectCall {
 				continue
 			}
-			for _, ce := range e.From.Succs {
+			for _, ce := range g.Succs(g.Block(e.From)) {
 				if ce.Kind != cfg.EdgeCallFall {
 					continue
 				}
-				if j, ok := idx[ce.To]; ok {
+				if j := idx[ce.To]; j >= 0 {
 					nodes[i].eps = append(nodes[i].eps, j)
 				}
 			}
@@ -259,7 +260,7 @@ func Detect(in Input, conf Config) (*Automaton, error) {
 		return id
 	}
 	init := make([]uint64, words)
-	si := idx[startBlk]
+	si := idx[startBlk.ID]
 	init[si/64] |= 1 << (si % 64)
 	closure(init)
 	work := []int{newState(init)}
@@ -358,7 +359,7 @@ func Detect(in Input, conf Config) (*Automaton, error) {
 		for addr := range blockSets[p] {
 			ph.Blocks = append(ph.Blocks, addr)
 			if blk, ok := g.BlockAt(addr); ok {
-				ph.CodeSize += blk.Size()
+				ph.CodeSize += g.End(blk) - blk.Addr
 			}
 		}
 		sort.Slice(ph.Blocks, func(i, j int) bool { return ph.Blocks[i] < ph.Blocks[j] })

@@ -205,7 +205,7 @@ func TestEmitsFromReportWrapperAttribution(t *testing.T) {
 	emits := EmitsFromReport(rep)
 	// The wrapper's own syscall block must not emit; the call block
 	// must emit 39.
-	wblk, _ := g.BlockContaining(syms["w"])
+	wblk, _ := g.BlockAt(syms["w"])
 	if _, ok := emits[wblk.Addr]; ok {
 		t.Fatalf("wrapper def must not emit: %v", emits)
 	}

@@ -529,19 +529,23 @@ func (r *ProgramReport) Emits() map[uint64][]uint64 {
 			out[blk.Addr] = mergeSets(out[blk.Addr], set)
 		}
 	}
-	for _, blk := range r.Graph.SortedBlocks() {
-		if blk.ImportCall != "" && len(blk.Succs) > 0 {
+	g := r.Graph
+	blocks := g.Blocks()
+	for i := range blocks {
+		blk := &blocks[i]
+		succs := g.Succs(blk)
+		if sym := g.ImportCall(blk); sym != "" && len(succs) > 0 {
 			// Inline call through the GOT: the block itself proceeds.
-			decorate(blk, blk.ImportCall)
+			decorate(blk, sym)
 			continue
 		}
 		// Calls into an import stub: the transition belongs to the
 		// calling block (the stub has no local successors).
-		for _, e := range blk.Succs {
+		for _, e := range succs {
 			if e.Kind != cfg.EdgeCall && e.Kind != cfg.EdgeIndirectCall {
 				continue
 			}
-			if sym := e.To.ImportCall; sym != "" {
+			if sym := g.ImportCall(g.Block(e.To)); sym != "" {
 				decorate(blk, sym)
 			}
 		}

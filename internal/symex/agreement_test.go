@@ -100,8 +100,8 @@ func TestPropertySymexAgreesWithEmulator(t *testing.T) {
 			return false
 		}
 		allowed := cfg.NewBlockSet(g.NumBlocks())
-		for _, blk := range g.SortedBlocks() {
-			allowed.Add(blk)
+		for id := 0; id < g.NumBlocks(); id++ {
+			allowed.Add(cfg.BlockID(id))
 		}
 		start, _ := g.BlockAt(bin.Entry)
 		sym := NewMachine(g, NewBudget())

@@ -172,15 +172,15 @@ type Machine struct {
 	importSlots map[uint64]bool
 }
 
-// No pooled slice points at a block or a state in any slot up to its
-// capacity. A slice enters its pool only through the code that empties
-// it (Release, the end of RunToSite), and that code clears only the
-// slots its run used: the slots past the length were cleared by the
-// runs that wrote them, and a grown slice starts clear. Clearing to
-// capacity would make every run pay for the largest one.
+// No pooled slice points at a state in any slot up to its capacity (a
+// task names its block by ID). A slice enters its pool only through
+// the code that empties it (Release, the end of RunToSite), and that
+// code clears only the slots its run used: the slots past the length
+// were cleared by the runs that wrote them, and a grown slice starts
+// clear. Clearing to capacity would make every run pay for the largest.
 var (
 	statePool sync.Pool // *State, scrubbed
-	runPool   sync.Pool // *runScratch, holding no block or state pointers
+	runPool   sync.Pool // *runScratch, holding no state pointers
 	sitesPool sync.Pool // *[]*State, empty
 )
 
@@ -296,7 +296,7 @@ func (m *Machine) Release(res *Result) {
 const flushSteps = 1024
 
 type task struct {
-	blk *cfg.Block
+	blk cfg.BlockID
 	st  *State
 }
 
@@ -312,8 +312,9 @@ type task struct {
 // carries no map traffic at all.
 func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet, site *cfg.Block) Result {
 	var res Result
-	inSet := func(b *cfg.Block) bool {
-		return b != nil && (b == site || allowed.Has(b))
+	g := m.g
+	inSet := func(id cfg.BlockID) bool {
+		return id >= 0 && (allowed.Has(id) || g.Block(id) == site)
 	}
 	maxVisits := uint16(m.budget.MaxVisits)
 
@@ -321,7 +322,7 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 	if sc == nil {
 		sc = &runScratch{}
 	}
-	stack := append(sc.stack[:0], task{blk: start, st: init})
+	stack := append(sc.stack[:0], task{blk: start.ID, st: init})
 	visitStack := append(sc.visits[:0], sc.newVisits(m.g.NumBlocks()))
 	pending := 0 // steps executed but not yet added to the budget
 	for len(stack) > 0 {
@@ -336,7 +337,7 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 			break
 		}
 		// Pop, clearing the slot: a pooled stack must not keep this
-		// run's blocks and states reachable.
+		// run's states reachable.
 		t := stack[len(stack)-1]
 		stack[len(stack)-1] = task{}
 		stack = stack[:len(stack)-1]
@@ -344,21 +345,23 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 		visitStack[len(visitStack)-1] = nil
 		visitStack = visitStack[:len(visitStack)-1]
 
-		if visits[t.blk.ID] >= maxVisits {
+		if visits[t.blk] >= maxVisits {
 			m.freeState(t.st)
 			sc.freeVisits(visits)
 			continue
 		}
-		visits[t.blk.ID]++
+		visits[t.blk]++
 		res.BlocksExecuted++
 
 		st := t.st
-		n := len(t.blk.Insns)
+		blk := g.Block(t.blk)
+		insns := g.Insns(blk)
+		n := len(insns)
 
 		// Execute the block body (everything but the last instruction),
 		// charging the whole block to the local count; the shared
 		// budget sees it at the next flush.
-		for _, in := range t.blk.Insns[:n-1] {
+		for _, in := range insns[:n-1] {
 			m.step(st, in)
 		}
 		if pending += n; pending >= flushSteps {
@@ -366,7 +369,7 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 			pending = 0
 		}
 
-		if t.blk == site {
+		if blk == site {
 			if res.sites == nil {
 				res.sites, _ = sitesPool.Get().(*[]*State)
 				if res.sites == nil {
@@ -381,19 +384,20 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 
 		// Dispatch on the final instruction.
 		succs := sc.succs[:0]
-		push := func(b *cfg.Block, s *State) {
+		push := func(b cfg.BlockID, s *State) {
 			succs = append(succs, task{blk: b, st: s})
 		}
-		last := t.blk.Last()
+		edges := g.Succs(blk)
+		last := insns[n-1]
 		switch last.Op {
 		case x86.OpJmp:
-			if to := succOf(t.blk, cfg.EdgeJump); inSet(to) {
+			if to := succOf(edges, cfg.EdgeJump); inSet(to) {
 				push(to, st)
 			}
 
 		case x86.OpJcc:
-			to := succOf(t.blk, cfg.EdgeJump)
-			fall := succOf(t.blk, cfg.EdgeFall)
+			to := succOf(edges, cfg.EdgeJump)
+			fall := succOf(edges, cfg.EdgeFall)
 			if inSet(to) && inSet(fall) {
 				m.budget.AddFork()
 				push(fall, m.cloneState(st))
@@ -405,8 +409,8 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 			}
 
 		case x86.OpCall:
-			callee := succOf(t.blk, cfg.EdgeCall)
-			fall := succOf(t.blk, cfg.EdgeCallFall)
+			callee := succOf(edges, cfg.EdgeCall)
+			fall := succOf(edges, cfg.EdgeCallFall)
 			if inSet(callee) {
 				m.pushRet(st, last.Next())
 				push(callee, st)
@@ -416,8 +420,8 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 			}
 
 		case x86.OpCallInd:
-			fall := succOf(t.blk, cfg.EdgeCallFall)
-			if t.blk.ImportCall != "" {
+			fall := succOf(edges, cfg.EdgeCallFall)
+			if g.ImportCall(blk) != "" {
 				if inSet(fall) {
 					st.havoc(x86.CallerSaved)
 					push(fall, st)
@@ -426,7 +430,7 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 			}
 			tv := m.evalOperand(st, last, last.Dst, last.OpSize)
 			if k, ok := tv.IsConst(); ok {
-				if to, found := m.g.BlockAt(k); found && inSet(to) {
+				if to := m.blockAt(k); inSet(to) {
 					m.pushRet(st, last.Next())
 					push(to, st)
 					break
@@ -439,7 +443,7 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 			}
 			// Symbolic target: fork into each allowed heuristic target
 			// and also the skip-the-call continuation.
-			for _, e := range t.blk.Succs {
+			for _, e := range edges {
 				if e.Kind != cfg.EdgeIndirectCall || !inSet(e.To) {
 					continue
 				}
@@ -454,23 +458,23 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 			}
 
 		case x86.OpJmpInd:
-			if t.blk.ImportCall != "" {
+			if g.ImportCall(blk) != "" {
 				// Import stub: model call-and-return through the
 				// external function.
 				st.havoc(x86.CallerSaved)
-				if to, ok := m.popRetTarget(st); ok && inSet(to) {
+				if to := m.popRetTarget(st); inSet(to) {
 					push(to, st)
 				}
 				break
 			}
 			tv := m.evalOperand(st, last, last.Dst, last.OpSize)
 			if k, ok := tv.IsConst(); ok {
-				if to, found := m.g.BlockAt(k); found && inSet(to) {
+				if to := m.blockAt(k); inSet(to) {
 					push(to, st)
 				}
 				break
 			}
-			for _, e := range t.blk.Succs {
+			for _, e := range edges {
 				if e.Kind != cfg.EdgeIndirectJump || !inSet(e.To) {
 					continue
 				}
@@ -479,7 +483,7 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 			}
 
 		case x86.OpRet:
-			if to, ok := m.popRetTarget(st); ok && inSet(to) {
+			if to := m.popRetTarget(st); inSet(to) {
 				push(to, st)
 			}
 
@@ -487,7 +491,7 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 			// Plain fall-through boundary, or a syscall on the way to
 			// the site: apply the instruction and continue.
 			m.step(st, last)
-			if fall := succOf(t.blk, cfg.EdgeFall); inSet(fall) {
+			if fall := succOf(edges, cfg.EdgeFall); inSet(fall) {
 				push(fall, st)
 			}
 		}
@@ -526,13 +530,14 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 	return res
 }
 
-func succOf(b *cfg.Block, kind cfg.EdgeKind) *cfg.Block {
-	for _, e := range b.Succs {
+// succOf returns the target of the first edge of the given kind, or -1.
+func succOf(edges []cfg.Edge, kind cfg.EdgeKind) cfg.BlockID {
+	for _, e := range edges {
 		if e.Kind == kind {
 			return e.To
 		}
 	}
-	return nil
+	return -1
 }
 
 // pushRet pushes a concrete return address.
@@ -546,24 +551,27 @@ func (m *Machine) pushRet(st *State, ret uint64) {
 	st.StoreStack(off, Const(ret))
 }
 
-// popRetTarget pops the return address and resolves its block.
-func (m *Machine) popRetTarget(st *State) (*cfg.Block, bool) {
+// popRetTarget pops the return address and resolves its block, or -1.
+func (m *Machine) popRetTarget(st *State) cfg.BlockID {
 	rsp := st.Reg(x86.RSP)
 	if rsp.Kind != KStackPtr {
-		return nil, false
+		return -1
 	}
 	v := st.LoadStack(rsp.StackOff())
 	st.SetReg(x86.RSP, StackPtr(rsp.StackOff()+8))
 	k, ok := v.IsConst()
 	if !ok {
-		return nil, false
+		return -1
 	}
 	return m.blockAt(k)
 }
 
-func (m *Machine) blockAt(addr uint64) (*cfg.Block, bool) {
-	b, ok := m.g.BlockAt(addr)
-	return b, ok
+// blockAt returns the ID of the block starting at addr, or -1.
+func (m *Machine) blockAt(addr uint64) cfg.BlockID {
+	if b, ok := m.g.BlockAt(addr); ok {
+		return b.ID
+	}
+	return -1
 }
 
 // ParamValueAtCall reads the value the callee will observe for parameter

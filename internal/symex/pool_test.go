@@ -38,8 +38,8 @@ func TestReleasedSitesStayClearToCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := cfg.NewBlockSet(g.NumBlocks())
-	for _, blk := range g.SortedBlocks() {
-		all.Add(blk)
+	for id := 0; id < g.NumBlocks(); id++ {
+		all.Add(cfg.BlockID(id))
 	}
 	start, _ := g.BlockAt(bin.Entry)
 	site := g.SyscallBlocks()[0]

@@ -24,8 +24,8 @@ func recoverGraph(t *testing.T, fn func(b *asm.Builder)) (*cfg.Graph, map[string
 // allBlocks returns the full block set as an allowed set.
 func allBlocks(g *cfg.Graph) *cfg.BlockSet {
 	s := cfg.NewBlockSet(g.NumBlocks())
-	for _, b := range g.SortedBlocks() {
-		s.Add(b)
+	for id := 0; id < g.NumBlocks(); id++ {
+		s.Add(cfg.BlockID(id))
 	}
 	return s
 }
@@ -214,9 +214,9 @@ func TestSkipCallHavoc(t *testing.T) {
 	// call must be skipped, not followed.
 	callee, _ := g.BlockAt(syms["memcpyish"])
 	allowed := cfg.NewBlockSet(g.NumBlocks())
-	for _, b := range g.SortedBlocks() {
-		if b != callee {
-			allowed.Add(b)
+	for id := 0; id < g.NumBlocks(); id++ {
+		if cfg.BlockID(id) != callee.ID {
+			allowed.Add(cfg.BlockID(id))
 		}
 	}
 
@@ -313,13 +313,11 @@ func TestParamValueAtCall(t *testing.T) {
 		b.Ret()
 	})
 	// The site is the call block.
-	callBlk, ok := g.BlockContaining(syms["wrapper"] - 1)
-	_ = callBlk
-	_ = ok
 	var site *cfg.Block
-	for _, b := range g.SortedBlocks() {
-		if b.Last().Op == x86.OpCall {
-			site = b
+	blocks := g.Blocks()
+	for i := range blocks {
+		if g.Last(&blocks[i]).Op == x86.OpCall {
+			site = &blocks[i]
 		}
 	}
 	if site == nil {

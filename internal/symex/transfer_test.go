@@ -196,7 +196,7 @@ func TestRunToSiteTransfers(t *testing.T) {
 			}
 			allowed := cfg.NewBlockSet(g.NumBlocks())
 			for _, label := range row.allow {
-				allowed.Add(block(label))
+				allowed.Add(block(label).ID)
 			}
 			budget := NewBudget()
 			m := NewMachine(g, budget)

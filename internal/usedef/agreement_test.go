@@ -70,7 +70,7 @@ func TestPropertyUsedefAgreesWithExecution(t *testing.T) {
 			return false
 		}
 		vals, ok := Resolve(Request{
-			Fn: fn, Block: site, InsnIdx: len(site.Insns) - 1, Reg: x86.RAX,
+			Graph: g, Fn: fn, Block: site, InsnIdx: len(g.Insns(site)) - 1, Reg: x86.RAX,
 		})
 		if !ok {
 			// Register-only straight-line code must always resolve.

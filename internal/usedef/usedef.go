@@ -20,7 +20,9 @@ const maxVisits = 4_096
 
 // Request asks for the possible constant values of Reg immediately
 // before executing instruction InsnIdx of Block, staying within Fn.
+// Block and Fn belong to Graph.
 type Request struct {
+	Graph   *cfg.Graph
 	Fn      *cfg.Func
 	Block   *cfg.Block
 	InsnIdx int // resolve the value before this instruction
@@ -37,9 +39,9 @@ type Request struct {
 	MemRead func(addr uint64) (uint64, bool)
 }
 
-// bitset is a growable index bitset: the function-membership and
-// (block, register) visited sets are keyed by dense block IDs, so one
-// pooled resolver serves any number of queries without map churn.
+// bitset is a growable index bitset: the (block, register) visited
+// set is keyed by dense block IDs, so one pooled resolver serves any
+// number of queries without map churn.
 type bitset struct{ words []uint64 }
 
 func (b *bitset) add(id int) bool {
@@ -56,11 +58,6 @@ func (b *bitset) add(id int) bool {
 	return true
 }
 
-func (b *bitset) has(id int) bool {
-	w := id / 64
-	return w < len(b.words) && b.words[w]&(1<<(id%64)) != 0
-}
-
 func (b *bitset) reset() {
 	for i := range b.words {
 		b.words[i] = 0
@@ -68,8 +65,8 @@ func (b *bitset) reset() {
 }
 
 type resolver struct {
+	g       *cfg.Graph
 	fn      *cfg.Func
-	inFn    bitset // block IDs belonging to fn
 	visited bitset // block ID × register pairs already joined
 	budget  int
 	memRead func(addr uint64) (uint64, bool)
@@ -83,16 +80,14 @@ var resolverPool = sync.Pool{New: func() any { return new(resolver) }}
 // writes, clobbering calls, values flowing in from callers).
 func Resolve(req Request) (vals []uint64, ok bool) {
 	r := resolverPool.Get().(*resolver)
+	r.g = req.Graph
 	r.fn = req.Fn
-	r.inFn.reset()
 	r.visited.reset()
 	r.budget = maxVisits
 	r.memRead = req.MemRead
-	for _, b := range req.Fn.Blocks {
-		r.inFn.add(b.ID)
-	}
 	set := make(map[uint64]bool)
 	resolved := r.resolveAt(req.Block, req.InsnIdx, req.Reg, set)
+	r.g = nil
 	r.fn = nil
 	r.memRead = nil
 	resolverPool.Put(r)
@@ -113,8 +108,9 @@ func (r *resolver) resolveAt(blk *cfg.Block, idx int, reg x86.Reg, out map[uint6
 	if r.budget < 0 {
 		return false
 	}
+	insns := r.g.Insns(blk)
 	for i := idx - 1; i >= 0; i-- {
-		in := blk.Insns[i]
+		in := insns[i]
 		if !in.Writes().Has(reg) {
 			continue
 		}
@@ -166,22 +162,23 @@ func (r *resolver) resolveAt(blk *cfg.Block, idx int, reg x86.Reg, out map[uint6
 		// detection's phase 1 looks for.
 		return false
 	}
-	if !r.visited.add(blk.ID*int(x86.NumGPR) + int(reg)) {
+	if !r.visited.add(int(blk.ID)*int(x86.NumGPR) + int(reg)) {
 		return true // loop back-edge: values join from elsewhere
 	}
 
 	any := false
-	for _, e := range blk.Preds {
+	for _, e := range r.g.Preds(blk) {
 		switch e.Kind {
 		case cfg.EdgeFall, cfg.EdgeJump, cfg.EdgeCallFall:
 		default:
 			continue
 		}
-		if !r.inFn.has(e.From.ID) {
-			continue
+		if e.From < r.fn.First || e.From >= r.fn.End {
+			continue // not in the function
 		}
 		any = true
-		if !r.resolveAt(e.From, len(e.From.Insns), reg, out) {
+		from := r.g.Block(e.From)
+		if !r.resolveAt(from, len(r.g.Insns(from)), reg, out) {
 			return false
 		}
 	}

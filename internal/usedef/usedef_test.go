@@ -24,22 +24,23 @@ func setup(t *testing.T, build func(b *asm.Builder)) (*cfg.Graph, *cfg.Func, *cf
 	if !ok {
 		t.Fatal("no fn function")
 	}
-	for _, blk := range fn.Blocks {
-		if blk.EndsInSyscall() {
-			return g, fn, blk
+	blocks := g.FuncBlocks(fn)
+	for i := range blocks {
+		if g.EndsInSyscall(&blocks[i]) {
+			return g, fn, &blocks[i]
 		}
 	}
 	t.Fatal("no syscall block in fn")
 	return nil, nil, nil
 }
 
-func resolveRAX(t *testing.T, fn *cfg.Func, site *cfg.Block) ([]uint64, bool) {
+func resolveRAX(t *testing.T, g *cfg.Graph, fn *cfg.Func, site *cfg.Block) ([]uint64, bool) {
 	t.Helper()
-	return Resolve(Request{Fn: fn, Block: site, InsnIdx: len(site.Insns) - 1, Reg: x86.RAX})
+	return Resolve(Request{Graph: g, Fn: fn, Block: site, InsnIdx: len(g.Insns(site)) - 1, Reg: x86.RAX})
 }
 
 func TestResolveImmediate(t *testing.T) {
-	_, fn, site := setup(t, func(b *asm.Builder) {
+	g, fn, site := setup(t, func(b *asm.Builder) {
 		b.Func("_start")
 		b.CallLabel("fn")
 		b.Ret()
@@ -48,14 +49,14 @@ func TestResolveImmediate(t *testing.T) {
 		b.Syscall()
 		b.Ret()
 	})
-	vals, ok := resolveRAX(t, fn, site)
+	vals, ok := resolveRAX(t, g, fn, site)
 	if !ok || !reflect.DeepEqual(vals, []uint64{39}) {
 		t.Fatalf("vals=%v ok=%v", vals, ok)
 	}
 }
 
 func TestResolveThroughRegisterCopyAndBranches(t *testing.T) {
-	_, fn, site := setup(t, func(b *asm.Builder) {
+	g, fn, site := setup(t, func(b *asm.Builder) {
 		b.Func("_start")
 		b.CallLabel("fn")
 		b.Ret()
@@ -69,14 +70,14 @@ func TestResolveThroughRegisterCopyAndBranches(t *testing.T) {
 		b.Syscall()
 		b.Ret()
 	})
-	vals, ok := resolveRAX(t, fn, site)
+	vals, ok := resolveRAX(t, g, fn, site)
 	if !ok || !reflect.DeepEqual(vals, []uint64{2, 3}) {
 		t.Fatalf("vals=%v ok=%v", vals, ok)
 	}
 }
 
 func TestResolveZeroingIdiomAndArith(t *testing.T) {
-	_, fn, site := setup(t, func(b *asm.Builder) {
+	g, fn, site := setup(t, func(b *asm.Builder) {
 		b.Func("_start")
 		b.CallLabel("fn")
 		b.Ret()
@@ -87,7 +88,7 @@ func TestResolveZeroingIdiomAndArith(t *testing.T) {
 		b.Syscall()
 		b.Ret()
 	})
-	vals, ok := resolveRAX(t, fn, site)
+	vals, ok := resolveRAX(t, g, fn, site)
 	if !ok || !reflect.DeepEqual(vals, []uint64{10}) {
 		t.Fatalf("vals=%v ok=%v", vals, ok)
 	}
@@ -96,7 +97,7 @@ func TestResolveZeroingIdiomAndArith(t *testing.T) {
 func TestMemoryOperandFails(t *testing.T) {
 	// The defining move loads from the stack: out of domain — exactly
 	// the SysFilter blind spot the paper describes.
-	_, fn, site := setup(t, func(b *asm.Builder) {
+	g, fn, site := setup(t, func(b *asm.Builder) {
 		b.Func("_start")
 		b.CallLabel("fn")
 		b.Ret()
@@ -105,7 +106,7 @@ func TestMemoryOperandFails(t *testing.T) {
 		b.Syscall()
 		b.Ret()
 	})
-	if vals, ok := resolveRAX(t, fn, site); ok {
+	if vals, ok := resolveRAX(t, g, fn, site); ok {
 		t.Fatalf("memory operand must fail, got %v", vals)
 	}
 }
@@ -113,7 +114,7 @@ func TestMemoryOperandFails(t *testing.T) {
 func TestValueFromCallerFails(t *testing.T) {
 	// Wrapper shape: rax := rdi, rdi set by the caller. Phase-1 must
 	// say "maybe wrapper" (not resolvable).
-	_, fn, site := setup(t, func(b *asm.Builder) {
+	g, fn, site := setup(t, func(b *asm.Builder) {
 		b.Func("_start")
 		b.MovRegImm32(x86.RDI, 1)
 		b.CallLabel("fn")
@@ -123,7 +124,7 @@ func TestValueFromCallerFails(t *testing.T) {
 		b.Syscall()
 		b.Ret()
 	})
-	if vals, ok := resolveRAX(t, fn, site); ok {
+	if vals, ok := resolveRAX(t, g, fn, site); ok {
 		t.Fatalf("caller-provided value must fail, got %v", vals)
 	}
 }
@@ -131,7 +132,7 @@ func TestValueFromCallerFails(t *testing.T) {
 func TestCallClobberFails(t *testing.T) {
 	// A call between the definition and the use clobbers caller-saved
 	// rax.
-	_, fn, site := setup(t, func(b *asm.Builder) {
+	g, fn, site := setup(t, func(b *asm.Builder) {
 		b.Func("_start")
 		b.CallLabel("fn")
 		b.Ret()
@@ -143,13 +144,13 @@ func TestCallClobberFails(t *testing.T) {
 		b.Syscall()
 		b.Ret()
 	})
-	if vals, ok := resolveRAX(t, fn, site); ok {
+	if vals, ok := resolveRAX(t, g, fn, site); ok {
 		t.Fatalf("call clobber must fail, got %v", vals)
 	}
 }
 
 func TestCalleeSavedSurvivesCall(t *testing.T) {
-	_, fn, site := setup(t, func(b *asm.Builder) {
+	g, fn, site := setup(t, func(b *asm.Builder) {
 		b.Func("_start")
 		b.CallLabel("fn")
 		b.Ret()
@@ -162,14 +163,14 @@ func TestCalleeSavedSurvivesCall(t *testing.T) {
 		b.Syscall()
 		b.Ret()
 	})
-	vals, ok := resolveRAX(t, fn, site)
+	vals, ok := resolveRAX(t, g, fn, site)
 	if !ok || !reflect.DeepEqual(vals, []uint64{7}) {
 		t.Fatalf("vals=%v ok=%v", vals, ok)
 	}
 }
 
 func TestLoopBackEdgeTerminates(t *testing.T) {
-	_, fn, site := setup(t, func(b *asm.Builder) {
+	g, fn, site := setup(t, func(b *asm.Builder) {
 		b.Func("_start")
 		b.CallLabel("fn")
 		b.Ret()
@@ -182,7 +183,7 @@ func TestLoopBackEdgeTerminates(t *testing.T) {
 		b.Syscall()
 		b.Ret()
 	})
-	vals, ok := resolveRAX(t, fn, site)
+	vals, ok := resolveRAX(t, g, fn, site)
 	if !ok || !reflect.DeepEqual(vals, []uint64{4}) {
 		t.Fatalf("vals=%v ok=%v", vals, ok)
 	}
@@ -191,7 +192,7 @@ func TestLoopBackEdgeTerminates(t *testing.T) {
 func TestLeaveClobbersRBP(t *testing.T) {
 	// leave reloads RBP from the stack: the 5 before it never reaches
 	// the syscall.
-	_, fn, site := setup(t, func(b *asm.Builder) {
+	g, fn, site := setup(t, func(b *asm.Builder) {
 		b.Func("_start")
 		b.CallLabel("fn")
 		b.Ret()
@@ -202,14 +203,14 @@ func TestLeaveClobbersRBP(t *testing.T) {
 		b.Syscall()
 		b.Ret()
 	})
-	if vals, ok := resolveRAX(t, fn, site); ok {
+	if vals, ok := resolveRAX(t, g, fn, site); ok {
 		t.Fatalf("a value across leave must fail, got %v", vals)
 	}
 }
 
 func TestThirtyTwoBitArithWraps(t *testing.T) {
 	// A 4-byte add wraps and zero-extends, as the hardware computes it.
-	_, fn, site := setup(t, func(b *asm.Builder) {
+	g, fn, site := setup(t, func(b *asm.Builder) {
 		b.Func("_start")
 		b.CallLabel("fn")
 		b.Ret()
@@ -219,7 +220,7 @@ func TestThirtyTwoBitArithWraps(t *testing.T) {
 		b.Syscall()
 		b.Ret()
 	})
-	vals, ok := resolveRAX(t, fn, site)
+	vals, ok := resolveRAX(t, g, fn, site)
 	if !ok || !reflect.DeepEqual(vals, []uint64{0x3c}) {
 		t.Fatalf("vals=%#x ok=%v, want [0x3c]", vals, ok)
 	}

@@ -183,6 +183,7 @@ prefixes:
 		switch {
 		case op&0xF0 == 0x40:
 			rx = rex{present: true, w: op&8 != 0, r: op&4 != 0, x: op&2 != 0, b: op&1 != 0}
+			continue
 		case op == 0x66:
 			opsize66 = true
 		case op == 0xF3:
@@ -192,6 +193,9 @@ prefixes:
 		default:
 			break prefixes
 		}
+		// A REX prefix counts only right before the opcode (or 0F): a
+		// later legacy prefix voids it, as the CPU and objdump agree.
+		rx = rex{}
 	}
 
 	size := uint8(4)

@@ -168,6 +168,9 @@ var decodeTable = []struct {
 	{"0f b7 c5", 3, "movzx eax, bp", 4},
 	{"0f b6 c1", 3, "movzx eax, cl", 4},
 	{"41 b8 01 00 00 00", 6, "mov r8d, 0x1", 4},
+	// A legacy prefix after REX voids it; REX after 66 widens.
+	{"48 66 b8 34 12", 5, "mov ax, 0x1234", 2},
+	{"66 48 b8 34 12 00 00 00 00 00 00", 11, "mov rax, 0x1234", 8},
 }
 
 func TestDecodeTable(t *testing.T) {
