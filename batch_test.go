@@ -109,8 +109,8 @@ func TestAnalyzeAllColdThenWarm(t *testing.T) {
 		if !res.Cached {
 			t.Fatalf("%s: warm run missed the cache", res.Path)
 		}
-		if !reflect.DeepEqual(res.Syscalls, coldRes[i].Syscalls) || res.Wrappers != coldRes[i].Wrappers {
-			t.Fatalf("%s: warm result drifted", res.Path)
+		if !reflect.DeepEqual(res.Record(), coldRes[i].Record()) {
+			t.Fatalf("%s: warm result drifted: %+v vs %+v", res.Path, res.Record(), coldRes[i].Record())
 		}
 	}
 	st := warm.CacheStats()

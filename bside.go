@@ -427,6 +427,59 @@ type Analysis struct {
 	report *shared.ProgramReport
 }
 
+// fromSummary builds an analysis from its summary and, when one was
+// computed, the report behind it (nil for a store hit).
+func fromSummary(sum *shared.Summary, rep *shared.ProgramReport) *Analysis {
+	out := &Analysis{
+		Syscalls: sum.Syscalls,
+		FailOpen: sum.FailOpen,
+		Wrappers: sum.Wrappers,
+		Imports:  sum.Imports,
+		Cached:   sum.Cached,
+		report:   rep,
+	}
+	if rep != nil {
+		out.Timings = timingsFrom(rep.Timings)
+	}
+	return out
+}
+
+// Record is the canonical rendering of an analysis: the fields that are
+// a pure function of the image and the analyzer's configuration,
+// nothing request-scoped, nothing wall-clock. Every entry path renders
+// this one record (the service body, the batch, sweep and single-binary
+// JSON lines inside their own envelopes), so two analyses of the same
+// image render byte-identically whether they ran cold, warm from any
+// cache tier, directly in the library, or across the service. Every key
+// is always present, and an empty collection renders as [].
+type Record struct {
+	Syscalls []uint64 `json:"syscalls"`
+	Names    []string `json:"names"`
+	FailOpen bool     `json:"fail_open"`
+	Wrappers int      `json:"wrappers"`
+	Imports  []string `json:"imports"`
+}
+
+// Record builds the analysis's canonical record.
+func (r *Analysis) Record() *Record {
+	rec := &Record{
+		Syscalls: r.Syscalls,
+		Names:    r.Names(),
+		FailOpen: r.FailOpen,
+		Wrappers: r.Wrappers,
+		Imports:  r.Imports,
+	}
+	// Absent and empty collections must render identically: the cold
+	// path builds empty slices, a cache round trip can surface nil.
+	if rec.Syscalls == nil {
+		rec.Syscalls = []uint64{}
+	}
+	if rec.Imports == nil {
+		rec.Imports = []string{}
+	}
+	return rec
+}
+
 // AnalyzeFile analyzes the ELF executable at path.
 func (a *Analyzer) AnalyzeFile(path string) (*Analysis, error) {
 	return a.AnalyzeFileContext(context.Background(), path)
@@ -517,19 +570,7 @@ func (a *Analyzer) Lookup(hash string) (*Analysis, bool) {
 	if !ok {
 		return nil, false
 	}
-	return cachedAnalysis(sum), true
-}
-
-// cachedAnalysis is the result of a store hit: the persisted summary,
-// with no report behind it.
-func cachedAnalysis(sum *shared.Summary) *Analysis {
-	return &Analysis{
-		Syscalls: sum.Syscalls,
-		FailOpen: sum.FailOpen,
-		Wrappers: sum.Wrappers,
-		Imports:  sum.Imports,
-		Cached:   true,
-	}
+	return fromSummary(sum, nil), true
 }
 
 // analyzeData is the shared front of the byte-level entry points. With
@@ -565,7 +606,7 @@ func (a *Analyzer) analyzeDataInner(ctx context.Context, data []byte, path strin
 			probed = true
 			hash = id.Hash
 			if sum, ok := a.inner.CachedSummary(id.Hash, id.Needed); ok {
-				return cachedAnalysis(sum), nil
+				return fromSummary(sum, nil), nil
 			}
 		}
 	}
@@ -697,43 +738,25 @@ func (a *Analyzer) analyze(ctx context.Context, bin *elff.Binary, probed bool) (
 	if a.cacheErr != nil {
 		return nil, a.cacheErr
 	}
-	var out *Analysis
 	if a.cache != nil && len(a.modules) == 0 {
 		// Cache-aware path: a hit skips all decoding; a miss computes,
 		// persists the summary, and keeps the full report.
 		if !probed {
 			if sum, ok := a.inner.CachedSummary(bin.Hash, bin.Needed); ok {
-				return cachedAnalysis(sum), nil
+				return fromSummary(sum, nil), nil
 			}
 		}
 		sum, rep, err := a.inner.ComputeSummaryCtx(ctx, bin)
 		if err != nil {
 			return nil, err
 		}
-		out = &Analysis{
-			Syscalls: sum.Syscalls,
-			FailOpen: sum.FailOpen,
-			Wrappers: sum.Wrappers,
-			Imports:  sum.Imports,
-			report:   rep,
-		}
-		if rep != nil {
-			out.Timings = timingsFrom(rep.Timings)
-		}
-		return out, nil
+		return fromSummary(sum, rep), nil
 	}
 	rep, err := a.inner.ProgramCtx(ctx, bin)
 	if err != nil {
 		return nil, err
 	}
-	out = &Analysis{
-		Syscalls: rep.Syscalls,
-		FailOpen: rep.FailOpen,
-		Wrappers: len(rep.Main.Wrappers),
-		Imports:  rep.Main.ReachableImports,
-		Timings:  timingsFrom(rep.Timings),
-		report:   rep,
-	}
+	out := fromSummary(shared.Summarize(rep), rep)
 	// dlopen-style modules the user declared: union their behaviour.
 	for _, path := range a.modules {
 		mod, err := a.openBinary(path)
@@ -760,13 +783,18 @@ func (a *Analyzer) analyze(ctx context.Context, bin *elff.Binary, probed bool) (
 func (r *Analysis) Names() []string {
 	out := make([]string, 0, len(r.Syscalls))
 	for _, n := range r.Syscalls {
-		if name := linux.Name(n); name != "" {
-			out = append(out, name)
-		} else {
-			out = append(out, fmt.Sprintf("syscall_%d", n))
-		}
+		out = append(out, nameOf(n))
 	}
 	return out
+}
+
+// nameOf renders a syscall number by its kernel name, or as syscall_N
+// when the table names no such number.
+func nameOf(n uint64) string {
+	if name := linux.Name(n); name != "" {
+		return name
+	}
+	return fmt.Sprintf("syscall_%d", n)
 }
 
 // Has reports whether syscall n is in the identified set.
@@ -779,7 +807,8 @@ func (r *Analysis) Has(n uint64) bool {
 type Policy struct {
 	// Allowed syscall numbers; everything else would be denied.
 	Allowed []uint64 `json:"allowed"`
-	// AllowedNames mirrors Allowed with kernel names.
+	// AllowedNames mirrors Allowed with kernel names, named as
+	// Analysis.Names names them.
 	AllowedNames []string `json:"allowed_names"`
 	// FailOpen means the analysis could not bound the set and the
 	// policy allows the entire table (unsafe to tighten).
@@ -795,7 +824,7 @@ func (r *Analysis) Policy() *Policy {
 		p.Allowed = append([]uint64(nil), r.Syscalls...)
 	}
 	for _, n := range p.Allowed {
-		p.AllowedNames = append(p.AllowedNames, linux.Name(n))
+		p.AllowedNames = append(p.AllowedNames, nameOf(n))
 	}
 	return p
 }

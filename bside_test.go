@@ -1,6 +1,7 @@
 package bside
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -143,5 +144,32 @@ func TestSyscallNameHelpers(t *testing.T) {
 	}
 	if n, ok := SyscallNumber("execve"); !ok || n != 59 {
 		t.Fatal("SyscallNumber")
+	}
+}
+
+// TestPolicyNamesMatchAnalysisNames: a number the table does not name
+// (clone3, 435, which glibc 2.36 issues directly) gets the same
+// syscall_N name in the policy as in the analysis.
+func TestPolicyNamesMatchAnalysisNames(t *testing.T) {
+	res := &Analysis{Syscalls: []uint64{60, 435}}
+	want := []string{"exit", "syscall_435"}
+	if got := res.Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Names() = %q, want %q", got, want)
+	}
+	if got := res.Policy().AllowedNames; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Policy().AllowedNames = %q, want %q", got, want)
+	}
+}
+
+// TestRecordRendersEveryKey: an analysis with no syscalls and no
+// imports still renders all five keys, its empty collections as [].
+func TestRecordRendersEveryKey(t *testing.T) {
+	got, err := json.Marshal((&Analysis{}).Record())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"syscalls":[],"names":[],"fail_open":false,"wrappers":0,"imports":[]}`
+	if string(got) != want {
+		t.Fatalf("record %s, want %s", got, want)
 	}
 }

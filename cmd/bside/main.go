@@ -191,13 +191,9 @@ func run(path, libDir string, asJSON, withPhases, asPolicy, disasm bool, maxInsn
 	}
 	if asJSON {
 		return enc.Encode(struct {
-			Syscalls []uint64       `json:"syscalls"`
-			Names    []string       `json:"names"`
-			FailOpen bool           `json:"fail_open,omitempty"`
-			Wrappers int            `json:"wrappers"`
-			Imports  []string       `json:"imports,omitempty"`
-			Timings  *bside.Timings `json:"timings,omitempty"`
-		}{res.Syscalls, res.Names(), res.FailOpen, res.Wrappers, res.Imports, res.Timings})
+			*bside.Record
+			Timings *bside.Timings `json:"timings,omitempty"`
+		}{res.Record(), res.Timings})
 	}
 
 	fmt.Printf("%d system calls identified", len(res.Syscalls))
@@ -215,15 +211,14 @@ func run(path, libDir string, asJSON, withPhases, asPolicy, disasm bool, maxInsn
 	return nil
 }
 
-// batchLine is the JSON-lines record emitted per binary.
+// batchLine is the JSON-lines record emitted per binary: the analysis
+// record inside its path, cache and error envelope. A failed binary
+// carries no record.
 type batchLine struct {
-	Path     string   `json:"path"`
-	Syscalls []uint64 `json:"syscalls,omitempty"`
-	Names    []string `json:"names,omitempty"`
-	FailOpen bool     `json:"fail_open,omitempty"`
-	Wrappers int      `json:"wrappers,omitempty"`
-	Cached   bool     `json:"cached,omitempty"`
-	Error    string   `json:"error,omitempty"`
+	Path string `json:"path"`
+	*bside.Record
+	Cached bool   `json:"cached,omitempty"`
+	Error  string `json:"error,omitempty"`
 }
 
 func runBatch(args []string, stdout, stderr io.Writer) error {
@@ -281,10 +276,7 @@ func runBatch(args []string, stdout, stderr io.Writer) error {
 				} else {
 					cold++
 				}
-				line.Syscalls = res.Syscalls
-				line.Names = res.Names()
-				line.FailOpen = res.FailOpen
-				line.Wrappers = res.Wrappers
+				line.Record = res.Record()
 				line.Cached = res.Cached
 			}
 			if err := enc.Encode(line); err != nil && encErr == nil {

@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"bside"
 	"bside/internal/corpus"
 	"bside/internal/elff"
 	"bside/internal/linux"
@@ -59,6 +60,7 @@ func TestMainScenarios(t *testing.T) {
 		run  func(*testing.T, *scenarioInputs)
 	}{
 		{"single", singleScenario},
+		{"record", recordScenario},
 		{"serve", serveScenario},
 		{"sweep", sweepScenario},
 		{"pack", packScenario},
@@ -194,50 +196,139 @@ func singleScenario(t *testing.T, in *scenarioInputs) {
 	runMain(t, 1, in.noise) // run failure: not an ELF
 }
 
-func serveScenario(t *testing.T, in *scenarioInputs) {
-	img, err := os.ReadFile(in.tool)
-	if err != nil {
-		t.Fatal(err)
+// decodeKeys decodes one JSON object by key, so a missing key reads as
+// missing rather than as a zero value.
+func decodeKeys(t *testing.T, data []byte) map[string]json.RawMessage {
+	t.Helper()
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatalf("%v: %s", err, data)
 	}
-	sum := sha256.Sum256(img)
-	cmd := mainCmd("serve", "-addr", "127.0.0.1:0", "-cache", t.TempDir())
-	pipe, err := cmd.StderrPipe()
+	return m
+}
+
+// linesByPath decodes NDJSON output, keyed by each line's path.
+func linesByPath(t *testing.T, out []byte) map[string]map[string]json.RawMessage {
+	t.Helper()
+	lines := make(map[string]map[string]json.RawMessage)
+	for _, line := range bytes.Split(bytes.TrimSpace(out), []byte("\n")) {
+		m := decodeKeys(t, line)
+		var path string
+		if err := json.Unmarshal(m["path"], &path); err != nil {
+			t.Fatalf("line without a path: %s", line)
+		}
+		lines[path] = m
+	}
+	return lines
+}
+
+// recordScenario holds every entry path to one rendering. For a
+// dynamic app and the static, import-free tool, the -json output, the
+// batch line, the sweep line, the serve /batch result and the /analyze
+// body each carry the five record keys, byte-equal to serve.Render of
+// a direct analysis.
+func recordScenario(t *testing.T, in *scenarioInputs) {
+	bins := []string{in.apps[0], in.tool}
+	want := make(map[string]map[string]json.RawMessage)
+	direct := bside.NewAnalyzer(bside.Options{LibraryDir: in.libs})
+	for _, path := range bins {
+		res, err := direct.AnalyzeFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[path] = decodeKeys(t, serve.Render(res))
+	}
+	check := func(from, path string, got map[string]json.RawMessage) {
+		t.Helper()
+		for _, key := range []string{"syscalls", "names", "fail_open", "wrappers", "imports"} {
+			var compact bytes.Buffer
+			raw, ok := got[key]
+			if !ok || json.Compact(&compact, raw) != nil || !bytes.Equal(compact.Bytes(), want[path][key]) {
+				t.Errorf("%s %s: %q is %s (present %v), want %s", from, filepath.Base(path), key, raw, ok, want[path][key])
+			}
+		}
+	}
+
+	out, _ := runMain(t, 0, append([]string{"batch", "-libs", in.libs, "-jobs", "1"}, bins...)...)
+	batch := linesByPath(t, out)
+	out, _ = runMain(t, 0, "sweep", "-libs", in.libs, in.tree)
+	swept := linesByPath(t, out)
+	d := startDaemon(t, "-libs", in.libs)
+	read := readOK(t)
+	req, _ := json.Marshal(map[string][]string{"paths": bins})
+	_, out = read(http.Post(d.base+"/batch", "application/json", bytes.NewReader(req)))
+	served := linesByPath(t, out)
+	for _, path := range bins {
+		single, _ := runMain(t, 0, "-libs", in.libs, "-json", path)
+		check("-json", path, decodeKeys(t, single))
+		check("batch", path, batch[path])
+		check("sweep", path, swept[path])
+		check("serve /batch", path, decodeKeys(t, served[path]["result"]))
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, body := read(http.Post(d.base+"/analyze", "application/octet-stream", bytes.NewReader(img)))
+		check("serve /analyze", path, decodeKeys(t, body))
+	}
+}
+
+// daemon is a running `bside serve` child.
+type daemon struct {
+	cmd    *exec.Cmd
+	base   string        // http://host:port
+	exited chan struct{} // closed once the child exited and was reaped
+	// log and waitErr belong to the stderr reader until exited closes.
+	log     []string
+	waitErr error
+}
+
+// startDaemon runs `bside serve` with args on a free port and waits
+// for it to announce its address; the test's cleanup kills it.
+func startDaemon(t *testing.T, args ...string) *daemon {
+	t.Helper()
+	d := &daemon{
+		cmd:    mainCmd(append([]string{"serve", "-addr", "127.0.0.1:0"}, args...)...),
+		exited: make(chan struct{}),
+	}
+	pipe, err := d.cmd.StderrPipe()
 	if err == nil {
-		err = cmd.Start()
+		err = d.cmd.Start()
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The reader owns log and waitErr until exited closes. The daemon
-	// listens on :0, so only its log knows the port.
-	addr, exited := make(chan string, 1), make(chan struct{})
-	var log []string
-	var waitErr error
+	// The daemon listens on :0, so only its log knows the port.
+	addr := make(chan string, 1)
 	go func() {
-		defer close(exited)
+		defer close(d.exited)
 		sc := bufio.NewScanner(pipe)
 		for sc.Scan() {
 			if a, ok := strings.CutPrefix(sc.Text(), "bside serve: listening on "); ok {
 				addr <- "http://" + a
 			}
-			log = append(log, sc.Text())
+			d.log = append(d.log, sc.Text())
 		}
-		waitErr = cmd.Wait()
+		d.waitErr = d.cmd.Wait()
 	}()
 	t.Cleanup(func() {
-		_ = cmd.Process.Kill() // fails harmlessly once the daemon exited
-		<-exited
+		_ = d.cmd.Process.Kill() // fails harmlessly once the daemon exited
+		<-d.exited
 	})
-	var base string
 	select {
-	case base = <-addr:
-	case <-exited:
-		t.Fatalf("daemon exited before listening: %v\n%s", waitErr, strings.Join(log, "\n"))
+	case d.base = <-addr:
+	case <-d.exited:
+		t.Fatalf("daemon exited before listening: %v\n%s", d.waitErr, strings.Join(d.log, "\n"))
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon did not announce its address within 10s")
 	}
+	return d
+}
 
-	read := func(resp *http.Response, err error) (http.Header, []byte) {
+// readOK returns a reader of HTTP responses that must answer 200.
+func readOK(t *testing.T) func(*http.Response, error) (http.Header, []byte) {
+	return func(resp *http.Response, err error) (http.Header, []byte) {
+		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,31 +339,41 @@ func serveScenario(t *testing.T, in *scenarioInputs) {
 		}
 		return resp.Header, data
 	}
-	up, cold := read(http.Post(base+"/analyze", "application/octet-stream", bytes.NewReader(img)))
+}
+
+func serveScenario(t *testing.T, in *scenarioInputs) {
+	img, err := os.ReadFile(in.tool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(img)
+	d := startDaemon(t, "-cache", t.TempDir())
+	read := readOK(t)
+	up, cold := read(http.Post(d.base+"/analyze", "application/octet-stream", bytes.NewReader(img)))
 	if got := up.Get("X-Bside-Cached"); got != "false" {
 		t.Fatalf("upload: X-Bside-Cached = %q, want false", got)
 	}
-	warm, warmBody := read(http.Post(base+"/analyze?hash="+hex.EncodeToString(sum[:]), "", nil))
+	warm, warmBody := read(http.Post(d.base+"/analyze?hash="+hex.EncodeToString(sum[:]), "", nil))
 	if got := warm.Get("X-Bside-Cached"); got != "true" || !bytes.Equal(warmBody, cold) {
 		t.Fatalf("hash lookup: X-Bside-Cached = %q, body %s, want true and the upload's %s", got, warmBody, cold)
 	}
 	var m serve.Metrics
-	if _, data := read(http.Get(base + "/metrics")); json.Unmarshal(data, &m) != nil ||
+	if _, data := read(http.Get(d.base + "/metrics")); json.Unmarshal(data, &m) != nil ||
 		m.Serve.Analyses != 1 || m.Serve.LookupHits != 1 || m.Cache.Stores == 0 || m.Cache.Hits == 0 {
 		t.Fatalf("metrics: %s, want analyses 1, lookup_hits 1, cache stores and hits > 0", data)
 	}
 
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case <-exited:
+	case <-d.exited:
 	case <-time.After(15 * time.Second):
 		t.Fatal("daemon did not exit within 15s of SIGTERM")
 	}
-	draining := slices.Index(log, "bside serve: draining")
-	if waitErr != nil || draining < 0 || slices.Index(log, "bside serve: drained") < draining {
-		t.Fatalf("after SIGTERM: exit %v, want 0 with draining then drained logged:\n%s", waitErr, strings.Join(log, "\n"))
+	draining := slices.Index(d.log, "bside serve: draining")
+	if d.waitErr != nil || draining < 0 || slices.Index(d.log, "bside serve: drained") < draining {
+		t.Fatalf("after SIGTERM: exit %v, want 0 with draining then drained logged:\n%s", d.waitErr, strings.Join(d.log, "\n"))
 	}
 }
 

@@ -70,7 +70,14 @@ func runSweep(args []string, stdout, stderr io.Writer) error {
 		Diff:          *diff,
 		ProgressEvery: *progress,
 		OnResult: func(r *sweep.Result) {
-			if e := enc.Encode(r); e != nil && encErr == nil {
+			line := struct {
+				*sweep.Result
+				*bside.Record
+			}{Result: r}
+			if r.Analysis != nil {
+				line.Record = r.Analysis.Record()
+			}
+			if e := enc.Encode(line); e != nil && encErr == nil {
 				encErr = e
 			}
 		},

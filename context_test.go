@@ -116,9 +116,8 @@ func TestLookupByHash(t *testing.T) {
 	if !got.Cached {
 		t.Fatal("Lookup result not marked cached")
 	}
-	if !reflect.DeepEqual(got.Syscalls, want.Syscalls) || got.FailOpen != want.FailOpen ||
-		got.Wrappers != want.Wrappers || !reflect.DeepEqual(got.Imports, want.Imports) {
-		t.Fatalf("Lookup diverged from analysis: %+v vs %+v", got, want)
+	if !reflect.DeepEqual(got.Record(), want.Record()) {
+		t.Fatalf("Lookup diverged from analysis: %+v vs %+v", got.Record(), want.Record())
 	}
 	// Unknown hashes miss.
 	if _, ok := b.Lookup("0000000000000000000000000000000000000000000000000000000000000000"); ok {

@@ -104,7 +104,7 @@ type Options struct {
 	// matrix; defaults to 1, 4, 8.
 	Workers []int
 	// Tamper, when set, rewrites each analysis leg's identified set
-	// before fingerprinting — fault injection for the harness's own
+	// before its record is built — fault injection for the harness's own
 	// tests (a deliberately broken "analyzer" must be caught). Nil in
 	// real runs.
 	Tamper func(leg string, syscalls []uint64) []uint64
@@ -223,16 +223,6 @@ func New(opts Options) (*Oracle, error) {
 	return o, nil
 }
 
-// fingerprint is the byte-compared essence of one analysis result.
-// Timings and cache provenance are deliberately absent: they may vary
-// across legs; nothing else may.
-type fingerprint struct {
-	Syscalls []uint64 `json:"syscalls"`
-	FailOpen bool     `json:"fail_open"`
-	Wrappers int      `json:"wrappers"`
-	Imports  []string `json:"imports"`
-}
-
 // Check builds the case's binary, derives emulator ground truth, runs
 // the analysis-leg matrix, and returns the verdict.
 func (o *Oracle) Check(c Case) *Verdict {
@@ -276,7 +266,7 @@ func (o *Oracle) Check(c Case) *Verdict {
 	// resolver only ever shrinks), and the sweep legs' scanner
 	// containment (a scan-resolved value the resolver pruned must still
 	// be inside the over-approximation).
-	var offFP *fingerprint
+	var offRec *bside.Record
 	offRes, offErr := bside.NewAnalyzer(bside.Options{
 		LibraryDir:     o.opts.Universe.Dir,
 		IntraWorkers:   1,
@@ -285,15 +275,15 @@ func (o *Oracle) Check(c Case) *Verdict {
 	if offErr != nil {
 		v.Violations = append(v.Violations, "resolver-off: analysis failed: "+offErr.Error())
 	} else {
-		offFP = o.fingerprintOf("resolver-off", offRes)
-		v.ResolverOff = offFP.Syscalls
+		offRec = o.recordOf("resolver-off", offRes)
+		v.ResolverOff = offRec.Syscalls
 	}
 	offHas := func(n uint64) bool {
-		if offFP == nil || offFP.FailOpen {
+		if offRec == nil || offRec.FailOpen {
 			return true // effective set is unknown or the full table
 		}
-		i := sort.Search(len(offFP.Syscalls), func(i int) bool { return offFP.Syscalls[i] >= n })
-		return i < len(offFP.Syscalls) && offFP.Syscalls[i] == n
+		i := sort.Search(len(offRec.Syscalls), func(i int) bool { return offRec.Syscalls[i] >= n })
+		return i < len(offRec.Syscalls) && offRec.Syscalls[i] == n
 	}
 
 	// Poisoned twin for the crash-containment legs: the same program
@@ -322,8 +312,8 @@ func (o *Oracle) Check(c Case) *Verdict {
 	}
 	poisonHash := poisonBin.Hash
 
-	// The analysis-leg matrix. Every leg must produce a byte-identical
-	// fingerprint; the first leg doubles as the soundness subject.
+	// The analysis-leg matrix. Every leg must render a byte-identical
+	// record; the first leg doubles as the soundness subject.
 	cacheDir := filepath.Join(o.opts.Dir, fmt.Sprintf("cache-%d", c.Seed))
 	defer os.RemoveAll(cacheDir)
 	// The cache legs carry the budget-exhausted binary too: its count-
@@ -424,7 +414,7 @@ func (o *Oracle) Check(c Case) *Verdict {
 		}},
 		// Corruption axis: a damaged pack (one flipped bit, checksum
 		// broken) must be rejected wholesale — the analyzer recomputes
-		// from scratch and still produces the identical fingerprint; it
+		// from scratch and still renders the identical record; it
 		// must never ghost-serve bytes out of a corrupt mapping. The
 		// compaction pruned the copy's loose entries, so nothing else
 		// can answer.
@@ -483,7 +473,7 @@ func (o *Oracle) Check(c Case) *Verdict {
 		}},
 		// Same containment through the fleet path: the sweep books the
 		// poisoned binary as a phased "panic" failure and keeps moving;
-		// the clean binary's line is this leg's fingerprint subject.
+		// the clean binary's line is this leg's record subject.
 		leg{"sweep-poison", func() (*bside.Analysis, error) {
 			treeDir := filepath.Join(o.opts.Dir, fmt.Sprintf("sweep-poison-%d", c.Seed))
 			if err := os.MkdirAll(treeDir, 0o755); err != nil {
@@ -605,9 +595,9 @@ func (o *Oracle) Check(c Case) *Verdict {
 		}},
 	)
 
-	var baseFP []byte
+	var baseRaw []byte
 	var baseLeg string
-	var first *fingerprint
+	var first *bside.Record
 	v.Invariant = true
 	for _, l := range legs {
 		res, err := l.run()
@@ -616,22 +606,18 @@ func (o *Oracle) Check(c Case) *Verdict {
 			v.Invariant = false
 			continue
 		}
-		fp := o.fingerprintOf(l.name, res)
-		raw, err := json.Marshal(fp)
-		if err != nil {
-			v.Err = "fingerprint: " + err.Error()
-			return v
-		}
-		if baseFP == nil {
+		rec := o.recordOf(l.name, res)
+		raw, _ := json.Marshal(rec) // struct marshaling cannot fail
+		if baseRaw == nil {
 			// The baseline is the first leg that *succeeded* — name it
 			// accurately in drift reports.
-			baseFP, baseLeg, first = raw, l.name, fp
+			baseRaw, baseLeg, first = raw, l.name, rec
 			continue
 		}
-		if string(raw) != string(baseFP) {
+		if string(raw) != string(baseRaw) {
 			v.Invariant = false
 			v.Violations = append(v.Violations, fmt.Sprintf(
-				"%s: result drifted from %s: %s vs %s", l.name, baseLeg, raw, baseFP))
+				"%s: result drifted from %s: %s vs %s", l.name, baseLeg, raw, baseRaw))
 		}
 	}
 	if first == nil {
@@ -663,8 +649,8 @@ func (o *Oracle) Check(c Case) *Verdict {
 	// resolver is not allowed to paper over a regression in the base
 	// analysis), and the resolver must be shrink-only: anything
 	// identified with it on must also be identified with it off.
-	if offFP != nil {
-		if !offFP.FailOpen {
+	if offRec != nil {
+		if !offRec.FailOpen {
 			for _, n := range v.Truth {
 				if !offHas(n) {
 					v.Sound = false
@@ -683,8 +669,8 @@ func (o *Oracle) Check(c Case) *Verdict {
 				v.Precision = &Precision{
 					TruthCount:       len(v.Truth),
 					IdentifiedCount:  len(first.Syscalls),
-					ResolverOffCount: len(offFP.Syscalls),
-					Shrink:           len(offFP.Syscalls) - len(first.Syscalls),
+					ResolverOffCount: len(offRec.Syscalls),
+					Shrink:           len(offRec.Syscalls) - len(first.Syscalls),
 					Excess:           len(first.Syscalls) - len(v.Truth),
 				}
 			}
@@ -699,7 +685,7 @@ func (o *Oracle) Check(c Case) *Verdict {
 // a scratch tree, swept with the differential scanner on. The leg
 // fails on any per-binary failure, on a scanner value escaping the
 // resolver-off over-approximation (offHas), and (via the caller's
-// fingerprint comparison) on any result drift against the
+// record comparison) on any result drift against the
 // direct-analysis legs. Scanner values inside offHas but outside the
 // resolver-on set are expected: the linear scan reads address-taken
 // dead code the resolver proved unreachable.
@@ -746,7 +732,7 @@ func (o *Oracle) sweepRun(seed int64, binPath string, noMmap bool, offHas func(u
 			for _, n := range res.Diff.ScanOnly {
 				if !offHas(n) {
 					return nil, fmt.Errorf("sweep: scan-resolved syscall %d outside both the identified set %v and the resolver-off over-approximation",
-						n, res.Syscalls)
+						n, res.Analysis.Syscalls)
 				}
 			}
 		}
@@ -791,17 +777,17 @@ func (o *Oracle) checkBaselines(v *Verdict, bin *elff.Binary) {
 	}
 }
 
-func (o *Oracle) fingerprintOf(legName string, res *bside.Analysis) *fingerprint {
-	syscalls := append([]uint64(nil), res.Syscalls...)
+// recordOf is one leg's rendering: the analysis record, after Tamper
+// (on a copy) when the harness tests itself. Timings and cache
+// provenance are not in the record: they may vary across legs; nothing
+// else may.
+func (o *Oracle) recordOf(legName string, res *bside.Analysis) *bside.Record {
 	if o.opts.Tamper != nil {
-		syscalls = o.opts.Tamper(legName, syscalls)
+		tampered := *res
+		tampered.Syscalls = o.opts.Tamper(legName, append([]uint64(nil), res.Syscalls...))
+		res = &tampered
 	}
-	return &fingerprint{
-		Syscalls: syscalls,
-		FailOpen: res.FailOpen,
-		Wrappers: res.Wrappers,
-		Imports:  res.Imports,
-	}
+	return res.Record()
 }
 
 func kindString(p corpus.Profile) string {

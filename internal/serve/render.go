@@ -6,46 +6,13 @@ import (
 	"bside"
 )
 
-// ResultBody is the canonical analysis rendering: the result fields
-// that are a pure function of the image (and the analyzer's
-// configuration) — nothing request-scoped, nothing wall-clock. Two
-// analyses of the same image must render byte-identically whether they
-// ran cold, warm from either cache tier, directly in the library, or
-// across the service; the fuzzer's serve-invariance leg enforces the
-// last equivalence literally.
-type ResultBody struct {
-	Syscalls []uint64 `json:"syscalls"`
-	Names    []string `json:"names"`
-	FailOpen bool     `json:"fail_open"`
-	Wrappers int      `json:"wrappers"`
-	Imports  []string `json:"imports"`
-}
-
-func resultBody(res *bside.Analysis) *ResultBody {
-	body := &ResultBody{
-		Syscalls: res.Syscalls,
-		Names:    res.Names(),
-		FailOpen: res.FailOpen,
-		Wrappers: res.Wrappers,
-		Imports:  res.Imports,
-	}
-	// Absent and empty collections must render identically: the cold
-	// path builds empty slices, a cache round trip can surface nil.
-	if body.Syscalls == nil {
-		body.Syscalls = []uint64{}
-	}
-	if body.Names == nil {
-		body.Names = []string{}
-	}
-	if body.Imports == nil {
-		body.Imports = []string{}
-	}
-	return body
-}
+// ResultBody is the canonical analysis rendering under the service's
+// name; the benchmark harness under bench/ decodes bodies into it.
+type ResultBody = bside.Record
 
 // Render serializes one analysis into the canonical newline-terminated
 // JSON body served by POST /analyze. Struct marshaling cannot fail.
 func Render(res *bside.Analysis) []byte {
-	b, _ := json.Marshal(resultBody(res))
+	b, _ := json.Marshal(res.Record())
 	return append(b, '\n')
 }

@@ -27,9 +27,10 @@
 // computation is canceled only when the last interested caller is
 // gone).
 //
-// Result bodies are rendered by Render and nothing else, so a service
-// response is byte-identical to a direct library analysis of the same
-// image — an invariance the fuzzer's serve leg holds the daemon to.
+// Every result, an /analyze body or a /batch line's "result", is the
+// analysis's bside.Record, so a service response is byte-identical to
+// a direct library analysis of the same image — an invariance the
+// fuzzer's serve leg holds the daemon to.
 package serve
 
 import (
@@ -328,10 +329,10 @@ type batchRequest struct {
 // batchLine is one NDJSON line of the /batch response stream, emitted
 // per binary in completion order.
 type batchLine struct {
-	Path   string      `json:"path"`
-	Result *ResultBody `json:"result,omitempty"`
-	Cached bool        `json:"cached,omitempty"`
-	Err    string      `json:"err,omitempty"`
+	Path   string        `json:"path"`
+	Result *bside.Record `json:"result,omitempty"`
+	Cached bool          `json:"cached,omitempty"`
+	Error  string        `json:"error,omitempty"`
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -375,9 +376,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		OnResult: func(res *bside.Analysis) {
 			line := batchLine{Path: res.Path}
 			if res.Err != nil {
-				line.Err = res.Err.Error()
+				line.Error = res.Err.Error()
 			} else {
-				line.Result = resultBody(res)
+				line.Result = res.Record()
 				line.Cached = res.Cached
 				s.analyses.Add(1)
 				if res.Timings != nil {
@@ -393,7 +394,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// Batch-level failure after the stream started: emit a final
 		// pathless error line so the client sees a cause, not just EOF.
-		_ = enc.Encode(batchLine{Err: err.Error()})
+		_ = enc.Encode(batchLine{Error: err.Error()})
 		if flusher != nil {
 			flusher.Flush()
 		}

@@ -43,6 +43,9 @@ type fakeBackend struct {
 	gate   chan struct{}
 	lookup map[string]*bside.Analysis
 	stats  bside.CacheStats
+	// batchErr, when set, is the batch-level error AnalyzeAllContext
+	// returns after emitting every line.
+	batchErr error
 }
 
 func (f *fakeBackend) AnalyzeBytesContext(ctx context.Context, data []byte) (*bside.Analysis, error) {
@@ -73,6 +76,9 @@ func (f *fakeBackend) AnalyzeAllContext(ctx context.Context, paths []string, opt
 		if opts.OnResult != nil {
 			opts.OnResult(res)
 		}
+	}
+	if f.batchErr != nil {
+		return out, f.batchErr
 	}
 	return out, ctx.Err()
 }
@@ -124,7 +130,7 @@ func TestAnalyzeEndpoint(t *testing.T) {
 	if !bytes.Equal(body, Render(want)) {
 		t.Fatalf("body is not the canonical rendering:\n%s", body)
 	}
-	var parsed ResultBody
+	var parsed bside.Record
 	if err := json.Unmarshal(body, &parsed); err != nil {
 		t.Fatalf("body not JSON: %v", err)
 	}
@@ -291,11 +297,13 @@ func TestHashLookup(t *testing.T) {
 	}
 }
 
-func TestBatchStreamsNDJSON(t *testing.T) {
-	fb := &fakeBackend{}
-	_, ts := newTestServer(t, Config{Backend: fb})
-	req, _ := json.Marshal(batchRequest{Paths: []string{"/bin/a", "/bin/bad", "/bin/c"}})
-	resp := postBytes(t, ts.URL+"/batch", req)
+// batchLines posts paths to /batch and decodes the NDJSON stream by
+// key, so a test reads the wire names rather than this package's
+// struct tags.
+func batchLines(t *testing.T, url string, paths []string) []map[string]json.RawMessage {
+	t.Helper()
+	req, _ := json.Marshal(batchRequest{Paths: paths})
+	resp := postBytes(t, url+"/batch", req)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -304,9 +312,9 @@ func TestBatchStreamsNDJSON(t *testing.T) {
 		t.Fatalf("content type %q", ct)
 	}
 	dec := json.NewDecoder(resp.Body)
-	var lines []batchLine
+	var lines []map[string]json.RawMessage
 	for {
-		var line batchLine
+		var line map[string]json.RawMessage
 		if err := dec.Decode(&line); err == io.EOF {
 			break
 		} else if err != nil {
@@ -314,18 +322,37 @@ func TestBatchStreamsNDJSON(t *testing.T) {
 		}
 		lines = append(lines, line)
 	}
+	return lines
+}
+
+func TestBatchStreamsNDJSON(t *testing.T) {
+	fb := &fakeBackend{}
+	_, ts := newTestServer(t, Config{Backend: fb})
+	lines := batchLines(t, ts.URL, []string{"/bin/a", "/bin/bad", "/bin/c"})
 	if len(lines) != 3 {
 		t.Fatalf("lines: %d", len(lines))
 	}
 	for _, line := range lines {
-		if strings.Contains(line.Path, "bad") {
-			if line.Err == "" || line.Result != nil {
-				t.Fatalf("bad path line: %+v", line)
+		_, hasErr := line["error"]
+		_, hasResult := line["result"]
+		if bytes.Contains(line["path"], []byte("bad")) {
+			if !hasErr || hasResult {
+				t.Fatalf("bad path line: %v", line)
 			}
-		} else if line.Err != "" || line.Result == nil {
-			t.Fatalf("good path line: %+v", line)
+		} else if hasErr || !hasResult {
+			t.Fatalf("good path line: %v", line)
 		}
 	}
+
+	// A batch-level failure after the stream started ends it with a
+	// pathless line under the same error key.
+	_, aborted := newTestServer(t, Config{Backend: &fakeBackend{batchErr: errors.New("batch aborted")}})
+	lines = batchLines(t, aborted.URL, []string{"/bin/a"})
+	last := lines[len(lines)-1]
+	if len(lines) != 2 || string(last["path"]) != `""` || last["error"] == nil {
+		t.Fatalf("aborted batch: %v, want one path line and a pathless error line", lines)
+	}
+
 	// Malformed batch bodies are rejected before any work.
 	bad := postBytes(t, ts.URL+"/batch", []byte("{"))
 	bad.Body.Close()

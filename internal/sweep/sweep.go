@@ -84,14 +84,12 @@ type Diff struct {
 	BSideOnly int `json:"bside_only"`
 }
 
-// Result is one binary's sweep record — the NDJSON line `bside sweep`
-// emits.
+// Result is one binary's sweep envelope. `bside sweep` renders each
+// NDJSON line as this envelope followed by the analysis record
+// (bside.Record) of Analysis, when there is one.
 type Result struct {
-	Path     string   `json:"path"`
-	Syscalls []uint64 `json:"syscalls,omitempty"`
-	FailOpen bool     `json:"fail_open,omitempty"`
-	Wrappers int      `json:"wrappers,omitempty"`
-	Cached   bool     `json:"cached,omitempty"`
+	Path   string `json:"path"`
+	Cached bool   `json:"cached,omitempty"`
 	// Ms is the per-binary wall clock in milliseconds.
 	Ms float64 `json:"ms"`
 	// Phase is the failure phase for failed candidates: "open",
@@ -103,8 +101,9 @@ type Result struct {
 	Error string `json:"error,omitempty"`
 	Diff  *Diff  `json:"diff,omitempty"`
 
-	// Analysis is the underlying result for library callers (the
-	// fuzzer's invariance legs); not serialized.
+	// Analysis is the underlying result: set on success and on a "scan"
+	// failure, nil otherwise. Not serialized here; callers render its
+	// record.
 	Analysis *bside.Analysis `json:"-"`
 }
 
@@ -364,9 +363,6 @@ func (st *state) sweepOne(ctx context.Context, path string) {
 		st.emit(out)
 		return
 	}
-	out.Syscalls = res.Syscalls
-	out.FailOpen = res.FailOpen
-	out.Wrappers = res.Wrappers
 	out.Cached = res.Cached
 	out.Analysis = res
 

@@ -106,9 +106,8 @@ func TestSweepMatchesDirectAnalysis(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(res.Syscalls, want.Syscalls) || res.FailOpen != want.FailOpen {
-			t.Fatalf("%s: sweep %v (failopen=%v) vs direct %v (failopen=%v)",
-				path, res.Syscalls, res.FailOpen, want.Syscalls, want.FailOpen)
+		if got := res.Analysis.Record(); !reflect.DeepEqual(got, want.Record()) {
+			t.Fatalf("%s: sweep %+v vs direct %+v", path, got, want.Record())
 		}
 	}
 }
@@ -148,12 +147,11 @@ func TestSweepDisableMmapIdentical(t *testing.T) {
 	})
 	for _, path := range elfs {
 		m, c := mapped[path], copied[path]
-		if m == nil || c == nil {
-			t.Fatalf("missing result for %s", path)
+		if m == nil || c == nil || m.Analysis == nil || c.Analysis == nil {
+			t.Fatalf("missing analysis for %s", path)
 		}
-		if !reflect.DeepEqual(m.Syscalls, c.Syscalls) || m.FailOpen != c.FailOpen ||
-			m.Wrappers != c.Wrappers || !reflect.DeepEqual(m.Diff, c.Diff) {
-			t.Fatalf("%s: mmap and copied sweeps disagree:\n%+v\n%+v", path, m, c)
+		if mr, cr := m.Analysis.Record(), c.Analysis.Record(); !reflect.DeepEqual(mr, cr) || !reflect.DeepEqual(m.Diff, c.Diff) {
+			t.Fatalf("%s: mmap and copied sweeps disagree:\n%+v %+v\n%+v %+v", path, mr, m.Diff, cr, c.Diff)
 		}
 	}
 }
@@ -315,11 +313,11 @@ func TestSweepDiffFlagsResolvedScanOnly(t *testing.T) {
 
 	results, sum := collect(t, root, Options{Analyzer: bside.NewAnalyzer(bside.Options{}), Diff: true})
 	res := results[path]
-	if res == nil || res.Diff == nil {
+	if res == nil || res.Diff == nil || res.Analysis == nil {
 		t.Fatalf("no diff result: %+v", res)
 	}
-	if !reflect.DeepEqual(res.Syscalls, []uint64{60}) {
-		t.Fatalf("B-Side set: %v, want [60]", res.Syscalls)
+	if !reflect.DeepEqual(res.Analysis.Syscalls, []uint64{60}) {
+		t.Fatalf("B-Side set: %v, want [60]", res.Analysis.Syscalls)
 	}
 	if !reflect.DeepEqual(res.Diff.ScanOnly, []uint64{123}) {
 		t.Fatalf("scan-only: %+v, want [123]", res.Diff)
@@ -352,7 +350,7 @@ func TestSweepDiffFlagsEmptyAnswerWithSites(t *testing.T) {
 	}
 	results, sum := collect(t, root, Options{Analyzer: bside.NewAnalyzer(bside.Options{}), Diff: true})
 	res := results[path]
-	if res == nil || res.Diff == nil || len(res.Syscalls) != 0 || res.FailOpen {
+	if res == nil || res.Diff == nil || res.Analysis == nil || len(res.Analysis.Syscalls) != 0 || res.Analysis.FailOpen {
 		t.Fatalf("want a decided, empty answer with a diff: %+v", res)
 	}
 	if res.Diff.ScanSites != 1 || len(res.Diff.ScanOnly) != 0 {
@@ -372,7 +370,7 @@ func TestSweepDiffAgreesOnCorpus(t *testing.T) {
 	if sum.ScanDisagreements != 0 {
 		for p, r := range results {
 			if r.Diff != nil && len(r.Diff.ScanOnly) > 0 {
-				t.Errorf("%s: scan-only %v (bside %v)", p, r.Diff.ScanOnly, r.Syscalls)
+				t.Errorf("%s: scan-only %v (bside %v)", p, r.Diff.ScanOnly, r.Analysis.Syscalls)
 			}
 		}
 		t.Fatalf("disagreements on clean corpus: %d", sum.ScanDisagreements)

@@ -56,13 +56,9 @@ func TestIntraWorkerInvariance(t *testing.T) {
 	for _, tc := range invarianceFixture(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			type outcome struct {
-				syscalls []uint64
-				names    []string
-				imports  []string
-				wrappers int
-				failOpen bool
-				phases   phaseFingerprint
-				listing  string
+				record  *Record
+				phases  phaseFingerprint
+				listing string
 			}
 			var base *outcome
 			for _, workers := range []int{1, 4, 8} {
@@ -74,14 +70,7 @@ func TestIntraWorkerInvariance(t *testing.T) {
 				if res.Timings == nil || res.Timings.Identify < 0 {
 					t.Fatalf("workers=%d: missing stage timings", workers)
 				}
-				got := &outcome{
-					syscalls: res.Syscalls,
-					names:    res.Names(),
-					imports:  res.Imports,
-					wrappers: res.Wrappers,
-					failOpen: res.FailOpen,
-					listing:  res.Disassembly(),
-				}
+				got := &outcome{record: res.Record(), listing: res.Disassembly()}
 				pr, err := res.Phases(PhaseOptions{})
 				if err != nil {
 					t.Fatalf("workers=%d: phases: %v", workers, err)
@@ -91,14 +80,8 @@ func TestIntraWorkerInvariance(t *testing.T) {
 					base = got
 					continue
 				}
-				if !reflect.DeepEqual(got.syscalls, base.syscalls) {
-					t.Fatalf("workers=%d: syscalls drifted:\n%v\n%v", workers, got.syscalls, base.syscalls)
-				}
-				if !reflect.DeepEqual(got.names, base.names) || !reflect.DeepEqual(got.imports, base.imports) {
-					t.Fatalf("workers=%d: names/imports drifted", workers)
-				}
-				if got.wrappers != base.wrappers || got.failOpen != base.failOpen {
-					t.Fatalf("workers=%d: wrappers/fail-open drifted", workers)
+				if !reflect.DeepEqual(got.record, base.record) {
+					t.Fatalf("workers=%d: record drifted:\n%+v\n%+v", workers, got.record, base.record)
 				}
 				if !reflect.DeepEqual(got.phases, base.phases) {
 					t.Fatalf("workers=%d: phase partitions drifted", workers)
