@@ -10,6 +10,7 @@ package bside
 // analysis, not the generation.
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -422,6 +423,55 @@ func BenchmarkRecoverHuge(b *testing.B) {
 		}
 		if g.NumBlocks() == 0 {
 			b.Fatal("empty graph")
+		}
+	}
+}
+
+// BenchmarkAnalyzeBudgetExhausting profiles the fork-heavy shape:
+// cold analyses, with no cache, of the 30 seed-42 Debian-shaped
+// binaries whose searches exhaust the symbolic-execution budget
+// (profile classes FailIdent and FailWrapper). Each iteration analyzes
+// all 30 with a fresh Analyzer. Not gated: `make profile` reads it.
+func BenchmarkAnalyzeBudgetExhausting(b *testing.B) {
+	dir := b.TempDir()
+	libDir := filepath.Join(dir, "libs")
+	if err := os.MkdirAll(libDir, 0o755); err != nil {
+		b.Fatal(err)
+	}
+	set, err := corpus.NewLibrarySet()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for name, lib := range set.Libs {
+		if err := lib.WriteFile(filepath.Join(libDir, name)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var paths []string
+	for _, p := range corpus.DebianProfiles(42) {
+		if p.Class != corpus.FailIdent && p.Class != corpus.FailWrapper {
+			continue
+		}
+		bin, err := corpus.BuildProgram(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		path := filepath.Join(dir, p.Name)
+		if err := bin.WriteFile(path); err != nil {
+			b.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	if len(paths) != 30 {
+		b.Fatalf("%d budget-exhausting profiles, want 30", len(paths))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := NewAnalyzer(Options{LibraryDir: libDir})
+		for _, path := range paths {
+			if _, err := a.AnalyzeFile(path); !errors.Is(err, ident.ErrTimeout) {
+				b.Fatalf("%s: %v, want the budget exhausted", path, err)
+			}
 		}
 	}
 }

@@ -914,8 +914,9 @@ func (r *Analysis) Disassembly() string {
 	return r.report.Graph.Listing()
 }
 
-// SyscallName exposes the kernel name for a syscall number.
-func SyscallName(n uint64) string { return linux.Name(n) }
+// SyscallName exposes the kernel name for a syscall number, or
+// syscall_N when the table names no such number, as Names names it.
+func SyscallName(n uint64) string { return nameOf(n) }
 
 // SyscallNumber exposes the number for a kernel syscall name.
 func SyscallNumber(name string) (uint64, bool) { return linux.Number(name) }

@@ -149,7 +149,7 @@ func TestSyscallNameHelpers(t *testing.T) {
 
 // TestPolicyNamesMatchAnalysisNames: a number the table does not name
 // (clone3, 435, which glibc 2.36 issues directly) gets the same
-// syscall_N name in the policy as in the analysis.
+// syscall_N name in the policy and from SyscallName as in the analysis.
 func TestPolicyNamesMatchAnalysisNames(t *testing.T) {
 	res := &Analysis{Syscalls: []uint64{60, 435}}
 	want := []string{"exit", "syscall_435"}
@@ -158,6 +158,11 @@ func TestPolicyNamesMatchAnalysisNames(t *testing.T) {
 	}
 	if got := res.Policy().AllowedNames; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Policy().AllowedNames = %q, want %q", got, want)
+	}
+	for i, n := range res.Syscalls {
+		if got := SyscallName(n); got != want[i] {
+			t.Fatalf("SyscallName(%d) = %q, want %q", n, got, want[i])
+		}
 	}
 }
 

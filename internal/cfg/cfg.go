@@ -132,10 +132,6 @@ type Graph struct {
 	// §4.3, in address order: the targets of indirect edges.
 	ActiveAddrTaken []uint64
 
-	// ImportStubs maps the entry address of each import stub (a block
-	// that tail-jumps through a GOT slot) to the imported symbol name.
-	ImportStubs map[uint64]string
-
 	// Roots are the traversal entry points used for recovery.
 	Roots []uint64
 

@@ -212,9 +212,6 @@ func TestImportStubResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name := g.ImportStubs[syms["stub_write"]]; name != "write" {
-		t.Fatalf("stub map: %v", g.ImportStubs)
-	}
 	stub, _ := g.BlockAt(syms["stub_write"])
 	if name := g.ImportCall(stub); name != "write" {
 		t.Fatalf("stub block import: %q", name)

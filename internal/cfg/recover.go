@@ -494,7 +494,6 @@ func (b *builder) materialize(g *Graph) {
 	// One edge pass: out-edges land in block order, so each block's
 	// run starts where the previous one's ended. Import labels resolve
 	// here too.
-	g.ImportStubs = make(map[uint64]string)
 	edges := b.edges[:0]
 	for k := 0; k < numBlocks; k++ {
 		blk := &blocks[k]
@@ -503,9 +502,6 @@ func (b *builder) materialize(g *Graph) {
 		imp, imported := b.importTarget(last)
 		if imported {
 			blk.imp = imp + 1
-			if last.Op == x86.OpJmpInd {
-				g.ImportStubs[blk.Addr] = b.bin.Imports[imp].Name
-			}
 		}
 		edges = b.appendEdges(edges, blk.ID, last, last.IsIndirect() && !imported)
 	}

@@ -26,8 +26,8 @@ const (
 	// maxAllocsJoinSite bounds a site with eight predecessors, each
 	// defining its own immediate: eight directed runs that each reach
 	// the site. Only the result slice is left to allocate, so the
-	// ceiling is tight: a site-state slice allocated per run costs one
-	// allocation per predecessor.
+	// ceiling is tight: anything a run allocates costs one allocation
+	// per predecessor.
 	maxAllocsJoinSite = 4
 )
 

@@ -556,18 +556,16 @@ func (p *Pass) importCallSites(name string) []*cfg.Block {
 	blocks := p.g.Blocks()
 	for i := range blocks {
 		blk := &blocks[i]
-		if p.g.ImportCall(blk) == name && p.g.Last(blk).Op == x86.OpCallInd {
-			add(blk.ID)
-		}
-	}
-	// Calls to the PLT-style stub: the stub block carries ImportCall
-	// and is reached via EdgeCall from the real call sites.
-	for stubAddr, stubName := range p.g.ImportStubs {
-		if stubName != name {
+		if p.g.ImportCall(blk) != name {
 			continue
 		}
-		if stub, ok := p.g.BlockAt(stubAddr); ok {
-			for _, e := range p.g.Preds(stub) {
+		switch p.g.Last(blk).Op {
+		case x86.OpCallInd:
+			add(blk.ID)
+		case x86.OpJmpInd:
+			// A PLT-style stub, reached via EdgeCall from the real
+			// call sites.
+			for _, e := range p.g.Preds(blk) {
 				if (e.Kind == cfg.EdgeCall || e.Kind == cfg.EdgeIndirectCall) && p.allowEdge(e) {
 					add(e.From)
 				}

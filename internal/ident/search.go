@@ -66,26 +66,29 @@ func (p *Pass) identify(target *cfg.Block, param *symex.ParamRef) SiteResult {
 
 	// evaluate runs forward from `from`, folds the observed values, and
 	// reports whether every path reached the target with a concrete one.
+	// A site state arrives before the run knows whether it will exhaust
+	// the budget, so its constants wait in found until the run is over.
 	evaluate := func(from *cfg.Block) bool {
-		run := p.machine.RunToSite(from, p.machine.NewState(), &sc.directed, target)
-		defer p.machine.Release(&run)
+		var found linux.SyscallBitset
+		reached, all := false, true
+		run := p.machine.RunToSite(from, p.machine.NewState(), &sc.directed, target, func(st *symex.State) {
+			reached = true
+			if k, ok := query(st).IsConst(); ok {
+				// A constant at or above linux.SyscallSetBits is an
+				// address or an artifact, not a syscall: Add drops it
+				// here, the one place a site's values are collected.
+				found.Add(k)
+			} else {
+				all = false
+			}
+		})
 		res.BlocksExplored += run.BlocksExecuted
 		if run.HitBudget {
 			res.FailOpen = true
 			return false
 		}
-		all := len(run.SiteStates) > 0
-		for _, st := range run.SiteStates {
-			if k, ok := query(st).IsConst(); ok {
-				// A constant at or above linux.SyscallSetBits is an
-				// address or an artifact, not a syscall: Add drops it
-				// here, the one place a site's values are collected.
-				sc.values.Add(k)
-			} else {
-				all = false
-			}
-		}
-		return all
+		sc.values.Union(&found)
+		return reached && all
 	}
 
 	// The target block itself first (Figure 1-A: the defining immediate

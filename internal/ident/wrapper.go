@@ -2,6 +2,7 @@ package ident
 
 import (
 	"bside/internal/cfg"
+	"bside/internal/symex"
 	"bside/internal/usedef"
 	"bside/internal/x86"
 )
@@ -45,23 +46,26 @@ func (p *Pass) detectWrapper(fn *cfg.Func, site *cfg.Block) (*WrapperInfo, error
 	for id := fn.First; id < fn.End; id++ {
 		allowed.Add(id)
 	}
-	res := p.machine.RunToSite(entryBlk, p.machine.NewEntryState(stackParams), allowed, site)
-	defer p.machine.Release(&res)
+	// The first path whose %rax is a parameter, or derives from
+	// parameters through arithmetic, names the parameter that carries
+	// the number: the first one in table order.
+	var param symex.ParamRef
+	found := false
+	res := p.machine.RunToSite(entryBlk, p.machine.NewEntryState(stackParams), allowed, site, func(st *symex.State) {
+		if !found {
+			param, found = st.Reg(x86.RAX).Param()
+		}
+	})
 	if res.HitBudget {
 		return nil, p.budgetError(StageWrappers)
 	}
-	for _, st := range res.SiteStates {
-		// %rax is a parameter, or derives from parameters through
-		// arithmetic; then the first one in table order carries the
-		// number.
-		if param, ok := st.Reg(x86.RAX).Param(); ok {
-			return &WrapperInfo{
-				FnEntry:  fn.Entry,
-				FnName:   fn.Name,
-				SiteAddr: p.g.Last(site).Addr,
-				Param:    param,
-			}, nil
-		}
+	if !found {
+		return nil, nil
 	}
-	return nil, nil
+	return &WrapperInfo{
+		FnEntry:  fn.Entry,
+		FnName:   fn.Name,
+		SiteAddr: p.g.Last(site).Addr,
+		Param:    param,
+	}, nil
 }

@@ -5,76 +5,25 @@ package linux
 
 // NR mnemonics for the syscalls referenced throughout the repository.
 const (
-	SysRead          = 0
-	SysWrite         = 1
-	SysOpen          = 2
-	SysClose         = 3
-	SysStat          = 4
-	SysFstat         = 5
-	SysLseek         = 8
-	SysMmap          = 9
-	SysMprotect      = 10
-	SysMunmap        = 11
-	SysBrk           = 12
-	SysRtSigaction   = 13
-	SysRtSigprocmask = 14
-	SysIoctl         = 16
-	SysAccess        = 21
-	SysSelect        = 23
-	SysSchedYield    = 24
-	SysMadvise       = 28
-	SysDup           = 32
-	SysDup2          = 33
-	SysNanosleep     = 35
-	SysGetpid        = 39
-	SysSendfile      = 40
-	SysSocket        = 41
-	SysConnect       = 42
-	SysAccept        = 43
-	SysSendto        = 44
-	SysRecvfrom      = 45
-	SysSendmsg       = 46
-	SysRecvmsg       = 47
-	SysShutdown      = 48
-	SysBind          = 49
-	SysListen        = 50
-	SysSetsockopt    = 54
-	SysGetsockopt    = 55
-	SysClone         = 56
-	SysFork          = 57
-	SysExecve        = 59
-	SysExit          = 60
-	SysWait4         = 61
-	SysKill          = 62
-	SysFcntl         = 72
-	SysFsync         = 74
-	SysGetdents      = 78
-	SysGetcwd        = 79
-	SysChdir         = 80
-	SysRename        = 82
-	SysMkdir         = 83
-	SysUnlink        = 87
-	SysChmod         = 90
-	SysGetuid        = 102
-	SysGetgid        = 104
-	SysSetuid        = 105
-	SysGeteuid       = 107
-	SysPtrace        = 101
-	SysEpollCreate   = 213
-	SysGetdents64    = 217
-	SysSetTidAddr    = 218
-	SysFutex         = 202
-	SysExitGroup     = 231
-	SysEpollWait     = 232
-	SysEpollCtl      = 233
-	SysOpenat        = 257
-	SysAccept4       = 288
-	SysEpollCreate1  = 291
-	SysPipe2         = 293
-	SysPrlimit64     = 302
-	SysGetrandom     = 318
-	SysMemfdCreate   = 319
-	SysExecveat      = 322
+	SysFstat      = 5
+	SysMprotect   = 10
+	SysSchedYield = 24
+	SysNanosleep  = 35
+	SysSocket     = 41
+	SysSendto     = 44
+	SysSendmsg    = 46
+	SysSetsockopt = 54
+	SysGetsockopt = 55
+	SysClone      = 56
+	SysFork       = 57
+	SysExecve     = 59
+	SysExit       = 60
+	SysRename     = 82
+	SysUnlink     = 87
+	SysPtrace     = 101
+	SysExitGroup  = 231
+	SysAccept4    = 288
+	SysExecveat   = 322
 )
 
 // names maps x86-64 syscall numbers to their kernel names (Debian

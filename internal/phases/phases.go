@@ -22,10 +22,11 @@ import (
 // bound.
 var ErrTooLarge = errors.New("phases: DFA construction exceeded state bound")
 
+// maxDFAStates bounds powerset construction.
+const maxDFAStates = 65_536
+
 // Config tunes phase detection.
 type Config struct {
-	// MaxDFAStates bounds powerset construction (0 = default 65536).
-	MaxDFAStates int
 	// BackPropagate unions each phase's allowed set with everything
 	// allowed in reachable future phases, as required when the runtime
 	// filter is seccomp (which can only tighten rules).
@@ -110,9 +111,6 @@ func (a *Automaton) Accepts(trace []uint64) int {
 
 // Detect builds the phase automaton.
 func Detect(in Input, conf Config) (*Automaton, error) {
-	if conf.MaxDFAStates == 0 {
-		conf.MaxDFAStates = 65_536
-	}
 	g := in.Graph
 	start := in.Start
 	if start == 0 {
@@ -266,7 +264,7 @@ func Detect(in Input, conf Config) (*Automaton, error) {
 	work := []int{newState(init)}
 
 	for len(work) > 0 {
-		if len(dfa) > conf.MaxDFAStates {
+		if len(dfa) > maxDFAStates {
 			return nil, ErrTooLarge
 		}
 		id := work[len(work)-1]

@@ -104,13 +104,12 @@ func TestPropertySymexAgreesWithEmulator(t *testing.T) {
 			allowed.Add(cfg.BlockID(id))
 		}
 		start, _ := g.BlockAt(bin.Entry)
-		sym := NewMachine(g, NewBudget())
-		res := sym.RunToSite(start, NewState(), allowed, sites[0])
-		if len(res.SiteStates) != 1 {
-			t.Logf("seed %d: %d site states", seed, len(res.SiteStates))
+		regs, _ := siteRegs(NewMachine(g, NewBudget()), start, NewState(), allowed, sites[0])
+		if len(regs) != 1 {
+			t.Logf("seed %d: %d site states", seed, len(regs))
 			return false
 		}
-		v := res.SiteStates[0].Reg(x86.RAX)
+		v := regs[0][x86.RAX]
 		k, ok := v.IsConst()
 		if !ok {
 			t.Logf("seed %d: symbolic rax %v, want constant", seed, v)

@@ -148,7 +148,7 @@ func TestRunBudgetAccounting(t *testing.T) {
 	} {
 		b := &Budget{MaxSteps: tc.maxSteps, MaxForks: 10, MaxVisits: 3}
 		m := NewMachine(g, b)
-		res := m.RunToSite(start, m.NewState(), allBlocks(g), nil)
+		res := m.RunToSite(start, m.NewState(), allBlocks(g), nil, nil)
 		if res.BlocksExecuted != tc.blocks || res.HitBudget != tc.hit {
 			t.Errorf("MaxSteps %d: %d blocks, hit %v; want %d, %v",
 				tc.maxSteps, res.BlocksExecuted, res.HitBudget, tc.blocks, tc.hit)
@@ -159,7 +159,7 @@ func TestRunBudgetAccounting(t *testing.T) {
 		if !tc.hit {
 			continue
 		}
-		again := m.RunToSite(start, m.NewState(), allBlocks(g), nil)
+		again := m.RunToSite(start, m.NewState(), allBlocks(g), nil, nil)
 		if again.BlocksExecuted != 0 || !again.HitBudget {
 			t.Errorf("MaxSteps %d: a second run executed %d blocks, hit %v",
 				tc.maxSteps, again.BlocksExecuted, again.HitBudget)

@@ -1,6 +1,7 @@
 package symex
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -143,86 +144,52 @@ func (b *Budget) Cause() Cause { return Cause(b.cause.Load()) }
 
 // Result is the outcome of a directed run.
 type Result struct {
-	// SiteStates holds one state per path that reached the site,
-	// captured immediately before the site's final instruction. Hand the
-	// result back via Machine.Release once the states have been read:
-	// it recycles the states and the slice itself.
-	SiteStates []*State
 	// HitBudget is set when the search stopped early.
 	HitBudget bool
 	// BlocksExecuted counts block executions (Table 3's "BBs explored").
 	BlocksExecuted int
-
-	// sites is the sitesPool item SiteStates was built in; nil until
-	// the first path reaches the site.
-	sites *[]*State
 }
 
 // Machine executes symbolic paths over a recovered CFG. One machine
-// may run searches from many goroutines concurrently. Its scratch
-// (path states, per-run stacks and visit counters, site-state slices)
-// comes from the package-level statePool, runPool and sitesPool, not
-// from pools of its own: the runtime keeps a used pool reachable until
-// the second GC after its last use, and a pool inside the Machine
-// would keep the Machine and its graph alive with it. Pooled items
-// hold no graph pointers, so they recycle across binaries too.
+// may run searches from many goroutines concurrently. Its scratch (the
+// live path state, a run's visit counts and forks) comes from the
+// package-level statePool and runPool, not from pools of its own: the
+// runtime keeps a used pool reachable until the second GC after its
+// last use, and a pool inside the Machine would keep the Machine and
+// its graph alive with it. Pooled items hold no graph pointers (a fork
+// names its block by ID), so they recycle across binaries too.
 type Machine struct {
 	g           *cfg.Graph
 	budget      *Budget
 	importSlots map[uint64]bool
 }
 
-// No pooled slice points at a state in any slot up to its capacity (a
-// task names its block by ID). A slice enters its pool only through
-// the code that empties it (Release, the end of RunToSite), and that
-// code clears only the slots its run used: the slots past the length
-// were cleared by the runs that wrote them, and a grown slice starts
-// clear. Clearing to capacity would make every run pay for the largest.
 var (
 	statePool sync.Pool // *State, scrubbed
-	runPool   sync.Pool // *runScratch, holding no state pointers
-	sitesPool sync.Pool // *[]*State, empty
+	runPool   sync.Pool // *runScratch, its visit counts all zero
 )
 
-// runScratch is the per-RunToSite working set: the task stack, its
-// parallel visit-buffer stack, the per-block successor staging slice,
-// and the free visit buffers. Pooled so a directed run allocates
-// nothing but its results.
+// runScratch is the per-RunToSite working set, pooled so a directed
+// run allocates nothing: the live path's visit count per block (all
+// zero between runs), the log of the blocks it counted, and the forks
+// set aside to resume.
 type runScratch struct {
-	stack  []task
-	visits [][]uint16
-	succs  []task
-	free   [][]uint16
+	visits  []uint16
+	counted []cfg.BlockID
+	forks   []fork
 }
 
-// visitBuf pops a free per-path visit buffer resliced to n blocks, or
-// allocates one. Its contents are stale.
-func (sc *runScratch) visitBuf(n int) []uint16 {
-	if k := len(sc.free); k > 0 {
-		v := sc.free[k-1]
-		sc.free[k-1] = nil
-		sc.free = sc.free[:k-1]
-		if cap(v) >= n {
-			return v[:n]
-		}
-	}
-	return make([]uint16, n)
+// fork is a successor set aside at a branch: the block it starts at,
+// the registers at the branch, the lengths of the live state's write
+// log and of the visit log then, and the return address an
+// indirect-call target pushes when it resumes (0 for none).
+type fork struct {
+	blk     cfg.BlockID
+	regs    [x86.NumGPR]Value
+	writes  int
+	counted int
+	ret     uint64
 }
-
-// newVisits returns a zeroed visit buffer (indexed by block ID).
-func (sc *runScratch) newVisits(n int) []uint16 {
-	v := sc.visitBuf(n)
-	clear(v)
-	return v
-}
-
-func (sc *runScratch) cloneVisits(v []uint16) []uint16 {
-	c := sc.visitBuf(len(v))
-	copy(c, v)
-	return c
-}
-
-func (sc *runScratch) freeVisits(v []uint16) { sc.free = append(sc.free, v) }
 
 // NewMachine builds a machine over g sharing the given budget.
 func NewMachine(g *cfg.Graph, budget *Budget) *Machine {
@@ -236,8 +203,8 @@ func NewMachine(g *cfg.Graph, budget *Budget) *Machine {
 	return &Machine{g: g, budget: budget, importSlots: slots}
 }
 
-// NewState returns an empty path state drawn from the state pool;
-// pair with Release (directly, or via the Result that carried it).
+// NewState returns an empty path state drawn from the state pool, for
+// RunToSite to take over.
 func (m *Machine) NewState() *State {
 	if s, ok := statePool.Get().(*State); ok {
 		return s
@@ -253,64 +220,26 @@ func (m *Machine) NewEntryState(stackParams int) *State {
 	return s
 }
 
-// freeState scrubs s and returns it to the pool.
-func (m *Machine) freeState(s *State) {
-	s.reset()
-	statePool.Put(s)
-}
-
-// cloneState deep-copies s into a state drawn from the pool.
-func (m *Machine) cloneState(s *State) *State {
-	c := m.NewState()
-	c.Regs = s.Regs
-	for k, v := range s.Stack {
-		c.Stack[k] = v
-	}
-	for k, v := range s.Overlay {
-		c.Overlay[k] = v
-	}
-	return c
-}
-
-// Release returns a run's surviving states, and the slice holding
-// them, to their pools. Call it once the site states have been read;
-// the Values read from them (register contents, parameter taints) stay
-// valid, only the states themselves are recycled. The slice's used
-// slots are cleared before it is pooled, so no pooled item points at a
-// state.
-func (m *Machine) Release(res *Result) {
-	for _, st := range res.SiteStates {
-		m.freeState(st)
-	}
-	if res.sites != nil {
-		clear(res.SiteStates)
-		*res.sites = res.SiteStates[:0]
-		sitesPool.Put(res.sites)
-		res.sites = nil
-	}
-	res.SiteStates = nil
-}
-
 // flushSteps is how many steps a run counts locally before it adds
 // them to the shared budget.
 const flushSteps = 1024
 
-type task struct {
-	blk cfg.BlockID
-	st  *State
-}
-
 // RunToSite performs directed forward symbolic execution from start
 // toward site. Only blocks in allowed (plus the site itself) may be
 // entered; calls to functions outside the set are skipped with an
-// ABI-faithful register havoc. The returned states are snapshots taken
+// ABI-faithful register havoc. atSite is called with each path's state
 // just before the site block's last instruction (the syscall, or the
-// call into a wrapper).
+// call into a wrapper), in the order paths reach the site; it must not
+// keep the state. RunToSite takes init over as its live state and
+// recycles it.
 //
-// Each path owns a dense visit-count buffer; buffers are cloned only
-// when a path forks and recycled when it dies, so the per-block cost
-// carries no map traffic at all.
-func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet, site *cfg.Block) Result {
+// The search is depth first over one live state. At a branch the
+// other allowed successors are set aside as forks, each a copy of the
+// registers plus the lengths of the state's write log and of the visit
+// log. Resuming a fork undoes the memory writes and the visit counts
+// logged since its branch, so a fork copies no map and no visit array.
+// The successor a branch lists last runs first.
+func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet, site *cfg.Block, atSite func(*State)) Result {
 	var res Result
 	g := m.g
 	inSet := func(id cfg.BlockID) bool {
@@ -322,39 +251,43 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 	if sc == nil {
 		sc = &runScratch{}
 	}
-	stack := append(sc.stack[:0], task{blk: start.ID, st: init})
-	visitStack := append(sc.visits[:0], sc.newVisits(m.g.NumBlocks()))
-	pending := 0 // steps executed but not yet added to the budget
-	for len(stack) > 0 {
+	if n := g.NumBlocks(); cap(sc.visits) < n {
+		sc.visits = make([]uint16, n)
+	} else {
+		sc.visits = sc.visits[:n]
+	}
+	st := init
+	// setAside records the live state, as it stands, as a fork at blk.
+	// It fills the fork in place: a fork literal appended would copy
+	// the registers twice.
+	setAside := func(blk cfg.BlockID, ret uint64) {
+		n := len(sc.forks)
+		sc.forks = slices.Grow(sc.forks, 1)[:n+1]
+		f := &sc.forks[n]
+		f.blk, f.writes, f.counted, f.ret = blk, len(st.writes), len(sc.counted), ret
+		f.regs = st.Regs
+	}
+
+	next := start.ID // the live path's next block; -1 once it ended
+	pending := 0     // steps executed but not yet added to the budget
+	for next >= 0 || len(sc.forks) > 0 {
 		if m.budget.exhausted(pending) {
 			res.HitBudget = true
-			for i, t := range stack {
-				m.freeState(t.st)
-				sc.freeVisits(visitStack[i])
-			}
-			clear(stack)
-			clear(visitStack)
 			break
 		}
-		// Pop, clearing the slot: a pooled stack must not keep this
-		// run's states reachable.
-		t := stack[len(stack)-1]
-		stack[len(stack)-1] = task{}
-		stack = stack[:len(stack)-1]
-		visits := visitStack[len(visitStack)-1]
-		visitStack[len(visitStack)-1] = nil
-		visitStack = visitStack[:len(visitStack)-1]
-
-		if visits[t.blk] >= maxVisits {
-			m.freeState(t.st)
-			sc.freeVisits(visits)
+		if next < 0 {
+			next = m.resume(sc, st)
+		}
+		id := next
+		next = -1
+		if sc.visits[id] >= maxVisits {
 			continue
 		}
-		visits[t.blk]++
+		sc.visits[id]++
+		sc.counted = append(sc.counted, id)
 		res.BlocksExecuted++
 
-		st := t.st
-		blk := g.Block(t.blk)
+		blk := g.Block(id)
 		insns := g.Insns(blk)
 		n := len(insns)
 
@@ -370,29 +303,19 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 		}
 
 		if blk == site {
-			if res.sites == nil {
-				res.sites, _ = sitesPool.Get().(*[]*State)
-				if res.sites == nil {
-					res.sites = new([]*State)
-				}
-				res.SiteStates = *res.sites
-			}
-			res.SiteStates = append(res.SiteStates, st)
-			sc.freeVisits(visits)
+			atSite(st)
 			continue
 		}
 
-		// Dispatch on the final instruction.
-		succs := sc.succs[:0]
-		push := func(b cfg.BlockID, s *State) {
-			succs = append(succs, task{blk: b, st: s})
-		}
+		// Dispatch on the final instruction: next is the successor the
+		// live state continues into, and every other one is set aside.
+		// A branch with no live successor resumes its last fork first.
 		edges := g.Succs(blk)
 		last := insns[n-1]
 		switch last.Op {
 		case x86.OpJmp:
 			if to := succOf(edges, cfg.EdgeJump); inSet(to) {
-				push(to, st)
+				next = to
 			}
 
 		case x86.OpJcc:
@@ -400,12 +323,12 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 			fall := succOf(edges, cfg.EdgeFall)
 			if inSet(to) && inSet(fall) {
 				m.budget.AddFork()
-				push(fall, m.cloneState(st))
-				push(to, st)
+				setAside(fall, 0)
+				next = to
 			} else if inSet(to) {
-				push(to, st)
+				next = to
 			} else if inSet(fall) {
-				push(fall, st)
+				next = fall
 			}
 
 		case x86.OpCall:
@@ -413,10 +336,10 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 			fall := succOf(edges, cfg.EdgeCallFall)
 			if inSet(callee) {
 				m.pushRet(st, last.Next())
-				push(callee, st)
+				next = callee
 			} else if inSet(fall) {
 				st.havoc(x86.CallerSaved)
-				push(fall, st)
+				next = fall
 			}
 
 		case x86.OpCallInd:
@@ -424,7 +347,7 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 			if g.ImportCall(blk) != "" {
 				if inSet(fall) {
 					st.havoc(x86.CallerSaved)
-					push(fall, st)
+					next = fall
 				}
 				break
 			}
@@ -432,12 +355,12 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 			if k, ok := tv.IsConst(); ok {
 				if to := m.blockAt(k); inSet(to) {
 					m.pushRet(st, last.Next())
-					push(to, st)
+					next = to
 					break
 				}
 				if inSet(fall) {
 					st.havoc(x86.CallerSaved)
-					push(fall, st)
+					next = fall
 				}
 				break
 			}
@@ -447,14 +370,12 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 				if e.Kind != cfg.EdgeIndirectCall || !inSet(e.To) {
 					continue
 				}
-				s2 := m.cloneState(st)
-				m.pushRet(s2, last.Next())
 				m.budget.AddFork()
-				push(e.To, s2)
+				setAside(e.To, last.Next())
 			}
 			if inSet(fall) {
 				st.havoc(x86.CallerSaved)
-				push(fall, st)
+				next = fall
 			}
 
 		case x86.OpJmpInd:
@@ -463,14 +384,14 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 				// external function.
 				st.havoc(x86.CallerSaved)
 				if to := m.popRetTarget(st); inSet(to) {
-					push(to, st)
+					next = to
 				}
 				break
 			}
 			tv := m.evalOperand(st, last, last.Dst, last.OpSize)
 			if k, ok := tv.IsConst(); ok {
 				if to := m.blockAt(k); inSet(to) {
-					push(to, st)
+					next = to
 				}
 				break
 			}
@@ -479,12 +400,12 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 					continue
 				}
 				m.budget.AddFork()
-				push(e.To, m.cloneState(st))
+				setAside(e.To, 0)
 			}
 
 		case x86.OpRet:
 			if to := m.popRetTarget(st); inSet(to) {
-				push(to, st)
+				next = to
 			}
 
 		default:
@@ -492,42 +413,43 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 			// the site: apply the instruction and continue.
 			m.step(st, last)
 			if fall := succOf(edges, cfg.EdgeFall); inSet(fall) {
-				push(fall, st)
+				next = fall
 			}
-		}
-
-		// The path's own buffers move to the first successor; further
-		// successors (forks) get copies; a dead end recycles them. st
-		// flows into at most one successor by construction (forks carry
-		// clones), so it is freed exactly when no successor took it.
-		sc.succs = succs[:0]
-		if len(succs) == 0 {
-			m.freeState(st)
-			sc.freeVisits(visits)
-			continue
-		}
-		stUsed := false
-		for i := range succs {
-			stack = append(stack, succs[i])
-			if i == 0 {
-				visitStack = append(visitStack, visits)
-			} else {
-				visitStack = append(visitStack, sc.cloneVisits(visits))
-			}
-			if succs[i].st == st {
-				stUsed = true
-			}
-			succs[i] = task{} // the stack holds it now
-		}
-		if !stUsed {
-			m.freeState(st)
 		}
 	}
 	m.budget.AddSteps(pending)
-	sc.stack = stack[:0]
-	sc.visits = visitStack[:0]
+
+	// Leave the visit counts all zero for the next run, and drop the
+	// forks a budget stop left behind.
+	sc.uncount(0)
+	sc.forks = sc.forks[:0]
 	runPool.Put(sc)
+	st.reset()
+	statePool.Put(st)
 	return res
+}
+
+// resume pops the latest fork into the live state st: it restores the
+// registers, undoes the memory writes and visit counts logged since
+// the fork's branch, pushes its return address, and returns its block.
+func (m *Machine) resume(sc *runScratch, st *State) cfg.BlockID {
+	f := &sc.forks[len(sc.forks)-1]
+	sc.forks = sc.forks[:len(sc.forks)-1]
+	st.Regs = f.regs
+	st.undo(f.writes)
+	sc.uncount(f.counted)
+	if f.ret != 0 {
+		m.pushRet(st, f.ret)
+	}
+	return f.blk
+}
+
+// uncount takes back the visits counted after the first n.
+func (sc *runScratch) uncount(n int) {
+	for _, id := range sc.counted[n:] {
+		sc.visits[id]--
+	}
+	sc.counted = sc.counted[:n]
 }
 
 // succOf returns the target of the first edge of the given kind, or -1.

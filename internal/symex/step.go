@@ -159,7 +159,7 @@ func (m *Machine) load(st *State, ea Value, size uint8) Value {
 	case KStackPtr:
 		return truncate(st.LoadStack(ea.StackOff()), size)
 	case KConst:
-		if v, ok := st.Overlay[ea.K]; ok {
+		if v, ok := st.overlay[ea.K]; ok {
 			return truncate(v, size)
 		}
 		if m.importSlots[ea.K] {
@@ -195,7 +195,7 @@ func (m *Machine) writeOperand(st *State, in x86.Inst, op x86.Operand, v Value) 
 		case KStackPtr:
 			st.StoreStack(ea.StackOff(), v)
 		case KConst:
-			st.Overlay[ea.K] = v
+			st.storeMem(ea.K, v)
 		}
 		// Stores to unknown addresses are dropped; see package docs.
 	}

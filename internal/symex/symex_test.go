@@ -11,7 +11,7 @@ import (
 )
 
 // recoverGraph builds a binary and its CFG.
-func recoverGraph(t *testing.T, fn func(b *asm.Builder)) (*cfg.Graph, map[string]uint64) {
+func recoverGraph(t testing.TB, fn func(b *asm.Builder)) (*cfg.Graph, map[string]uint64) {
 	t.Helper()
 	bin, syms := testbin.Build(t, elff.KindStatic, fn, nil)
 	g, err := cfg.Recover(bin, cfg.Options{})
@@ -30,17 +30,24 @@ func allBlocks(g *cfg.Graph) *cfg.BlockSet {
 	return s
 }
 
+// siteRegs runs m from start toward site and returns the registers of
+// each state that reached it, in the order the paths arrived.
+func siteRegs(m *Machine, start *cfg.Block, init *State, allowed *cfg.BlockSet, site *cfg.Block) ([][x86.NumGPR]Value, Result) {
+	var regs [][x86.NumGPR]Value
+	res := m.RunToSite(start, init, allowed, site, func(st *State) { regs = append(regs, st.Regs) })
+	return regs, res
+}
+
 // raxAtSite runs from start to the site and collects rax values.
 func raxAtSite(t *testing.T, g *cfg.Graph, start, site *cfg.Block) []Value {
 	t.Helper()
-	m := NewMachine(g, NewBudget())
-	res := m.RunToSite(start, NewState(), allBlocks(g), site)
+	regs, res := siteRegs(NewMachine(g, NewBudget()), start, NewState(), allBlocks(g), site)
 	if res.HitBudget {
 		t.Fatal("unexpected budget exhaustion")
 	}
-	vals := make([]Value, 0, len(res.SiteStates))
-	for _, st := range res.SiteStates {
-		vals = append(vals, st.Reg(x86.RAX))
+	vals := make([]Value, 0, len(regs))
+	for _, r := range regs {
+		vals = append(vals, r[x86.RAX])
 	}
 	return vals
 }
@@ -123,12 +130,11 @@ func TestWrapperParamRegister(t *testing.T) {
 	})
 	site := g.SyscallBlocks()[0]
 	entry, _ := g.BlockAt(syms["wrapper"])
-	m := NewMachine(g, NewBudget())
-	res := m.RunToSite(entry, NewEntryState(6), allBlocks(g), site)
-	if len(res.SiteStates) == 0 {
+	regs, _ := siteRegs(NewMachine(g, NewBudget()), entry, NewEntryState(6), allBlocks(g), site)
+	if len(regs) == 0 {
 		t.Fatal("no site states")
 	}
-	v := res.SiteStates[0].Reg(x86.RAX)
+	v := regs[0][x86.RAX]
 	if p, _ := v.Param(); v.Kind != KParam || p != (ParamRef{Reg: x86.RDI}) {
 		t.Fatalf("rax = %v, want arg:rdi", v)
 	}
@@ -158,11 +164,11 @@ func TestNarrowReadsCarryParamTaint(t *testing.T) {
 			b.Ret()
 		})
 		entry, _ := g.BlockAt(syms["wrapper"])
-		res := NewMachine(g, NewBudget()).RunToSite(entry, NewEntryState(0), allBlocks(g), g.SyscallBlocks()[0])
-		if len(res.SiteStates) != 1 {
-			t.Fatalf("%s: %d site states", c.name, len(res.SiteStates))
+		regs, _ := siteRegs(NewMachine(g, NewBudget()), entry, NewEntryState(0), allBlocks(g), g.SyscallBlocks()[0])
+		if len(regs) != 1 {
+			t.Fatalf("%s: %d site states", c.name, len(regs))
 		}
-		v := res.SiteStates[0].Reg(x86.RAX)
+		v := regs[0][x86.RAX]
 		if p, ok := v.Param(); v.Kind != KUnknown || !ok || p != (ParamRef{Reg: c.want}) {
 			t.Errorf("%s: rax = %v, want an unknown tainted by arg:%v", c.name, v, c.want)
 		}
@@ -181,12 +187,11 @@ func TestWrapperParamStackSlot(t *testing.T) {
 	})
 	site := g.SyscallBlocks()[0]
 	entry, _ := g.BlockAt(syms["wrapper"])
-	m := NewMachine(g, NewBudget())
-	res := m.RunToSite(entry, NewEntryState(6), allBlocks(g), site)
-	if len(res.SiteStates) == 0 {
+	regs, _ := siteRegs(NewMachine(g, NewBudget()), entry, NewEntryState(6), allBlocks(g), site)
+	if len(regs) == 0 {
 		t.Fatal("no site states")
 	}
-	v := res.SiteStates[0].Reg(x86.RAX)
+	v := regs[0][x86.RAX]
 	if p, _ := v.Param(); v.Kind != KParam || p != (ParamRef{Stack: true, Off: 8}) {
 		t.Fatalf("rax = %v, want arg[rsp+8]", v)
 	}
@@ -220,12 +225,11 @@ func TestSkipCallHavoc(t *testing.T) {
 		}
 	}
 
-	m := NewMachine(g, NewBudget())
-	res := m.RunToSite(start, NewState(), allowed, site)
-	if len(res.SiteStates) == 0 {
+	regs, _ := siteRegs(NewMachine(g, NewBudget()), start, NewState(), allowed, site)
+	if len(regs) == 0 {
 		t.Fatal("no site states")
 	}
-	v := res.SiteStates[0].Reg(x86.RAX)
+	v := regs[0][x86.RAX]
 	if k, ok := v.IsConst(); !ok || k != 3 {
 		t.Fatalf("rax = %v, want 3 preserved via rbx", v)
 	}
@@ -324,16 +328,20 @@ func TestParamValueAtCall(t *testing.T) {
 		t.Fatal("no call block")
 	}
 	start, _ := g.BlockAt(syms["_start"])
-	m := NewMachine(g, NewBudget())
-	res := m.RunToSite(start, NewState(), allBlocks(g), site)
-	if len(res.SiteStates) == 0 {
+	var params [][2]Value // the register and the stack parameter, per site state
+	NewMachine(g, NewBudget()).RunToSite(start, NewState(), allBlocks(g), site, func(st *State) {
+		params = append(params, [2]Value{
+			ParamValueAtCall(st, ParamRef{Reg: x86.RDI}),
+			ParamValueAtCall(st, ParamRef{Stack: true, Off: 8}),
+		})
+	})
+	if len(params) == 0 {
 		t.Fatal("no site states")
 	}
-	st := res.SiteStates[0]
-	if v := ParamValueAtCall(st, ParamRef{Reg: x86.RDI}); mustConst(t, v) != 57 {
+	if v := params[0][0]; mustConst(t, v) != 57 {
 		t.Fatalf("reg param = %v", v)
 	}
-	if v := ParamValueAtCall(st, ParamRef{Stack: true, Off: 8}); mustConst(t, v) != 39 {
+	if v := params[0][1]; mustConst(t, v) != 39 {
 		t.Fatalf("stack param = %v", v)
 	}
 }
@@ -356,7 +364,7 @@ func TestBudgetStopsLoops(t *testing.T) {
 	})
 	start, _ := g.BlockAt(syms["_start"])
 	m := NewMachine(g, &Budget{MaxSteps: 100, MaxForks: 10, MaxVisits: 1000})
-	res := m.RunToSite(start, NewState(), allBlocks(g), nil)
+	res := m.RunToSite(start, NewState(), allBlocks(g), nil, nil)
 	if !res.HitBudget {
 		t.Fatal("budget must stop an infinite loop")
 	}
@@ -373,16 +381,14 @@ func TestZeroingIdiomAndTruncation(t *testing.T) {
 	})
 	site := g.SyscallBlocks()[0]
 	start, _ := g.BlockAt(syms["_start"])
-	m := NewMachine(g, NewBudget())
-	res := m.RunToSite(start, NewState(), allBlocks(g), site)
-	if len(res.SiteStates) == 0 {
+	regs, _ := siteRegs(NewMachine(g, NewBudget()), start, NewState(), allBlocks(g), site)
+	if len(regs) == 0 {
 		t.Fatal("no site states")
 	}
-	st := res.SiteStates[0]
-	if k := mustConst(t, st.Reg(x86.RDI)); k != 0 {
+	if k := mustConst(t, regs[0][x86.RDI]); k != 0 {
 		t.Fatalf("rdi = %#x", k)
 	}
-	if k := mustConst(t, st.Reg(x86.RAX)); k != 0xFFFFFFFF {
+	if k := mustConst(t, regs[0][x86.RAX]); k != 0xFFFFFFFF {
 		t.Fatalf("rax = %#x (32-bit mov must zero-extend)", k)
 	}
 }

@@ -102,6 +102,39 @@ func TestRunToSiteTransfers(t *testing.T) {
 		}
 	}
 
+	// armStore stores 41 over a slot holding 39 on a conditional jump's
+	// target arm, which runs first; both arms rejoin at the site, which
+	// loads the slot into RAX. The slot is a stack slot, or a global.
+	armStore := func(global bool) func(b *asm.Builder) {
+		return func(b *asm.Builder) {
+			slot := x86.Mem{Base: x86.RSP, Index: x86.RegNone, Scale: 1}
+			b.Func("_start")
+			if global {
+				b.Lea(x86.RDX, "slot")
+				slot.Base = x86.RDX
+			} else {
+				b.SubRegImm(x86.RSP, 16)
+				b.MovMemImm32(slot, 39)
+			}
+			b.CmpRegImm(x86.RDI, 0)
+			b.Jcc(x86.CondNE, "store")
+			b.Label("keep")
+			b.JmpLabel("site")
+			b.Label("store")
+			b.MovMemImm32(slot, 41)
+			b.Label("site")
+			b.MovRegMem(x86.RAX, slot)
+			b.Syscall()
+			b.Ret()
+			if global {
+				b.Label("__code_end")
+				b.Align(8)
+				b.Label("slot")
+				b.Quad(39)
+			}
+		}
+	}
+
 	rows := []struct {
 		name    string
 		build   func(b *asm.Builder)
@@ -160,6 +193,16 @@ func TestRunToSiteTransfers(t *testing.T) {
 			rax: []int64{39, 41}, forks: 2,
 		},
 		{
+			name:  "a resumed fork sees no stack store from the other arm",
+			build: armStore(false), start: "_start", allow: []string{"_start", "keep", "store"},
+			rax: []int64{39, 41}, forks: 1,
+		},
+		{
+			name:  "a resumed fork sees no global store from the other arm",
+			build: armStore(true), start: "_start", allow: []string{"_start", "keep", "store"},
+			rax: []int64{39, 41}, forks: 1,
+		},
+		{
 			name: "syscall on the way clobbers RAX, RCX and R11",
 			build: func(b *asm.Builder) {
 				b.Func("_start")
@@ -200,13 +243,8 @@ func TestRunToSiteTransfers(t *testing.T) {
 			}
 			budget := NewBudget()
 			m := NewMachine(g, budget)
-			res := m.RunToSite(block(row.start), m.NewState(), allowed, block("site"))
-			defer m.Release(&res)
-			if res.HitBudget {
-				t.Fatal("budget exhausted")
-			}
 			var rax []int64
-			for _, st := range res.SiteStates {
+			res := m.RunToSite(block(row.start), m.NewState(), allowed, block("site"), func(st *State) {
 				k, ok := st.Reg(x86.RAX).IsConst()
 				if !ok {
 					rax = append(rax, unknownRAX)
@@ -220,6 +258,9 @@ func TestRunToSiteTransfers(t *testing.T) {
 						}
 					}
 				}
+			})
+			if res.HitBudget {
+				t.Fatal("budget exhausted")
 			}
 			sort.Slice(rax, func(i, j int) bool { return rax[i] < rax[j] })
 			if !reflect.DeepEqual(rax, row.rax) {

@@ -90,12 +90,11 @@ func TestCarryingParamOrder(t *testing.T) {
 				b.Ret()
 			})
 			entry, _ := g.BlockAt(syms["wrapper"])
-			m := NewMachine(g, NewBudget())
-			res := m.RunToSite(entry, NewEntryState(8), allBlocks(g), g.SyscallBlocks()[0])
-			if len(res.SiteStates) != 1 {
-				t.Fatalf("%d site states", len(res.SiteStates))
+			regs, _ := siteRegs(NewMachine(g, NewBudget()), entry, NewEntryState(8), allBlocks(g), g.SyscallBlocks()[0])
+			if len(regs) != 1 {
+				t.Fatalf("%d site states", len(regs))
 			}
-			rax := res.SiteStates[0].Reg(x86.RAX)
+			rax := regs[0][x86.RAX]
 			if p, ok := rax.Param(); rax.Kind != KUnknown || !ok || p != tc.want {
 				t.Errorf("rax = %v carries %v, want %v", rax, p, tc.want)
 			}
