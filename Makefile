@@ -102,8 +102,10 @@ bench-check: bench-compare
 # serial profile shows the per-block work; the 4-worker one is the
 # shape the one-shot CLI runs (IntraWorkers = nproc), where costs
 # shared between workers show up. The frontend profile is CFG recovery
-# of a FailCFGHuge image, the shape of a cold sweep's decode stage. The
-# forks profile is cold analyses of the 30 seed-42 binaries that
+# of a FailCFGHuge image, the shape of a cold sweep's decode stage, and
+# the decode profile is the decoder alone over that image's
+# instructions, in place into a reused slice as CFG recovery runs it.
+# The forks profile is cold analyses of the 30 seed-42 binaries that
 # exhaust the symbolic-execution budget, where forks dominate.
 profile:
 	$(GO) test -run='^$$' -bench='AnalyzeLargeBinary/workers=1' -benchtime=10x -benchmem \
@@ -112,13 +114,16 @@ profile:
 		-cpuprofile=cpu-w4.prof -o bside.test .
 	$(GO) test -run='^$$' -bench='RecoverHuge' -benchtime=50x -benchmem \
 		-cpuprofile=cpu-recover.prof -o bside.test .
+	$(GO) test -run='^$$' -bench='^BenchmarkDecode$$' -benchtime=200x \
+		-cpuprofile=cpu-decode.prof -o bside.test .
 	$(GO) test -run='^$$' -bench='AnalyzeBudgetExhausting' -benchtime=50x \
 		-cpuprofile=cpu-forks.prof -o bside.test .
 	@echo ""
-	@echo "profiles written: cpu.prof cpu-w4.prof cpu-recover.prof cpu-forks.prof mem.prof (binary: bside.test)"
+	@echo "profiles written: cpu.prof cpu-w4.prof cpu-recover.prof cpu-decode.prof cpu-forks.prof mem.prof (binary: bside.test)"
 	@echo "  $(GO) tool pprof -top -nodecount=20 bside.test cpu.prof"
 	@echo "  $(GO) tool pprof -top -nodecount=20 bside.test cpu-w4.prof"
 	@echo "  $(GO) tool pprof -top -nodecount=20 bside.test cpu-recover.prof"
+	@echo "  $(GO) tool pprof -top -nodecount=20 bside.test cpu-decode.prof"
 	@echo "  $(GO) tool pprof -top -nodecount=20 bside.test cpu-forks.prof"
 	@echo "  $(GO) tool pprof -top -nodecount=20 -sample_index=alloc_objects bside.test mem.prof"
 	@echo "  $(GO) tool pprof -http=:8080 bside.test cpu.prof   # flame graph"

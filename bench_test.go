@@ -478,15 +478,47 @@ func BenchmarkAnalyzeBudgetExhausting(b *testing.B) {
 
 // --- substrate micro-benchmarks -----------------------------------------
 
-// BenchmarkDecode measures raw instruction decoding.
+// BenchmarkDecode measures instruction decoding in the shape CFG
+// recovery runs it: the instructions of the first FailCFGHuge image of
+// the seed-42 Debian-shaped tree (the ones its graph holds, in address
+// order), each decoded in place into the next slot of a reused slice.
+// Not gated: `make profile` reads it.
 func BenchmarkDecode(b *testing.B) {
-	buf := []byte{0x48, 0x8B, 0x44, 0x24, 0x08} // mov rax, [rsp+8]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := x86.Decode(buf, 0x400000); err != nil {
-			b.Fatal(err)
+	var p corpus.Profile
+	for _, q := range corpus.DebianProfiles(42) {
+		if q.Class == corpus.FailCFGHuge {
+			p = q
+			break
 		}
 	}
+	bin, err := corpus.BuildProgram(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := cfg.Recover(bin, cfg.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var addrs []uint64
+	blocks := g.Blocks()
+	for i := range blocks {
+		for _, in := range g.Insns(&blocks[i]) {
+			addrs = append(addrs, in.Addr)
+		}
+	}
+	insns := make([]x86.Inst, 0, len(addrs))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		insns = insns[:0]
+		for _, addr := range addrs {
+			buf, _ := bin.BytesAt(addr)
+			insns = insns[:len(insns)+1]
+			if err := x86.Decode(&insns[len(insns)-1], buf, addr); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(addrs)), "ns/insn")
 }
 
 // benchBinary builds a mid-sized static binary for substrate benches.

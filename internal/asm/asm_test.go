@@ -18,8 +18,8 @@ func decodeOne(t *testing.T, fn func(b *Builder)) x86.Inst {
 	if err != nil {
 		t.Fatalf("finalize: %v", err)
 	}
-	inst, err := x86.Decode(img, 0x400000)
-	if err != nil {
+	var inst x86.Inst
+	if err := x86.Decode(&inst, img, 0x400000); err != nil {
 		t.Fatalf("decode %x: %v", img, err)
 	}
 	if int(inst.Len) != len(img) {
@@ -124,8 +124,8 @@ func TestRoundTripRIPRelative(t *testing.T) {
 		t.Fatalf("finalize: %v", err)
 	}
 
-	lea, err := x86.Decode(img, 0x400000)
-	if err != nil {
+	var lea, mov, call x86.Inst
+	if err := x86.Decode(&lea, img, 0x400000); err != nil {
 		t.Fatalf("decode lea: %v", err)
 	}
 	if lea.Op != x86.OpLea || lea.Dst.Reg != x86.RDI {
@@ -136,16 +136,14 @@ func TestRoundTripRIPRelative(t *testing.T) {
 		t.Fatalf("lea EA %#x want %#x", ea, syms["data"])
 	}
 
-	mov, err := x86.Decode(img[lea.Len:], 0x400000+uint64(lea.Len))
-	if err != nil {
+	if err := x86.Decode(&mov, img[lea.Len:], 0x400000+uint64(lea.Len)); err != nil {
 		t.Fatalf("decode mov: %v", err)
 	}
 	if ea, ok := mov.MemEA(mov.Src); !ok || ea != syms["data"] {
 		t.Fatalf("mov EA %#x want %#x", ea, syms["data"])
 	}
 
-	call, err := x86.Decode(img[lea.Len+mov.Len:], 0x400000+uint64(lea.Len)+uint64(mov.Len))
-	if err != nil {
+	if err := x86.Decode(&call, img[lea.Len+mov.Len:], 0x400000+uint64(lea.Len)+uint64(mov.Len)); err != nil {
 		t.Fatalf("decode call: %v", err)
 	}
 	if call.Op != x86.OpCallInd {
@@ -173,8 +171,8 @@ func TestRoundTripBranches(t *testing.T) {
 	}
 	var insts []x86.Inst
 	for off := 0; off < len(img); {
-		inst, err := x86.Decode(img[off:], 0x1000+uint64(off))
-		if err != nil {
+		var inst x86.Inst
+		if err := x86.Decode(&inst, img[off:], 0x1000+uint64(off)); err != nil {
 			t.Fatalf("decode at %d: %v", off, err)
 		}
 		insts = append(insts, inst)
@@ -262,8 +260,8 @@ func TestQuickMemRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		inst, err := x86.Decode(img, 0)
-		if err != nil || int(inst.Len) != len(img) {
+		var inst x86.Inst
+		if err := x86.Decode(&inst, img, 0); err != nil || int(inst.Len) != len(img) {
 			return false
 		}
 		got := inst.Mem(inst.Src)

@@ -85,9 +85,9 @@ func Syspeek(regions []CodeRegion) *Result {
 		var window [syspeekWindow]x86.Inst
 		head, filled := 0, 0
 		addr := r.Addr
+		var in x86.Inst
 		for off := 0; off < len(r.Code); {
-			in, err := x86.Decode(r.Code[off:], addr)
-			if err != nil {
+			if err := x86.Decode(&in, r.Code[off:], addr); err != nil {
 				// Resync: skip one byte, like objdump riding over data
 				// interleaved with code.
 				off++

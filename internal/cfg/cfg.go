@@ -150,7 +150,6 @@ type Stats struct {
 	DecodedInsns   int
 	NumBlocks      int
 	NumEdges       int
-	Iterations     int // active-address-taken refinement rounds
 	DecodeFailures int
 }
 
@@ -171,8 +170,9 @@ func (g *Graph) Insns(b *Block) []x86.Inst {
 	return g.insns[b.insn:end:end]
 }
 
-// Last returns the final instruction of b.
-func (g *Graph) Last(b *Block) x86.Inst { return g.insns[g.blocks[b.ID+1].insn-1] }
+// Last returns the final instruction of b, in place in the graph's
+// instruction slab: callers must not modify it.
+func (g *Graph) Last(b *Block) *x86.Inst { return &g.insns[g.blocks[b.ID+1].insn-1] }
 
 // End returns the address just past b's last instruction.
 func (g *Graph) End(b *Block) uint64 { return g.Last(b).Next() }

@@ -9,8 +9,9 @@ import (
 	"bside/internal/x86"
 )
 
-// assemble builds an image from fn and parses it back.
-func assemble(t *testing.T, kind elff.Kind, fn func(b *asm.Builder)) (*elff.Binary, map[string]uint64) {
+// assemble builds an image from fn and parses it back. Every label is
+// a symbol, or with keep only the labels it names.
+func assemble(t *testing.T, kind elff.Kind, fn func(b *asm.Builder), keep ...string) (*elff.Binary, map[string]uint64) {
 	t.Helper()
 	b := asm.New()
 	fn(b)
@@ -19,13 +20,20 @@ func assemble(t *testing.T, kind elff.Kind, fn func(b *asm.Builder)) (*elff.Bina
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
+	symbols := syms
+	if len(keep) > 0 {
+		symbols = make(map[string]uint64)
+		for _, name := range keep {
+			symbols[name] = syms[name]
+		}
+	}
 	spec := elff.Spec{
 		Kind:     kind,
 		Base:     0x400000,
 		Entry:    syms["_start"],
 		Blob:     img,
 		CodeSize: syms["__code_end"] - 0x400000,
-		Symbols:  syms,
+		Symbols:  symbols,
 	}
 	if kind == elff.KindShared {
 		spec.Entry = 0
@@ -124,6 +132,61 @@ func TestRecoverCallEdges(t *testing.T) {
 	// Its blocks: the syscall ends the first, the ret is the second.
 	if blocks := g.FuncBlocks(f); len(blocks) != 2 || blocks[0].Addr != syms["fn"] {
 		t.Fatalf("fn's blocks: %+v", blocks)
+	}
+}
+
+// TestCallTargetsStartFunctions: a direct call's target starts a
+// function even when no symbol names it.
+func TestCallTargetsStartFunctions(t *testing.T) {
+	bin, syms := assemble(t, elff.KindStatic, func(b *asm.Builder) {
+		b.Func("_start")
+		b.CallLabel("anon")
+		b.MovRegImm32(x86.RAX, 60)
+		b.Syscall()
+		b.Label("anon")
+		b.MovRegImm32(x86.RAX, 39)
+		b.Syscall()
+		b.Ret()
+	}, "_start")
+	g, err := Recover(bin, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, ok := g.FuncByEntry(syms["anon"]); !ok || f.Name != "" {
+		t.Fatalf("functions %+v, want an unnamed one at %#x", g.Funcs, syms["anon"])
+	}
+}
+
+// TestFixpointFallThroughOutOfOrder: the fixpoint takes the next arena
+// slot as an instruction's fall-through only when that slot starts
+// where the instruction ends. Here skip's nop falls through to tail,
+// decoded before it, and the slot after the nop holds the region the
+// lea in tail activated. Stepping into that region would visit its
+// lea and activate dead, which no path reaches.
+func TestFixpointFallThroughOutOfOrder(t *testing.T) {
+	bin, syms := assemble(t, elff.KindStatic, func(b *asm.Builder) {
+		b.Func("_start")
+		b.CallLabel("skip")
+		b.JmpLabel("tail")
+		b.Label("skip")
+		b.Raw(0x90) // nop
+		b.Label("tail")
+		b.Lea(x86.RAX, "handler")
+		b.MovRegImm32(x86.RAX, 60)
+		b.Syscall()
+		b.Ret()
+		b.Label("handler")
+		b.Lea(x86.RCX, "dead")
+		b.Ret()
+		b.Label("dead")
+		b.Ret()
+	}, "_start")
+	g, err := Recover(bin, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.ActiveAddrTaken) != 1 || g.ActiveAddrTaken[0] != syms["handler"] {
+		t.Fatalf("active addr taken %#x, want only handler at %#x", g.ActiveAddrTaken, syms["handler"])
 	}
 }
 

@@ -105,13 +105,11 @@ func Recover(bin *elff.Binary, opts Options) (*Graph, error) {
 	// addresses on first visit, decodes newly activated regions in
 	// place, and resumes — no per-round rebuild, no rescan of already
 	// visited code.
-	iterations, err := b.fixpoint(roots, dataPtrs)
-	if err != nil {
+	if err := b.fixpoint(roots, dataPtrs); err != nil {
 		return nil, err
 	}
 
 	g := &Graph{Bin: bin, Roots: roots}
-	g.Stats.Iterations = iterations
 	b.materialize(g)
 	b.inferFunctions(g)
 	g.Stats.DecodedInsns = b.decoded
@@ -157,12 +155,13 @@ type builder struct {
 	// indices, the block index (blockOf: block ID + 1 at the
 	// address-ordered arena index of each block's first instruction, 0
 	// elsewhere), the active address-taken blocks, the out-edges in
-	// block order, and the per-block in-edge counts that become the
-	// in-edge cursors.
+	// block order, the blocks direct calls target (one per call), and
+	// the per-block in-edge counts that become the in-edge cursors.
 	blockStarts []int32
 	blockOf     []int32
 	activeIDs   []BlockID
 	edges       []Edge
+	callees     []BlockID
 	predAt      []int32
 	entries     []funcEntry
 
@@ -278,16 +277,20 @@ func (b *builder) traverse(starts ...uint64) error {
 				b.work = work[:0]
 				return ErrBudget
 			}
+			// Decode straight into the next arena slot, and give it
+			// back when the bytes do not decode.
 			buf, _ := b.bin.BytesAt(addr)
-			inst, err := x86.Decode(buf, addr)
-			if err != nil {
+			n := len(b.arena)
+			b.arena = slices.Grow(b.arena, 1)[:n+1]
+			inst := &b.arena[n]
+			if err := x86.Decode(inst, buf, addr); err != nil {
 				// Undecodable bytes end the path (data reached or
 				// padding); the block formed so far stays valid.
+				b.arena = b.arena[:n]
 				b.decodeFailures++
 				break
 			}
-			b.arena = append(b.arena, inst)
-			b.off2idx[addr-b.base] = int32(len(b.arena))
+			b.off2idx[addr-b.base] = int32(n + 1)
 			b.decoded++
 
 			if tgt, ok := inst.BranchTarget(); ok && b.bin.CodeContains(tgt) {
@@ -311,7 +314,7 @@ func (b *builder) traverse(starts ...uint64) error {
 
 // importTarget resolves a call/jmp through [rip+slot] against the
 // import table, returning the import's index in bin.Imports.
-func (b *builder) importTarget(inst x86.Inst) (int32, bool) {
+func (b *builder) importTarget(inst *x86.Inst) (int32, bool) {
 	if b.slotImport == nil || !inst.IsIndirect() {
 		return 0, false
 	}
@@ -335,11 +338,10 @@ func (b *builder) importTarget(inst x86.Inst) (int32, bool) {
 //
 // The walk steps to an unvisited fall-through directly instead of
 // pushing it: pushed last, it would be popped next, so the visit order
-// and the waves are those of the plain stack walk.
-//
-// The returned iteration count is the activation cascade depth + 1:
-// the incremental equivalent of the old loop's round counter.
-func (b *builder) fixpoint(roots, dataPtrs []uint64) (int, error) {
+// and the waves are those of the plain stack walk. The fall-through is
+// usually the next arena slot, since traverse decodes straight-line
+// code in address order; off2idx finds it otherwise.
+func (b *builder) fixpoint(roots, dataPtrs []uint64) error {
 	// Data pointers are conservatively active from the start.
 	for _, p := range dataPtrs {
 		if b.active.set(int(p - b.base)) {
@@ -358,54 +360,54 @@ func (b *builder) fixpoint(roots, dataPtrs []uint64) (int, error) {
 	}
 
 	hasIndirect := false
-	maxWave := int32(0)
 	for len(b.stack) > 0 {
 		ent := b.stack[len(b.stack)-1]
 		b.stack = b.stack[:len(b.stack)-1]
 		for {
-			// A copy: traverse may grow the arena under a pointer.
-			inst := b.arena[ent.idx]
-
-			// Activate a code pointer: decode its region (the arena
-			// and the visited set grow in place) and, when an indirect
-			// transfer is already reachable, schedule it.
-			if ea, ok := b.leaTarget(inst); ok && b.active.set(int(ea-b.base)) {
+			inst := &b.arena[ent.idx]
+			switch inst.Op {
+			case x86.OpLea:
+				// Activate a code pointer: decode its region (the arena
+				// and the visited set grow in place) and, when an
+				// indirect transfer is already reachable, schedule it.
+				ea, ok := b.leaTarget(inst)
+				if !ok || !b.active.set(int(ea-b.base)) {
+					break
+				}
 				b.activeList = append(b.activeList, ea)
 				if err := b.traverse(ea); err != nil {
-					return 0, err
+					return err
 				}
+				inst = &b.arena[ent.idx] // traverse may have moved the arena
 				b.visited.growTo(len(b.arena))
 				if hasIndirect {
-					if ent.wave+1 > maxWave {
-						maxWave = ent.wave + 1
-						if int(maxWave)+1 > maxRounds {
-							return 0, fmt.Errorf("cfg: no fixpoint after %d rounds", maxRounds)
-						}
+					if ent.wave+1 >= maxRounds {
+						return fmt.Errorf("cfg: no fixpoint after %d rounds", maxRounds)
 					}
 					push(ea, ent.wave+1)
 				}
-			}
-
-			if tgt, ok := inst.BranchTarget(); ok {
-				push(tgt, ent.wave)
-			}
-			if _, imported := b.importTarget(inst); inst.IsIndirect() && !imported && !hasIndirect {
-				// Not an import's: its targets are the active set.
-				// Every address activated so far becomes a potential
-				// indirect target; later activations schedule
-				// themselves.
-				hasIndirect = true
-				for _, ea := range b.activeList {
-					push(ea, ent.wave+1)
-				}
-				if ent.wave+1 > maxWave {
-					maxWave = ent.wave + 1
+			case x86.OpCall, x86.OpJmp, x86.OpJcc:
+				push(uint64(inst.Imm), ent.wave)
+			case x86.OpCallInd, x86.OpJmpInd:
+				if _, imported := b.importTarget(inst); !imported && !hasIndirect {
+					// Not an import's: its targets are the active set.
+					// Every address activated so far becomes a
+					// potential indirect target; later activations
+					// schedule themselves.
+					hasIndirect = true
+					for _, ea := range b.activeList {
+						push(ea, ent.wave+1)
+					}
 				}
 			}
 			if !inst.FallsThrough() {
 				break
 			}
-			idx := b.insnAt(inst.Next())
+			next := inst.Next()
+			idx := ent.idx + 1
+			if int(idx) >= len(b.arena) || b.arena[idx].Addr != next {
+				idx = b.insnAt(next)
+			}
 			if idx < 0 || !b.visited.set(int(idx)) {
 				break
 			}
@@ -417,16 +419,13 @@ func (b *builder) fixpoint(roots, dataPtrs []uint64) (int, error) {
 	// drains completely; activations with no reachable indirect
 	// transfer stay decoded-but-unreachable, exactly as in the batch
 	// loop.
-	return int(maxWave) + 1, nil
+	return nil
 }
 
-// leaTarget returns the code address a lea's memory operand computes:
+// leaTarget returns the code address lea's memory operand computes:
 // the code pointers the §4.3 refinement activates.
-func (b *builder) leaTarget(inst x86.Inst) (uint64, bool) {
-	if inst.Op != x86.OpLea {
-		return 0, false
-	}
-	ea, ok := inst.MemEA(inst.Src)
+func (b *builder) leaTarget(lea *x86.Inst) (uint64, bool) {
+	ea, ok := lea.MemEA(lea.Src)
 	return ea, ok && b.bin.CodeContains(ea)
 }
 
@@ -437,41 +436,39 @@ func (b *builder) leaTarget(inst x86.Inst) (uint64, bool) {
 // offset → arena index → block), never through a hash map.
 func (b *builder) materialize(g *Graph) {
 	// Address-ordered arena: the only copy of the decoded
-	// instructions the graph keeps. off2idx is rewritten to point into
-	// it, and blockOf indexes it, so edge wiring looks targets up in
-	// O(1).
+	// instructions the graph keeps, gathered in one walk over the code
+	// offsets that also cuts the blocks. A block starts at a leader,
+	// after a block-ending instruction, and after a gap. off2idx is
+	// rewritten to point into the slab, and blockOf indexes it, so edge
+	// wiring looks targets up in O(1).
 	insns := make([]x86.Inst, len(b.arena))
+	starts := b.blockStarts[:0]
 	n := 0
+	open := false
+	var prevEnd uint64
 	for off := 0; off < b.code; off++ {
-		if idx := b.off2idx[off]; idx != 0 {
-			insns[n] = b.arena[idx-1]
-			n++
-			b.off2idx[off] = int32(n)
+		idx := b.off2idx[off]
+		if idx == 0 {
+			continue
 		}
+		in := &b.arena[idx-1]
+		if !open || in.Addr != prevEnd || b.leader.has(off) {
+			starts = append(starts, int32(n))
+		}
+		insns[n] = *in
+		n++
+		b.off2idx[off] = int32(n)
+		prevEnd = in.Next()
+		open = !in.EndsBlock()
 	}
 	insns = insns[:n]
 	g.insns = insns
+	b.blockStarts = starts
 
-	// Block boundaries.
-	b.blockStarts = b.blockStarts[:0]
-	var prevEnd uint64
-	open := false
-	for i := range insns {
-		in := &insns[i]
-		if !open || b.leader.has(int(in.Addr-b.base)) || in.Addr != prevEnd {
-			b.blockStarts = append(b.blockStarts, int32(i))
-			open = true
-		}
-		prevEnd = in.Next()
-		if in.EndsBlock() {
-			open = false
-		}
-	}
-
-	numBlocks := len(b.blockStarts)
+	numBlocks := len(starts)
 	blocks := make([]Block, numBlocks+1)
 	b.blockOf = resize(b.blockOf, len(insns))
-	for k, start := range b.blockStarts {
+	for k, start := range starts {
 		blocks[k] = Block{Addr: insns[start].Addr, ID: BlockID(k), insn: start}
 		b.blockOf[start] = int32(k + 1)
 	}
@@ -493,12 +490,14 @@ func (b *builder) materialize(g *Graph) {
 
 	// One edge pass: out-edges land in block order, so each block's
 	// run starts where the previous one's ended. Import labels resolve
-	// here too.
+	// here too, and the direct call targets are collected for
+	// inferFunctions.
 	edges := b.edges[:0]
+	b.callees = b.callees[:0]
 	for k := 0; k < numBlocks; k++ {
 		blk := &blocks[k]
 		blk.succ = int32(len(edges))
-		last := insns[blocks[k+1].insn-1]
+		last := &insns[blocks[k+1].insn-1]
 		imp, imported := b.importTarget(last)
 		if imported {
 			blk.imp = imp + 1
@@ -538,8 +537,9 @@ func (b *builder) materialize(g *Graph) {
 // instruction is last, that have a target block, in wiring order: the
 // direct branch target, the fan-out of an indirect call or jump (when
 // fanOut) to the active address-taken blocks, then the fall-through (a
-// call's return site).
-func (b *builder) appendEdges(edges []Edge, from BlockID, last x86.Inst, fanOut bool) []Edge {
+// call's return site). A direct call's target block also goes to
+// b.callees.
+func (b *builder) appendEdges(edges []Edge, from BlockID, last *x86.Inst, fanOut bool) []Edge {
 	if tgt, ok := last.BranchTarget(); ok {
 		kind := EdgeJump
 		if last.Op == x86.OpCall {
@@ -547,6 +547,9 @@ func (b *builder) appendEdges(edges []Edge, from BlockID, last x86.Inst, fanOut 
 		}
 		if to := b.blockAt(tgt); to >= 0 {
 			edges = append(edges, Edge{Kind: kind, From: from, To: to})
+			if kind == EdgeCall {
+				b.callees = append(b.callees, to)
+			}
 		}
 	}
 	if fanOut {
@@ -626,10 +629,8 @@ func (b *builder) inferFunctions(g *Graph) {
 		add(ea, "", 3)
 	}
 	blocks := g.Blocks()
-	for i := range blocks {
-		if last := g.Last(&blocks[i]); last.Op == x86.OpCall {
-			add(uint64(last.Imm), "", 4)
-		}
+	for _, id := range b.callees {
+		ents = append(ents, funcEntry{addr: blocks[id].Addr, rank: 4})
 	}
 	slices.SortFunc(ents, func(a, c funcEntry) int {
 		if a.addr != c.addr {

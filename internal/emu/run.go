@@ -19,6 +19,7 @@ func (m *Machine) RunBudget(budget Budget) error {
 		maxSteps = DefaultMaxSteps
 	}
 	m.maxTrace = budget.MaxTrace
+	var in x86.Inst
 	for m.Steps < maxSteps {
 		if m.rip == haltAddr {
 			m.Exited = true
@@ -28,13 +29,12 @@ func (m *Machine) RunBudget(budget Budget) error {
 		if err != nil {
 			return err
 		}
-		in, err := x86.Decode(buf, m.rip)
-		if err != nil {
+		if err := x86.Decode(&in, buf, m.rip); err != nil {
 			return fmt.Errorf("%w: undecodable at %#x: %v", ErrTrap, m.rip, err)
 		}
 		m.Steps++
 		next := in.Next()
-		if err := m.exec(in, &next); err != nil {
+		if err := m.exec(&in, &next); err != nil {
 			return err
 		}
 		if m.Exited {
@@ -45,7 +45,7 @@ func (m *Machine) RunBudget(budget Budget) error {
 	return ErrSteps
 }
 
-func (m *Machine) exec(in x86.Inst, next *uint64) error {
+func (m *Machine) exec(in *x86.Inst, next *uint64) error {
 	switch in.Op {
 	case x86.OpNop, x86.OpEndbr64:
 	case x86.OpCdqe: // cdqe, cwde or cbw: sign-extend the low half of RAX
@@ -328,7 +328,7 @@ func (m *Machine) setReg(r x86.Reg, size uint8, v uint64) {
 }
 
 // readOperand reads op, one of in's operands, at size bytes.
-func (m *Machine) readOperand(in x86.Inst, op x86.Operand, size uint8) (uint64, error) {
+func (m *Machine) readOperand(in *x86.Inst, op x86.Operand, size uint8) (uint64, error) {
 	switch op.Kind {
 	case x86.KindImm:
 		return truncVal(uint64(in.Imm), size), nil
@@ -348,7 +348,7 @@ func (m *Machine) readOperand(in x86.Inst, op x86.Operand, size uint8) (uint64, 
 	}
 }
 
-func (m *Machine) writeOperand(in x86.Inst, op x86.Operand, v uint64) error {
+func (m *Machine) writeOperand(in *x86.Inst, op x86.Operand, v uint64) error {
 	switch op.Kind {
 	case x86.KindReg:
 		m.setReg(op.Reg, in.OpSize, v)
@@ -366,7 +366,7 @@ func (m *Machine) writeOperand(in x86.Inst, op x86.Operand, v uint64) error {
 
 // effAddr computes the effective address of op, one of in's memory
 // operands.
-func (m *Machine) effAddr(in x86.Inst, op x86.Operand) (uint64, error) {
+func (m *Machine) effAddr(in *x86.Inst, op x86.Operand) (uint64, error) {
 	if ea, ok := in.MemEA(op); ok {
 		return ea, nil
 	}

@@ -294,8 +294,8 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 		// Execute the block body (everything but the last instruction),
 		// charging the whole block to the local count; the shared
 		// budget sees it at the next flush.
-		for _, in := range insns[:n-1] {
-			m.step(st, in)
+		for i := range n - 1 {
+			m.step(st, &insns[i])
 		}
 		if pending += n; pending >= flushSteps {
 			m.budget.AddSteps(pending)
@@ -311,7 +311,7 @@ func (m *Machine) RunToSite(start *cfg.Block, init *State, allowed *cfg.BlockSet
 		// live state continues into, and every other one is set aside.
 		// A branch with no live successor resumes its last fork first.
 		edges := g.Succs(blk)
-		last := insns[n-1]
+		last := &insns[n-1]
 		switch last.Op {
 		case x86.OpJmp:
 			if to := succOf(edges, cfg.EdgeJump); inSet(to) {

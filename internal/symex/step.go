@@ -9,7 +9,7 @@ import (
 // step applies the effect of one non-control-flow instruction to st.
 // Control transfer is handled by RunToSite's dispatcher; an instruction
 // without a case here clobbers the registers it writes.
-func (m *Machine) step(st *State, in x86.Inst) {
+func (m *Machine) step(st *State, in *x86.Inst) {
 	switch in.Op {
 	case x86.OpMov:
 		m.writeOperand(st, in, in.Dst, m.evalOperand(st, in, in.Src, in.OpSize))
@@ -77,7 +77,7 @@ func (m *Machine) step(st *State, in x86.Inst) {
 // alu applies an ALU instruction: constants fold through x86.Fold, a
 // stack pointer moved by a constant stays a stack pointer, and
 // anything else becomes an unknown tainted by both operands.
-func (m *Machine) alu(st *State, in x86.Inst) {
+func (m *Machine) alu(st *State, in *x86.Inst) {
 	if in.Op == x86.OpXor && in.Dst.Kind == x86.KindReg && in.Src == in.Dst {
 		writeReg(st, in.Dst.Reg, in.OpSize, Const(0)) // zeroing idiom
 		return
@@ -107,7 +107,7 @@ func (m *Machine) alu(st *State, in x86.Inst) {
 
 // evalOperand computes the value of op, one of in's operands, read at
 // size bytes.
-func (m *Machine) evalOperand(st *State, in x86.Inst, op x86.Operand, size uint8) Value {
+func (m *Machine) evalOperand(st *State, in *x86.Inst, op x86.Operand, size uint8) Value {
 	switch op.Kind {
 	case x86.KindImm:
 		return Const(uint64(in.Imm))
@@ -129,7 +129,7 @@ func (m *Machine) evalOperand(st *State, in x86.Inst, op x86.Operand, size uint8
 
 // evalEA computes the effective address of op, one of in's memory
 // operands.
-func (m *Machine) evalEA(st *State, in x86.Inst, op x86.Operand) Value {
+func (m *Machine) evalEA(st *State, in *x86.Inst, op x86.Operand) Value {
 	if ea, ok := in.MemEA(op); ok {
 		return Const(ea)
 	}
@@ -185,7 +185,7 @@ func (m *Machine) load(st *State, ea Value, size uint8) Value {
 }
 
 // writeOperand stores v into a register or memory destination.
-func (m *Machine) writeOperand(st *State, in x86.Inst, op x86.Operand, v Value) {
+func (m *Machine) writeOperand(st *State, in *x86.Inst, op x86.Operand, v Value) {
 	switch op.Kind {
 	case x86.KindReg:
 		writeReg(st, op.Reg, in.OpSize, v)

@@ -171,9 +171,10 @@ func opcodeMaps() (one, two [256]row) {
 }
 
 // Decode decodes a single instruction starting at b[0], which is mapped
-// at virtual address addr. It returns the decoded instruction; on error
-// the returned instruction is zero-valued except Addr.
-func Decode(b []byte, addr uint64) (Inst, error) {
+// at virtual address addr, into *inst, overwriting every field; on
+// error *inst is zero-valued except Addr. Callers decode straight into
+// the slot that keeps the instruction, so it is never copied out.
+func Decode(inst *Inst, b []byte, addr uint64) error {
 	c := cursor{b: b, addr: addr}
 	var rx rex
 	var opsize66, repF3 bool
@@ -213,7 +214,7 @@ prefixes:
 		}
 	}
 
-	inst := Inst{Addr: addr, Op: r.op, OpSize: size}
+	*inst = Inst{Addr: addr, Op: r.op, OpSize: size}
 	if r.size != 0 {
 		inst.OpSize = r.size
 	}
@@ -221,7 +222,7 @@ prefixes:
 	var rm Operand
 	var digit byte
 	if r.form >= skip {
-		reg, rm, digit = c.modRM(&inst, rx)
+		reg, rm, digit = c.modRM(inst, rx)
 	}
 	switch r.form {
 	case inOp:
@@ -296,10 +297,11 @@ prefixes:
 		c.fail(fmt.Errorf("%w: length %d exceeds 15 bytes", ErrUnsupported, c.pos))
 	}
 	if c.err != nil {
-		return Inst{Addr: addr}, c.err
+		*inst = Inst{Addr: addr}
+		return c.err
 	}
 	inst.Len = uint8(c.pos)
-	return inst, nil
+	return nil
 }
 
 // byteReg returns o as a 1-byte operand: without a REX prefix,

@@ -30,7 +30,8 @@ func TestDecodeKnownBytes(t *testing.T) {
 		{"nopw 0F1F", []byte{0x66, 0x0F, 0x1F, 0x44, 0x00, 0x00}, "nop"},
 	}
 	for _, tc := range cases {
-		inst, err := Decode(tc.bytes, 0x1000)
+		var inst Inst
+		err := Decode(&inst, tc.bytes, 0x1000)
 		if err != nil {
 			t.Errorf("%s: %v", tc.name, err)
 			continue
@@ -46,7 +47,8 @@ func TestDecodeKnownBytes(t *testing.T) {
 
 func TestDecodeOperandDetails(t *testing.T) {
 	// mov rax, [rsp+8]
-	inst, err := Decode([]byte{0x48, 0x8B, 0x44, 0x24, 0x08}, 0)
+	var inst Inst
+	err := Decode(&inst, []byte{0x48, 0x8B, 0x44, 0x24, 0x08}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func TestDecodeOperandDetails(t *testing.T) {
 	}
 
 	// mov eax, 1 — zero extension semantics flagged via OpSize 4.
-	inst, err = Decode([]byte{0xB8, 0x01, 0, 0, 0}, 0)
+	err = Decode(&inst, []byte{0xB8, 0x01, 0, 0, 0}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func TestDecodeOperandDetails(t *testing.T) {
 	}
 
 	// jcc target arithmetic: 75 FE at 0x100 -> jne 0x100.
-	inst, err = Decode([]byte{0x75, 0xFE}, 0x100)
+	err = Decode(&inst, []byte{0x75, 0xFE}, 0x100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +75,7 @@ func TestDecodeOperandDetails(t *testing.T) {
 	}
 
 	// call -5 at 0: E8 FB FF FF FF -> target 0.
-	inst, err = Decode([]byte{0xE8, 0xFB, 0xFF, 0xFF, 0xFF}, 0)
+	err = Decode(&inst, []byte{0xE8, 0xFB, 0xFF, 0xFF, 0xFF}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func TestDecodeOperandDetails(t *testing.T) {
 	}
 
 	// RIP-relative EA: lea rsi, [rip+0x10] at 0x2000, len 7 -> 0x2017.
-	inst, err = Decode([]byte{0x48, 0x8D, 0x35, 0x10, 0, 0, 0}, 0x2000)
+	err = Decode(&inst, []byte{0x48, 0x8D, 0x35, 0x10, 0, 0, 0}, 0x2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,17 +94,17 @@ func TestDecodeOperandDetails(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(nil, 0); err == nil {
+	if err := Decode(new(Inst), nil, 0); err == nil {
 		t.Fatal("empty input must error")
 	}
-	if _, err := Decode([]byte{0x48}, 0); err == nil {
+	if err := Decode(new(Inst), []byte{0x48}, 0); err == nil {
 		t.Fatal("lone REX must error")
 	}
-	if _, err := Decode([]byte{0xE8, 0x01}, 0); err == nil {
+	if err := Decode(new(Inst), []byte{0xE8, 0x01}, 0); err == nil {
 		t.Fatal("truncated call must error")
 	}
 	// An opcode outside the subset.
-	if _, err := Decode([]byte{0xD9, 0xC0}, 0); err == nil {
+	if err := Decode(new(Inst), []byte{0xD9, 0xC0}, 0); err == nil {
 		t.Fatal("x87 opcode must be unsupported")
 	}
 }
@@ -113,12 +115,13 @@ func TestDecodeErrors(t *testing.T) {
 func TestDecodeRandomNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	buf := make([]byte, 16)
+	var inst Inst
 	for i := 0; i < 50000; i++ {
 		n := 1 + rng.Intn(15)
 		for j := 0; j < n; j++ {
 			buf[j] = byte(rng.Intn(256))
 		}
-		inst, err := Decode(buf[:n], uint64(i))
+		err := Decode(&inst, buf[:n], uint64(i))
 		if err != nil {
 			continue
 		}
@@ -130,9 +133,10 @@ func TestDecodeRandomNeverPanics(t *testing.T) {
 
 // FuzzDecode checks what an accepted decode promises: a length of 1 to
 // 15 bytes within the input, the same record from exactly those bytes,
-// and a truncation error from one byte fewer. A rejected decode returns
-// a record that is zero apart from Addr. The seeds are decodeTable's
-// instructions.
+// and a truncation error from one byte fewer. Decode overwrites every
+// field of its target, which starts out dirty here: a rejected decode
+// leaves a record that is zero apart from Addr, and an accepted one the
+// record a fresh target gets. The seeds are decodeTable's instructions.
 func FuzzDecode(f *testing.F) {
 	for _, c := range decodeTable {
 		b, err := hex.DecodeString(strings.ReplaceAll(c.hex, " ", ""))
@@ -143,7 +147,9 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		const addr = 0x401000
-		in, err := Decode(b, addr)
+		dirty := Operand{Kind: 0xFF, Reg: 0xFF, Index: 0xFF, Scale: 0xFF}
+		in := Inst{Addr: 1, Imm: -1, Disp: -1, Len: 0xFF, Op: 0xFF, Cond: 0xFF, OpSize: 0xFF, Dst: dirty, Src: dirty}
+		err := Decode(&in, b, addr)
 		if err != nil {
 			if in != (Inst{Addr: addr}) {
 				t.Fatalf("% x: %v returned %+v", b, err, in)
@@ -153,10 +159,11 @@ func FuzzDecode(f *testing.F) {
 		if in.Len < 1 || in.Len > 15 || int(in.Len) > len(b) {
 			t.Fatalf("% x: length %d", b, in.Len)
 		}
-		if again, err := Decode(b[:in.Len], addr); err != nil || again != in {
+		var again Inst
+		if err := Decode(&again, b[:in.Len], addr); err != nil || again != in {
 			t.Fatalf("% x: %+v, from its own %d bytes %+v (%v)", b, in, in.Len, again, err)
 		}
-		if _, err := Decode(b[:in.Len-1], addr); !errors.Is(err, ErrTruncated) {
+		if err := Decode(&again, b[:in.Len-1], addr); !errors.Is(err, ErrTruncated) {
 			t.Fatalf("% x: one byte short of %d: %v, want ErrTruncated", b, in.Len, err)
 		}
 	})
@@ -165,17 +172,17 @@ func FuzzDecode(f *testing.F) {
 func TestTerminatorsAndCalls(t *testing.T) {
 	ends := []Op{OpJmp, OpJmpInd, OpJcc, OpRet, OpUd2, OpHlt, OpInt3, OpCall, OpCallInd, OpSyscall}
 	for _, op := range ends {
-		if !(Inst{Op: op}).EndsBlock() {
+		if !(&Inst{Op: op}).EndsBlock() {
 			t.Errorf("%v must end a block", op)
 		}
 	}
-	if (Inst{Op: OpMov}).EndsBlock() {
+	if (&Inst{Op: OpMov}).EndsBlock() {
 		t.Error("mov must not end a block")
 	}
-	if !(Inst{Op: OpCall}).IsCall() || !(Inst{Op: OpCallInd}).IsCall() {
+	if !(&Inst{Op: OpCall}).IsCall() || !(&Inst{Op: OpCallInd}).IsCall() {
 		t.Error("call ops must report IsCall")
 	}
-	if (Inst{Op: OpSyscall}).IsCall() {
+	if (&Inst{Op: OpSyscall}).IsCall() {
 		t.Error("syscall is not a call")
 	}
 }
@@ -202,8 +209,8 @@ func TestRegisterProperties(t *testing.T) {
 }
 
 func TestStringFormatting(t *testing.T) {
-	inst, err := Decode([]byte{0x48, 0x8B, 0x44, 0x24, 0x08}, 0x400000)
-	if err != nil {
+	var inst Inst
+	if err := Decode(&inst, []byte{0x48, 0x8B, 0x44, 0x24, 0x08}, 0x400000); err != nil {
 		t.Fatal(err)
 	}
 	s := inst.String()

@@ -71,7 +71,7 @@ func TestStringAllOps(t *testing.T) {
 
 func TestBranchTargetNonBranches(t *testing.T) {
 	for _, op := range []Op{OpMov, OpRet, OpSyscall, OpCallInd, OpJmpInd} {
-		if _, ok := (Inst{Op: op}).BranchTarget(); ok {
+		if _, ok := (&Inst{Op: op}).BranchTarget(); ok {
 			t.Errorf("%v must not report a branch target", op)
 		}
 	}

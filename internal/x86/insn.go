@@ -195,9 +195,11 @@ type Operand struct {
 func RegOp(r Reg) Operand { return Operand{Kind: KindReg, Reg: r} }
 
 // Inst is one decoded instruction. It is 32 bytes and holds no
-// pointers: the CFG frontend, the symbolic executor and the emulator
-// copy instructions by value, and an arena of them is never scanned by
-// the garbage collector.
+// pointers, so an arena of them is never scanned by the garbage
+// collector. It has more fields than the compiler keeps in registers,
+// so its queries take *Inst and hot code reads instructions in place:
+// a by-value copy goes through memory, and one that reloads a record
+// Decode has just written field by field stalls on store forwarding.
 type Inst struct {
 	Addr   uint64 // virtual address of the first byte
 	Imm    int64  // the KindImm operand's value, or a direct branch's absolute target
@@ -211,11 +213,11 @@ type Inst struct {
 }
 
 // Next returns the address of the instruction following i.
-func (i Inst) Next() uint64 { return i.Addr + uint64(i.Len) }
+func (i *Inst) Next() uint64 { return i.Addr + uint64(i.Len) }
 
 // BranchTarget returns the absolute target of a direct call/jmp/jcc and
 // true, or 0 and false for any other instruction.
-func (i Inst) BranchTarget() (uint64, bool) {
+func (i *Inst) BranchTarget() (uint64, bool) {
 	switch i.Op {
 	case OpCall, OpJmp, OpJcc:
 		return uint64(i.Imm), true
@@ -225,13 +227,13 @@ func (i Inst) BranchTarget() (uint64, bool) {
 
 // Mem returns the memory reference of o, one of i's operands. It is
 // meaningful only when o.Kind == KindMem.
-func (i Inst) Mem(o Operand) Mem {
+func (i *Inst) Mem(o Operand) Mem {
 	return Mem{Base: o.Reg, Index: o.Index, Scale: o.Scale, Disp: i.Disp}
 }
 
 // MemEA returns the concrete effective address of a RIP-relative memory
 // operand and true; for all other operand shapes it returns false.
-func (i Inst) MemEA(o Operand) (uint64, bool) {
+func (i *Inst) MemEA(o Operand) (uint64, bool) {
 	if o.Kind != KindMem || o.Reg != RIP {
 		return 0, false
 	}
@@ -240,7 +242,7 @@ func (i Inst) MemEA(o Operand) (uint64, bool) {
 
 // EndsBlock reports whether the instruction ends a basic block: a
 // jump, call or return, a trap, or syscall.
-func (i Inst) EndsBlock() bool {
+func (i *Inst) EndsBlock() bool {
 	switch i.Op {
 	case OpJmp, OpJmpInd, OpJcc, OpCall, OpCallInd, OpRet, OpSyscall, OpUd2, OpInt3, OpHlt:
 		return true
@@ -250,7 +252,7 @@ func (i Inst) EndsBlock() bool {
 
 // FallsThrough reports whether execution may continue at Next: after
 // anything but an unconditional jump, a return or a trap.
-func (i Inst) FallsThrough() bool {
+func (i *Inst) FallsThrough() bool {
 	switch i.Op {
 	case OpJmp, OpJmpInd, OpRet, OpUd2, OpInt3, OpHlt:
 		return false
@@ -263,7 +265,7 @@ func (i Inst) FallsThrough() bool {
 // RSP and RBP for leave, CallerSaved for a call (its return undoes its
 // push), and for syscall RAX, RCX and R11 (the kernel's result, the
 // saved RIP and RFLAGS).
-func (i Inst) Writes() RegSet {
+func (i *Inst) Writes() RegSet {
 	var dst RegSet
 	if i.Dst.Kind == KindReg {
 		dst = RegSetOf(i.Dst.Reg)
@@ -291,7 +293,7 @@ func (i Inst) Writes() RegSet {
 // SrcSize returns the width in bytes at which the instruction reads its
 // source: 1 or 2 for movzx and movsx, 4 for movsxd, half of OpSize for
 // cdqe (which sign-extends the low half of RAX), else OpSize.
-func (i Inst) SrcSize() uint8 {
+func (i *Inst) SrcSize() uint8 {
 	switch i.Op {
 	case OpMovzxB, OpMovsxB:
 		return 1
@@ -339,9 +341,9 @@ func Fold(op Op, a, b uint64, size uint8) (uint64, bool) {
 	case OpDec:
 		v = a - 1
 	case OpMovzxB, OpMovzxW:
-		v = trunc(b, Inst{Op: op}.SrcSize())
+		v = trunc(b, (&Inst{Op: op}).SrcSize())
 	case OpMovsxB, OpMovsxW, OpMovsxd, OpCdqe:
-		v = signExtend(b, Inst{Op: op, OpSize: size}.SrcSize())
+		v = signExtend(b, (&Inst{Op: op, OpSize: size}).SrcSize())
 	default:
 		return 0, false
 	}
@@ -363,11 +365,11 @@ func signExtend(v uint64, size uint8) uint64 {
 }
 
 // IsCall reports whether the instruction is a direct or indirect call.
-func (i Inst) IsCall() bool { return i.Op == OpCall || i.Op == OpCallInd }
+func (i *Inst) IsCall() bool { return i.Op == OpCall || i.Op == OpCallInd }
 
 // IsIndirect reports whether the instruction is an indirect call or
 // jump.
-func (i Inst) IsIndirect() bool { return i.Op == OpCallInd || i.Op == OpJmpInd }
+func (i *Inst) IsIndirect() bool { return i.Op == OpCallInd || i.Op == OpJmpInd }
 
 // String renders the instruction in Intel-like syntax.
 func (i Inst) String() string {
@@ -394,7 +396,7 @@ func (i Inst) String() string {
 
 // operandString renders o, one of i's operands, naming a register at
 // width size; a memory operand's base and index keep 64-bit names.
-func (i Inst) operandString(o Operand, size uint8) string {
+func (i *Inst) operandString(o Operand, size uint8) string {
 	switch o.Kind {
 	case KindReg:
 		return o.Reg.Name(size)

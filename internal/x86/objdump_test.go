@@ -79,13 +79,14 @@ func TestDecodeAgreesWithObjdump(t *testing.T) {
 		ran = true
 		insns := objdumpListing(t, path)
 		accepted, rejected, disagree := 0, 0, 0
+		var d Inst
 		for i, in := range insns {
 			buf := in.bytes
 			for j, end := i+1, in.addr+uint64(len(in.bytes)); j < len(insns) && j <= i+3 && insns[j].addr == end; j++ {
 				buf = append(buf[:len(buf):len(buf)], insns[j].bytes...)
 				end += uint64(len(insns[j].bytes))
 			}
-			d, err := Decode(buf, in.addr)
+			err := Decode(&d, buf, in.addr)
 			switch {
 			case err != nil:
 				rejected++

@@ -9,11 +9,10 @@ import (
 	"unsafe"
 )
 
-// TestInstIsCompact: every layer from the decoder to the symbolic
-// executor moves instructions by value, and the CFG keeps them in flat
-// arenas. A pointer or slice field would make the garbage collector
-// scan those arenas, and every added byte is paid on each copy, so Inst
-// stays 32 bytes of plain data.
+// TestInstIsCompact: the CFG keeps instructions in flat arenas and
+// copies each once into its graph. A pointer or slice field would make
+// the garbage collector scan those arenas, and every added byte is paid
+// on each copy, so Inst stays 32 bytes of plain data.
 func TestInstIsCompact(t *testing.T) {
 	if n := unsafe.Sizeof(Inst{}); n != 32 {
 		t.Errorf("Inst is %d bytes, want 32", n)
@@ -39,6 +38,22 @@ func TestInstIsCompact(t *testing.T) {
 	walk(reflect.TypeOf(Inst{}))
 }
 
+// TestInstQueriesTakePointers: Inst has more fields than the compiler
+// keeps in registers, so a value receiver copies the record through
+// memory on every query, and a copy of a record Decode has just written
+// stalls on store forwarding. Every query takes *Inst; only String, a
+// cold path that fmt calls on values, keeps its value receiver.
+func TestInstQueriesTakePointers(t *testing.T) {
+	typ := reflect.TypeOf(Inst{})
+	var names []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		names = append(names, typ.Method(i).Name)
+	}
+	if len(names) != 1 || names[0] != "String" {
+		t.Errorf("Inst's value methods are %v, want [String]", names)
+	}
+}
+
 // decodeHex decodes the instruction spelled by h (spaces allowed),
 // followed by nop padding so a decoder that reads too far shows up as a
 // wrong length rather than a truncation error.
@@ -48,7 +63,9 @@ func decodeHex(t *testing.T, h string) (Inst, error) {
 	if err != nil {
 		t.Fatalf("bad hex %q: %v", h, err)
 	}
-	return Decode(append(b, 0x90, 0x90, 0x90, 0x90), 0x401000)
+	var inst Inst
+	err = Decode(&inst, append(b, 0x90, 0x90, 0x90, 0x90), 0x401000)
+	return inst, err
 }
 
 // decodeTable pins the length, rendering and operand size of one
