@@ -92,8 +92,9 @@ bench-compare:
 # so time lands in the artifact for human trending but is not gated.
 # >10% regression on any gated metric fails the build, and
 # -require-baseline fails when a gated benchmark is missing from the
-# committed baseline (a PR adding one must refresh BENCH_seed.json in
-# the same change).
+# committed baseline or a baseline entry is missing from the run (a
+# change that adds, renames or deletes one must refresh BENCH_seed.json
+# in the same change).
 bench-check: bench-compare
 	$(GO) run ./cmd/benchjson -compare -metrics allocs/op,identified/op -require-baseline BENCH_seed.json BENCH_$(SHA).json
 

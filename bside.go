@@ -103,9 +103,11 @@ type Options struct {
 	// exact name). Required for dynamically linked targets with
 	// dependencies.
 	LibraryDir string
-	// MaxCFGInstructions bounds disassembly work per binary; 0 uses a
-	// generous default. Exceeding the bound fails the analysis, like
-	// the paper's wall-clock timeout.
+	// MaxCFGInstructions bounds disassembly work per binary: the
+	// decoded instructions plus the indirect fan-out edges (indirect
+	// sites that are not imports × active address-taken targets); 0
+	// uses a generous default. Exceeding the bound fails the analysis,
+	// like the paper's wall-clock timeout.
 	MaxCFGInstructions int
 	// IntraWorkers is the intra-binary worker-pool size: how many
 	// independent analysis units (wrapper-detection functions,
@@ -180,8 +182,9 @@ type Options struct {
 	// the hasher consume the kernel's page-cache view directly, so a
 	// fleet sweep never copies binaries it only reads. Results are
 	// byte-identical either way (the fuzzer's sweep-nommap invariance
-	// leg enforces that); the switch exists for odd filesystems where
-	// mapping misbehaves and for benchmarking the copying frontend.
+	// leg enforces that), and where mapping fails the mapped frontend
+	// falls back to a heap read by itself; the switch exists for that
+	// fuzz leg and for benchmarking the copying frontend.
 	DisableMmap bool
 }
 

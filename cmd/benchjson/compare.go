@@ -44,16 +44,16 @@ func normalizeName(name string) string {
 
 // Compare diffs two documents benchmark by benchmark and reports
 // whether any gated metric regressed by more than threshold percent.
-// Benchmarks that vanished from the new run are reported but never
-// fail the gate (the suite is allowed to shrink); a regression is
-// strictly a worse number for the same name and metric. Lower is
-// better for every gated unit.
+// A regression is strictly a worse number for the same name and
+// metric. Lower is better for every gated unit.
 //
-// requireBaseline flags suite growth: a benchmark present in the new
-// run but missing from the baseline fails the gate, so a PR that adds
-// a gated benchmark must refresh the committed baseline in the same
-// change — otherwise the new benchmark would ride ungated until
-// someone remembered. Without the flag, growth is reported but
+// requireBaseline holds the suite and the baseline to the same set of
+// names: a benchmark present in the new run but missing from the
+// baseline fails the gate, and so does a baseline entry the new run
+// lacks. A change that adds, renames or deletes a gated benchmark must
+// refresh the committed baseline in the same change — otherwise a new
+// benchmark would ride ungated, or a stale entry would linger, until
+// someone remembered. Without the flag, both are reported but
 // tolerated.
 func Compare(w io.Writer, oldPath, newPath string, threshold float64, metrics []string, requireBaseline bool) (regressed bool, err error) {
 	oldDoc, err := loadDoc(oldPath)
@@ -132,7 +132,12 @@ func Compare(w io.Writer, oldPath, newPath string, threshold float64, metrics []
 	}
 	sort.Strings(gone)
 	for _, name := range gone {
-		fmt.Fprintf(w, "gone %-48s (not in new run)\n", name)
+		if requireBaseline {
+			regressed = true
+			fmt.Fprintf(w, "FAIL %-48s (baseline entry not in new run — refresh the committed baseline)\n", name)
+		} else {
+			fmt.Fprintf(w, "gone %-48s (not in new run)\n", name)
+		}
 	}
 	if regressed {
 		fmt.Fprintf(w, "REGRESSION: at least one gated check failed (threshold %.1f%%)\n", threshold)

@@ -175,4 +175,23 @@ func TestCompareRequireBaseline(t *testing.T) {
 	if strings.Contains(out.String(), "FAIL BenchmarkKept") {
 		t.Fatalf("baselined benchmarks must not fail:\n%s", out.String())
 	}
+
+	// Strict mode, the other direction: a baseline entry the new run
+	// lacks fails the gate too, so a deleted or renamed benchmark
+	// cannot leave its entry behind. Tolerant mode only reports it.
+	shrunk := writeDoc(t, "shrunk.json", Document{Benchmarks: []Benchmark{
+		{Name: "BenchmarkOther-8", NsPerOp: 10, AllocsPerOp: 5},
+	}})
+	out.Reset()
+	if regressed, err = Compare(&out, oldPath, shrunk, 10, []string{"allocs/op"}, false); err != nil || regressed {
+		t.Fatalf("tolerant mode must not fail on a missing benchmark (%v):\n%s", err, out.String())
+	}
+	out.Reset()
+	regressed, err = Compare(&out, oldPath, shrunk, 10, []string{"allocs/op"}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regressed || !strings.Contains(out.String(), "FAIL BenchmarkKept") {
+		t.Fatalf("-require-baseline must flag the baseline entry the new run lacks:\n%s", out.String())
+	}
 }

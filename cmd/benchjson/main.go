@@ -78,7 +78,7 @@ func main() {
 	compare := flag.Bool("compare", false, "compare two documents (old.json new.json) instead of parsing")
 	threshold := flag.Float64("threshold", 10, "compare: allowed regression in percent before failing")
 	metrics := flag.String("metrics", "ns/op,allocs/op", "compare: comma-separated metrics to gate on")
-	requireBaseline := flag.Bool("require-baseline", false, "compare: fail when a new-run benchmark has no baseline entry (forces baseline refreshes to land with the benchmark)")
+	requireBaseline := flag.Bool("require-baseline", false, "compare: fail when a new-run benchmark has no baseline entry or a baseline entry is not in the new run (forces baseline refreshes to land with the suite change)")
 	flag.Parse()
 
 	if *compare {

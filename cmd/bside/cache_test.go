@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// TestRunCachePackAndGC: pack compacts a populated cache and reports
-// what it absorbed; gc over the packed cache then has nothing left to
-// prune; a second pack over an already packed cache has nothing loose.
-func TestRunCachePackAndGC(t *testing.T) {
+// TestRunCachePack: pack compacts a populated cache and reports what
+// it absorbed; a second pack over the packed cache has nothing loose
+// and carries the packed entries into the same content-addressed file.
+func TestRunCachePack(t *testing.T) {
 	dir := t.TempDir()
 	bin := writeTestBinary(t, dir, "packme")
 	cacheDir := filepath.Join(dir, "cache")
@@ -33,27 +33,30 @@ func TestRunCachePackAndGC(t *testing.T) {
 	if strings.Contains(out, "binary") {
 		t.Fatalf("pack summary still reports binary encoding: %q", out)
 	}
+	pack := out[strings.Index(out, " -> ")+4 : strings.LastIndex(out, " (")]
 
 	stdout.Reset()
-	if err := runCache([]string{"gc", "-dir", cacheDir}, &stdout, &stderr); err != nil {
-		t.Fatalf("cache gc: %v\n%s", err, stderr.String())
+	if err := runCache([]string{"pack", "-dir", cacheDir}, &stdout, &stderr); err != nil {
+		t.Fatalf("second cache pack: %v\n%s", err, stderr.String())
 	}
-	if want := "bside cache gc: " + cacheDir + ": pruned 0 loose entries already packed, kept 0\n"; stdout.String() != want {
-		t.Fatalf("gc summary: %q, want %q", stdout.String(), want)
+	if again := stdout.String(); !strings.Contains(again, " (0 loose + ") ||
+		!strings.Contains(again, " -> "+pack+" (") || !strings.Contains(again, "pruned 0 loose / 0 packs") {
+		t.Fatalf("second pack summary: %q, want nothing loose and the same pack %s", again, pack)
 	}
 }
 
-// TestRunCacheUnknownSubcommand: a typo is a usage error (exit 2)
+// TestRunCacheUnknownSubcommand: a typo, or any subcommand but pack
+// (gc included: pack prunes what gc did), is a usage error (exit 2)
 // reported before anything touches the filesystem.
 func TestRunCacheUnknownSubcommand(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "typo")
-	for _, args := range [][]string{nil, {"bogus", "-dir", dir}} {
+	for _, args := range [][]string{nil, {"bogus", "-dir", dir}, {"gc", "-dir", dir}} {
 		var stdout, stderr bytes.Buffer
 		err := runCache(args, &stdout, &stderr)
 		if exitCode(err) != 2 {
 			t.Fatalf("%v: want usage error (exit 2), got %v", args, err)
 		}
-		if !strings.Contains(stderr.String(), "usage: bside cache pack|gc") {
+		if !strings.Contains(stderr.String(), "usage: bside cache pack -dir") {
 			t.Fatalf("%v: usage text missing: %q", args, stderr.String())
 		}
 		if _, err := os.Stat(dir); !os.IsNotExist(err) {
@@ -62,21 +65,19 @@ func TestRunCacheUnknownSubcommand(t *testing.T) {
 	}
 }
 
-// TestRunCacheMissingDir: pack and gc act on an existing cache; a
-// missing directory is a run failure (exit 1) and is not created.
+// TestRunCacheMissingDir: pack acts on an existing cache; a missing
+// directory is a run failure (exit 1) and is not created.
 func TestRunCacheMissingDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "absent")
-	for _, sub := range []string{"pack", "gc"} {
-		var stdout, stderr bytes.Buffer
-		err := runCache([]string{sub, "-dir", dir}, &stdout, &stderr)
-		if err == nil || exitCode(err) != 1 {
-			t.Fatalf("%s: want run failure (exit 1), got %v", sub, err)
-		}
-		if stdout.Len() != 0 {
-			t.Fatalf("%s: unexpected output %q", sub, stdout.String())
-		}
-		if _, err := os.Stat(dir); !os.IsNotExist(err) {
-			t.Fatalf("%s: directory created or unreadable: %v", sub, err)
-		}
+	var stdout, stderr bytes.Buffer
+	err := runCache([]string{"pack", "-dir", dir}, &stdout, &stderr)
+	if err == nil || exitCode(err) != 1 {
+		t.Fatalf("want run failure (exit 1), got %v", err)
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("unexpected output %q", stdout.String())
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("directory created or unreadable: %v", err)
 	}
 }

@@ -8,8 +8,8 @@
 //	bside batch [-libs dir] [-cache dir] [-pack file] [-jobs n] [-workers n] [-max-insns n] <binary>...
 //	bside fuzz [-seeds n] [-start s] [-repro dir] [-precision file]
 //	bside serve [-addr host:port] [-libs dir] [-cache dir] [-pack file] [-workers n] [-max-insns n] [-inflight n] [-timeout d] [-max-upload-mb n] [-mem-cache-mb n]
-//	bside sweep [-libs dir] [-cache dir] [-pack file] [-jobs n] [-workers n] [-max-insns n] [-queue n] [-diff] [-nommap] [-progress n] [-summary file] <root>
-//	bside cache pack|gc -dir <cachedir>
+//	bside sweep [-libs dir] [-cache dir] [-pack file] [-jobs n] [-workers n] [-max-insns n] [-queue n] [-diff] [-progress n] [-summary file] <root>
+//	bside cache pack -dir <cachedir>
 //
 // The batch form analyzes many binaries concurrently over a shared
 // interface cache, emitting one JSON object per binary (JSON lines) on
@@ -39,18 +39,18 @@
 // The cache form administers a persistent cache directory: `bside
 // cache pack` compacts the loose JSON entries (and any existing pack)
 // into one immutable, memory-mapped, binary-searchable pack file under
-// <dir>/packs/ and prunes what it absorbed; `bside cache gc` removes
-// loose entries an existing pack already serves. Warm lookups through
-// a pack skip the per-entry open() and the envelope decode — a hash
-// probe into a shared mapping plus one payload decode per key, after
-// which the memory tier answers. Both act on an existing directory: a
-// missing -dir fails instead of being created.
+// <dir>/packs/, prunes what it absorbed, and removes the temp files
+// crashed writers left behind. Warm lookups through a pack skip the
+// per-entry open() and the envelope decode — a hash probe into a
+// shared mapping plus one payload decode per key, after which the
+// memory tier answers. It acts on an existing directory: a missing
+// -dir fails instead of being created.
 //
 // The serve form runs the resident analysis service (internal/serve):
 // one warm analyzer behind POST /analyze (upload or ?hash= cache
-// lookup), streaming POST /batch, GET /metrics and GET /healthz, with
-// admission control, per-request deadlines, same-image single-flight
-// dedup, and graceful drain on SIGTERM.
+// lookup), GET /metrics and GET /healthz, with admission control,
+// per-request deadlines, same-image single-flight dedup, and graceful
+// drain on SIGTERM.
 //
 // -workers sets the intra-binary worker pool: how many independent
 // units (wrapper-detection functions, identification targets) of one

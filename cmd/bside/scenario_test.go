@@ -224,9 +224,9 @@ func linesByPath(t *testing.T, out []byte) map[string]map[string]json.RawMessage
 
 // recordScenario holds every entry path to one rendering. For a
 // dynamic app and the static, import-free tool, the -json output, the
-// batch line, the sweep line, the serve /batch result and the /analyze
-// body each carry the five record keys, byte-equal to serve.Render of
-// a direct analysis.
+// batch line, the sweep line and the serve /analyze body each carry
+// the five record keys, byte-equal to serve.Render of a direct
+// analysis.
 func recordScenario(t *testing.T, in *scenarioInputs) {
 	bins := []string{in.apps[0], in.tool}
 	want := make(map[string]map[string]json.RawMessage)
@@ -255,15 +255,11 @@ func recordScenario(t *testing.T, in *scenarioInputs) {
 	swept := linesByPath(t, out)
 	d := startDaemon(t, "-libs", in.libs)
 	read := readOK(t)
-	req, _ := json.Marshal(map[string][]string{"paths": bins})
-	_, out = read(http.Post(d.base+"/batch", "application/json", bytes.NewReader(req)))
-	served := linesByPath(t, out)
 	for _, path := range bins {
 		single, _ := runMain(t, 0, "-libs", in.libs, "-json", path)
 		check("-json", path, decodeKeys(t, single))
 		check("batch", path, batch[path])
 		check("sweep", path, swept[path])
-		check("serve /batch", path, decodeKeys(t, served[path]["result"]))
 		img, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -357,6 +353,16 @@ func serveScenario(t *testing.T, in *scenarioInputs) {
 	if got := warm.Get("X-Bside-Cached"); got != "true" || !bytes.Equal(warmBody, cold) {
 		t.Fatalf("hash lookup: X-Bside-Cached = %q, body %s, want true and the upload's %s", got, warmBody, cold)
 	}
+	// An upload and a hash lookup are the only analyses served: there
+	// is no batch of server-side paths.
+	batch, err := http.Post(d.base+"/batch", "application/json", strings.NewReader(`{"paths":["`+in.tool+`"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch.Body.Close()
+	if batch.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /batch: status %d, want 404", batch.StatusCode)
+	}
 	var m serve.Metrics
 	if _, data := read(http.Get(d.base + "/metrics")); json.Unmarshal(data, &m) != nil ||
 		m.Serve.Analyses != 1 || m.Serve.LookupHits != 1 || m.Cache.Stores == 0 || m.Cache.Hits == 0 {
@@ -424,4 +430,8 @@ func packScenario(t *testing.T, in *scenarioInputs) {
 func exitCodeScenario(t *testing.T, in *scenarioInputs) {
 	runMain(t, 2, "batch")           // usage mistake: no binaries
 	runMain(t, 1, "batch", in.noise) // run failure: not an ELF
+	// Usage mistakes: pack is the one cache subcommand, and sweep reads
+	// through whichever frontend the image allows.
+	runMain(t, 2, "cache", "gc", "-dir", t.TempDir())
+	runMain(t, 2, "sweep", "-nommap", in.tree)
 }

@@ -30,11 +30,10 @@ func runSweep(args []string, stdout, stderr io.Writer) error {
 	maxInsns := fs.Int("max-insns", 0, "disassembly budget per binary (0 = default)")
 	queue := fs.Int("queue", 0, "bounded path-queue depth between walker and workers (0 = 256)")
 	diff := fs.Bool("diff", false, "run the syspeek-style linear scanner on every binary and flag disagreements")
-	nommap := fs.Bool("nommap", false, "read images through the copying frontend instead of mmap (the -diff scanner always reads through debug/elf)")
 	progress := fs.Int("progress", 64, "rolling summary cadence in binaries (0 = default)")
 	sumFile := fs.String("summary", "", "write the final fleet summary as JSON to this file")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: bside sweep [-libs dir] [-cache dir] [-pack file] [-jobs n] [-workers n] [-max-insns n] [-queue n] [-diff] [-nommap] [-progress n] [-summary file] <root>")
+		fmt.Fprintln(stderr, "usage: bside sweep [-libs dir] [-cache dir] [-pack file] [-jobs n] [-workers n] [-max-insns n] [-queue n] [-diff] [-progress n] [-summary file] <root>")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -55,7 +54,6 @@ func runSweep(args []string, stdout, stderr io.Writer) error {
 		PackPath:           *packPath,
 		MaxCFGInstructions: *maxInsns,
 		IntraWorkers:       *workers,
-		DisableMmap:        *nommap,
 	})
 	if err != nil {
 		return err

@@ -119,7 +119,7 @@ func chestnutScan(g *cfg.Graph, blk *cfg.Block, idx int, reg x86.Reg) (uint64, b
 	insns := linearWindow(g, blk, idx)
 	tracked := reg
 	for i := len(insns) - 1; i >= 0; i-- {
-		in := insns[i]
+		in := &insns[i]
 		switch in.Op {
 		case x86.OpMov:
 			if in.Dst.Kind != x86.KindReg || in.Dst.Reg != tracked {
@@ -168,7 +168,7 @@ func linearWindow(g *cfg.Graph, blk *cfg.Block, idx int) []x86.Inst {
 	return out
 }
 
-func writesRegister(in x86.Inst, reg x86.Reg) bool {
+func writesRegister(in *x86.Inst, reg x86.Reg) bool {
 	switch in.Op {
 	case x86.OpMov, x86.OpMovzxB, x86.OpMovzxW, x86.OpMovsxB, x86.OpMovsxW, x86.OpMovsxd, x86.OpLea,
 		x86.OpXor, x86.OpAdd, x86.OpSub, x86.OpAnd, x86.OpOr,

@@ -121,7 +121,7 @@ func Syspeek(regions []CodeRegion) *Result {
 // beyond a linear scanner's reach.
 func syspeekBacktrack(window *[syspeekWindow]x86.Inst, head, filled int) (uint64, bool) {
 	for i := 0; i < filled; i++ {
-		in := window[(head-1-i+2*syspeekWindow)%syspeekWindow]
+		in := &window[(head-1-i+2*syspeekWindow)%syspeekWindow]
 		switch in.Op {
 		case x86.OpMov:
 			if in.Dst.Kind != x86.KindReg || in.Dst.Reg != x86.RAX {

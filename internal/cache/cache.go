@@ -27,7 +27,7 @@
 // treated as a miss and the entry is re-computed — corruption is never
 // fatal. Writes go through a temp file plus rename (installFile) so
 // concurrent writers of the same entry cannot tear each other's files;
-// Compact and GC remove the temps a crashed writer abandons.
+// Compact removes the temps a crashed writer abandons.
 //
 // Between the memory tier and the loose files sits the optional pack
 // tier (see pack.go): Compact folds the loose entries into one
@@ -236,8 +236,8 @@ type Store struct {
 	// lazily) is far cheaper than reference-counting every probe.
 	packs atomic.Pointer[[]*pack]
 
-	// compactMu serializes Compact/GC against each other; probes and
-	// stores never take it.
+	// compactMu serializes Compact runs; probes and stores never take
+	// it.
 	compactMu sync.Mutex
 
 	hits        atomic.Uint64
@@ -307,9 +307,6 @@ func Open(dir string) (*Store, error) {
 	s.discoverPacks()
 	return s, nil
 }
-
-// Dir exposes the store's root directory.
-func (s *Store) Dir() string { return s.dir }
 
 // DisableMemoryTier makes this handle bypass the process-wide memory
 // tier: every Load goes to disk and nothing is promoted. Results are
@@ -605,8 +602,8 @@ const staleTempAge = time.Hour
 
 // removeStaleTemps deletes, from one listing of dir, the temp files
 // crashed installs left behind (".<name>.tmp-*") once they are older
-// than staleTempAge. Compact and GC call it on every directory they
-// list, so a long-lived store does not accumulate dead files.
+// than staleTempAge. Compact calls it on every directory it lists, so
+// a long-lived store does not accumulate dead files.
 func removeStaleTemps(dir string, files []fs.DirEntry) {
 	for _, f := range files {
 		name := f.Name()

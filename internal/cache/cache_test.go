@@ -254,42 +254,51 @@ func TestStaleTempFilesSwept(t *testing.T) {
 	}
 	key := testKey(t, "image-7")
 	shard := filepath.Join(dir, "interface", key[:2])
-	if err := os.MkdirAll(shard, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	// An orphan from a crashed writer, long dead.
-	stale := filepath.Join(shard, "."+key+".tmp-123")
-	if err := os.WriteFile(stale, []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	packs := filepath.Join(dir, packDirName)
+	// In a loose shard and under packs/: an orphan from a crashed
+	// writer, long dead, and a fresh one that could still belong to a
+	// live writer.
+	var stale, fresh []string
 	old := time.Now().Add(-2 * staleTempAge)
-	if err := os.Chtimes(stale, old, old); err != nil {
-		t.Fatal(err)
-	}
-	// A fresh orphan that could still belong to a live writer.
-	fresh := filepath.Join(shard, "."+key+".tmp-456")
-	if err := os.WriteFile(fresh, []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
+	for _, d := range []string{shard, packs} {
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		dead, live := filepath.Join(d, ".entry.tmp-123"), filepath.Join(d, ".entry.tmp-456")
+		for _, p := range []string{dead, live} {
+			if err := os.WriteFile(p, []byte("{"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.Chtimes(dead, old, old); err != nil {
+			t.Fatal(err)
+		}
+		stale, fresh = append(stale, dead), append(fresh, live)
 	}
 
-	// A write leaves both alone: it never lists its shard.
+	// A write leaves them all alone: it never lists its shard.
 	if err := s.Store("interface", key, "conf", payload{Name: "x"}); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []string{stale, fresh} {
+	for _, p := range append(stale, fresh...) {
 		if _, err := os.Stat(p); err != nil {
-			t.Fatalf("Store touched temp %s: %v", filepath.Base(p), err)
+			t.Fatalf("Store touched temp %s: %v", p, err)
 		}
 	}
-	// GC lists every loose shard and removes only the stale temp.
-	if _, err := s.GC(); err != nil {
+	// Compact lists every loose shard and packs/, and removes only the
+	// stale temps.
+	if _, err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Fatal("stale temp file not swept")
+	for _, p := range stale {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("stale temp %s not swept", p)
+		}
 	}
-	if _, err := os.Stat(fresh); err != nil {
-		t.Fatal("fresh temp file must survive the sweep")
+	for _, p := range fresh {
+		if _, err := os.Stat(p); err != nil {
+			t.Fatalf("fresh temp %s must survive the sweep", p)
+		}
 	}
 	var out payload
 	if !loadPayload(s, "interface", key, "conf", &out) {

@@ -34,16 +34,6 @@ type CompactStats struct {
 	PackBytes int64  `json:"pack_bytes"`
 }
 
-// GCStats describes one GC run.
-type GCStats struct {
-	// PrunedLoose counts loose files deleted because an open pack holds
-	// the identical (kind, key, conf) entry.
-	PrunedLoose int `json:"pruned_loose"`
-	// KeptLoose counts loose files retained (no pack entry, or newer
-	// conf than the packed one).
-	KeptLoose int `json:"kept_loose"`
-}
-
 // packsDir is where a store's pack files live.
 func (s *Store) packsDir() string { return filepath.Join(s.dir, packDirName) }
 
@@ -205,10 +195,11 @@ func (s *Store) collectLoose() (loose []looseEntry, skipped int, err error) {
 // Compact folds the loose tier and any currently open packs into one
 // new pack file, installs it atomically in the probe set, and then
 // prunes what it absorbed: the loose files and the superseded pack
-// files. Readers are never caught between tiers — until the swap the
-// old tiers answer, after it the new pack does, and a probe holding
-// the old pack snapshot keeps a valid (deleted-but-mapped) view until
-// its next probe.
+// files. It also removes the stale temp files crashed writers
+// abandoned, in the loose shards and under packs/. Readers are never
+// caught between tiers — until the swap the old tiers answer, after it
+// the new pack does, and a probe holding the old pack snapshot keeps a
+// valid (deleted-but-mapped) view until its next probe.
 //
 // Concurrent Stores are safe but may race the prune: an entry
 // re-written between the walk and the prune can lose its loose file.
@@ -222,6 +213,9 @@ func (s *Store) Compact() (CompactStats, error) {
 	loose, skipped, err := s.collectLoose()
 	if err != nil {
 		return st, err
+	}
+	if files, err := os.ReadDir(s.packsDir()); err == nil {
+		removeStaleTemps(s.packsDir(), files)
 	}
 	st.SkippedLoose = skipped
 	seen := make(map[string]bool, len(loose))
@@ -292,47 +286,6 @@ func (s *Store) Compact() (CompactStats, error) {
 		if p.path != path && os.Remove(p.path) == nil {
 			st.PrunedPacks++
 		}
-	}
-	return st, nil
-}
-
-// GC prunes loose files that an open pack already serves: for every
-// valid loose entry whose exact (kind, key, conf) is packed, the loose
-// file is redundant (entries are content-addressed — same key and
-// fingerprint, same payload). Loose entries the packs do not cover are
-// kept. It also removes the stale temp files crashed writers
-// abandoned: in the loose shards, as Compact does, and in the packs
-// directory.
-func (s *Store) GC() (GCStats, error) {
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
-	var st GCStats
-	var packs []*pack
-	if ps := s.packs.Load(); ps != nil {
-		packs = *ps
-	}
-	loose, skipped, err := s.collectLoose()
-	if err != nil {
-		return st, err
-	}
-	st.KeptLoose = skipped
-	for _, le := range loose {
-		key := fmt.Sprintf("%x", le.ent.key)
-		packed := false
-		for _, p := range packs {
-			if _, _, ok := p.probe(le.ent.kind, key, le.ent.conf, false); ok {
-				packed = true
-				break
-			}
-		}
-		if packed && os.Remove(le.path) == nil {
-			st.PrunedLoose++
-		} else {
-			st.KeptLoose++
-		}
-	}
-	if files, err := os.ReadDir(s.packsDir()); err == nil {
-		removeStaleTemps(s.packsDir(), files)
 	}
 	return st, nil
 }

@@ -446,42 +446,6 @@ func TestPackReservedByteRejected(t *testing.T) {
 	}
 }
 
-func TestGCPrunesOnlyPackedLoose(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	packed := populate(t, s, "interface", 3, constConf(""))
-	if _, err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	// Re-store one packed key (same conf — content-addressed, same
-	// payload) plus one brand-new key: GC may prune the former, must
-	// keep the latter.
-	if err := s.Store("interface", packed[0], "conf", payload{Name: "interface-0", Syscalls: []uint64{0, 7}}); err != nil {
-		t.Fatal(err)
-	}
-	fresh := testKey(t, "fresh-after-pack")
-	if err := s.Store("interface", fresh, "conf", payload{Name: "fresh"}); err != nil {
-		t.Fatal(err)
-	}
-	gs, err := s.GC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gs.PrunedLoose != 1 || gs.KeptLoose != 1 {
-		t.Fatalf("gc stats: %+v", gs)
-	}
-	var out payload
-	if !loadPayload(s, "interface", fresh, "conf", &out) || out.Name != "fresh" {
-		t.Fatal("gc pruned an unpacked entry")
-	}
-	if !loadPayload(s, "interface", packed[0], "conf", &out) {
-		t.Fatal("gc broke a packed entry")
-	}
-}
-
 func TestCollectLooseSkipsForeignKeys(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)

@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -295,6 +296,43 @@ func TestBudgetExceeded(t *testing.T) {
 	_, err := Recover(bin, Options{MaxInsns: 10})
 	if err != ErrBudget {
 		t.Fatalf("want ErrBudget, got %v", err)
+	}
+}
+
+// TestFanOutCountsAgainstBudget: every indirect site fans out to every
+// active address-taken block, so k `lea rax, fI; call rax` pairs wire
+// k×k edges from about 3k instructions. Those edges count against
+// MaxInsns with the decoded instructions, and one past the budget is
+// ErrBudget.
+func TestFanOutCountsAgainstBudget(t *testing.T) {
+	const k = 40
+	bin, _ := assemble(t, elff.KindStatic, func(b *asm.Builder) {
+		b.Func("_start")
+		for i := 0; i < k; i++ {
+			b.Lea(x86.RAX, fmt.Sprintf("f%d", i))
+			b.CallReg(x86.RAX)
+		}
+		b.MovRegImm32(x86.RAX, 60)
+		b.Syscall()
+		b.Ret()
+		for i := 0; i < k; i++ {
+			b.Label(fmt.Sprintf("f%d", i))
+			b.Ret()
+		}
+	}, "_start")
+	g, err := Recover(bin, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.ActiveAddrTaken) != k || g.Stats.NumEdges < k*k {
+		t.Fatalf("%d active targets and %d edges, want %d and at least %d", len(g.ActiveAddrTaken), g.Stats.NumEdges, k, k*k)
+	}
+	need := g.Stats.DecodedInsns + k*k
+	if _, err := Recover(bin, Options{MaxInsns: need}); err != nil {
+		t.Fatalf("budget %d (decoded + fan-out): %v", need, err)
+	}
+	if _, err := Recover(bin, Options{MaxInsns: need - 1}); err != ErrBudget {
+		t.Fatalf("budget %d: want ErrBudget, got %v", need-1, err)
 	}
 }
 

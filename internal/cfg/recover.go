@@ -14,8 +14,10 @@ import (
 // Options configures CFG recovery.
 type Options struct {
 	// MaxInsns bounds the total number of decoded instructions across
-	// all refinement rounds; 0 means a generous default. Exceeding it
-	// yields ErrBudget (the analysis-timeout analog).
+	// all refinement rounds plus the indirect fan-out edges (indirect
+	// sites that are not imports × active address-taken targets); 0
+	// means a generous default. Exceeding it yields ErrBudget (the
+	// analysis-timeout analog).
 	MaxInsns int
 	// ExtraRoots are additional traversal entry points (e.g. exported
 	// functions of a shared library).
@@ -110,7 +112,9 @@ func Recover(bin *elff.Binary, opts Options) (*Graph, error) {
 	}
 
 	g := &Graph{Bin: bin, Roots: roots}
-	b.materialize(g)
+	if err := b.materialize(g); err != nil {
+		return nil, err
+	}
 	b.inferFunctions(g)
 	g.Stats.DecodedInsns = b.decoded
 	g.Stats.NumBlocks = g.NumBlocks()
@@ -434,7 +438,13 @@ func (b *builder) leaTarget(lea *x86.Inst) (uint64, bool) {
 // in-edges), each allocated once at its exact size, whatever the size
 // of the binary. Edge targets resolve through two flat arrays (code
 // offset → arena index → block), never through a hash map.
-func (b *builder) materialize(g *Graph) {
+//
+// Every indirect call or jump that is not an import wires an edge to
+// every active address-taken block, so those edges grow as sites ×
+// targets. They count against the instruction budget together with
+// the decoded instructions, and past it materialize fails with
+// ErrBudget before any edge is stored.
+func (b *builder) materialize(g *Graph) error {
 	// Address-ordered arena: the only copy of the decoded
 	// instructions the graph keeps, gathered in one walk over the code
 	// offsets that also cuts the blocks. A block starts at a leader,
@@ -443,7 +453,7 @@ func (b *builder) materialize(g *Graph) {
 	// wiring looks targets up in O(1).
 	insns := make([]x86.Inst, len(b.arena))
 	starts := b.blockStarts[:0]
-	n := 0
+	n, fanOutSites := 0, 0
 	open := false
 	var prevEnd uint64
 	for off := 0; off < b.code; off++ {
@@ -454,6 +464,11 @@ func (b *builder) materialize(g *Graph) {
 		in := &b.arena[idx-1]
 		if !open || in.Addr != prevEnd || b.leader.has(off) {
 			starts = append(starts, int32(n))
+		}
+		if in.IsIndirect() {
+			if _, imported := b.importTarget(in); !imported {
+				fanOutSites++
+			}
 		}
 		insns[n] = *in
 		n++
@@ -487,6 +502,9 @@ func (b *builder) materialize(g *Graph) {
 		}
 	}
 	b.activeIDs = active
+	if b.decoded+fanOutSites*len(active) > b.budget {
+		return ErrBudget
+	}
 
 	// One edge pass: out-edges land in block order, so each block's
 	// run starts where the previous one's ended. Import labels resolve
@@ -531,6 +549,7 @@ func (b *builder) materialize(g *Graph) {
 	b.predAt = predAt
 	g.succs, g.preds = succs, preds
 	g.Stats.NumEdges = len(edges)
+	return nil
 }
 
 // appendEdges appends the out-edges of block from, whose last

@@ -86,9 +86,6 @@ func TestWriteReadRoundTrip(t *testing.T) {
 				bin.Imports[0].SlotAddr != syms["got_write"] {
 				t.Errorf("imports: %+v", bin.Imports)
 			}
-			if name, ok := bin.ImportAtSlot(syms["got_write"]); !ok || name != "write" {
-				t.Errorf("ImportAtSlot: %q ok=%v", name, ok)
-			}
 			if len(bin.Needed) != 1 || bin.Needed[0] != "libc.so.6" {
 				t.Errorf("needed: %v", bin.Needed)
 			}

@@ -130,17 +130,6 @@ func (b *Binary) ExportAddr(name string) (uint64, bool) {
 	return 0, false
 }
 
-// ImportAtSlot maps a GOT slot virtual address back to the imported
-// symbol name, mirroring how PLT-stub resolution works on real binaries.
-func (b *Binary) ImportAtSlot(slot uint64) (string, bool) {
-	for _, im := range b.Imports {
-		if im.SlotAddr == slot {
-			return im.Name, true
-		}
-	}
-	return "", false
-}
-
 // Spec reconstructs a writable Spec from the parsed binary, so images
 // can be re-serialized (corpus generation writes binaries to disk this
 // way).

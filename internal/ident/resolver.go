@@ -193,7 +193,8 @@ func providedArgs(g *cfg.Graph, site *cfg.Block) x86.RegSet {
 	// the run contains a barrier (call/syscall) past which the
 	// register state is unknowable.
 	scan := func(insns []x86.Inst) bool {
-		for _, in := range insns {
+		for i := range insns {
+			in := &insns[i]
 			if in.IsCall() || in.Op == x86.OpSyscall {
 				return false
 			}
@@ -253,7 +254,8 @@ func providedArgs(g *cfg.Graph, site *cfg.Block) x86.RegSet {
 // observed.
 func requiredArgs(entry []x86.Inst) x86.RegSet {
 	var req, written x86.RegSet
-	for _, in := range entry {
+	for i := range entry {
+		in := &entry[i]
 		switch in.Op {
 		case x86.OpEndbr64, x86.OpNop:
 			continue

@@ -58,16 +58,6 @@ func (s *SyscallBitset) Len() int {
 	return n
 }
 
-// Empty reports whether the set has no members.
-func (s *SyscallBitset) Empty() bool {
-	for _, w := range s {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Append appends the members in ascending order to dst and returns the
 // extended slice — the sorted-slice rendering every report format uses.
 func (s *SyscallBitset) Append(dst []uint64) []uint64 {

@@ -58,8 +58,5 @@ func TestSyscallBitsetPropertyEquivalence(t *testing.T) {
 		if got, want := bs.Slice(), ref.slice(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: iterate-sorted diverged:\n got %v\nwant %v", seed, got, want)
 		}
-		if bs.Empty() != (len(ref) == 0) {
-			t.Fatalf("seed %d: Empty disagrees", seed)
-		}
 	}
 }

@@ -77,9 +77,6 @@ type Automaton struct {
 	DFAStates int
 }
 
-// PhaseOf returns the phase with the given ID.
-func (a *Automaton) PhaseOf(id int) *Phase { return a.Phases[id] }
-
 // Accepts replays a dynamic syscall trace against the automaton: this
 // is the runtime-enforcement simulation — a sound automaton accepts
 // every trace the program can actually produce. Phase merging can make

@@ -54,7 +54,7 @@ func TestLinearPhases(t *testing.T) {
 	if !reflect.DeepEqual(a.Alphabet, []uint64{0, 2, 60}) {
 		t.Fatalf("alphabet: %v", a.Alphabet)
 	}
-	start := a.PhaseOf(a.Start)
+	start := a.Phases[a.Start]
 	if !reflect.DeepEqual(start.Allowed, []uint64{2}) {
 		t.Fatalf("start allowed: %v", start.Allowed)
 	}
@@ -72,7 +72,7 @@ func TestLinearPhases(t *testing.T) {
 		if next < 0 {
 			t.Fatalf("no transition on %d from phase %d", step, cur.ID)
 		}
-		cur = a.PhaseOf(next)
+		cur = a.Phases[next]
 	}
 	if len(cur.Allowed) != 0 {
 		t.Fatalf("final phase must allow nothing, got %v", cur.Allowed)
@@ -134,7 +134,7 @@ func TestInitVsServingStrictness(t *testing.T) {
 	if serving == nil {
 		t.Fatalf("no strict serving phase found: %+v", a.Phases)
 	}
-	start := a.PhaseOf(a.Start)
+	start := a.Phases[a.Start]
 	if !reflect.DeepEqual(start.Allowed, []uint64{2}) {
 		t.Fatalf("start allowed: %v", start.Allowed)
 	}
@@ -151,7 +151,7 @@ func TestBackPropagation(t *testing.T) {
 		b.JmpLabel("loop")
 	})
 	a := detect(t, g, rep, Config{BackPropagate: true})
-	start := a.PhaseOf(a.Start)
+	start := a.Phases[a.Start]
 	// With seccomp semantics the first phase must already allow the
 	// serving syscall too.
 	if !reflect.DeepEqual(start.Allowed, []uint64{0, 2}) {

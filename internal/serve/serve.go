@@ -10,27 +10,24 @@
 //	POST /analyze?hash=H no body: content-hash lookup against the
 //	                     persistent cache — a warm hit never parses an
 //	                     ELF, let alone decodes an instruction
-//	POST /batch          {"paths":[...]} → NDJSON stream, one line per
-//	                     binary in completion order
 //	GET  /metrics        cache + admission counters, per-stage latency
 //	                     histograms
 //	GET  /healthz        liveness; 503 once draining
 //
-// Operational hardening, in the order a request meets it: admission
+// Every analysis the daemon runs is an upload, and every upload meets
+// the same hardening: single-flight dedup (concurrent uploads of the
+// same image hash run ONE analysis; the rest wait and share the bytes
+// — abandoning waiters never poison each other, and the computation is
+// canceled only when the last interested caller is gone), admission
 // control (a bounded in-flight semaphore; a full service answers 429
-// with Retry-After instead of queueing unboundedly), per-request
+// with Retry-After instead of queueing unboundedly), and per-request
 // deadlines (the configured timeout rides the request context onto the
 // symbolic-execution budget's wall clock, so an expired request stops
-// mid-search and answers 504), and single-flight dedup (concurrent
-// uploads of the same image hash run ONE analysis; the rest wait and
-// share the bytes — abandoning waiters never poison each other, and the
-// computation is canceled only when the last interested caller is
-// gone).
+// mid-search and answers 504).
 //
-// Every result, an /analyze body or a /batch line's "result", is the
-// analysis's bside.Record, so a service response is byte-identical to
-// a direct library analysis of the same image — an invariance the
-// fuzzer's serve leg holds the daemon to.
+// Every result body is the analysis's bside.Record, so a service
+// response is byte-identical to a direct library analysis of the same
+// image — an invariance the fuzzer's serve leg holds the daemon to.
 package serve
 
 import (
@@ -54,7 +51,6 @@ import (
 // *bside.Analyzer satisfies it; tests substitute counting fakes.
 type Backend interface {
 	AnalyzeBytesContext(ctx context.Context, data []byte) (*bside.Analysis, error)
-	AnalyzeAllContext(ctx context.Context, paths []string, opts bside.BatchOptions) ([]*bside.Analysis, error)
 	Lookup(hash string) (*bside.Analysis, bool)
 	CacheStats() bside.CacheStats
 }
@@ -63,11 +59,10 @@ type Backend interface {
 type Config struct {
 	// Backend runs the analyses. Required.
 	Backend Backend
-	// MaxInFlight bounds concurrently running analyses (uploads and
-	// batches; hash lookups are too cheap to gate). Requests beyond the
-	// bound are answered 429 with Retry-After, not queued. 0 means 2×
-	// GOMAXPROCS is NOT assumed here — the caller picks; non-positive
-	// values fall back to DefaultMaxInFlight.
+	// MaxInFlight bounds concurrently running analyses, one per
+	// distinct uploaded image (hash lookups are too cheap to gate).
+	// Uploads beyond the bound are answered 429 with Retry-After, not
+	// queued. Non-positive values fall back to DefaultMaxInFlight.
 	MaxInFlight int
 	// RequestTimeout bounds one analysis request's wall clock; it maps
 	// onto the analysis budget's deadline, so an expired request aborts
@@ -93,7 +88,7 @@ type Server struct {
 	draining  atomic.Bool
 	flights   shared.Group[*bside.Analysis]
 
-	requests   atomic.Uint64 // /analyze + /batch requests fielded
+	requests   atomic.Uint64 // /analyze requests fielded
 	analyses   atomic.Uint64 // analyses actually run by the backend
 	deduped    atomic.Uint64 // requests that shared another's flight
 	rejected   atomic.Uint64 // 429s issued by admission control
@@ -126,7 +121,6 @@ func New(conf Config) *Server {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/analyze", s.handleAnalyze)
-	mux.HandleFunc("/batch", s.handleBatch)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	return mux
@@ -316,89 +310,6 @@ func (s *Server) writeResult(w http.ResponseWriter, res *bside.Analysis, elapsed
 	w.Header().Set("X-Bside-Cached", strconv.FormatBool(res.Cached))
 	setElapsed(w, elapsed)
 	_, _ = w.Write(Render(res))
-}
-
-// batchRequest is the /batch input.
-type batchRequest struct {
-	// Paths are server-side filesystem paths to analyze.
-	Paths []string `json:"paths"`
-	// Jobs bounds the batch's own worker pool (0 = GOMAXPROCS).
-	Jobs int `json:"jobs,omitempty"`
-}
-
-// batchLine is one NDJSON line of the /batch response stream, emitted
-// per binary in completion order.
-type batchLine struct {
-	Path   string        `json:"path"`
-	Result *bside.Record `json:"result,omitempty"`
-	Cached bool          `json:"cached,omitempty"`
-	Error  string        `json:"error,omitempty"`
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	s.requests.Add(1)
-	var req batchRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad batch request: %v", err), http.StatusBadRequest)
-		return
-	}
-	// A batch occupies one in-flight slot however many paths it holds —
-	// its internal pool is bounded by Jobs, and admission control exists
-	// to bound concurrent *requests*, not binaries.
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		s.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, errSaturated.Error(), http.StatusTooManyRequests)
-		return
-	}
-	defer func() { <-s.sem }()
-
-	ctx := r.Context()
-	if s.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.timeout)
-		defer cancel()
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	// Results stream as they complete (BatchOptions.OnResult serializes
-	// the calls); the HTTP status is already committed by the first
-	// line, so per-binary failures travel in-band on their lines.
-	_, err := s.backend.AnalyzeAllContext(ctx, req.Paths, bside.BatchOptions{
-		Jobs: req.Jobs,
-		OnResult: func(res *bside.Analysis) {
-			line := batchLine{Path: res.Path}
-			if res.Err != nil {
-				line.Error = res.Err.Error()
-			} else {
-				line.Result = res.Record()
-				line.Cached = res.Cached
-				s.analyses.Add(1)
-				if res.Timings != nil {
-					s.stages.observe(res.Timings)
-				}
-			}
-			_ = enc.Encode(line)
-			if flusher != nil {
-				flusher.Flush()
-			}
-		},
-	})
-	if err != nil {
-		// Batch-level failure after the stream started: emit a final
-		// pathless error line so the client sees a cause, not just EOF.
-		_ = enc.Encode(batchLine{Error: err.Error()})
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
 }
 
 // Metrics is the /metrics document.

@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,9 +41,6 @@ type fakeBackend struct {
 	gate   chan struct{}
 	lookup map[string]*bside.Analysis
 	stats  bside.CacheStats
-	// batchErr, when set, is the batch-level error AnalyzeAllContext
-	// returns after emitting every line.
-	batchErr error
 }
 
 func (f *fakeBackend) AnalyzeBytesContext(ctx context.Context, data []byte) (*bside.Analysis, error) {
@@ -63,24 +58,6 @@ func (f *fakeBackend) AnalyzeBytesContext(ctx context.Context, data []byte) (*bs
 		Imports:  []string{"read", "write"},
 		Timings:  &bside.Timings{Decode: time.Millisecond, Total: time.Millisecond},
 	}, nil
-}
-
-func (f *fakeBackend) AnalyzeAllContext(ctx context.Context, paths []string, opts bside.BatchOptions) ([]*bside.Analysis, error) {
-	out := make([]*bside.Analysis, len(paths))
-	for i, p := range paths {
-		res := &bside.Analysis{Path: p, Syscalls: []uint64{uint64(i)}, Imports: []string{}}
-		if strings.Contains(p, "bad") {
-			res = &bside.Analysis{Path: p, Err: errors.New("boom")}
-		}
-		out[i] = res
-		if opts.OnResult != nil {
-			opts.OnResult(res)
-		}
-	}
-	if f.batchErr != nil {
-		return out, f.batchErr
-	}
-	return out, ctx.Err()
 }
 
 func (f *fakeBackend) Lookup(hash string) (*bside.Analysis, bool) {
@@ -192,19 +169,12 @@ func TestSaturationAnswers429(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	// Batches obey the same gate.
-	breq, _ := json.Marshal(batchRequest{Paths: []string{"/x"}})
-	bresp := postBytes(t, ts.URL+"/batch", breq)
-	bresp.Body.Close()
-	if bresp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("saturated batch: status %d", bresp.StatusCode)
-	}
 
 	close(fb.gate)
 	if code := <-firstDone; code != http.StatusOK {
 		t.Fatalf("in-flight request: status %d", code)
 	}
-	if m := s.MetricsSnapshot().Serve; m.Rejected != 2 || m.Analyses != 1 {
+	if m := s.MetricsSnapshot().Serve; m.Rejected != 1 || m.Analyses != 1 {
 		t.Fatalf("metrics: %+v", m)
 	}
 }
@@ -294,70 +264,6 @@ func TestHashLookup(t *testing.T) {
 	}
 	if m := s.MetricsSnapshot().Serve; m.Lookups != 2 || m.LookupHits != 1 {
 		t.Fatalf("metrics: %+v", m)
-	}
-}
-
-// batchLines posts paths to /batch and decodes the NDJSON stream by
-// key, so a test reads the wire names rather than this package's
-// struct tags.
-func batchLines(t *testing.T, url string, paths []string) []map[string]json.RawMessage {
-	t.Helper()
-	req, _ := json.Marshal(batchRequest{Paths: paths})
-	resp := postBytes(t, url+"/batch", req)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("content type %q", ct)
-	}
-	dec := json.NewDecoder(resp.Body)
-	var lines []map[string]json.RawMessage
-	for {
-		var line map[string]json.RawMessage
-		if err := dec.Decode(&line); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		lines = append(lines, line)
-	}
-	return lines
-}
-
-func TestBatchStreamsNDJSON(t *testing.T) {
-	fb := &fakeBackend{}
-	_, ts := newTestServer(t, Config{Backend: fb})
-	lines := batchLines(t, ts.URL, []string{"/bin/a", "/bin/bad", "/bin/c"})
-	if len(lines) != 3 {
-		t.Fatalf("lines: %d", len(lines))
-	}
-	for _, line := range lines {
-		_, hasErr := line["error"]
-		_, hasResult := line["result"]
-		if bytes.Contains(line["path"], []byte("bad")) {
-			if !hasErr || hasResult {
-				t.Fatalf("bad path line: %v", line)
-			}
-		} else if hasErr || !hasResult {
-			t.Fatalf("good path line: %v", line)
-		}
-	}
-
-	// A batch-level failure after the stream started ends it with a
-	// pathless line under the same error key.
-	_, aborted := newTestServer(t, Config{Backend: &fakeBackend{batchErr: errors.New("batch aborted")}})
-	lines = batchLines(t, aborted.URL, []string{"/bin/a"})
-	last := lines[len(lines)-1]
-	if len(lines) != 2 || string(last["path"]) != `""` || last["error"] == nil {
-		t.Fatalf("aborted batch: %v, want one path line and a pathless error line", lines)
-	}
-
-	// Malformed batch bodies are rejected before any work.
-	bad := postBytes(t, ts.URL+"/batch", []byte("{"))
-	bad.Body.Close()
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed batch: status %d", bad.StatusCode)
 	}
 }
 

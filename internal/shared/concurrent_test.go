@@ -1,6 +1,7 @@
 package shared
 
 import (
+	"context"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -40,6 +41,16 @@ func writeImporter(t testing.TB, salt uint32) *elff.Binary {
 		spec.Needed = []string{"libmid.so"}
 	})
 	return main
+}
+
+// programSummary is the cache-aware analysis the public entry points
+// run: a store hit (same image, configuration and dependency closure)
+// answers without decoding, with rep nil; a miss analyzes and persists.
+func programSummary(a *Analyzer, bin *elff.Binary) (*Summary, *ProgramReport, error) {
+	if sum, ok := a.CachedSummary(bin.Hash, bin.Needed); ok {
+		return sum, nil, nil
+	}
+	return a.ComputeSummaryCtx(context.Background(), bin)
 }
 
 // TestConcurrentProgramsShareOneInterfaceComputation is the §4.5
@@ -94,7 +105,7 @@ func TestConcurrentProgramsShareOneInterfaceComputation(t *testing.T) {
 			t.Fatalf("%s loaded %d times, want exactly 1", name, n)
 		}
 	}
-	if ifcs := a.Interfaces(); len(ifcs) != 2 {
+	if ifcs := a.interfaces; len(ifcs) != 2 {
 		t.Fatalf("interfaces: %d", len(ifcs))
 	}
 }
@@ -123,7 +134,7 @@ func TestConcurrentModulesAndPrograms(t *testing.T) {
 					t.Errorf("program %d: %v", i, err)
 				}
 			} else {
-				set, failOpen, err := a.Module(module, "m.so", nil)
+				set, failOpen, err := a.ModuleCtx(context.Background(), module, "m.so", nil)
 				if err != nil || failOpen || !reflect.DeepEqual(set, []uint64{232}) {
 					t.Errorf("module %d: %v %v %v", i, set, failOpen, err)
 				}
@@ -148,7 +159,7 @@ func TestProgramSummaryCacheHitAndDependencyBust(t *testing.T) {
 
 	a1 := NewAnalyzer(loader(t), ident.Config{})
 	a1.Cache = store
-	sum1, rep1, err := a1.ProgramSummary(main)
+	sum1, rep1, err := programSummary(a1, main)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +174,7 @@ func TestProgramSummaryCacheHitAndDependencyBust(t *testing.T) {
 	// library analysis (the interfaces map stays empty).
 	a2 := NewAnalyzer(loader(t), ident.Config{})
 	a2.Cache = store
-	sum2, rep2, err := a2.ProgramSummary(main)
+	sum2, rep2, err := programSummary(a2, main)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +184,7 @@ func TestProgramSummaryCacheHitAndDependencyBust(t *testing.T) {
 	if !reflect.DeepEqual(sum2.Syscalls, sum1.Syscalls) || sum2.Wrappers != sum1.Wrappers {
 		t.Fatalf("cached summary drifted: %+v vs %+v", sum2, sum1)
 	}
-	if len(a2.Interfaces()) != 0 {
+	if len(a2.interfaces) != 0 {
 		t.Fatal("cache hit must not analyze libraries")
 	}
 
@@ -201,7 +212,7 @@ func TestProgramSummaryCacheHitAndDependencyBust(t *testing.T) {
 		return nil, &elffNotFound{name}
 	}, ident.Config{})
 	a3.Cache = store
-	sum3, rep3, err := a3.ProgramSummary(main)
+	sum3, rep3, err := programSummary(a3, main)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +227,8 @@ func TestProgramSummaryCacheHitAndDependencyBust(t *testing.T) {
 // TestInterfaceContentCache: the once-per-library artifact is reusable
 // across analyzers through the store.
 func TestInterfaceContentCache(t *testing.T) {
-	store, err := cache.Open(filepath.Join(t.TempDir(), "c"))
+	dir := filepath.Join(t.TempDir(), "c")
+	store, err := cache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +268,7 @@ func TestInterfaceContentCache(t *testing.T) {
 	// not total stores.
 	countInterfaces := func() int {
 		n := 0
-		_ = filepath.WalkDir(filepath.Join(store.Dir(), "interface"), func(path string, d fs.DirEntry, err error) error {
+		_ = filepath.WalkDir(filepath.Join(dir, "interface"), func(path string, d fs.DirEntry, err error) error {
 			if err == nil && !d.IsDir() {
 				n++
 			}
@@ -303,13 +315,14 @@ func TestInterfaceContentCache(t *testing.T) {
 // syscall site and a library closure writes library interfaces and the
 // program summary, and nothing per function.
 func TestColdCacheStoresOnlyPerBinaryKinds(t *testing.T) {
-	store, err := cache.Open(filepath.Join(t.TempDir(), "c"))
+	dir := filepath.Join(t.TempDir(), "c")
+	store, err := cache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := NewAnalyzer(loader(t), ident.Config{})
 	a.Cache = store
-	sum, _, err := a.ComputeSummary(writeImporter(t, 4242))
+	sum, _, err := a.ComputeSummaryCtx(context.Background(), writeImporter(t, 4242))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +330,7 @@ func TestColdCacheStoresOnlyPerBinaryKinds(t *testing.T) {
 		t.Fatalf("syscalls: %v", sum.Syscalls)
 	}
 
-	ents, err := os.ReadDir(store.Dir())
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,14 +434,14 @@ func TestMaxCFGInsnsDoesNotBustInterfaceEntries(t *testing.T) {
 
 	a1 := NewAnalyzer(loader(t), ident.Config{})
 	a1.Cache = store
-	if _, _, err := a1.ProgramSummary(main); err != nil {
+	if _, _, err := programSummary(a1, main); err != nil {
 		t.Fatal(err)
 	}
 
 	a2 := NewAnalyzer(loader(t), ident.Config{})
 	a2.Cache = store
 	a2.MaxCFGInsns = 40_000
-	sum, _, err := a2.ProgramSummary(main)
+	sum, _, err := programSummary(a2, main)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +483,7 @@ func TestModuleResolvesThroughHostScope(t *testing.T) {
 	host := writeImporter(t, 77) // Needed: libmid.so -> libc.so
 
 	a := NewAnalyzer(loader(t), ident.Config{})
-	set, failOpen, err := a.Module(module, "plugin.so", host)
+	set, failOpen, err := a.ModuleCtx(context.Background(), module, "plugin.so", host)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +493,7 @@ func TestModuleResolvesThroughHostScope(t *testing.T) {
 
 	// Without a host there is nothing to resolve against: fail open.
 	b := NewAnalyzer(loader(t), ident.Config{})
-	_, failOpen, err = b.Module(module, "plugin.so", nil)
+	_, failOpen, err = b.ModuleCtx(context.Background(), module, "plugin.so", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,11 +518,11 @@ func TestSameNamedModulesDoNotShareMemo(t *testing.T) {
 		return mod
 	}
 	a := NewAnalyzer(loader(t), ident.Config{})
-	setA, _, err := a.Module(mkModule(0x7F0A00000000, 41), "hook.so", nil)
+	setA, _, err := a.ModuleCtx(context.Background(), mkModule(0x7F0A00000000, 41), "hook.so", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	setB, _, err := a.Module(mkModule(0x7F0B00000000, 42), "hook.so", nil)
+	setB, _, err := a.ModuleCtx(context.Background(), mkModule(0x7F0B00000000, 42), "hook.so", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +532,7 @@ func TestSameNamedModulesDoNotShareMemo(t *testing.T) {
 	// An image without a content hash cannot key its memo entries.
 	bare := *mkModule(0x7F0D00000000, 43)
 	bare.Hash = ""
-	if _, _, err := a.Module(&bare, "hook.so", nil); err == nil {
+	if _, _, err := a.ModuleCtx(context.Background(), &bare, "hook.so", nil); err == nil {
 		t.Fatal("module without a content hash accepted")
 	}
 }

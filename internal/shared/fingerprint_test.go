@@ -1,6 +1,7 @@
 package shared
 
 import (
+	"context"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -46,7 +47,7 @@ func TestResolverConfigBustsProgramCache(t *testing.T) {
 
 	a1 := NewAnalyzer(loader(t), ident.Config{})
 	a1.Cache = store
-	sum1, _, err := a1.ProgramSummary(main)
+	sum1, _, err := programSummary(a1, main)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestResolverConfigBustsProgramCache(t *testing.T) {
 	// Explicit default layer: same namespace as the zero value, full hit.
 	aDef := NewAnalyzer(loader(t), ident.Config{ResolverLayers: 2})
 	aDef.Cache = store
-	sumDef, repDef, err := aDef.ProgramSummary(main)
+	sumDef, repDef, err := programSummary(aDef, main)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestResolverConfigBustsProgramCache(t *testing.T) {
 	// one entry per image, now re-fingerprinted under resolver-off).
 	aOff := NewAnalyzer(loader(t), ident.Config{ResolverLayers: -1})
 	aOff.Cache = store
-	sumOff, repOff, err := aOff.ProgramSummary(main)
+	sumOff, repOff, err := programSummary(aOff, main)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestResolverConfigBustsProgramCache(t *testing.T) {
 func TestUndecidedEntryFingerprint(t *testing.T) {
 	store := openStore(t)
 	bin := hungryImporter(t)
-	_, _, cold := cachedAnalyzer(t, store, ident.Config{Budget: tightBudget()}).ComputeSummary(bin)
+	_, _, cold := cachedAnalyzer(t, store, ident.Config{Budget: tightBudget()}).ComputeSummaryCtx(context.Background(), bin)
 	if _, ok := cold.(*ident.BudgetError); !ok {
 		t.Fatalf("cold verdict %v, want a BudgetError", cold)
 	}
@@ -120,7 +121,7 @@ func TestUndecidedEntryFingerprint(t *testing.T) {
 		}
 	}
 
-	sum, rep, err := cachedAnalyzer(t, store, ident.Config{}).ComputeSummary(bin)
+	sum, rep, err := cachedAnalyzer(t, store, ident.Config{}).ComputeSummaryCtx(context.Background(), bin)
 	if err != nil || sum.Cached || rep == nil || len(sum.Syscalls) == 0 {
 		t.Fatalf("the default budget must decide the binary afresh: sum=%+v err=%v", sum, err)
 	}
@@ -143,7 +144,7 @@ func TestResolverConfigBustsPackTier(t *testing.T) {
 
 	a1 := NewAnalyzer(loader(t), ident.Config{})
 	a1.Cache = store
-	sum1, _, err := a1.ProgramSummary(main)
+	sum1, _, err := programSummary(a1, main)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestResolverConfigBustsPackTier(t *testing.T) {
 
 	aSame := NewAnalyzer(loader(t), ident.Config{ResolverLayers: 2})
 	aSame.Cache = packed
-	sumSame, rep, err := aSame.ProgramSummary(main)
+	sumSame, rep, err := programSummary(aSame, main)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestResolverConfigBustsPackTier(t *testing.T) {
 
 	aOff := NewAnalyzer(loader(t), ident.Config{ResolverLayers: -1})
 	aOff.Cache = packed
-	sumOff, repOff, err := aOff.ProgramSummary(main)
+	sumOff, repOff, err := programSummary(aOff, main)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,18 +140,6 @@ func NewAnalyzer(load func(name string) (*elff.Binary, error), conf ident.Config
 	}
 }
 
-// Interfaces returns a snapshot of the cached interfaces (after
-// analysis runs).
-func (a *Analyzer) Interfaces() map[string]*Interface {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[string]*Interface, len(a.interfaces))
-	for name, ifc := range a.interfaces {
-		out[name] = ifc
-	}
-	return out
-}
-
 // confFor derives the per-unit identification config: the template with
 // a private budget, so concurrent units cannot race on the counters.
 //
@@ -633,7 +621,7 @@ func (a *Analyzer) ProgramCtx(ctx context.Context, bin *elff.Binary) (*ProgramRe
 	return out, nil
 }
 
-// Module analyzes a dlopen-style module (paper §4.5: runtime-loaded
+// ModuleCtx analyzes a dlopen-style module (paper §4.5: runtime-loaded
 // shared objects are processed alongside the main binary, with module
 // identification left to the user). Every exported function is assumed
 // callable, so the result is the union of all exports' closed syscall
@@ -647,12 +635,9 @@ func (a *Analyzer) ProgramCtx(ctx context.Context, bin *elff.Binary) (*ProgramRe
 // resolution scope is therefore its own dependency closure unioned
 // with the host's. That union is deterministic — it depends only on
 // the (module, host) pair, never on what else the analyzer has seen.
-func (a *Analyzer) Module(bin *elff.Binary, name string, host *elff.Binary) (syscalls []uint64, failOpen bool, err error) {
-	return a.ModuleCtx(context.Background(), bin, name, host)
-}
-
-// ModuleCtx is Module bounded by a context (see ProgramCtx for the
-// cancellation semantics).
+//
+// ctx bounds the analysis (see ProgramCtx for the cancellation
+// semantics).
 func (a *Analyzer) ModuleCtx(ctx context.Context, bin *elff.Binary, name string, host *elff.Binary) (syscalls []uint64, failOpen bool, err error) {
 	// A shallow copy with the widened DT_NEEDED list routes the host's
 	// closure through wrapper detection, the interface's Needed, and

@@ -297,8 +297,8 @@ func TestTransitiveLibraryClosure(t *testing.T) {
 		t.Fatalf("syscalls: %v failopen=%v", rep.Syscalls, rep.FailOpen)
 	}
 	// Both libraries must have cached interfaces now.
-	if len(a.Interfaces()) != 2 {
-		t.Fatalf("interfaces: %v", a.Interfaces())
+	if len(a.interfaces) != 2 {
+		t.Fatalf("interfaces: %v", a.interfaces)
 	}
 	// spawn's closed set contains the wrapper-resolved fork.
 	if got := rep.PerImport["spawn"]; !reflect.DeepEqual(got, []uint64{57}) {
@@ -353,7 +353,7 @@ func TestProgramThroughStackParamImportWrapper(t *testing.T) {
 		t.Fatalf("syscalls: %v failopen=%v", rep.Syscalls, rep.FailOpen)
 	}
 	// The interface must carry the stack-slot parameter.
-	ifc := a.Interfaces()["libgo.so"]
+	ifc := a.interfaces["libgo.so"]
 	exp, _ := ifc.ExportNamed("rawsyscall")
 	if exp.Wrapper == nil || !exp.Wrapper.Stack || exp.Wrapper.Off != 8 {
 		t.Fatalf("wrapper param: %+v", exp.Wrapper)
@@ -390,7 +390,7 @@ func TestStaticProgramNeedsNoInterfaces(t *testing.T) {
 	if !reflect.DeepEqual(rep.Syscalls, []uint64{39}) {
 		t.Fatalf("syscalls: %v", rep.Syscalls)
 	}
-	if len(a.Interfaces()) != 0 {
+	if len(a.interfaces) != 0 {
 		t.Fatal("no interfaces expected for a static program")
 	}
 }

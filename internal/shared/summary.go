@@ -183,15 +183,10 @@ func (a *Analyzer) CachedSummaryByHash(hash string) (*Summary, bool) {
 	return &sum, true
 }
 
-// ComputeSummary is the miss half of ProgramSummary: it runs the full
-// analysis and persists the summary, without re-probing the store
-// (callers that already probed via CachedSummary use it directly).
-func (a *Analyzer) ComputeSummary(bin *elff.Binary) (*Summary, *ProgramReport, error) {
-	return a.ComputeSummaryCtx(context.Background(), bin)
-}
-
-// ComputeSummaryCtx is ComputeSummary bounded by a context (see
-// ProgramCtx for the cancellation semantics).
+// ComputeSummaryCtx is the miss half of a cache-aware analysis: it
+// runs the full analysis and persists the summary, without re-probing
+// the store (callers probe with CachedSummary first). ctx bounds the
+// analysis (see ProgramCtx for the cancellation semantics).
 //
 // A budget verdict reached under a count limit (symex steps or forks)
 // is as deterministic as a summary: the same image, configuration and
@@ -226,16 +221,4 @@ func (a *Analyzer) ComputeSummaryCtx(ctx context.Context, bin *elff.Binary) (*Su
 		_ = a.Cache.Store(kindProgram, bin.Hash, conf, sum)
 	}
 	return sum, rep, nil
-}
-
-// ProgramSummary is the cache-aware analysis entry point. On a store
-// hit (same image, same configuration, byte-identical dependency
-// closure) it returns the persisted summary without decoding a single
-// instruction, and rep is nil. On a miss it runs Program, persists the
-// summary, and returns both.
-func (a *Analyzer) ProgramSummary(bin *elff.Binary) (*Summary, *ProgramReport, error) {
-	if sum, ok := a.CachedSummary(bin.Hash, bin.Needed); ok {
-		return sum, nil, nil
-	}
-	return a.ComputeSummary(bin)
 }

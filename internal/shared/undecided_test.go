@@ -101,7 +101,7 @@ var errRecomputed = errors.New("test: pipeline ran")
 // to fail with errRecomputed: only a stored verdict answers otherwise.
 func replay(a *Analyzer, bin *elff.Binary) error {
 	defer faults.Activate(faults.Rule{Point: faults.Stage, Match: bin.Hash, Err: errRecomputed})()
-	_, _, err := a.ComputeSummary(bin)
+	_, _, err := a.ComputeSummaryCtx(context.Background(), bin)
 	return err
 }
 
@@ -111,7 +111,7 @@ func replay(a *Analyzer, bin *elff.Binary) error {
 func TestUndecidedVerdictReplayed(t *testing.T) {
 	store := openStore(t)
 	bin := hungryImporter(t)
-	_, _, err := cachedAnalyzer(t, store, ident.Config{Budget: tightBudget()}).ComputeSummary(bin)
+	_, _, err := cachedAnalyzer(t, store, ident.Config{Budget: tightBudget()}).ComputeSummaryCtx(context.Background(), bin)
 	be, ok := err.(*ident.BudgetError)
 	if !ok || be.Stage != ident.StageIdentify || be.Cause != symex.CauseSteps {
 		t.Fatalf("cold verdict %v, want an identification/steps BudgetError", err)
@@ -190,7 +190,7 @@ func TestUndecidedNeverStored(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			store := openStore(t)
-			if _, _, err := cachedAnalyzer(t, store, ident.Config{Budget: tightBudget()}).ComputeSummary(writeImporter(t, 1)); err != nil {
+			if _, _, err := cachedAnalyzer(t, store, ident.Config{Budget: tightBudget()}).ComputeSummaryCtx(context.Background(), writeImporter(t, 1)); err != nil {
 				t.Fatalf("warming the library interfaces: %v", err)
 			}
 			for run := 0; run < 2; run++ {

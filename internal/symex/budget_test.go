@@ -23,7 +23,11 @@ func TestBudgetCause(t *testing.T) {
 	}{
 		{"holds", func(b *Budget) {}, CauseNone},
 		{"steps", func(b *Budget) { b.AddSteps(b.MaxSteps) }, CauseSteps},
-		{"forks", func(b *Budget) { b.AddForks(b.MaxForks) }, CauseForks},
+		{"forks", func(b *Budget) {
+			for range b.MaxForks {
+				b.AddFork()
+			}
+		}, CauseForks},
 		{"deadline", func(b *Budget) { b.Deadline = time.Now().Add(-time.Second) }, CauseDeadline},
 		{"cancel", func(b *Budget) { b.Cancel = closed }, CauseCancel},
 	}
@@ -87,7 +91,9 @@ func TestBudgetCauseRace(t *testing.T) {
 				if i%2 == 0 {
 					b.AddSteps(b.MaxSteps)
 				} else {
-					b.AddForks(b.MaxForks)
+					for range b.MaxForks {
+						b.AddFork()
+					}
 				}
 				if !b.Exhausted() {
 					t.Error("budget past its limit not exhausted")

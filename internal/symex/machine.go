@@ -102,9 +102,6 @@ func (b *Budget) AddSteps(n int) { b.steps.Add(int64(n)) }
 // AddFork accrues one path split.
 func (b *Budget) AddFork() { b.forks.Add(1) }
 
-// AddForks accrues n path splits at once.
-func (b *Budget) AddForks(n int) { b.forks.Add(int64(n)) }
-
 // Exhausted reports whether any limit was hit: steps, forks, the
 // wall-clock deadline, or an external cancellation. The first limit
 // seen tripping is recorded for Cause.

@@ -110,7 +110,7 @@ func (r *resolver) resolveAt(blk *cfg.Block, idx int, reg x86.Reg, out map[uint6
 	}
 	insns := r.g.Insns(blk)
 	for i := idx - 1; i >= 0; i-- {
-		in := insns[i]
+		in := &insns[i]
 		if !in.Writes().Has(reg) {
 			continue
 		}
@@ -189,7 +189,7 @@ func (r *resolver) resolveAt(blk *cfg.Block, idx int, reg x86.Reg, out map[uint6
 
 // transform folds an ALU instruction with an immediate source, or inc
 // or dec, over the recursively-resolved prior values.
-func (r *resolver) transform(blk *cfg.Block, i int, reg x86.Reg, in x86.Inst, out map[uint64]bool) bool {
+func (r *resolver) transform(blk *cfg.Block, i int, reg x86.Reg, in *x86.Inst, out map[uint64]bool) bool {
 	if in.Src.Kind != x86.KindImm && in.Src.Kind != x86.KindNone {
 		return false
 	}

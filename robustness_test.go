@@ -4,19 +4,24 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"bside"
+	"bside/internal/asm"
 	"bside/internal/elff"
 	"bside/internal/faults"
 	"bside/internal/serve"
 	"bside/internal/sweep"
+	"bside/internal/testbin"
+	"bside/internal/x86"
 )
 
 // malformedCorpus returns the checked-in hostile images.
@@ -138,6 +143,77 @@ func TestMalformedCorpusAllEntryPaths(t *testing.T) {
 	}
 	if sum.Skipped+sum.Failed != int64(len(corpus)) {
 		t.Fatalf("corpus accounting: skipped=%d failed=%d, want %d total", sum.Skipped, sum.Failed, len(corpus))
+	}
+}
+
+// fanOutBomb is a static image of k `lea rax, [rip+fI]; call rax`
+// pairs and k one-instruction functions, about 10 bytes of code per
+// pair. Each call may reach every lea'd function, so a graph that wired
+// every indirect edge would hold k×k of them: 16 M at k = 4000, from
+// 45 KB of image.
+func fanOutBomb(t *testing.T, k int) []byte {
+	t.Helper()
+	bin, _ := testbin.Build(t, elff.KindStatic, func(b *asm.Builder) {
+		b.Func("_start")
+		for i := 0; i < k; i++ {
+			b.Lea(x86.RAX, fmt.Sprintf("f%d", i))
+			b.CallReg(x86.RAX)
+		}
+		b.MovRegImm32(x86.RAX, 60)
+		b.Syscall()
+		for i := 0; i < k; i++ {
+			b.Label(fmt.Sprintf("f%d", i))
+			b.Ret()
+		}
+	}, nil)
+	data, err := elff.Write(bin.Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestFanOutAllocationBomb: indirect fan-out edges count against the
+// CFG budget, so an upload of k lea/call pairs fails with the budget
+// instead of allocating k×k edges, and the daemon stays healthy.
+func TestFanOutAllocationBomb(t *testing.T) {
+	data := fanOutBomb(t, 4000)
+	a := bside.NewAnalyzer(bside.Options{})
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := a.AnalyzeBytes(data)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("AnalyzeBytes answered a fan-out bomb; want the CFG budget")
+	}
+	if _, isPanic := bside.IsPanic(err); isPanic {
+		t.Fatalf("AnalyzeBytes panicked: %v", err)
+	}
+	// The same bound TestAllocationBomb holds the ELF parser to.
+	const allocBudget = 16 << 20
+	grew := after.TotalAlloc - before.TotalAlloc
+	if grew > allocBudget {
+		t.Fatalf("a %d-byte image allocated %d bytes (budget %d)", len(data), grew, allocBudget)
+	}
+	t.Logf("%d-byte image: %v, %d bytes allocated", len(data), err, grew)
+
+	ts := httptest.NewServer(serve.New(serve.Config{Backend: a}).Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/analyze", "application/octet-stream", bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("daemon died: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("POST /analyze: status %d (%s), want 422", resp.StatusCode, body)
+	}
+	if resp, err := http.Get(ts.URL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("daemon unhealthy after the bomb: %v", err)
+	} else {
+		resp.Body.Close()
 	}
 }
 
