@@ -140,9 +140,11 @@ type Options struct {
 	// cached too: later runs return the same budget-exhausted error
 	// without re-running the search. Verdicts reached through Timeout,
 	// a context deadline or a cancellation, and every other failure, are
-	// never cached. Program-level caching is skipped when Modules are
-	// configured; interface caching still applies. Corrupt or stale
-	// entries are ignored and re-computed, never fatal.
+	// never cached. With Modules configured, no result is served from
+	// the program cache, since a stored summary lacks the modules'
+	// union; the program's own module-free summary is still stored,
+	// and a module-free analyzer over the same directory reads it back.
+	// Corrupt or stale entries are ignored and re-computed, never fatal.
 	CacheDir string
 	// PackPath, when set, additionally attaches one compacted cache
 	// pack file (see `bside cache pack`) to the analyzer's store: an
@@ -587,7 +589,7 @@ func (a *Analyzer) Lookup(hash string) (*Analysis, bool) {
 //
 // The whole call runs inside the outermost per-binary fault boundary:
 // deeper boundaries (pipeline stages, worker units, the library
-// singleflight) convert panics closest to their origin with the
+// flights) convert panics closest to their origin with the
 // richest context, and this frontend capture is the backstop for
 // everything between them — identity probing, parsing, stitching,
 // module merging — so no panic raised while analyzing one binary can
@@ -734,32 +736,21 @@ dispatch:
 	return results, nil
 }
 
-// analyze runs the cache-aware analysis of a parsed binary. probed
-// says the caller already probed the store for this image (and
-// missed), so the cache path goes straight to compute-and-persist.
+// analyze runs the analysis of a parsed binary. probed says the caller
+// already probed the store for this image (and missed); otherwise a
+// module-free analyzer probes it here, and a hit skips all decoding.
+// ComputeSummaryCtx skips every store step when no store is configured.
 func (a *Analyzer) analyze(ctx context.Context, bin *elff.Binary, probed bool) (*Analysis, error) {
-	if a.cacheErr != nil {
-		return nil, a.cacheErr
-	}
-	if a.cache != nil && len(a.modules) == 0 {
-		// Cache-aware path: a hit skips all decoding; a miss computes,
-		// persists the summary, and keeps the full report.
-		if !probed {
-			if sum, ok := a.inner.CachedSummary(bin.Hash, bin.Needed); ok {
-				return fromSummary(sum, nil), nil
-			}
+	if !probed && len(a.modules) == 0 {
+		if sum, ok := a.inner.CachedSummary(bin.Hash, bin.Needed); ok {
+			return fromSummary(sum, nil), nil
 		}
-		sum, rep, err := a.inner.ComputeSummaryCtx(ctx, bin)
-		if err != nil {
-			return nil, err
-		}
-		return fromSummary(sum, rep), nil
 	}
-	rep, err := a.inner.ProgramCtx(ctx, bin)
+	sum, rep, err := a.inner.ComputeSummaryCtx(ctx, bin)
 	if err != nil {
 		return nil, err
 	}
-	out := fromSummary(shared.Summarize(rep), rep)
+	out := fromSummary(sum, rep)
 	// dlopen-style modules the user declared: union their behaviour.
 	for _, path := range a.modules {
 		mod, err := a.openBinary(path)

@@ -44,8 +44,8 @@ func TestMain(m *testing.M) {
 // scenarioInputs is what every row shares, built once in-process.
 type scenarioInputs struct {
 	apps  []string // the application corpus, in generator order
-	libs  string   // its shared-library directory
-	tree  string   // sweep root: the apps, nested static tools, noise
+	libs  string   // its shared-library directory, inside tree
+	tree  string   // sweep root: the apps, libs, nested static tools, noise
 	tool  string   // a self-contained static binary in the tree
 	noise string   // a non-ELF file in the tree
 }
@@ -79,7 +79,10 @@ func buildScenarioInputs(t *testing.T) *scenarioInputs {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	in := &scenarioInputs{libs: filepath.Join(dir, "libs"), tree: filepath.Join(dir, "tree")}
+	// The libraries live inside the swept tree, as a distro's /usr and
+	// bsidegen's layout keep them, so the sweep analyzes them too.
+	tree := filepath.Join(dir, "tree")
+	in := &scenarioInputs{libs: filepath.Join(tree, "usr", "lib"), tree: tree}
 	bins := make(map[string]*elff.Binary)
 	for _, b := range set.Apps {
 		path := filepath.Join(in.tree, "usr", "bin", b.Profile.Name)
@@ -386,7 +389,7 @@ func serveScenario(t *testing.T, in *scenarioInputs) {
 func sweepScenario(t *testing.T, in *scenarioInputs) {
 	cache := t.TempDir()
 	// Exit 0 is the soundness gate: no failures and no scan
-	// disagreements on the dynamic binaries.
+	// disagreements on the dynamic binaries or the shared objects.
 	pass := func() (lines int, sum sweep.Summary) {
 		sumFile := filepath.Join(t.TempDir(), "summary.json")
 		out, _ := runMain(t, 0, "sweep", "-libs", in.libs, "-cache", cache, "-diff", "-summary", sumFile, in.tree)

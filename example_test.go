@@ -1,6 +1,4 @@
-// Quickstart: assemble a tiny program in memory, wrap it in an ELF
-// image, and identify its system calls with the public API.
-package main
+package bside_test
 
 import (
 	"fmt"
@@ -12,9 +10,11 @@ import (
 	"bside/internal/x86"
 )
 
-func main() {
-	// A small program: write(2) through a stack-carried number (the
-	// pattern use-define-chain tools cannot track), then exit(2).
+// Assemble a tiny program in memory, wrap it in an ELF image, and
+// identify its system calls.
+func ExampleAnalyzer_AnalyzeBytes() {
+	// write(2) through a stack-carried number (the pattern
+	// use-define-chain tools cannot track), then exit(2).
 	b := asm.New()
 	b.Func("_start")
 	b.SubRegImm(x86.RSP, 16)
@@ -41,13 +41,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Analyze it.
 	res, err := bside.NewAnalyzer(bside.Options{}).AnalyzeBytes(data)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("identified %d system calls:\n", len(res.Syscalls))
-	for i, n := range res.Syscalls {
-		fmt.Printf("  %3d %s\n", n, res.Names()[i])
-	}
+	fmt.Println(res.Syscalls, res.Names(), res.FailOpen)
+	// Output: [1 60] [write exit] false
 }

@@ -70,45 +70,29 @@ func EvalApps(set *corpus.Set) ([]*AppEval, error) {
 			ev.Report = rep
 		}
 
-		ev.Chestnut = runChestnut(app.Bin, set, BaselineCFGBudget)
-		ev.SysFilter = runSysFilter(app.Bin, set, BaselineCFGBudget)
+		ev.Chestnut = runTool(app.Bin, set, baseline.ChestnutWithBudget)
+		ev.SysFilter = runTool(app.Bin, set, baseline.SysFilterWithBudget)
 		out = append(out, ev)
 	}
 	return out, nil
 }
 
-// runChestnut unions Chestnut's per-module results over the main binary
-// and its dependency closure (the tool analyzes every module it can
-// load).
-func runChestnut(bin *elff.Binary, set *corpus.Set, budget int) ToolRun {
-	res, err := baseline.ChestnutWithBudget(bin, budget)
+// runTool unions one baseline tool's per-module results over the main
+// binary and its dependency closure (the tools analyze every module
+// they can load), each under BaselineCFGBudget.
+func runTool(bin *elff.Binary, set *corpus.Set, tool func(*elff.Binary, int) (*baseline.Result, error)) ToolRun {
+	res, err := tool(bin, BaselineCFGBudget)
 	if err != nil {
 		return ToolRun{Err: err}
 	}
 	run := ToolRun{Syscalls: res.Syscalls, FellBack: res.FellBack}
 	for _, lib := range dependencyClosure(bin, set) {
-		lres, err := baseline.ChestnutWithBudget(lib, budget)
+		lres, err := tool(lib, BaselineCFGBudget)
 		if err != nil {
 			continue // tools skip modules they cannot process
 		}
 		run.Syscalls = Union(run.Syscalls, lres.Syscalls)
 		run.FellBack = run.FellBack || lres.FellBack
-	}
-	return run
-}
-
-func runSysFilter(bin *elff.Binary, set *corpus.Set, budget int) ToolRun {
-	res, err := baseline.SysFilterWithBudget(bin, budget)
-	if err != nil {
-		return ToolRun{Err: err}
-	}
-	run := ToolRun{Syscalls: res.Syscalls}
-	for _, lib := range dependencyClosure(bin, set) {
-		lres, err := baseline.SysFilterWithBudget(lib, budget)
-		if err != nil {
-			continue
-		}
-		run.Syscalls = Union(run.Syscalls, lres.Syscalls)
 	}
 	return run
 }

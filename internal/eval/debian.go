@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"bside/internal/baseline"
 	"bside/internal/cfg"
 	"bside/internal/corpus"
 	"bside/internal/ident"
@@ -63,8 +64,8 @@ func EvalDebian(set *corpus.Set) (*DebianEval, error) {
 			row.BSide.Syscalls = rep.Syscalls
 		}
 
-		row.Chestnut = runChestnut(b.Bin, set, BaselineCFGBudget)
-		row.SysFilter = runSysFilter(b.Bin, set, BaselineCFGBudget)
+		row.Chestnut = runTool(b.Bin, set, baseline.ChestnutWithBudget)
+		row.SysFilter = runTool(b.Bin, set, baseline.SysFilterWithBudget)
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil

@@ -7,8 +7,8 @@
 // through — the public frontend (bside.analyzeData), each pipeline
 // stage body, the intra-binary worker-pool units (a panic in a
 // goroutine is fatal unless recovered in that same goroutine), and the
-// resolver's library singleflight (where an unrecovered panic would
-// also strand every waiting peer on a never-closed channel). All of
+// resolver's library flights (each runs on its own goroutine, and an
+// unrecovered panic there would also strand every waiting peer). All of
 // them funnel through Capture/Capture1, so "what happens when analysis
 // code panics" has exactly one answer: a *PanicError carrying the
 // stage, the image hash, and the panicking goroutine's stack.
@@ -16,7 +16,7 @@
 // Results derived from a PanicError are never memoized and never enter
 // the cache tiers: every store in the codebase is gated on a nil error
 // (or, for stored budget verdicts, on an unwrapped count-limited
-// ident.BudgetError), and the singleflight memo skips failed
+// ident.BudgetError), and the resolver's library memo skips failed
 // computations.
 package guard
 
@@ -30,14 +30,13 @@ import (
 type PanicError struct {
 	// Stage names the boundary the panic surfaced at: a pipeline stage
 	// ("decode", "wrappers", "identify"), "unit" for a worker-pool
-	// unit, "library" for the per-library singleflight, or "frontend"
-	// for the public entry seam. Inner boundaries win: a panic in an
-	// identification unit reports "unit"-level context enriched by the
-	// stage wrapper, not overwritten by it.
+	// unit, "library" for a library load or interface flight, or
+	// "frontend" for the public entry seam. Inner boundaries win: a
+	// panic in an identification unit reports "unit"-level context
+	// enriched by the stage wrapper, not overwritten by it.
 	Stage string `json:"stage"`
-	// Hash is the content hash of the image (or the singleflight key of
-	// the library) being analyzed; empty when the panic predates
-	// hashing.
+	// Hash is the content hash of the image (or the library's flight
+	// key) being analyzed; empty when the panic predates hashing.
 	Hash string `json:"hash,omitempty"`
 	// Value is the recovered panic value.
 	Value any `json:"value"`
@@ -93,8 +92,8 @@ func Capture(stage, hash string, fn func() error) (err error) {
 	return annotate(fn(), stage, hash)
 }
 
-// Capture1 is Capture for value-returning computations (the
-// singleflight seam). On panic the value is the zero T.
+// Capture1 is Capture for value-returning computations (the library
+// flights and the public frontend). On panic the value is the zero T.
 func Capture1[T any](stage, hash string, fn func() (T, error)) (val T, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -1,6 +1,7 @@
 package ident
 
 import (
+	"slices"
 	"sort"
 
 	"bside/internal/cfg"
@@ -31,16 +32,13 @@ type ExportProfile struct {
 // report by intersecting each export's reachable blocks with the
 // per-site results.
 func ExportProfiles(g *cfg.Graph, rep *Report) []ExportProfile {
-	wrapperByEntry := make(map[uint64]symex.ParamRef, len(rep.Wrappers))
-	for _, w := range rep.Wrappers {
-		wrapperByEntry[w.FnEntry] = w.Param
-	}
+	wrappers := exportWrappers(g, rep)
 
 	var values linux.SyscallBitset
 	var imports []string
 	profiles := make([]ExportProfile, 0, len(g.Bin.Exports))
-	for _, ex := range g.Bin.Exports {
-		p := ExportProfile{Name: ex.Name, Addr: ex.Addr}
+	for i, ex := range g.Bin.Exports {
+		p := ExportProfile{Name: ex.Name, Addr: ex.Addr, Wrapper: wrappers[i]}
 		reach := g.ReachableSet(ex.Addr)
 
 		values = linux.SyscallBitset{}
@@ -64,17 +62,37 @@ func ExportProfiles(g *cfg.Graph, rep *Report) []ExportProfile {
 		}
 		sort.Strings(imports)
 		p.Imports = compactStrings(imports)
-
-		if fn, ok := g.FuncByEntry(ex.Addr); ok {
-			if param, isWrapper := wrapperByEntry[fn.Entry]; isWrapper {
-				pr := param
-				p.Wrapper = &pr
-			}
-		}
 		profiles = append(profiles, p)
 	}
 	sort.Slice(profiles, func(i, j int) bool { return profiles[i].Name < profiles[j].Name })
 	return profiles
+}
+
+// ExportsWrapper reports whether an export of the analyzed binary
+// enters a detected syscall wrapper. Through such an export any caller
+// can make any syscall, so no set bounds what the binary's users may do
+// (§4.5's rule for runtime-loaded modules).
+func ExportsWrapper(g *cfg.Graph, rep *Report) bool {
+	return slices.ContainsFunc(exportWrappers(g, rep), func(p *symex.ParamRef) bool { return p != nil })
+}
+
+// exportWrappers returns, parallel to g.Bin.Exports, the
+// number-carrying parameter of each export whose function is a detected
+// wrapper, and nil for every other export.
+func exportWrappers(g *cfg.Graph, rep *Report) []*symex.ParamRef {
+	byEntry := make(map[uint64]symex.ParamRef, len(rep.Wrappers))
+	for _, w := range rep.Wrappers {
+		byEntry[w.FnEntry] = w.Param
+	}
+	out := make([]*symex.ParamRef, len(g.Bin.Exports))
+	for i, ex := range g.Bin.Exports {
+		if fn, ok := g.FuncByEntry(ex.Addr); ok {
+			if param, isWrapper := byEntry[fn.Entry]; isWrapper {
+				out[i] = &param
+			}
+		}
+	}
+	return out
 }
 
 // compactStrings copies a sorted slice, dropping adjacent duplicates.

@@ -68,35 +68,21 @@ func (s Stage) String() string {
 	return "?"
 }
 
-// Timing is one stage's wall-clock cost.
-type Timing struct {
-	Stage    Stage
-	Duration time.Duration
-}
+// Timings is the per-stage cost record of one analysis, indexed by
+// Stage. A stage that never ran reads 0.
+type Timings [StagePhases + 1]time.Duration
 
-// Timings is the ordered per-stage cost record of one analysis.
-type Timings []Timing
-
-// Add appends one stage's cost.
-func (t *Timings) Add(s Stage, d time.Duration) {
-	*t = append(*t, Timing{Stage: s, Duration: d})
-}
+// Add records one stage's cost.
+func (t *Timings) Add(s Stage, d time.Duration) { t[s] += d }
 
 // Get returns the recorded cost of stage s (0 if the stage never ran).
-func (t Timings) Get(s Stage) time.Duration {
-	for _, tm := range t {
-		if tm.Stage == s {
-			return tm.Duration
-		}
-	}
-	return 0
-}
+func (t Timings) Get(s Stage) time.Duration { return t[s] }
 
 // Total sums all recorded stages.
 func (t Timings) Total() time.Duration {
 	var sum time.Duration
-	for _, tm := range t {
-		sum += tm.Duration
+	for _, d := range t {
+		sum += d
 	}
 	return sum
 }
@@ -145,7 +131,7 @@ type Result struct {
 // Run executes the per-binary stages — decode, wrapper detection,
 // identification — over bin and returns the artifacts with per-stage
 // timings. Stitching (for dynamic binaries) is the caller's stage; its
-// cost should be appended to the returned Timings.
+// cost should be added to the returned Timings.
 func Run(bin *elff.Binary, conf Config) (*Result, error) {
 	conf.Ident.Workers = resolveWorkers(conf.Ident.Workers)
 	canceled := func() error {

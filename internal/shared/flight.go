@@ -6,10 +6,11 @@ import (
 )
 
 // Group deduplicates concurrent computations by key, context-aware on
-// both sides. It is the whole-program counterpart of the resolver's
-// library singleflight: a resident service fields N concurrent requests
-// for the same image hash, and exactly one analysis runs while the rest
-// wait and share the outcome.
+// both sides. It is bside's one single-flight: the resolver loads
+// each library image and computes each library interface through it,
+// and a resident service fielding N concurrent requests for the same
+// image hash runs exactly one analysis while the rest wait and share
+// the outcome.
 //
 // Cancellation semantics are the part a plain singleflight gets wrong:
 //
@@ -24,10 +25,10 @@ import (
 //     canceled — work nobody is waiting for stops instead of burning the
 //     budget to completion.
 //
-// Unlike the resolver's helper, Group does not memoize: whole-program
-// results already persist in the content-addressed cache, and that store
-// — not an unbounded in-process map — is the memo. Group only collapses
-// the concurrent window.
+// Group does not memoize; it only collapses the concurrent window.
+// Whole-program results persist in the content-addressed cache, and that
+// store — not an unbounded in-process map — is their memo. The resolver
+// keeps its library memo maps beside its flights (memoized).
 type Group[T any] struct {
 	mu      sync.Mutex
 	flights map[string]*groupFlight[T]

@@ -71,9 +71,9 @@ type Analyzer struct {
 	interfaces map[string]*Interface
 	exportMemo map[string]exportSet
 	bins       map[string]*elff.Binary
-	binFlight  map[string]*flight[*elff.Binary]
-	ifcFlight  map[string]*flight[*Interface]
 	closures   map[string]*closure
+	binFlight  Group[*elff.Binary]
+	ifcFlight  Group[*Interface]
 }
 
 type exportSet struct {
@@ -81,49 +81,41 @@ type exportSet struct {
 	failOpen bool
 }
 
-// flight is a single-flight slot: the first goroutine to claim a key
-// computes, the rest wait on done and share the outcome.
-type flight[T any] struct {
-	done chan struct{}
-	val  T
-	err  error
-}
-
-// singleflight runs compute for key exactly once among concurrent
-// callers, memoizing successes in memo so later callers never wait.
-// mu guards both maps. Failures are not memoized: a later caller
-// retries.
+// memoized returns memo[key], computing it through flights on a miss:
+// concurrent callers of one key share a single computation, and a
+// success is stored in memo (under mu) before its flight closes, so a
+// caller that finds no flight finds the memo instead. Failures are not
+// memoized: a later caller retries.
 //
-// compute runs inside a fault boundary: a panic while analyzing a
-// shared library becomes that flight's error instead of escaping —
-// which matters doubly here, because an escaped panic would skip the
-// cleanup below and leave every waiting peer blocked forever on a
-// never-closed done channel. Panicked flights are not memoized, so one
-// hostile library poisons neither the memo nor later retries.
-func singleflight[T any](mu *sync.Mutex, memo map[string]T, flights map[string]*flight[T], key string, compute func() (T, error)) (T, error) {
+// compute runs inside a fault boundary, on the flight's own goroutine:
+// a panic while analyzing a shared library becomes that flight's error
+// instead of killing the process, and a panicked flight is not
+// memoized, so one hostile library poisons neither the memo nor later
+// retries. Library work is shared fleet-wide, so no caller's context
+// cancels it.
+func memoized[T any](mu *sync.Mutex, memo map[string]T, flights *Group[T], key string, compute func() (T, error)) (T, error) {
 	mu.Lock()
-	if v, ok := memo[key]; ok {
-		mu.Unlock()
+	v, ok := memo[key]
+	mu.Unlock()
+	if ok {
 		return v, nil
 	}
-	if fl, ok := flights[key]; ok {
+	v, _, err := flights.Do(context.Background(), key, func(context.Context) (T, error) {
+		mu.Lock()
+		v, ok := memo[key]
 		mu.Unlock()
-		<-fl.done
-		return fl.val, fl.err
-	}
-	fl := &flight[T]{done: make(chan struct{})}
-	flights[key] = fl
-	mu.Unlock()
-
-	fl.val, fl.err = guard.Capture1("library", key, compute)
-	mu.Lock()
-	if fl.err == nil {
-		memo[key] = fl.val
-	}
-	delete(flights, key)
-	mu.Unlock()
-	close(fl.done)
-	return fl.val, fl.err
+		if ok {
+			return v, nil
+		}
+		v, err := guard.Capture1("library", key, compute)
+		if err == nil {
+			mu.Lock()
+			memo[key] = v
+			mu.Unlock()
+		}
+		return v, err
+	})
+	return v, err
 }
 
 // NewAnalyzer builds an Analyzer around a library loader.
@@ -134,8 +126,6 @@ func NewAnalyzer(load func(name string) (*elff.Binary, error), conf ident.Config
 		interfaces: make(map[string]*Interface),
 		exportMemo: make(map[string]exportSet),
 		bins:       make(map[string]*elff.Binary),
-		binFlight:  make(map[string]*flight[*elff.Binary]),
-		ifcFlight:  make(map[string]*flight[*Interface]),
 		closures:   make(map[string]*closure),
 	}
 }
@@ -181,7 +171,7 @@ func (a *Analyzer) confFor(ctx context.Context) ident.Config {
 // loadLib resolves a DT_NEEDED name through LoadLib exactly once,
 // memoizing the image and letting concurrent callers share one load.
 func (a *Analyzer) loadLib(name string) (*elff.Binary, error) {
-	return singleflight(&a.mu, a.bins, a.binFlight, name, func() (*elff.Binary, error) {
+	return memoized(&a.mu, a.bins, &a.binFlight, name, func() (*elff.Binary, error) {
 		return a.LoadLib(name)
 	})
 }
@@ -298,7 +288,7 @@ func (a *Analyzer) ensureInterfaces(needed []string) (*closure, error) {
 // deduplicating concurrent computations: the first caller computes, the
 // rest wait and share the outcome.
 func (a *Analyzer) ensureInterface(name string) error {
-	_, err := singleflight(&a.mu, a.interfaces, a.ifcFlight, name, func() (*Interface, error) {
+	_, err := memoized(&a.mu, a.interfaces, &a.ifcFlight, name, func() (*Interface, error) {
 		ifc, err := a.computeInterface(name)
 		if err == nil {
 			a.trimBin(name)
@@ -597,8 +587,10 @@ func (a *Analyzer) ProgramCtx(ctx context.Context, bin *elff.Binary) (*ProgramRe
 	var set linux.SyscallBitset
 	set.AddAll(rep.Syscalls)
 	out := &ProgramReport{
-		Main:      rep,
-		FailOpen:  rep.FailOpen,
+		Main: rep,
+		// A shared object analyzed on its own follows ModuleCtx's rule:
+		// an exported wrapper lets any caller make any syscall.
+		FailOpen:  rep.FailOpen || (bin.Kind == elff.KindShared && ident.ExportsWrapper(g, rep)),
 		PerImport: make(map[string][]uint64),
 		Graph:     g,
 		Timings:   res.Timings,

@@ -27,9 +27,7 @@ const (
 // identification report are deliberately dropped — they dwarf the
 // summary and only matter for phase detection and diagnostics, which
 // re-analyze when needed. The per-import breakdown is not stored
-// either: nothing reads it back from a cached summary. Entries written
-// by earlier versions, which stored it, still load; the decoder
-// ignores the extra field.
+// either: nothing reads it back from a cached summary.
 type Summary struct {
 	Syscalls []uint64 `json:"syscalls,omitempty"`
 	FailOpen bool     `json:"fail_open,omitempty"`
@@ -38,16 +36,6 @@ type Summary struct {
 	// Cached reports whether the summary was served from the store
 	// rather than computed. Not persisted.
 	Cached bool `json:"-"`
-}
-
-// Summarize reduces a full report to its cacheable summary.
-func Summarize(rep *ProgramReport) *Summary {
-	return &Summary{
-		Syscalls: rep.Syscalls,
-		FailOpen: rep.FailOpen,
-		Wrappers: len(rep.Main.Wrappers),
-		Imports:  rep.Main.ReachableImports,
-	}
 }
 
 // normalize restores the computed-result shape after a cache round
@@ -70,7 +58,14 @@ func (s *Summary) normalize() {
 // results. MaxCFGInsns only bounds the main executable's CFG recovery
 // (AnalyzeLibrary does not use it), so it is folded into program
 // fingerprints only — retuning it must not bust the fleet's library
-// interfaces.
+// interfaces. So is the program version (v=), which changes whenever
+// the same image and settings get a different program answer: at 2, a
+// shared object that exports a syscall wrapper answers fail-open, so
+// summaries and verdicts stored before are misses. Keep the token
+// short: the default program fingerprint plus "|deps:" fits in 32
+// bytes, so CachedSummaryByHash builds that prefix in Go's stack
+// buffer for non-escaping concatenations, and a warm hash lookup
+// allocates nothing for it.
 func (a *Analyzer) confFingerprint(kind string) string {
 	c := a.Config
 	// ResolverLayers is normalized exactly as ident.Config.withDefaults
@@ -83,7 +78,7 @@ func (a *Analyzer) confFingerprint(kind string) string {
 	}
 	fp := fmt.Sprintf("resolver=%d", rl)
 	if kind == kindProgram {
-		fp += fmt.Sprintf(" maxcfg=%d", a.MaxCFGInsns)
+		fp += fmt.Sprintf(" v=2 maxcfg=%d", a.MaxCFGInsns)
 	}
 	if c.Budget != nil {
 		fp += fmt.Sprintf(" budget=%d/%d/%d", c.Budget.MaxSteps, c.Budget.MaxForks, c.Budget.MaxVisits)
@@ -185,8 +180,9 @@ func (a *Analyzer) CachedSummaryByHash(hash string) (*Summary, bool) {
 
 // ComputeSummaryCtx is the miss half of a cache-aware analysis: it
 // runs the full analysis and persists the summary, without re-probing
-// the store (callers probe with CachedSummary first). ctx bounds the
-// analysis (see ProgramCtx for the cancellation semantics).
+// the store (callers probe with CachedSummary first). With no store
+// configured it skips every store step. ctx bounds the analysis (see
+// ProgramCtx for the cancellation semantics).
 //
 // A budget verdict reached under a count limit (symex steps or forks)
 // is as deterministic as a summary: the same image, configuration and
@@ -215,7 +211,12 @@ func (a *Analyzer) ComputeSummaryCtx(ctx context.Context, bin *elff.Binary) (*Su
 		}
 		return nil, nil, err
 	}
-	sum := Summarize(rep)
+	sum := &Summary{
+		Syscalls: rep.Syscalls,
+		FailOpen: rep.FailOpen,
+		Wrappers: len(rep.Main.Wrappers),
+		Imports:  rep.Main.ReachableImports,
+	}
 	if confOK {
 		// Best-effort: a failed store only costs a future re-analysis.
 		_ = a.Cache.Store(kindProgram, bin.Hash, conf, sum)
